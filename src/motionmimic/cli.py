@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DivergenceError, MimicError, ValidationError
+from .errors import ConfigError, DivergenceError, MimicError
 from .motion import load_movement, validate_movement
 from .optimizer import SCHEDULE_PRESETS, load_schedule
 from .plant import PlantConfig, save_comparison, simulate
@@ -30,6 +30,7 @@ from .trainer import (
     save_dataset,
     save_log,
     save_model,
+    save_rollout,
     train,
 )
 
@@ -60,14 +61,8 @@ def _plant_config(args):
     return PlantConfig(kp=args.kp, max_speed=args.max_speed, tick_rate=args.tick_rate)
 
 
-def _check_rate(rate):
-    if rate <= 0:
-        raise ValidationError("rate must be positive")
-
-
 def cmd_gen(args) -> int:
     movement = load_movement(args.movement)
-    _check_rate(args.rate)
     report = validate_movement(movement)
     if not report.ok:
         for rule, msg in report.violations:
@@ -82,7 +77,6 @@ def cmd_gen(args) -> int:
 
 def cmd_ingest(args) -> int:
     times, joints, names = load_joint_log(args.log)
-    _check_rate(args.rate)
     ds = ingest_log(times, joints, args.rate, periodic=args.periodic, tail=args.tail,
                     joint_names=names, name=Path(args.log).stem)
     save_dataset(ds, args.out)
@@ -128,13 +122,8 @@ def cmd_eval(args) -> int:
 def cmd_rollout(args) -> int:
     model = load_model(args.model)
     rate = args.rate if args.rate is not None else model.sample_rate
-    _check_rate(rate)
     ro = rollout(model, rate)
-    names = default_joint_names(model.n_joints)
-    lines = ["time," + ",".join(names) + ",end_flag"]
-    for t, row, flag in zip(ro.times, ro.joints, ro.flags):
-        lines.append(fmt(t) + "," + ",".join(fmt(v) for v in row) + "," + fmt(flag))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    save_rollout(ro, default_joint_names(model.n_joints), args.out)
     status = "end detected" if ro.end_detected else "no end detected (capped)"
     print(f"{len(ro.times)} samples at {fmt(rate)} Hz, {status} -> {args.out}")
     return 0
@@ -164,11 +153,7 @@ def cmd_compare(args) -> int:
         rep = evaluate_predictions(ds.targets, ds)
     else:
         rep = evaluate(model, ds)
-    ro = rollout(model, ds.sample_rate)
-    lines = ["time," + ",".join(ds.joint_names) + ",end_flag"]
-    for t, row, flag in zip(ro.times, ro.joints, ro.flags):
-        lines.append(fmt(t) + "," + ",".join(fmt(v) for v in row) + "," + fmt(flag))
-    (out / "rollout.csv").write_text("\n".join(lines) + "\n")
+    save_rollout(rollout(model, ds.sample_rate), ds.joint_names, out / "rollout.csv")
 
     result = simulate(model, _plant_config(args))
     save_comparison(result, ds.joint_names, out / "tracking.csv")

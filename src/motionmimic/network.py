@@ -102,12 +102,19 @@ def _as_batch(x, dim, what="input"):
     return arr, single
 
 
-def forward(net: MimicNetwork, x):
-    """Layer-by-layer evaluation; accepts one vector or a (m, in) batch."""
-    a, single = _as_batch(x, net.input_dim)
+def _layers(net: MimicNetwork, a):
+    """Yield (pre-activation, activation) of each layer in turn for the batch a."""
     for layer in net.layers:
         z = a @ layer.weights.T + layer.biases
         a = leaky_relu(z, layer.alpha) if layer.activation == LEAKY_RELU else z
+        yield z, a
+
+
+def forward(net: MimicNetwork, x):
+    """Layer-by-layer evaluation; accepts one vector or a (m, in) batch."""
+    a, single = _as_batch(x, net.input_dim)
+    for z, a in _layers(net, a):
+        del z  # frees each pre-activation before the next layer's is computed
     return a[0] if single else a
 
 
@@ -135,15 +142,10 @@ def forward_backward(net: MimicNetwork, x, y):
         raise ShapeError(f"batch sizes differ: {xb.shape[0]} inputs vs {yb.shape[0]} targets")
     m = xb.shape[0]
 
-    pre = []
-    acts = [xb]
-    a = xb
-    for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
+    pre, acts = [], [xb]
+    for z, a in _layers(net, xb):
         pre.append(z)
-        a = leaky_relu(z, layer.alpha) if layer.activation == LEAKY_RELU else z
         acts.append(a)
-
     diff = acts[-1] - yb
     loss = float(0.5 * np.sum(diff * diff) / m)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .motion import KeyframeMovement, playback_duration, reference_pose
-from .textio import fmt
+from .textio import format_table
 from .trainer import TrainedModel, rollout
 
 # a joint counts as attenuated when it loses more than 5% of amplitude
@@ -143,15 +143,10 @@ def format_comparison(result: SimulationResult, joint_names) -> str:
     """CSV with per-joint desired and attained columns, one row per tick."""
     if len(joint_names) != result.desired.shape[1]:
         raise ShapeError(f"{len(joint_names)} names for {result.desired.shape[1]} joints")
-    header = "time," + ",".join(f"{n}_desired,{n}_attained" for n in joint_names)
-    lines = [header]
-    for k, t in enumerate(result.times):
-        cells = [fmt(t)]
-        for j in range(result.desired.shape[1]):
-            cells.append(fmt(result.desired[k, j]))
-            cells.append(fmt(result.attained[k, j]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ["time"] + [f"{n}_{side}" for n in joint_names for side in ("desired", "attained")]
+    table = np.empty((len(result.times), len(header)))
+    table[:, 0], table[:, 1::2], table[:, 2::2] = result.times, result.desired, result.attained
+    return format_table(header, table)
 
 
 def save_comparison(result: SimulationResult, joint_names, path):

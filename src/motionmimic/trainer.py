@@ -19,6 +19,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+# validate_movement is not called here; bench/tracing.py looks it up on this module
 from .motion import KeyframeMovement, playback_duration, reference_pose, validate_movement
 from .network import (
     MimicNetwork,
@@ -30,7 +31,7 @@ from .network import (
     save_weights,
 )
 from .optimizer import TrainingSchedule, adam_init, adam_step, desk_schedule, reset_state
-from .textio import fmt, parse_float, parse_int
+from .textio import fmt, format_table, parse_float, parse_int, parse_table
 
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
 DEFAULT_HIDDEN = (75, 50)
@@ -62,6 +63,8 @@ class MotionDataset:
             raise ShapeError("times must be 1-D and targets 2-D")
         if len(self.times) != len(self.targets):
             raise ShapeError(f"{len(self.times)} times vs {len(self.targets)} target rows")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.targets))):
+            raise ValidationError("dataset times and targets must be finite")
         if len(self.times) < 2 or self.targets.shape[1] < 2:
             raise ValidationError("dataset needs at least 2 samples and 1 joint + end flag")
         if self.sample_rate <= 0:
@@ -181,20 +184,17 @@ def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) 
     Grid points run from 0 to the playback duration; the end flag is 0
     strictly before the end and 1 from the end onward.  tail extra
     samples hold the final keyframe with flag 1 so the transition is
-    represented in the data.
+    represented in the data.  Even with tail=0 the grid reaches the first
+    sample at or after the end, so the last sample is always flagged.
     """
     if rate <= 0:
         raise ValidationError("rate must be positive")
     if tail < 0:
         raise ValidationError("tail must be non-negative")
-    report = validate_movement(m)
-    if not report.ok:
-        detail = "; ".join(f"{rule}: {msg}" for rule, msg in report.violations)
-        raise ValidationError(f"invalid movement: {detail}")
-
     duration = playback_duration(m)
     last = int(np.floor(duration * rate + 1e-9))
-    times = np.arange(last + 1 + tail) / rate
+    end = int(np.ceil((duration - 1e-12) * rate))
+    times = np.arange(max(last + 1 + tail, end + 1)) / rate
     n = m.n_joints
     targets = np.empty((len(times), n + 1))
     for k in range(last + 1):
@@ -223,6 +223,8 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
         raise IngestionError("log needs at least 2 samples")
     if rate <= 0:
         raise ValidationError("rate must be positive")
+    if not np.all(np.isfinite(t)):
+        raise IngestionError("sample times must be finite")
     order = np.diff(t)
     if np.any(order <= 0):
         i = int(np.nonzero(order <= 0)[0][0]) + 1
@@ -400,45 +402,31 @@ def rollout(model: TrainedModel, rate: float, max_duration_factor: float = 2.0) 
     return Rollout(times, pred[:, :-1], flags, end_detected=False)
 
 
-# --- dataset CSV -------------------------------------------------------------
-# header: time,<joint names...>,end_flag
+# --- CSV files: dataset, joint log, rollout, training log --------------------
 
 
 def format_dataset(ds: MotionDataset) -> str:
-    lines = ["time," + ",".join(ds.joint_names) + ",end_flag"]
-    for t, row in zip(ds.times, ds.targets):
-        lines.append(fmt(t) + "," + ",".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return format_table(["time", *ds.joint_names, "end_flag"],
+                        np.column_stack([ds.times, ds.targets]))
 
 
 def parse_dataset(text: str, name: str = "") -> MotionDataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("line 1: missing dataset header")
-    cols = lines[0].split(",")
-    if len(cols) < 3 or cols[0] != "time" or cols[-1] != "end_flag":
-        raise FormatError("line 1: expected header 'time,<joint names...>,end_flag'")
-    joint_names = cols[1:-1]
-    times, rows = [], []
-    for ln, raw in enumerate(lines[1:], start=2):
-        parts = raw.split(",")
-        if len(parts) != len(cols):
-            raise FormatError(f"line {ln}: expected {len(cols)} fields, found {len(parts)}")
-        values = [parse_float(p, ln, "value") for p in parts]
-        times.append(values[0])
-        rows.append(values[1:])
-    if len(times) < 2:
+    joint_names, table = parse_table(text, "time,<joint names...>,end_flag")
+    if len(table) < 2:
         raise FormatError("dataset needs at least 2 samples")
-    times = np.array(times)
-    targets = np.array(rows)
-    rate = _recover_rate(times)
+    times, targets = table[:, 0], table[:, 1:]
+    if np.any(np.diff(times) <= 0):
+        i = int(np.argmax(np.diff(times) <= 0)) + 1
+        raise FormatError(f"dataset times must increase (violation at record {i}, t={times[i]})")
     periodic = not np.any(targets[:, -1] >= 0.5)
-    return MotionDataset(times, targets, rate, joint_names=joint_names,
+    return MotionDataset(times, targets, _recover_rate(times), joint_names=joint_names,
                          name=name, periodic=periodic)
 
 
 def _recover_rate(times: np.ndarray) -> float:
-    rate = (len(times) - 1) / (times[-1] - times[0])
+    rate = (len(times) - 1) / float(times[-1] - times[0])
+    if not np.isfinite(rate):
+        raise FormatError(f"dataset spans {times[-1] - times[0]} s, too short for a sample rate")
     return float(round(rate)) if abs(rate - round(rate)) < 1e-6 else float(rate)
 
 
@@ -455,31 +443,22 @@ def load_dataset(path) -> MotionDataset:
 def load_joint_log(path):
     """Read an external log CSV 'time,<joint names...>': (times, joints, names)."""
     with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("line 1: missing log header")
-    cols = lines[0].split(",")
-    if len(cols) < 2 or cols[0] != "time":
-        raise FormatError("line 1: expected header 'time,<joint names...>'")
-    times, rows = [], []
-    for ln, raw in enumerate(lines[1:], start=2):
-        parts = raw.split(",")
-        if len(parts) != len(cols):
-            raise FormatError(f"line {ln}: expected {len(cols)} fields, found {len(parts)}")
-        values = [parse_float(p, ln, "value") for p in parts]
-        times.append(values[0])
-        rows.append(values[1:])
-    return np.array(times), np.array(rows), cols[1:]
+        names, table = parse_table(f.read(), "time,<joint names...>")
+    return table[:, 0], table[:, 1:], names
 
 
-# --- training log CSV --------------------------------------------------------
+def save_rollout(ro: Rollout, joint_names, path):
+    """Rollout CSV: the dataset header, one row per swept sample."""
+    table = np.column_stack([ro.times, ro.joints, ro.flags])
+    Path(path).write_text(format_table(["time", *joint_names, "end_flag"], table))
+
+
+LOG_HEADER = "epoch,phase,lr,mse,mae"
 
 
 def format_log(log: TrainingLog) -> str:
-    lines = ["epoch,phase,lr,mse,mae"]
-    for e, p, lr, mse, mae in zip(log.epochs, log.phases, log.lrs, log.mses, log.maes):
-        lines.append(f"{int(e)},{int(p)},{fmt(lr)},{fmt(mse)},{fmt(mae)}")
-    return "\n".join(lines) + "\n"
+    return format_table(LOG_HEADER.split(","),
+                        np.column_stack([log.epochs, log.phases, log.lrs, log.mses, log.maes]))
 
 
 def save_log(log: TrainingLog, path):
@@ -489,31 +468,12 @@ def save_log(log: TrainingLog, path):
 
 def load_log(path) -> TrainingLog:
     with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != "epoch,phase,lr,mse,mae":
-        raise FormatError("line 1: expected header 'epoch,phase,lr,mse,mae'")
-    rows = []
-    for ln, raw in enumerate(lines[1:], start=2):
-        parts = raw.split(",")
-        if len(parts) != 5:
-            raise FormatError(f"line {ln}: expected 5 fields, found {len(parts)}")
-        rows.append(
-            (
-                parse_int(parts[0], ln, "epoch"),
-                parse_int(parts[1], ln, "phase"),
-                parse_float(parts[2], ln, "lr"),
-                parse_float(parts[3], ln, "mse"),
-                parse_float(parts[4], ln, "mae"),
-            )
-        )
-    cols = list(zip(*rows)) if rows else [[], [], [], [], []]
-    return TrainingLog(
-        np.array(cols[0], dtype=int),
-        np.array(cols[1], dtype=int),
-        np.array(cols[2]),
-        np.array(cols[3]),
-        np.array(cols[4]),
-    )
+        _, table = parse_table(f.read(), LOG_HEADER)
+    counters = table[:, :2]
+    if np.any(counters != np.trunc(counters)):
+        raise FormatError("training log epoch and phase must be integers")
+    return TrainingLog(counters[:, 0].astype(int), counters[:, 1].astype(int),
+                       table[:, 2], table[:, 3], table[:, 4])
 
 
 # --- model bundle: weights file + key=value metadata sidecar ------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from motionmimic.cli import main
+from motionmimic.trainer import load_dataset
 
 MOVEMENT = """movement n=2 gamma=3 rate=1
 t=0 0 0.3
@@ -217,6 +218,58 @@ def test_ingest_gap_error_is_exit_2(workdir, capsys):
     code = run(["ingest", "--log", workdir / "gap.csv", "--rate", 50, "--out", workdir / "g.csv"])
     assert code == 2
     assert "missing samples" in capsys.readouterr().err
+
+
+DATASET_HEAD = "time,j1,end_flag\n0,0,0\n"
+LOG_HEAD = "time,hip\n0,0\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        pytest.param("dataset", DATASET_HEAD + "0.02,nan,0\n0.04,0.1,1\n",
+                     "line 3: j1 is not finite", id="dataset-nan"),
+        pytest.param("dataset", DATASET_HEAD + "0.02,1e400,0\n0.04,0.1,1\n",
+                     "line 3: j1 is not finite", id="dataset-1e400"),
+        pytest.param("dataset", DATASET_HEAD + "0.02,0,0\nnan,0.1,1\n",
+                     "line 4: time is not finite", id="dataset-nan-time"),
+        pytest.param("dataset", DATASET_HEAD + "0,0.5,0\n0,0.1,1\n",
+                     "times must increase", id="dataset-equal-times"),
+        pytest.param("dataset", "time,j1,end_flag\n0.04,0,0\n0.02,0.5,0\n0,0.1,1\n",
+                     "times must increase", id="dataset-decreasing-times"),
+        pytest.param("dataset", DATASET_HEAD + "1e-310,0.1,1\n",
+                     "too short for a sample rate", id="dataset-tiny-time-span"),
+        pytest.param("log", LOG_HEAD + "0.02,inf\n0.04,0.1\n",
+                     "line 3: hip is not finite", id="log-inf"),
+        pytest.param("log", LOG_HEAD + "0.02,nan\n0.04,0.1\n",
+                     "line 3: hip is not finite", id="log-nan"),
+        pytest.param("log", LOG_HEAD + "0.02,1e400\n0.04,0.1\n",
+                     "line 3: hip is not finite", id="log-1e400"),
+    ],
+)
+def test_bad_table_is_exit_2(workdir, capsys, kind, text, message):
+    path = workdir / "bad.csv"
+    path.write_text(text)
+    if kind == "dataset":
+        args = ["train", "--dataset", path, "--schedule", "desk", "--out", workdir / "m"]
+    else:
+        args = ["ingest", "--log", path, "--out", workdir / "out.csv"]
+    with np.errstate(all="raise"):
+        code = run(args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_gen_tail_zero_flags_off_grid_end(workdir):
+    # duration 1.013 s falls between the 50 Hz samples at 1.00 s and 1.02 s
+    (workdir / "odd.mov").write_text("movement n=1 gamma=2 rate=1\nt=0 0\nt=1.013 0.4\n")
+    out = workdir / "odd.csv"
+    assert run(["gen", "--movement", workdir / "odd.mov", "--tail", 0, "--out", out]) == 0
+    ds = load_dataset(out)
+    assert ds.times[-1] >= 1.013 > ds.times[-2]
+    assert ds.flags[-1] == 1.0 and ds.flags[-2] == 0.0
+    assert not ds.periodic
 
 
 def test_unknown_subcommand_exits_2():

@@ -135,6 +135,10 @@ def test_dataset_validation_errors():
         MotionDataset(np.array([0.0, 0.02]), np.array([[0.0, 0.5], [0.0, 1.0]]), 50.0)
     with pytest.raises(ValidationError, match="fall back"):
         MotionDataset(np.array([0.0, 0.02]), np.array([[0.0, 1.0], [0.0, 0.0]]), 50.0)
+    with pytest.raises(ValidationError, match="finite"):
+        MotionDataset(np.array([0.0, 0.02]), np.array([[np.nan, 0.0], [0.0, 1.0]]), 50.0)
+    with pytest.raises(ValidationError, match="finite"):
+        MotionDataset(np.array([0.0, np.inf]), np.zeros((2, 2)), 50.0)
 
 
 def test_ingest_uniform_log_is_identity():
@@ -176,6 +180,10 @@ def test_ingest_rejects_long_gaps_and_disorder():
         ingest_log(shuffled, joints, 50.0)
     with pytest.raises(IngestionError, match="off the"):
         ingest_log(times + np.linspace(0, 0.008, 10), joints, 50.0)
+    with pytest.raises(ValidationError, match="finite"):
+        ingest_log(times, np.full((10, 1), np.inf), 50.0)
+    with pytest.raises(IngestionError, match="finite"):
+        ingest_log(np.append(times[:-1], np.inf), joints, 50.0)
 
 
 def test_ingest_periodic_log_has_zero_flags():
