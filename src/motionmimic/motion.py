@@ -88,12 +88,16 @@ def _require_valid(m: KeyframeMovement):
 
 def playback_duration(m: KeyframeMovement) -> float:
     """Wall-clock duration of the movement: last keyframe time / speed rate."""
-    _require_valid(m)
+    movement_splines(m)  # validates m once; its splines are needed to play it anyway
     return m.steps[-1].time / m.speed_rate
 
 
 def movement_splines(m: KeyframeMovement) -> list:
-    """Per-joint natural cubic splines over keyframe time, cached on m."""
+    """Per-joint natural cubic splines over keyframe time, cached on m.
+
+    m is validated when its splines are first built; an invalid movement
+    raises ValidationError naming every violated rule.
+    """
     if m._splines is None:
         _require_valid(m)
         times = m.step_times

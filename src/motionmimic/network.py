@@ -5,7 +5,7 @@ error J = (1/2m) sum_i ||y_i - f_i||^2, and its exact gradients are
 written out layer by layer in plain NumPy, in double precision.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,8 @@ class DenseLayer:
             )
         if self.activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown activation '{self.activation}'")
-        if self.activation == LEAKY_RELU and self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if self.activation == LEAKY_RELU and not 0 < self.alpha < np.inf:
+            raise ConfigError("alpha must be positive and finite")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
             raise ValidationError("layer parameters must be finite")
 
@@ -51,19 +51,42 @@ class DenseLayer:
         return self.weights.shape[1]
 
 
+def _layer_views(layers, flat):
+    """Per-layer (weights, biases) views into flat: each layer's weights, row-major, then biases."""
+    weights, biases, start = [], [], 0
+    for layer in layers:
+        out_dim, in_dim = layer.weights.shape
+        weights.append(flat[start : start + out_dim * in_dim].reshape(out_dim, in_dim))
+        start += out_dim * in_dim
+        biases.append(flat[start : start + out_dim])
+        start += out_dim
+    return weights, biases
+
+
 @dataclass
 class MimicNetwork:
-    """Stack of dense layers; the reference motion net is 1-75-50-23."""
+    """Stack of dense layers; the reference motion net is 1-75-50-23.
+
+    All weights and biases live in params, one float64 vector that each
+    layer's weights and biases are views of.
+    """
 
     layers: list
     input_dim: int
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.layers:
+            raise ShapeError("network needs at least one layer")
         prev = self.input_dim
         for i, layer in enumerate(self.layers):
             if layer.in_dim != prev:
                 raise ShapeError(f"layer {i} expects input {layer.in_dim}, previous gives {prev}")
             prev = layer.out_dim
+        self.params = np.concatenate([t.ravel() for layer in self.layers
+                                      for t in (layer.weights, layer.biases)])
+        for layer, w, b in zip(self.layers, *_layer_views(self.layers, self.params)):
+            layer.weights, layer.biases = w, b
 
     @property
     def output_dim(self) -> int:
@@ -72,24 +95,34 @@ class MimicNetwork:
 
 @dataclass
 class GradientSet:
-    """Loss gradients, same shapes as the network parameters."""
+    """Loss gradients: one vector laid out like MimicNetwork.params, and per-layer views into it."""
 
+    flat: np.ndarray
     weights: list
     biases: list
 
+    def first_nonfinite(self):
+        """Name of the first tensor holding a non-finite value, e.g. 'layer1.weights'."""
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            for kind, g in (("weights", w), ("biases", b)):
+                if not np.all(np.isfinite(g)):
+                    return f"layer{i}.{kind}"
+
 
 def leaky_relu(x, alpha: float = 0.01):
-    """x for x >= 0, alpha*x otherwise; alpha must be positive."""
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    arr = np.asarray(x, dtype=float)
-    out = np.where(arr >= 0, arr, alpha * arr)
+    """x for x >= 0, alpha*x otherwise; alpha must be positive and finite."""
+    if not 0 < alpha < np.inf:
+        raise ConfigError("alpha must be positive and finite")
+    z = np.asarray(x, dtype=float)
+    out = np.multiply(alpha, z, out=np.empty(z.shape))
+    # in place: the larger of z and alpha*z when alpha <= 1, the smaller when alpha > 1
+    (np.maximum if alpha <= 1 else np.minimum)(z, out, out=out)
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _leaky_relu_grad(z, alpha):
-    # derivative at exactly 0 is fixed to 1 for determinism
-    return np.where(z >= 0, 1.0, alpha)
+def _leaky_relu_backward(delta, z, alpha):
+    # the derivative at exactly 0 is taken as 1, for determinism
+    return np.where(z >= 0, delta, alpha * delta)
 
 
 def _as_batch(x, dim, what="input"):
@@ -105,7 +138,10 @@ def _as_batch(x, dim, what="input"):
 def _layers(net: MimicNetwork, a):
     """Yield (pre-activation, activation) of each layer in turn for the batch a."""
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
+        # one input: a broadcast outer product, rounded exactly as the matrix product
+        z = a * layer.weights[:, 0] if layer.in_dim == 1 else a @ layer.weights.T
+        # in place: large temporaries go back to the OS and are faulted in again every step
+        z += layer.biases
         a = leaky_relu(z, layer.alpha) if layer.activation == LEAKY_RELU else z
         yield z, a
 
@@ -146,22 +182,21 @@ def forward_backward(net: MimicNetwork, x, y):
     for z, a in _layers(net, xb):
         pre.append(z)
         acts.append(a)
-    diff = acts[-1] - yb
-    loss = float(0.5 * np.sum(diff * diff) / m)
+    delta = acts[-1] - yb
+    loss = float(0.5 * np.sum(delta * delta) / m)
 
-    n_layers = len(net.layers)
-    w_grads = [None] * n_layers
-    b_grads = [None] * n_layers
-    delta = diff / m  # dJ/d(layer output), propagated backwards
-    for li in range(n_layers - 1, -1, -1):
+    flat = np.empty_like(net.params)
+    grads = GradientSet(flat, *_layer_views(net.layers, flat))
+    delta /= m  # dJ/d(layer output), propagated backwards
+    for li in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[li]
         if layer.activation == LEAKY_RELU:
-            delta = delta * _leaky_relu_grad(pre[li], layer.alpha)
-        w_grads[li] = delta.T @ acts[li]
-        b_grads[li] = delta.sum(axis=0)
+            delta = _leaky_relu_backward(delta, pre[li], layer.alpha)
+        np.matmul(delta.T, acts[li], out=grads.weights[li])
+        delta.sum(axis=0, out=grads.biases[li])
         if li > 0:
             delta = delta @ layer.weights
-    return loss, acts[-1], GradientSet(w_grads, b_grads)
+    return loss, acts[-1], grads
 
 
 def backward(net: MimicNetwork, x, y):

@@ -49,14 +49,7 @@ def adam_init(params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-
 
 def reset_state(state: AdamState) -> AdamState:
     """Zeroed moments and step counter; betas and eps are retained."""
-    return AdamState(
-        [np.zeros_like(m) for m in state.first_moment],
-        [np.zeros_like(v) for v in state.second_moment],
-        t=0,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-    )
+    return adam_init(state.first_moment, state.beta1, state.beta2, state.eps)
 
 
 def adam_step(state: AdamState, params, grads, lr: float, names=None):

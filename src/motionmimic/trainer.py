@@ -146,6 +146,9 @@ class TrainedModel:
             raise ValidationError("normalization constants must be finite")
         if self.time_scale <= 0:
             raise ValidationError("time scale must be positive")
+        for what, value in (("duration", self.duration), ("sample rate", self.sample_rate)):
+            if not 0 < value < np.inf:
+                raise ValidationError(f"{what} must be positive and finite, got {value}")
         if self.network.output_dim != self.n_joints + 1:
             raise ShapeError(
                 f"network emits {self.network.output_dim} values, expected {self.n_joints + 1}"
@@ -277,10 +280,21 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
             f"network output size {sizes[-1]} must equal joints + end flag = {n + 1}"
         )
     net = initialize(sizes, seed=seed, alpha=alpha)
+    # built first, so a dataset the model could not replay fails before training
+    model = TrainedModel(
+        network=net,
+        name=dataset.name,
+        n_joints=n,
+        duration=dataset.duration,
+        sample_rate=dataset.sample_rate,
+        time_offset=dataset.time_offset,
+        time_scale=dataset.time_scale,
+        periodic=dataset.periodic,
+    )
 
     x = dataset.normalized_times()[:, None]
     y = dataset.targets
-    params, names = _flat_params(net)
+    params = [net.params]  # every weight and bias, updated in place by one Adam step
     state = adam_init(params)
 
     total = schedule.total_epochs
@@ -298,7 +312,11 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
                 loss, pred, grads = forward_backward(net, x, y)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
-                adam_step(state, params, _flat_grads(grads), lr, names=names)
+                try:
+                    adam_step(state, params, [grads.flat], lr)
+                except DivergenceError:
+                    where = grads.first_nonfinite()
+                    raise DivergenceError(f"non-finite gradient in {where}") from None
                 mses[epoch] = loss
                 maes[epoch] = np.mean(np.abs(pred[:, :n] - y[:, :n]))
                 epoch += 1
@@ -310,33 +328,8 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
             f"{err}; last finite epoch {epoch - 1}", last_epoch=epoch - 1, log=partial
         ) from None
 
-    model = TrainedModel(
-        network=net,
-        name=dataset.name,
-        n_joints=n,
-        duration=dataset.duration,
-        sample_rate=dataset.sample_rate,
-        time_offset=dataset.time_offset,
-        time_scale=dataset.time_scale,
-        periodic=dataset.periodic,
-    )
     log = TrainingLog(np.arange(total), log_phases, log_lrs, mses, maes)
     return model, log
-
-
-def _flat_params(net: MimicNetwork):
-    params, names = [], []
-    for i, layer in enumerate(net.layers):
-        params.extend([layer.weights, layer.biases])
-        names.extend([f"layer{i}.weights", f"layer{i}.biases"])
-    return params, names
-
-
-def _flat_grads(grads):
-    flat = []
-    for w, b in zip(grads.weights, grads.biases):
-        flat.extend([w, b])
-    return flat
 
 
 def evaluate_predictions(pred: np.ndarray, dataset: MotionDataset) -> EvalReport:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import motionmimic.motion
 from motionmimic.cli import main
 from motionmimic.trainer import load_dataset
 
@@ -48,6 +49,25 @@ def test_gen_rejects_invalid_movement(workdir, capsys):
     assert code == 2
     assert "first step time must be 0" in capsys.readouterr().err
     assert not (workdir / "x.csv").exists()
+
+
+def test_gen_names_every_violated_rule(workdir, capsys):
+    (workdir / "worse.mov").write_text("movement n=1 gamma=2 rate=-1\nt=0.1 0\nt=0.1 0.5\n")
+    assert run(["gen", "--movement", workdir / "worse.mov", "--out", workdir / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for rule in ("first-step-time", "times-increasing", "speed-rate"):
+        assert rule in err
+
+
+@pytest.mark.parametrize("command", ["gen", "simulate"])
+def test_movement_is_validated_once(workdir, monkeypatch, command):
+    calls = []
+    real = motionmimic.motion.validate_movement
+    monkeypatch.setattr(motionmimic.motion, "validate_movement",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert run([command, "--movement", workdir / "demo.mov", "--out", workdir / "out.csv"]) == 0
+    assert len(calls) == 1
 
 
 def test_gen_rejects_nonpositive_rate(workdir, capsys):
@@ -108,6 +128,22 @@ def test_train_divergence_is_exit_3(trained, capsys):
         )
     assert code == 3
     assert "last finite epoch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("duration", "nan"), ("duration", "-1"), ("rate", "nan"), ("rate", "0")],
+)
+def test_rollout_rejects_bad_bundle_metadata(trained, capsys, key, value):
+    meta = trained / "model" / "model.meta"
+    lines = meta.read_text().splitlines()
+    meta.write_text("\n".join(f"{key}={value}" if ln.startswith(key + "=") else ln
+                              for ln in lines) + "\n")
+    code = run(["rollout", "--model", trained / "model", "--out", trained / "roll.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be positive and finite" in err
+    assert not (trained / "roll.csv").exists()
 
 
 def test_eval_prints_metrics(trained, capsys):

@@ -5,9 +5,11 @@ from motionmimic.errors import ConfigError, FormatError, ShapeError
 from motionmimic.network import (
     DenseLayer,
     MimicNetwork,
+    _leaky_relu_backward,
     backward,
     format_weights,
     forward,
+    forward_backward,
     initialize,
     leaky_relu,
     load_weights,
@@ -38,8 +40,109 @@ def test_leaky_relu_branches():
     assert leaky_relu(-1.0, 0.01) == -0.01
     assert leaky_relu(0.0, 0.3) == 0.0
     np.testing.assert_allclose(leaky_relu(np.array([-2.0, 3.0]), 0.1), [-0.2, 3.0])
-    with pytest.raises(ConfigError):
-        leaky_relu(1.0, 0.0)
+    for bad in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            leaky_relu(1.0, bad)
+        with pytest.raises(ConfigError):
+            DenseLayer(np.zeros((1, 1)), np.zeros(1), "leakyrelu", bad)
+
+
+TINY = np.finfo(float).tiny
+SPECIAL = np.array([-0.0, 0.0, np.nan, -np.nan, 5e-324, -5e-324, TINY / 3, -TINY / 3, TINY,
+                    -TINY, np.inf, -np.inf, 1e300, -1e300, 1.0, -1.0, 2.5, -0.4])
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 2.5])
+def test_leaky_relu_matches_where_reference_bit_for_bit(alpha):
+    rng = np.random.default_rng(11)
+    z = np.concatenate([SPECIAL, rng.standard_normal(200), rng.standard_normal(50) * TINY])
+    np.testing.assert_array_equal(bits(leaky_relu(z, alpha)), bits(np.where(z >= 0, z, alpha * z)))
+    for v in SPECIAL:
+        assert bits(leaky_relu(float(v), alpha)) == bits(np.where(v >= 0, v, alpha * v))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 2.5])
+def test_leaky_relu_backward_matches_slope_mask_bit_for_bit(alpha):
+    rng = np.random.default_rng(12)
+    z = np.concatenate([SPECIAL, rng.standard_normal(len(SPECIAL))])
+    delta = np.concatenate([rng.standard_normal(len(SPECIAL)), SPECIAL])
+    z, delta = np.meshgrid(z, delta)  # every value of z against every value of delta
+    slope_mask = np.where(z >= 0, 1.0, alpha)
+    np.testing.assert_array_equal(bits(_leaky_relu_backward(delta, z, alpha)),
+                                  bits(delta * slope_mask))
+
+
+def unfused_forward_backward(net, x, y):
+    """The per-tensor pass: np.where activation, slope-mask gradient, fresh arrays."""
+    pre, acts = [], [x]
+    for layer in net.layers:
+        z = acts[-1] @ layer.weights.T + layer.biases
+        pre.append(z)
+        acts.append(np.where(z >= 0, z, layer.alpha * z) if layer.activation == "leakyrelu" else z)
+    diff = acts[-1] - y
+    loss = float(0.5 * np.sum(diff * diff) / len(x))
+    delta = diff / len(x)
+    w_grads, b_grads = [], []
+    for li in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[li]
+        if layer.activation == "leakyrelu":
+            delta = delta * np.where(pre[li] >= 0, 1.0, layer.alpha)
+        w_grads.insert(0, delta.T @ acts[li])
+        b_grads.insert(0, delta.sum(axis=0))
+        delta = delta @ layer.weights
+    return loss, acts[-1], w_grads, b_grads
+
+
+@pytest.mark.parametrize("sizes", [[1, 75, 50, 23], [3, 6, 4, 2]])
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 2.5])
+def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
+    net = initialize(sizes, seed=4, alpha=alpha)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, size=(33, sizes[0]))
+    y = rng.uniform(-1.0, 1.0, size=(33, sizes[-1]))
+    loss, pred, grads = forward_backward(net, x, y)
+    ref_loss, ref_pred, ref_w, ref_b = unfused_forward_backward(net, x, y)
+    assert loss == ref_loss
+    np.testing.assert_array_equal(bits(pred), bits(ref_pred))
+    np.testing.assert_array_equal(bits(forward(net, x)), bits(ref_pred))
+    for got, want in zip(grads.weights + grads.biases, ref_w + ref_b):
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def test_parameters_and_gradients_are_views_of_one_vector():
+    net = initialize([1, 5, 4, 3], seed=0)
+    counts, total = param_count(net)
+    assert net.params.shape == (total,)
+    _, _, grads = forward_backward(net, [[0.3], [0.8]], np.zeros((2, 3)))
+    assert grads.flat.shape == (total,)
+    start = 0
+    for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
+        for tensor, grad in ((layer.weights, gw), (layer.biases, gb)):
+            assert np.shares_memory(tensor, net.params)
+            assert np.shares_memory(grad, grads.flat)
+            assert grad.shape == tensor.shape
+            np.testing.assert_array_equal(net.params[start : start + tensor.size], tensor.ravel())
+            np.testing.assert_array_equal(grads.flat[start : start + grad.size], grad.ravel())
+            start += tensor.size
+    assert start == total
+    net.params[:] = 0.0
+    np.testing.assert_array_equal(forward(net, [0.5]), np.zeros(3))
+
+
+def test_gradient_set_names_first_nonfinite_tensor():
+    net = initialize([1, 4, 2], seed=0)
+    _, _, grads = forward_backward(net, [[0.5]], [[0.0, 1.0]])
+    assert grads.first_nonfinite() is None
+    grads.biases[1][0] = np.inf
+    assert grads.first_nonfinite() == "layer1.biases"
+    grads.weights[1][1, 2] = np.nan
+    assert grads.first_nonfinite() == "layer1.weights"
+    grads.biases[0][3] = -np.inf
+    assert grads.first_nonfinite() == "layer0.biases"
 
 
 def test_forward_zero_network_gives_zeros():
@@ -145,6 +248,24 @@ def test_gradients_random_small_networks():
         assert err < 1e-5
 
 
+@pytest.mark.parametrize(
+    "sizes, alpha",
+    [
+        pytest.param([3, 7, 5, 4], 2.5, id="alpha-2.5"),
+        pytest.param([1, 9, 6, 3], 0.01, id="first-layer-in-dim-1"),
+    ],
+)
+def test_gradients_match_finite_differences(sizes, alpha):
+    net = initialize(sizes, seed=17, alpha=alpha)
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-1.0, 1.0, size=(6, sizes[0]))
+    y = rng.uniform(-1.0, 1.0, size=(6, sizes[-1]))
+    loss, grads = backward(net, x, y)
+    fd_w, fd_b = finite_difference_gradients(net, x, y)
+    err = max_relative_gradient_error(grads.weights, grads.biases, fd_w, fd_b, loss=loss)
+    assert err < 1e-5
+
+
 def test_leaky_grad_at_exact_zero_is_one():
     # hidden pre-activation is exactly 0; its bias gradient uses slope 1
     hidden = DenseLayer(np.array([[1.0]]), np.array([0.0]), "leakyrelu", 0.01)
@@ -224,3 +345,5 @@ def test_weight_parse_errors_carry_line_numbers():
         parse_weights("\n".join(lines[:2] + ["1.0 extra"] + lines[3:]) + "\n")
     with pytest.raises(FormatError, match="line 2"):
         parse_weights("\n".join([lines[0], "layer out=2 in=1 act=sigmoid"] + lines[2:]) + "\n")
+    with pytest.raises(ShapeError, match="at least one layer"):
+        parse_weights("mimicnet layers=0 input=1 alpha=0.01\n")

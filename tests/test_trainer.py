@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import motionmimic.trainer
 from motionmimic.errors import (
     DivergenceError,
     FormatError,
@@ -220,6 +223,62 @@ def test_train_is_deterministic(desk_fit):
         np.testing.assert_array_equal(a.biases, b.biases)
 
 
+# SHA-256 of the files a seeded run saves, computed at the commit before
+# the flat parameter vector (per-tensor Adam loop, unfused layers); the
+# flat vector and the fused Adam update must reproduce them bit for bit.
+GUARD_DIGESTS = {
+    "training_log.csv": "1cefecef3f6da4a3306e504ac0d921b3e46aee3e4a3d0bb861865e588f699bb8",
+    "weights.txt": "99cfe1da792ac805363809409113c2af16e329fa0cf8c0fb563bf6b63083ac47",
+}
+
+
+def test_seeded_training_files_are_bit_identical(tmp_path, monkeypatch):
+    updated = []
+    real_step = motionmimic.trainer.adam_step
+
+    def recording_step(state, params, grads, lr, names=None):
+        updated.append(params)
+        return real_step(state, params, grads, lr, names)
+
+    monkeypatch.setattr(motionmimic.trainer, "adam_step", recording_step)
+    ds = sample_movement(one_second_movement(), 50.0)  # the README's demo movement
+    sched = TrainingSchedule([(200, 0.001), (100, 0.0005)], reset_on_phase=True)
+    model, log = train(ds, schedule=sched, seed=0)
+    save_model(model, tmp_path)
+    save_log(log, tmp_path / "training_log.csv")
+    for name, digest in GUARD_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    assert len(updated) == sched.total_epochs
+    (theta,) = updated[0]
+    assert theta is model.network.params
+    assert theta.size == sum(layer.weights.size + layer.biases.size
+                             for layer in model.network.layers)
+    for layer in model.network.layers:
+        assert np.shares_memory(layer.weights, theta)
+        assert np.shares_memory(layer.biases, theta)
+
+
+def test_divergence_names_the_first_nonfinite_gradient(monkeypatch):
+    real_pass = motionmimic.trainer.forward_backward
+    passes = []
+
+    def poisoned_pass(net, x, y):  # finite loss, non-finite gradients from epoch 3 on
+        loss, pred, grads = real_pass(net, x, y)
+        passes.append(loss)
+        if len(passes) > 3:
+            grads.biases[2][0] = np.inf
+            grads.weights[1][3, 4] = np.nan
+        return loss, pred, grads
+
+    monkeypatch.setattr(motionmimic.trainer, "forward_backward", poisoned_pass)
+    ds = sample_movement(one_second_movement(), 50.0)
+    with pytest.raises(DivergenceError, match="non-finite gradient in layer1.weights") as err:
+        train(ds, schedule=TrainingSchedule([(5, 0.001)]), seed=0)
+    assert "last finite epoch 2" in str(err.value)
+    assert len(err.value.log) == 3
+
+
 def test_desk_scale_fit_reaches_mae_bound(desk_fit):
     _, dataset, model, _ = desk_fit
     rep = evaluate(model, dataset)
@@ -278,6 +337,14 @@ def test_phase_reset_spike_is_transient():
         pre = log.mses[b - 1]
         # the first epochs of the new phase may spike above the boundary loss
         assert final_mse < pre
+
+
+@pytest.mark.parametrize("field", ["duration", "rate"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_trained_model_rejects_bad_duration_and_rate(field, value):
+    kwargs = {field: value}
+    with pytest.raises(ValidationError, match="must be positive and finite"):
+        zero_model(2, **kwargs)
 
 
 def test_evaluate_perfect_predictions():
