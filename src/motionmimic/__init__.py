@@ -16,6 +16,7 @@ from .motion import (
     ValidationReport,
     load_movement,
     playback_duration,
+    poses,
     reference_pose,
     save_movement,
     validate_movement,

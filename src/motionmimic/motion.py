@@ -3,8 +3,9 @@
 A movement is an ordered list of keyframe steps (joint posture + the
 time it must be reached) plus a speed rate.  Playback rescales time as
 playback_time = keyframe_time / speed_rate, so rates above 1 play the
-movement faster.  Poses between keyframes come from per-joint natural
-cubic splines, built lazily and cached on the movement.
+movement faster.  Poses between keyframes come from one natural cubic
+spline through every joint's keyframes, built lazily and cached on the
+movement, and evaluated on a whole grid of playback times at once.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, OutOfRangeError, ValidationError
-from .spline import build_spline
+from .spline import CubicSpline, build_spline
 from .textio import fmt, kv_value, parse_float, parse_int
 
 
@@ -39,7 +40,7 @@ class KeyframeMovement:
     steps: list
     speed_rate: float = 1.0
     name: str = ""
-    _splines: list = field(default=None, init=False, repr=False, compare=False)
+    _spline: CubicSpline = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_joints(self) -> int:
@@ -64,6 +65,8 @@ def validate_movement(m: KeyframeMovement, n_joints=None) -> ValidationReport:
         bad.append(("joint-dimensions", "all keyframes must have the same number of joints"))
     elif n_joints is not None and dims and dims != {n_joints}:
         bad.append(("joint-count", f"expected {n_joints} joints per keyframe, found {dims.pop()}"))
+    elif dims == {0}:
+        bad.append(("no-joints", "keyframes must hold at least one joint angle"))
     if not all(np.all(np.isfinite(s.joints)) for s in m.steps):
         bad.append(("finite-angles", "joint angles must be finite"))
     times = [s.time for s in m.steps]
@@ -86,39 +89,64 @@ def _require_valid(m: KeyframeMovement):
         raise ValidationError(f"invalid movement: {detail}")
 
 
+MAX_GRID_SAMPLES = 1_000_000  # about 5.5 hours at 50 Hz
+
+
+def grid_size(span: float, rate: float) -> int:
+    """Samples of the uniform grid 0, 1/rate, ... that reach span (1e-9 slack).
+
+    Raises ValidationError unless the count is finite and between 1 and
+    MAX_GRID_SAMPLES, so an absurd duration or rate is an input error
+    rather than an overflow or a huge allocation.
+    """
+    last = np.floor(float(span) * float(rate) + 1e-9)
+    if not 0 <= last < MAX_GRID_SAMPLES:
+        raise ValidationError(
+            f"a grid over {span} s at {rate} Hz needs {last + 1} samples; "
+            f"allowed are 1 to {MAX_GRID_SAMPLES}"
+        )
+    return int(last) + 1
+
+
 def playback_duration(m: KeyframeMovement) -> float:
     """Wall-clock duration of the movement: last keyframe time / speed rate."""
-    movement_splines(m)  # validates m once; its splines are needed to play it anyway
+    movement_splines(m)  # validates m once; its spline is needed to play it anyway
     return m.steps[-1].time / m.speed_rate
 
 
-def movement_splines(m: KeyframeMovement) -> list:
-    """Per-joint natural cubic splines over keyframe time, cached on m.
+def movement_splines(m: KeyframeMovement) -> CubicSpline:
+    """One natural cubic spline over keyframe time for all joints, cached on m.
 
-    m is validated when its splines are first built; an invalid movement
-    raises ValidationError naming every violated rule.
+    m is validated when its spline is first built; an invalid movement
+    raises ValidationError naming every violated rule, and keyframes too
+    close for their postures raise ValidationError from build_spline.
     """
-    if m._splines is None:
+    if m._spline is None:
         _require_valid(m)
-        times = m.step_times
-        values = np.stack([s.joints for s in m.steps])
-        m._splines = [build_spline(times, values[:, j]) for j in range(values.shape[1])]
-    return m._splines
+        m._spline = build_spline(m.step_times, np.stack([s.joints for s in m.steps]))
+    return m._spline
+
+
+def poses(m: KeyframeMovement, times) -> np.ndarray:
+    """Interpolated joint postures, one row per playback time.
+
+    Every time must lie in [0, playback_duration(m)]; open-loop
+    movements have a definite end, so out-of-range queries raise
+    OutOfRangeError rather than clamp.
+    """
+    spline = movement_splines(m)
+    duration = playback_duration(m)
+    ts = np.asarray(times, dtype=float)
+    outside = ~((ts >= 0.0) & (ts <= duration))
+    if np.any(outside):
+        raise OutOfRangeError(f"playback time {ts[outside][0]} outside [0, {duration}]")
+    # guard the end knot against rounding in t * speed_rate
+    return spline.eval(np.minimum(ts * m.speed_rate, m.steps[-1].time))
 
 
 def reference_pose(m: KeyframeMovement, t: float) -> np.ndarray:
-    """Interpolated joint posture at playback time t.
-
-    t must lie in [0, playback_duration(m)]; open-loop movements have a
-    definite end, so out-of-range queries raise rather than clamp.
-    """
-    splines = movement_splines(m)
-    duration = m.steps[-1].time / m.speed_rate
-    if t < 0.0 or t > duration:
-        raise OutOfRangeError(f"playback time {t} outside [0, {duration}]")
-    # guard the end knot against rounding in t * speed_rate
-    u = min(t * m.speed_rate, m.steps[-1].time)
-    return np.array([s.eval(u) for s in splines])
+    """Interpolated joint posture at playback time t; see poses."""
+    return poses(m, [t])[0]
 
 
 # --- movement file format -------------------------------------------------

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .motion import KeyframeMovement, playback_duration, reference_pose
+# reference_pose is not called here; bench/tracing.py looks it up on this module
+from .motion import KeyframeMovement, grid_size, playback_duration, poses, reference_pose
 from .textio import format_table
 from .trainer import TrainedModel, rollout
 
@@ -100,10 +101,8 @@ def reference_stream(source, tick_rate: float):
     """Tick times and per-tick reference postures for a movement or model."""
     if isinstance(source, KeyframeMovement):
         duration = playback_duration(source)
-        count = int(np.floor(duration * tick_rate + 1e-9)) + 1
-        times = np.arange(count) / tick_rate
-        desired = np.stack([reference_pose(source, min(t, duration)) for t in times])
-        return times, desired
+        times = np.arange(grid_size(duration, tick_rate)) / tick_rate
+        return times, poses(source, np.minimum(times, duration))
     if isinstance(source, TrainedModel):
         ro = rollout(source, tick_rate)
         return ro.times, ro.joints

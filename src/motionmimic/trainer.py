@@ -19,8 +19,17 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-# validate_movement is not called here; bench/tracing.py looks it up on this module
-from .motion import KeyframeMovement, playback_duration, reference_pose, validate_movement
+# reference_pose and validate_movement are not called here; bench/tracing.py
+# looks them up on this module
+from .motion import (
+    MAX_GRID_SAMPLES,
+    KeyframeMovement,
+    grid_size,
+    playback_duration,
+    poses,
+    reference_pose,
+    validate_movement,
+)
 from .network import (
     MimicNetwork,
     forward,
@@ -192,19 +201,22 @@ def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) 
     """
     if rate <= 0:
         raise ValidationError("rate must be positive")
-    if tail < 0:
-        raise ValidationError("tail must be non-negative")
+    _check_tail(tail)
     duration = playback_duration(m)
-    last = int(np.floor(duration * rate + 1e-9))
+    count = grid_size(duration, rate)
     end = int(np.ceil((duration - 1e-12) * rate))
-    times = np.arange(max(last + 1 + tail, end + 1)) / rate
+    times = np.arange(max(count + tail, end + 1)) / rate
     n = m.n_joints
     targets = np.empty((len(times), n + 1))
-    for k in range(last + 1):
-        targets[k, :n] = reference_pose(m, min(times[k], duration))
-    targets[last + 1 :, :n] = m.steps[-1].joints
+    targets[:count, :n] = poses(m, np.minimum(times[:count], duration))
+    targets[count:, :n] = m.steps[-1].joints
     targets[:, n] = times >= duration - 1e-12
     return MotionDataset(times, targets, rate, name=m.name)
+
+
+def _check_tail(tail):
+    if not 0 <= tail <= MAX_GRID_SAMPLES:
+        raise ValidationError(f"tail must be 0 to {MAX_GRID_SAMPLES} samples, got {tail}")
 
 
 def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0,
@@ -226,6 +238,7 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
         raise IngestionError("log needs at least 2 samples")
     if rate <= 0:
         raise ValidationError("rate must be positive")
+    _check_tail(tail)
     if not np.all(np.isfinite(t)):
         raise IngestionError("sample times must be finite")
     order = np.diff(t)
@@ -377,14 +390,14 @@ def evaluate(model: TrainedModel, dataset: MotionDataset) -> EvalReport:
 def rollout(model: TrainedModel, rate: float, max_duration_factor: float = 2.0) -> Rollout:
     """Sweep the model over time until its end flag crosses 0.5.
 
-    The sweep is capped at max_duration_factor times the training
-    duration; if the flag never crosses, the capped trajectory is
-    returned with end_detected=False.
+    The sweep starts at the dataset's first time and is capped at
+    max_duration_factor times the span from there to the training
+    duration (the end time); if the flag never crosses, the capped
+    trajectory is returned with end_detected=False.
     """
     if rate <= 0:
         raise ValidationError("rate must be positive")
-    cap = max_duration_factor * model.duration
-    count = int(np.floor(cap * rate + 1e-9)) + 1
+    count = grid_size(max_duration_factor * (model.duration - model.time_offset), rate)
     times = model.time_offset + np.arange(count) / rate
     pred = model.predict(times)
     flags = pred[:, -1]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,55 @@ def test_gen_rejects_nonpositive_rate(workdir, capsys):
     assert "rate must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "simulate"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("movement n=1 gamma=2 rate=1e-320\nt=0 0\nt=1 0.5\n",
+                     "needs inf samples", id="rate-1e-320"),
+        pytest.param("movement n=1 gamma=2 rate=1e-300\nt=0 0\nt=1 0.5\n",
+                     "samples; allowed are 1 to 1000000", id="rate-1e-300"),
+        pytest.param("movement n=2 gamma=3 rate=1\nt=0 0 0.3\nt=1e-320 0.8 -0.4\nt=1 0.1 0.2\n",
+                     "spline coefficients overflow", id="knot-1e-320"),
+        pytest.param("movement n=0 gamma=2 rate=1\nt=0\nt=1\n", "no-joints", id="no-joints"),
+    ],
+)
+def test_unplayable_movement_is_exit_2(workdir, capsys, command, text, message):
+    (workdir / "odd.mov").write_text(text)
+    with np.errstate(all="raise"):
+        code = run([command, "--movement", workdir / "odd.mov", "--out", workdir / "x.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (workdir / "x.csv").exists()
+
+
+# a movement off the sample grid at a speed rate that is not 1
+GUARD_MOVEMENT = """movement n=4 gamma=5 rate=1.3
+t=0 0 0.3 -0.7 1.1
+t=0.41 0.8 -0.4 0.25 0.9
+t=0.9 -0.35 0.1 0.6 -0.2
+t=1.7 0.5 0.45 -0.15 0.05
+t=2.013 0.1 0.2 0.0 0.7
+"""
+# SHA-256 of the files gen and simulate --movement write for GUARD_MOVEMENT,
+# computed at the commit before whole-grid poses (one scalar spline per joint
+# per sample); one 2-D spline evaluated on the whole grid must reproduce them.
+GUARD_DIGESTS = {
+    "dataset.csv": "ba3980c0502ba338ed069a4254696b259c84b24e4d14ca24cfdd3499576a4d4e",
+    "tracking.csv": "0acb134e3c7eeb4cbcb06d27fd0d821457b7454f907e850e870c315a82c19c0e",
+}
+
+
+def test_movement_outputs_are_bit_identical(workdir):
+    (workdir / "guard.mov").write_text(GUARD_MOVEMENT)
+    assert run(["gen", "--movement", workdir / "guard.mov", "--out", workdir / "dataset.csv"]) == 0
+    assert run(["simulate", "--movement", workdir / "guard.mov",
+                "--out", workdir / "tracking.csv"]) == 0
+    for name, digest in GUARD_DIGESTS.items():
+        assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_gen_missing_file_is_input_error(workdir, capsys):
     code = run(["gen", "--movement", workdir / "nope.mov", "--out", workdir / "x.csv"])
     assert code == 2
@@ -144,6 +195,16 @@ def test_rollout_rejects_bad_bundle_metadata(trained, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be positive and finite" in err
     assert not (trained / "roll.csv").exists()
+
+
+def test_rollout_rejects_huge_duration(trained, capsys):
+    meta = trained / "model" / "model.meta"
+    meta.write_text("\n".join("duration=1e300" if ln.startswith("duration=") else ln
+                              for ln in meta.read_text().splitlines()) + "\n")
+    for command in ("rollout", "simulate"):
+        assert run([command, "--model", trained / "model", "--out", trained / "x.csv"]) == 2
+        assert "samples; allowed are 1 to" in capsys.readouterr().err
+        assert not (trained / "x.csv").exists()
 
 
 def test_eval_prints_metrics(trained, capsys):

@@ -3,12 +3,16 @@ import pytest
 
 from motionmimic.errors import FormatError, OutOfRangeError, ValidationError
 from motionmimic.motion import (
+    MAX_GRID_SAMPLES,
     KeyframeMovement,
     KeyframeStep,
     format_movement,
+    grid_size,
     load_movement,
+    movement_splines,
     parse_movement,
     playback_duration,
+    poses,
     reference_pose,
     save_movement,
     validate_movement,
@@ -71,6 +75,12 @@ def test_all_violations_reported():
     assert {"joint-dimensions", "finite-angles", "first-step-time",
             "times-increasing", "speed-rate"} <= rules
     assert report.ok == (len(report.violations) == 0)
+
+
+def test_keyframes_without_joints_violation():
+    m = KeyframeMovement([KeyframeStep(0.0, []), KeyframeStep(1.0, [])])
+    report = validate_movement(m)
+    assert ("no-joints", "keyframes must hold at least one joint angle") in report.violations
 
 
 def test_expected_joint_count_check():
@@ -154,6 +164,67 @@ def test_reference_pose_invalid_movement():
     m = KeyframeMovement([KeyframeStep(0.0, [0.0])])
     with pytest.raises(ValidationError):
         reference_pose(m, 0.0)
+
+
+def oracle_poses(m, times):
+    """Poses from one dense-solve spline per joint, one sample at a time."""
+    knots = np.array([s.time for s in m.steps])
+    values = np.stack([s.joints for s in m.steps])
+    coeffs = [dense_natural_spline(knots, values[:, j]) for j in range(m.n_joints)]
+    out = np.empty((len(times), m.n_joints))
+    for k, t in enumerate(times):
+        u = min(t * m.speed_rate, knots[-1])
+        seg = min(int(np.searchsorted(knots, u, side="right")) - 1, len(knots) - 2)
+        out[k] = [eval_segment_poly(c[seg], u - knots[seg]) for c in coeffs]
+    return out
+
+
+def test_poses_on_a_grid_match_dense_oracle():
+    rng = np.random.default_rng(21)
+    times = [0.0, 0.37, 0.8, 1.45, 2.013]
+    steps = [KeyframeStep(t, rng.uniform(-1, 1, size=5)) for t in times]
+    for rate in (0.7, 1.0, 1.3):
+        m = KeyframeMovement(steps, speed_rate=rate)
+        duration = playback_duration(m)
+        grid = np.minimum(np.arange(grid_size(duration, 50.0)) / 50.0, duration)
+        got = poses(m, grid)
+        assert got.shape == (len(grid), 5)
+        np.testing.assert_allclose(got, oracle_poses(m, grid), atol=1e-10)
+        for k in (0, len(grid) // 2, len(grid) - 1):
+            np.testing.assert_array_equal(reference_pose(m, grid[k]), got[k])
+
+
+def test_one_spline_holds_every_joint():
+    m = KeyframeMovement([KeyframeStep(t, np.full(4, t)) for t in (0.0, 0.5, 1.2)])
+    spline = movement_splines(m)
+    assert spline.coeffs.shape == (2, 4, 4)
+    assert movement_splines(m) is spline
+
+
+def test_poses_reject_any_time_out_of_range():
+    m = simple_movement()
+    duration = playback_duration(m)
+    assert poses(m, [0.0, duration]).shape == (2, 2)
+    for bad in (-0.01, duration + 0.01, np.nan):
+        grid = np.linspace(0.0, duration, 11)
+        grid[7] = bad
+        with pytest.raises(OutOfRangeError):
+            poses(m, grid)
+
+
+def test_grid_size_counts_samples_up_to_the_span():
+    for span, rate in ((1.0, 50.0), (1.013, 50.0), (2.0, 50.0), (0.0, 50.0), (3.0, 33.0),
+                       (1 / 1.3, 50.0), (0.58, 50.0)):
+        assert grid_size(span, rate) == int(np.floor(span * rate + 1e-9)) + 1
+    assert grid_size((MAX_GRID_SAMPLES - 1) / 50.0, 50.0) == MAX_GRID_SAMPLES
+
+
+@pytest.mark.parametrize("span, rate", [(np.inf, 50.0), (np.nan, 50.0), (1e300, 50.0),
+                                        (1.0, 1e300), (-1.0, 50.0),
+                                        (MAX_GRID_SAMPLES / 50.0, 50.0)])
+def test_grid_size_rejects_impossible_grids(span, rate):
+    with pytest.raises(ValidationError, match="samples; allowed are 1 to"):
+        grid_size(span, rate)
 
 
 def test_movement_file_round_trip(tmp_path):

@@ -139,6 +139,36 @@ def test_eval_vectorized_matches_scalar():
         assert v == s.eval(float(t))
 
 
+def test_joint_matrix_matches_column_splines_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in (2, 3, 6, 12):
+        times, _ = random_knots(rng, n)
+        values = rng.uniform(-2.0, 2.0, size=(n, 7))
+        s = build_spline(times, values)
+        assert s.coeffs.shape == (n - 1, 4, 7)
+        grid = np.concatenate([times, rng.uniform(times[0], times[-1], size=50)])
+        vals = s.eval(grid)
+        vel, acc = s.eval_derivatives(grid)
+        assert vals.shape == (len(grid), 7)
+        for j in range(7):
+            col = build_spline(times, values[:, j])
+            np.testing.assert_array_equal(s.coeffs[:, :, j], col.coeffs)
+            np.testing.assert_array_equal(vals[:, j], col.eval(grid))
+            col_vel, col_acc = col.eval_derivatives(grid)
+            np.testing.assert_array_equal(vel[:, j], col_vel)
+            np.testing.assert_array_equal(acc[:, j], col_acc)
+            assert s.eval(float(grid[9]))[j] == col.eval(float(grid[9]))
+
+
+def test_overflowing_coefficients_are_rejected():
+    # a knot spacing of 1e-320 is positive, but slopes over it overflow
+    for values in ([0.0, 0.8, 0.1], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]]):
+        with np.errstate(all="raise"), pytest.raises(ValidationError, match="overflow"):
+            build_spline([0.0, 1e-320, 1.0], values)
+    with pytest.raises(ValidationError, match="overflow"):
+        build_spline([0.0, 1.0], [-1e308, 1e308])
+
+
 def test_construction_errors():
     with pytest.raises(ValidationError):
         build_spline([0.0], [1.0])
@@ -150,6 +180,8 @@ def test_construction_errors():
         build_spline([0.0, 1.0], [np.nan, 2.0])
     with pytest.raises(ValidationError):
         build_spline([0.0, 1.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError):
+        build_spline([0.0, 1.0], np.zeros((2, 2, 2)))
 
 
 def test_eval_out_of_range():

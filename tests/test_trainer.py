@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,9 @@ def test_tail_holds_last_keyframe():
 def test_sample_rejects_bad_rate_and_movement():
     with pytest.raises(ValidationError, match="rate must be positive"):
         sample_movement(one_second_movement(), 0.0)
+    for tail in (-1, 10**19):
+        with pytest.raises(ValidationError, match="tail must be 0 to"):
+            sample_movement(one_second_movement(), 50.0, tail=tail)
     bad = KeyframeMovement([KeyframeStep(0.1, [0.0]), KeyframeStep(0.5, [1.0])])
     with pytest.raises(ValidationError, match="first step time must be 0"):
         sample_movement(bad, 50.0)
@@ -187,6 +191,9 @@ def test_ingest_rejects_long_gaps_and_disorder():
         ingest_log(times, np.full((10, 1), np.inf), 50.0)
     with pytest.raises(IngestionError, match="finite"):
         ingest_log(np.append(times[:-1], np.inf), joints, 50.0)
+    for tail in (-1, 10**19):
+        with pytest.raises(ValidationError, match="tail must be 0 to"):
+            ingest_log(times, joints, 50.0, tail=tail)
 
 
 def test_ingest_periodic_log_has_zero_flags():
@@ -386,6 +393,21 @@ def test_rollout_periodic_model_hits_cap():
     assert not ro.end_detected
     assert ro.times[-1] == pytest.approx(2.0)  # 2x the training duration
     assert np.all(ro.flags < 0.5)
+
+
+def test_rollout_cap_is_relative_to_the_dataset_start():
+    # one periodic 30-sample log, recorded from t=0 and from t=100 s; a flag
+    # that never rises caps both sweeps at twice the log's span
+    lengths = []
+    for start in (0.0, 100.0):
+        ds = ingest_log(start + np.arange(30) / 50.0, np.zeros((30, 2)), 50.0, periodic=True)
+        model = replace(zero_model(2), duration=ds.duration, time_offset=ds.time_offset,
+                        time_scale=ds.time_scale)
+        ro = rollout(model, 50.0)
+        assert not ro.end_detected
+        assert ro.times[0] == start and ro.times[-1] <= start + 2 * ds.time_scale + 1e-9
+        lengths.append(len(ro.times))
+    assert lengths == [59, 59]
 
 
 def test_rollout_at_double_rate_is_consistent(desk_fit):
