@@ -17,7 +17,7 @@ from .errors import ConfigError, DivergenceError, MimicError
 from .motion import load_movement, validate_movement
 from .optimizer import SCHEDULE_PRESETS, load_schedule
 from .plant import PlantConfig, save_comparison, simulate
-from .textio import fmt
+from .textio import fmt, format_record
 from .trainer import (
     default_joint_names,
     evaluate,
@@ -153,14 +153,11 @@ def cmd_compare(args) -> int:
     result = simulate(model, _plant_config(args))
     save_comparison(result, ds.joint_names, out / "tracking.csv")
 
-    metrics = [
-        f"mse={fmt(rep.mse)}",
-        f"mae={fmt(rep.mae)}",
-        f"end_time_error={rep.end_time_error}",
-        f"tracking_rms={fmt(result.report.overall_rms)}",
-        f"attenuated={'true' if result.report.attenuated else 'false'}",
-    ]
-    (out / "metrics.txt").write_text("\n".join(metrics) + "\n")
+    metrics = [("mse=<float>", rep.mse), ("mae=<float>", rep.mae),
+               ("end_time_error=<int>", rep.end_time_error),
+               ("tracking_rms=<float>", result.report.overall_rms),
+               ("attenuated=<true|false>", result.report.attenuated)]
+    (out / "metrics.txt").write_text("".join(format_record(*m) + "\n" for m in metrics))
     print(f"mae={rep.mae:.6g} rad")
     print(f"end_time_error={rep.end_time_error} samples")
     print(f"tracking_rms={result.report.overall_rms:.6g} rad")

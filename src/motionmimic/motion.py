@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, OutOfRangeError, ValidationError
+from .errors import OutOfRangeError, ValidationError
 from .spline import CubicSpline, build_spline
-from .textio import fmt, kv_value, parse_float, parse_int
+from .textio import LineReader, format_numbers, format_record
 
 
 @dataclass
@@ -150,52 +150,32 @@ def reference_pose(m: KeyframeMovement, t: float) -> np.ndarray:
 
 
 # --- movement file format -------------------------------------------------
-# header: movement n=<int> gamma=<int> rate=<float>
-# then gamma lines: t=<float> <j1> ... <jn>
+
+MOVEMENT_HEADER = "movement n=<int> gamma=<int> rate=<float>"
+STEP = "t=<float> <text>"  # the text holds the n joint angles
 
 
 def format_movement(m: KeyframeMovement) -> str:
-    n = m.n_joints
-    lines = [f"movement n={n} gamma={len(m.steps)} rate={fmt(m.speed_rate)}"]
-    for s in m.steps:
-        lines.append(f"t={fmt(s.time)} " + " ".join(fmt(v) for v in s.joints))
+    lines = [format_record(MOVEMENT_HEADER, m.n_joints, len(m.steps), m.speed_rate)]
+    lines += [format_record(STEP, s.time, format_numbers(s.joints)) for s in m.steps]
     return "\n".join(lines) + "\n"
 
 
 def parse_movement(text: str, name: str = "") -> KeyframeMovement:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise FormatError("line 1: missing movement header")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "movement":
-        raise FormatError("line 1: expected 'movement n=<int> gamma=<int> rate=<float>'")
-    n = parse_int(kv_value(head[1], "n", 1), 1, "n")
-    gamma = parse_int(kv_value(head[2], "gamma", 1), 1, "gamma")
-    rate = parse_float(kv_value(head[3], "rate", 1), 1, "rate")
-
+    lines = LineReader(text)
+    n, gamma, rate = lines.record(MOVEMENT_HEADER)
     steps = []
-    line_no = 1
-    for raw in lines[1:]:
-        line_no += 1
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        t = parse_float(kv_value(parts[0], "t", line_no), line_no, "t")
-        if len(parts) - 1 != n:
-            raise FormatError(f"line {line_no}: expected {n} joint values, found {len(parts) - 1}")
-        joints = [parse_float(p, line_no, "joint value") for p in parts[1:]]
-        steps.append(KeyframeStep(t, np.array(joints)))
+    while lines.more():
+        t, joints = lines.record(STEP)
+        steps.append(KeyframeStep(t, lines.numbers(n, "joint", joints)))
     if len(steps) != gamma:
-        raise FormatError(f"line {line_no}: header declares gamma={gamma} but found {len(steps)} steps")
+        lines.fail(f"header declares gamma={gamma} but found {len(steps)} steps")
     return KeyframeMovement(steps, speed_rate=rate, name=name)
 
 
 def save_movement(m: KeyframeMovement, path):
-    with open(path, "w") as f:
-        f.write(format_movement(m))
+    Path(path).write_text(format_movement(m))
 
 
 def load_movement(path) -> KeyframeMovement:
-    with open(path) as f:
-        text = f.read()
-    return parse_movement(text, name=Path(path).stem)
+    return parse_movement(Path(path).read_text(), name=Path(path).stem)

@@ -6,11 +6,12 @@ written out layer by layer in plain NumPy, in double precision.
 """
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError, ValidationError
-from .textio import fmt, kv_value, parse_float, parse_int
+from .errors import ConfigError, ShapeError, ValidationError
+from .textio import LineReader, format_numbers, format_record
 
 LEAKY_RELU = "leakyrelu"
 LINEAR = "linear"
@@ -211,22 +212,20 @@ def param_count(net: MimicNetwork):
     return counts, sum(counts)
 
 
-def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01, activations=None) -> MimicNetwork:
+def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:
     """Seeded network: weights uniform in +/-sqrt(6/(in+out)), biases zero.
 
     layer_sizes is the full chain [input, hidden..., output]; hidden
-    layers default to leaky ReLU and the last layer to linear.
+    layers are leaky ReLU and the last layer is linear.
     """
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2:
         raise ConfigError("need at least an input and an output size")
     if any(s <= 0 for s in sizes):
         raise ConfigError(f"layer sizes must be positive, got {sizes}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     n_layers = len(sizes) - 1
-    if activations is None:
-        activations = [LEAKY_RELU] * (n_layers - 1) + [LINEAR]
-    if len(activations) != n_layers:
-        raise ConfigError(f"expected {n_layers} activations, got {len(activations)}")
 
     rng = np.random.default_rng(seed)
     layers = []
@@ -234,14 +233,16 @@ def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01, activations=None
         fan_in, fan_out = sizes[i], sizes[i + 1]
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        layers.append(DenseLayer(weights, np.zeros(fan_out), activations[i], alpha))
+        act = LINEAR if i == n_layers - 1 else LEAKY_RELU
+        layers.append(DenseLayer(weights, np.zeros(fan_out), act, alpha))
     return MimicNetwork(layers, input_dim=sizes[0])
 
 
 # --- weight file format ----------------------------------------------------
-# header: mimicnet layers=<k> input=<d> alpha=<float>
-# per layer: 'layer out=<o> in=<i> act=<leakyrelu|linear>',
-#            o lines of i weights, one line of o biases
+# the header, then per layer its header, out rows of in weights and one row of out biases
+
+WEIGHTS_HEADER = "mimicnet layers=<int> input=<int> alpha=<float>"
+LAYER_HEADER = "layer out=<int> in=<int> act=<leakyrelu|linear>"
 
 
 def format_weights(net: MimicNetwork) -> str:
@@ -249,64 +250,30 @@ def format_weights(net: MimicNetwork) -> str:
     if len(alphas) > 1:
         raise ValidationError("layers must share a single alpha to be saved")
     alpha = alphas.pop() if alphas else 0.01
-    lines = [f"mimicnet layers={len(net.layers)} input={net.input_dim} alpha={fmt(alpha)}"]
+    lines = [format_record(WEIGHTS_HEADER, len(net.layers), net.input_dim, alpha)]
     for layer in net.layers:
-        lines.append(f"layer out={layer.out_dim} in={layer.in_dim} act={layer.activation}")
-        for row in layer.weights:
-            lines.append(" ".join(fmt(v) for v in row))
-        lines.append(" ".join(fmt(v) for v in layer.biases))
+        lines.append(format_record(LAYER_HEADER, layer.out_dim, layer.in_dim, layer.activation))
+        lines += [format_numbers(row) for row in layer.weights]
+        lines.append(format_numbers(layer.biases))
     return "\n".join(lines) + "\n"
 
 
 def parse_weights(text: str) -> MimicNetwork:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("line 1: missing mimicnet header")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "mimicnet":
-        raise FormatError("line 1: expected 'mimicnet layers=<k> input=<d> alpha=<float>'")
-    n_layers = parse_int(kv_value(head[1], "layers", 1), 1, "layers")
-    input_dim = parse_int(kv_value(head[2], "input", 1), 1, "input")
-    alpha = parse_float(kv_value(head[3], "alpha", 1), 1, "alpha")
-
+    lines = LineReader(text)
+    n_layers, input_dim, alpha = lines.record(WEIGHTS_HEADER)
     layers = []
-    ln = 1
     for _ in range(n_layers):
-        ln += 1
-        if ln > len(lines):
-            raise FormatError(f"line {ln}: missing layer header")
-        head = lines[ln - 1].split()
-        if len(head) != 4 or head[0] != "layer":
-            raise FormatError(f"line {ln}: expected 'layer out=<o> in=<i> act=<...>'")
-        out_dim = parse_int(kv_value(head[1], "out", ln), ln, "out")
-        in_dim = parse_int(kv_value(head[2], "in", ln), ln, "in")
-        act = kv_value(head[3], "act", ln)
-        if act not in _ACTIVATIONS:
-            raise FormatError(f"line {ln}: unknown activation '{act}'")
-        rows = []
-        for r in range(out_dim):
-            ln += 1
-            if ln > len(lines):
-                raise FormatError(f"line {ln}: missing weight row")
-            vals = [parse_float(v, ln, "weight") for v in lines[ln - 1].split()]
-            if len(vals) != in_dim:
-                raise FormatError(f"line {ln}: expected {in_dim} weights, found {len(vals)}")
-            rows.append(vals)
-        ln += 1
-        if ln > len(lines):
-            raise FormatError(f"line {ln}: missing bias row")
-        biases = [parse_float(v, ln, "bias") for v in lines[ln - 1].split()]
-        if len(biases) != out_dim:
-            raise FormatError(f"line {ln}: expected {out_dim} biases, found {len(biases)}")
-        layers.append(DenseLayer(np.array(rows), np.array(biases), act, alpha))
+        out_dim, in_dim, act = lines.record(LAYER_HEADER)
+        rows = [lines.numbers(in_dim, "weight") for _ in range(out_dim)]
+        biases = lines.numbers(out_dim, "bias")
+        layers.append(DenseLayer(np.array(rows), biases, act, alpha))
+    lines.end()
     return MimicNetwork(layers, input_dim=input_dim)
 
 
 def save_weights(net: MimicNetwork, path):
-    with open(path, "w") as f:
-        f.write(format_weights(net))
+    Path(path).write_text(format_weights(net))
 
 
 def load_weights(path) -> MimicNetwork:
-    with open(path) as f:
-        return parse_weights(f.read())
+    return parse_weights(Path(path).read_text())

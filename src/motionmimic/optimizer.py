@@ -8,11 +8,12 @@ phases; the weights themselves are untouched by a reset.
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, FormatError, ShapeError
-from .textio import fmt, kv_value, parse_float, parse_int
+from .textio import format_record, parse_record, text_lines
 
 
 @dataclass
@@ -52,12 +53,12 @@ def reset_state(state: AdamState) -> AdamState:
     return adam_init(state.first_moment, state.beta1, state.beta2, state.eps)
 
 
-def adam_step(state: AdamState, params, grads, lr: float, names=None):
+def adam_step(state: AdamState, params, grads, lr: float):
     """One bias-corrected Adam update, applied to params in place.
 
     m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
     theta <- theta - lr * mhat / (sqrt(vhat) + eps).
-    Raises DivergenceError on a non-finite gradient, naming the tensor.
+    Raises DivergenceError on a non-finite gradient, naming its index.
     """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError(
@@ -68,8 +69,7 @@ def adam_step(state: AdamState, params, grads, lr: float, names=None):
         if p.shape != g.shape or p.shape != state.first_moment[i].shape:
             raise ShapeError(f"parameter {i}: shape {p.shape} does not match gradient/state")
         if not np.all(np.isfinite(g)):
-            label = names[i] if names else f"parameter {i}"
-            raise DivergenceError(f"non-finite gradient in {label}")
+            raise DivergenceError(f"non-finite gradient in parameter {i}")
 
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -83,9 +83,12 @@ def adam_step(state: AdamState, params, grads, lr: float, names=None):
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
+MAX_EPOCHS = 1_000_000  # 20 times the reference recipe
+
+
 @dataclass
 class TrainingSchedule:
-    """Ordered (epochs, learning rate) phases."""
+    """Ordered (epochs, learning rate) phases, at most MAX_EPOCHS epochs in all."""
 
     phases: list
     reset_on_phase: bool = True
@@ -101,6 +104,8 @@ class TrainingSchedule:
                 raise ConfigError(f"phase {i}: learning rate must be positive, got {lr}")
             cleaned.append((int(epochs), float(lr)))
         self.phases = cleaned
+        if self.total_epochs > MAX_EPOCHS:
+            raise ConfigError(f"{self.total_epochs} epochs; a schedule holds at most {MAX_EPOCHS}")
 
     @property
     def total_epochs(self) -> int:
@@ -135,44 +140,32 @@ SCHEDULE_PRESETS = {"reference": reference_schedule, "desk": desk_schedule}
 
 
 # --- schedule config format -------------------------------------------------
-# lines 'phase epochs=<int> lr=<float>' plus one 'reset_on_phase=<true|false>'
+
+PHASE = "phase epochs=<int> lr=<float>"
+RESET = "reset_on_phase=<true|false>"
 
 
 def format_schedule(schedule: TrainingSchedule) -> str:
-    lines = [f"phase epochs={e} lr={fmt(lr)}" for e, lr in schedule.phases]
-    lines.append(f"reset_on_phase={'true' if schedule.reset_on_phase else 'false'}")
+    lines = [format_record(PHASE, e, lr) for e, lr in schedule.phases]
+    lines.append(format_record(RESET, schedule.reset_on_phase))
     return "\n".join(lines) + "\n"
 
 
 def parse_schedule(text: str) -> TrainingSchedule:
-    phases = []
-    reset = True
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("reset_on_phase"):
-            value = kv_value(line, "reset_on_phase", ln)
-            if value not in ("true", "false"):
-                raise FormatError(f"line {ln}: reset_on_phase must be true or false")
-            reset = value == "true"
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "phase":
-            raise FormatError(f"line {ln}: expected 'phase epochs=<int> lr=<float>'")
-        epochs = parse_int(kv_value(parts[1], "epochs", ln), ln, "epochs")
-        lr = parse_float(kv_value(parts[2], "lr", ln), ln, "lr")
-        phases.append((epochs, lr))
+    phases, reset = [], True
+    for no, line in text_lines(text):
+        if line.lstrip().startswith("reset_on_phase"):
+            (reset,) = parse_record(RESET, line, no)
+        else:
+            phases.append(parse_record(PHASE, line, no))
     if not phases:
         raise FormatError("schedule file contains no phases")
     return TrainingSchedule(phases, reset_on_phase=reset)
 
 
 def save_schedule(schedule: TrainingSchedule, path):
-    with open(path, "w") as f:
-        f.write(format_schedule(schedule))
+    Path(path).write_text(format_schedule(schedule))
 
 
 def load_schedule(path) -> TrainingSchedule:
-    with open(path) as f:
-        return parse_schedule(f.read())
+    return parse_schedule(Path(path).read_text())

@@ -1,4 +1,6 @@
-"""Helpers shared by the line-oriented text formats."""
+"""One codec for every text file: key=value records, rows of numbers and CSV tables."""
+
+import re
 
 import numpy as np
 
@@ -10,26 +12,105 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def parse_float(token: str, line_no: int, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise FormatError(f"line {line_no}: {what} is not a number: '{token}'") from None
+def text_lines(text: str) -> list:
+    """(line number, line) of every line of text that is not blank."""
+    return [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
-def parse_int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"line {line_no}: {what} is not an integer: '{token}'") from None
+def format_numbers(values) -> str:
+    """Space-separated numbers, each written as fmt does; LineReader.numbers reads them."""
+    return " ".join(map(fmt, values))
 
 
-def kv_value(token: str, key: str, line_no: int) -> str:
-    """Extract the value of a 'key=value' token, checking the key name."""
-    name, sep, value = token.partition("=")
-    if not sep or name != key:
-        raise FormatError(f"line {line_no}: expected '{key}=<value>', got '{token}'")
-    return value
+# --- records: one line laid out as a template of words and '<kind>' fields -------
+# such as 'layer out=<int> in=<int> act=<leakyrelu|linear>'.  A kind is int, float,
+# a '|'-list of words ('true|false' is a bool) or text, the rest of the line.
+
+_FIELD = re.compile(r"<([^>]*)>")
+_FORMATS = {"float": fmt, "true|false": lambda value: "true" if value else "false"}
+
+
+def format_record(template: str, *values) -> str:
+    """The line holding values in template's fields, in order."""
+    it = iter(values)
+    return _FIELD.sub(lambda field: _FORMATS.get(field.group(1), str)(next(it)), template)
+
+
+def parse_record(template: str, line: str, line_no: int) -> list:
+    """The values of line's fields, read as template lays them out."""
+    fields = template.split()
+    rest = fields[-1].endswith("<text>")  # the text may be empty, so the line may end before it
+    parts = (line.split(None, len(fields) - 1) + [""])[: len(fields)] if rest else line.split()
+    if len(parts) != len(fields):
+        raise FormatError(f"line {line_no}: expected '{template}'")
+    values = []
+    for field, part in zip(fields, parts):
+        head, sep, kind = field.partition("<")
+        if not part.startswith(head) or (not sep and part != head):
+            raise FormatError(f"line {line_no}: expected '{field}', got '{part}'")
+        if sep:
+            values.append(_parse_value(kind[:-1], part[len(head):], head.rstrip("="), line_no))
+    return values
+
+
+def _parse_value(kind: str, token: str, what: str, line_no: int):
+    """token read as a field of the given kind; what names the field in errors."""
+    if kind in ("int", "float"):
+        try:
+            return int(token) if kind == "int" else float(token)
+        except ValueError:
+            noun = "an integer" if kind == "int" else "a number"
+            raise FormatError(f"line {line_no}: {what} is not {noun}: '{token}'") from None
+    if kind == "text":
+        return token
+    words = kind.split("|")
+    if token not in words:
+        raise FormatError(f"line {line_no}: {what} must be {' or '.join(words)}, got '{token}'")
+    return token == "true" if kind == "true|false" else token
+
+
+class LineReader:
+    """The non-blank lines of a text, read in order; every error names its line."""
+
+    def __init__(self, text: str):
+        self._lines = text_lines(text)
+        self._next = 0
+        self.line_no = 0  # of the line read last
+
+    def more(self) -> bool:
+        return self._next < len(self._lines)
+
+    def record(self, template: str) -> list:
+        """The next line's values, read as template lays them out."""
+        return parse_record(template, self._take(f"'{template}'"), self.line_no)
+
+    def numbers(self, count: int, what: str, rest: str = None) -> np.ndarray:
+        """count numbers from the next line, or from rest, the end of the line read last."""
+        parts = (self._take(f"{what} values") if rest is None else rest).split()
+        if len(parts) != count:
+            self.fail(f"expected {count} {what} values, found {len(parts)}")
+        try:
+            return np.array([float(p) for p in parts])
+        except ValueError:  # number by number, to name the bad one
+            return np.array([_parse_value("float", p, what, self.line_no) for p in parts])
+
+    def fail(self, message: str):
+        """Raise FormatError about the line read last."""
+        raise FormatError(f"line {self.line_no}: {message}")
+
+    def end(self):
+        """Raise FormatError unless every line has been read."""
+        if self.more():
+            line = self._take("")
+            self.fail(f"expected the end of the file, got '{line}'")
+
+    def _take(self, what):
+        if not self.more():
+            self.line_no = self._lines[-1][0] + 1 if self._lines else 1
+            self.fail(f"missing {what}")
+        self.line_no, line = self._lines[self._next]
+        self._next += 1
+        return line
 
 
 # --- CSV tables: every CSV file the toolkit reads or writes ------------------
@@ -52,7 +133,7 @@ def parse_table(text: str, header: str):
     Blank lines are skipped.  A wrong header, a wrong field count or a
     field that is not a finite number raises FormatError naming the line.
     """
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = text_lines(text)
     head_no, first = lines[0] if lines else (1, "")
     names = _header_names(first, header)
     if names is None:
@@ -66,7 +147,7 @@ def parse_table(text: str, header: str):
         try:
             table[i] = [float(p) for p in parts]
         except ValueError:  # field by field, to name the bad one
-            table[i] = [parse_float(p, no, col) for p, col in zip(parts, cols)]
+            table[i] = [_parse_value("float", p, col, no) for p, col in zip(parts, cols)]
     finite = np.isfinite(table)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]

@@ -7,7 +7,7 @@ the network with one full-batch Adam step per epoch; the flag is learned
 by the same regression and thresholded at 0.5 during rollout.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +40,11 @@ from .network import (
     save_weights,
 )
 from .optimizer import TrainingSchedule, adam_init, adam_step, desk_schedule, reset_state
-from .textio import fmt, format_table, parse_float, parse_int, parse_table
+from .textio import LineReader, format_record, format_table, parse_table
 
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
 DEFAULT_HIDDEN = (75, 50)
+MAX_DURATION_FACTOR = 2.0  # a sweep whose flag never crosses stops at twice the span to the end
 
 
 def default_joint_names(n: int) -> list:
@@ -76,8 +77,7 @@ class MotionDataset:
             raise ValidationError("dataset times and targets must be finite")
         if len(self.times) < 2 or self.targets.shape[1] < 2:
             raise ValidationError("dataset needs at least 2 samples and 1 joint + end flag")
-        if self.sample_rate <= 0:
-            raise ValidationError("rate must be positive")
+        _check_rate(self.sample_rate)
         deltas = np.diff(self.times)
         if np.any(np.abs(deltas - 1.0 / self.sample_rate) > 1e-9):
             raise ValidationError("sample times must be uniform at 1/rate")
@@ -199,8 +199,7 @@ def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) 
     represented in the data.  Even with tail=0 the grid reaches the first
     sample at or after the end, so the last sample is always flagged.
     """
-    if rate <= 0:
-        raise ValidationError("rate must be positive")
+    _check_rate(rate)
     _check_tail(tail)
     duration = playback_duration(m)
     count = grid_size(duration, rate)
@@ -212,6 +211,11 @@ def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) 
     targets[count:, :n] = m.steps[-1].joints
     targets[:, n] = times >= duration - 1e-12
     return MotionDataset(times, targets, rate, name=m.name)
+
+
+def _check_rate(rate):
+    if not 0 < rate < np.inf:
+        raise ValidationError("rate must be positive and finite")
 
 
 def _check_tail(tail):
@@ -236,8 +240,7 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
         raise ShapeError(f"{len(t)} times vs {len(vals)} joint rows")
     if len(t) < 2:
         raise IngestionError("log needs at least 2 samples")
-    if rate <= 0:
-        raise ValidationError("rate must be positive")
+    _check_rate(rate)
     _check_tail(tail)
     if not np.all(np.isfinite(t)):
         raise IngestionError("sample times must be finite")
@@ -246,6 +249,7 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
         i = int(np.nonzero(order <= 0)[0][0]) + 1
         raise FormatError(f"samples must be sorted by time (violation at record {i}, t={t[i]})")
 
+    grid_size(t[-1] - t[0], rate)  # a bounded grid, before its slots are cast to int
     slots = np.rint((t - t[0]) * rate).astype(int)
     off_grid = np.abs((t - t[0]) * rate - slots)
     if np.any(off_grid > 0.05):
@@ -387,17 +391,16 @@ def evaluate(model: TrainedModel, dataset: MotionDataset) -> EvalReport:
     return evaluate_predictions(model.predict(dataset.times), dataset)
 
 
-def rollout(model: TrainedModel, rate: float, max_duration_factor: float = 2.0) -> Rollout:
+def rollout(model: TrainedModel, rate: float) -> Rollout:
     """Sweep the model over time until its end flag crosses 0.5.
 
     The sweep starts at the dataset's first time and is capped at
-    max_duration_factor times the span from there to the training
+    MAX_DURATION_FACTOR times the span from there to the training
     duration (the end time); if the flag never crosses, the capped
     trajectory is returned with end_detected=False.
     """
-    if rate <= 0:
-        raise ValidationError("rate must be positive")
-    count = grid_size(max_duration_factor * (model.duration - model.time_offset), rate)
+    _check_rate(rate)
+    count = grid_size(MAX_DURATION_FACTOR * (model.duration - model.time_offset), rate)
     times = model.time_offset + np.arange(count) / rate
     pred = model.predict(times)
     flags = pred[:, -1]
@@ -482,52 +485,27 @@ def load_log(path) -> TrainingLog:
                        table[:, 2], table[:, 3], table[:, 4])
 
 
-# --- model bundle: weights file + key=value metadata sidecar ------------------
+# --- model bundle: weights file + metadata sidecar ----------------------------
 
 WEIGHTS_FILE = "weights.txt"
 META_FILE = "model.meta"
+# model.meta holds one line per TrainedModel field after network, in this order
+META_RECORDS = ("name=<text>", "n=<int>", "duration=<float>", "rate=<float>",
+                "time_offset=<float>", "time_scale=<float>", "periodic=<true|false>")
 
 
 def save_model(model: TrainedModel, directory):
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     save_weights(model.network, d / WEIGHTS_FILE)
-    meta = [
-        f"name={model.name}",
-        f"n={model.n_joints}",
-        f"duration={fmt(model.duration)}",
-        f"rate={fmt(model.sample_rate)}",
-        f"time_offset={fmt(model.time_offset)}",
-        f"time_scale={fmt(model.time_scale)}",
-        f"periodic={'true' if model.periodic else 'false'}",
-    ]
-    (d / META_FILE).write_text("\n".join(meta) + "\n")
+    (d / META_FILE).write_text("".join(format_record(record, getattr(model, f.name)) + "\n"
+                                       for record, f in zip(META_RECORDS, fields(model)[1:])))
 
 
 def load_model(directory) -> TrainedModel:
     d = Path(directory)
     network = load_weights(d / WEIGHTS_FILE)
-    fields = {}
-    for ln, raw in enumerate((d / META_FILE).read_text().splitlines(), start=1):
-        if not raw.strip():
-            continue
-        key, sep, value = raw.partition("=")
-        if not sep:
-            raise FormatError(f"line {ln}: expected key=value in metadata")
-        fields[key] = value
-    required = ("name", "n", "duration", "rate", "time_offset", "time_scale", "periodic")
-    missing = [k for k in required if k not in fields]
-    if missing:
-        raise FormatError(f"metadata missing keys: {', '.join(missing)}")
-    if fields["periodic"] not in ("true", "false"):
-        raise FormatError("metadata periodic must be true or false")
-    return TrainedModel(
-        network=network,
-        name=fields["name"],
-        n_joints=parse_int(fields["n"], 0, "n"),
-        duration=parse_float(fields["duration"], 0, "duration"),
-        sample_rate=parse_float(fields["rate"], 0, "rate"),
-        time_offset=parse_float(fields["time_offset"], 0, "time_offset"),
-        time_scale=parse_float(fields["time_scale"], 0, "time_scale"),
-        periodic=fields["periodic"] == "true",
-    )
+    lines = LineReader((d / META_FILE).read_text())
+    values = [lines.record(record)[0] for record in META_RECORDS]
+    lines.end()
+    return TrainedModel(network, *values)

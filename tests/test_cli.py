@@ -373,3 +373,38 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [(rate, "rate must be positive and finite") for rate in ("0", "-1", "nan", "inf")]
+    + [("1e308", "samples; allowed are 1 to 1000000")],
+)
+def test_ingest_bad_rate_is_exit_2(workdir, capsys, rate, message):
+    (workdir / "two.csv").write_text("time,hip\n0,0\n0.02,0.1\n")
+    with np.errstate(all="raise"):
+        code = run(["ingest", "--log", workdir / "two.csv", "--rate", rate,
+                    "--out", workdir / "out.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (workdir / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        pytest.param("--seed", "seed must be non-negative, got -1", id="negative-seed"),
+        pytest.param("--schedule", "a schedule holds at most 1000000", id="1e20-epochs"),
+    ],
+)
+def test_unusable_train_config_is_exit_2(workdir, capsys, option, message):
+    (workdir / "huge.txt").write_text("phase epochs=100000000000000000000 lr=0.001\n")
+    value = -1 if option == "--seed" else workdir / "huge.txt"
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
+    code = run(["train", "--dataset", workdir / "demo.csv", option, value,
+                "--out", workdir / "model"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (workdir / "model").exists()

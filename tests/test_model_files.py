@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from motionmimic.errors import MimicError
+from motionmimic.cli import main
+from motionmimic.errors import FormatError, MimicError
 from motionmimic.network import format_weights, parse_weights
 from motionmimic.optimizer import TrainingSchedule
 from motionmimic.trainer import META_FILE, WEIGHTS_FILE, ingest_log, load_model, save_model, train
@@ -46,6 +47,29 @@ def test_bundle_load_save_is_byte_identical(bundle, tmp_path):
     save_model(model, tmp_path / "again")
     for name, text in bundle.items():
         assert (tmp_path / "again" / name).read_text() == text
+    # blank lines anywhere are skipped
+    spaced = {name: "\n \n".join(["", *text.splitlines(), ""]) for name, text in bundle.items()}
+    save_model(load_bundle(tmp_path / "again", spaced), tmp_path / "third")
+    for name, text in bundle.items():
+        assert (tmp_path / "third" / name).read_text() == text
+
+
+@pytest.mark.parametrize("edit", ["reordered", "repeated", "repeated-last", "unknown"])
+def test_meta_keys_must_follow_the_written_order(edit, bundle, tmp_path, capsys):
+    lines = bundle[META_FILE].splitlines()
+    lines = {
+        "reordered": [lines[1], lines[0], *lines[2:]],
+        "repeated": [*lines[:2], lines[1], *lines[2:]],
+        "repeated-last": [*lines, lines[-1]],
+        "unknown": [*lines[:3], "color=red", *lines[3:]],
+    }[edit]
+    texts = {**bundle, META_FILE: "\n".join(lines) + "\n"}
+    with pytest.raises(FormatError, match="line [0-9]+: expected"):
+        load_bundle(tmp_path, texts)
+    code = main(["rollout", "--model", str(tmp_path), "--out", str(tmp_path / "roll.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line ")
+    assert not (tmp_path / "roll.csv").exists()
 
 
 def mutate(text, rng):

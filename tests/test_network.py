@@ -347,3 +347,5 @@ def test_weight_parse_errors_carry_line_numbers():
         parse_weights("\n".join([lines[0], "layer out=2 in=1 act=sigmoid"] + lines[2:]) + "\n")
     with pytest.raises(ShapeError, match="at least one layer"):
         parse_weights("mimicnet layers=0 input=1 alpha=0.01\n")
+    with pytest.raises(FormatError, match="line 9: expected the end of the file"):
+        parse_weights(good + "0.5\n")

@@ -76,8 +76,8 @@ def test_update_magnitude_loose_bound():
 
 def test_nonfinite_gradient_names_the_tensor():
     params, state = scalar_setup()
-    with pytest.raises(DivergenceError, match="layer0.weights"):
-        adam_step(state, params, [np.array([np.nan])], lr=0.1, names=["layer0.weights"])
+    with pytest.raises(DivergenceError, match="parameter 0"):
+        adam_step(state, params, [np.array([np.nan])], lr=0.1)
     # failed step leaves parameters and counter untouched
     assert state.t == 0
     assert params[0][0] == 0.0
@@ -161,6 +161,8 @@ def test_schedule_validation():
         TrainingSchedule([(0, 0.001)])
     with pytest.raises(ConfigError):
         TrainingSchedule([(10, -0.001)])
+    with pytest.raises(ConfigError, match="at most 1000000"):
+        TrainingSchedule([(10**20, 0.001)])
 
 
 def test_schedule_file_round_trip(tmp_path):

@@ -38,12 +38,14 @@ TINY_TOKENS = ("1e-300", "1e-320", "5e-324")
 def test_movement_format_parse_format_is_byte_identical():
     m = parse_movement(MOVEMENT)
     assert format_movement(m) == MOVEMENT
+    assert format_movement(parse_movement("\n  \n" + MOVEMENT)) == MOVEMENT
     assert format_movement(parse_movement(format_movement(m))) == MOVEMENT
 
 
 def test_schedule_format_parse_format_is_byte_identical():
     schedule = parse_schedule(SCHEDULE)
     assert format_schedule(schedule) == SCHEDULE
+    assert format_schedule(parse_schedule("\n  \n" + SCHEDULE)) == SCHEDULE
     assert format_schedule(parse_schedule(format_schedule(schedule))) == SCHEDULE
 
 

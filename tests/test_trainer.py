@@ -243,9 +243,9 @@ def test_seeded_training_files_are_bit_identical(tmp_path, monkeypatch):
     updated = []
     real_step = motionmimic.trainer.adam_step
 
-    def recording_step(state, params, grads, lr, names=None):
+    def recording_step(state, params, grads, lr):
         updated.append(params)
-        return real_step(state, params, grads, lr, names)
+        return real_step(state, params, grads, lr)
 
     monkeypatch.setattr(motionmimic.trainer, "adam_step", recording_step)
     ds = sample_movement(one_second_movement(), 50.0)  # the README's demo movement
@@ -344,6 +344,19 @@ def test_phase_reset_spike_is_transient():
         pre = log.mses[b - 1]
         # the first epochs of the new phase may spike above the boundary loss
         assert final_mse < pre
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+def test_every_sample_rate_must_be_positive_and_finite(rate):
+    calls = [
+        lambda: sample_movement(one_second_movement(), rate),
+        lambda: ingest_log([0.0, 0.02], [0.0, 1.0], rate),
+        lambda: rollout(zero_model(1), rate),
+        lambda: MotionDataset([0.0, 0.02], np.zeros((2, 2)), rate),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="rate must be positive and finite"):
+            call()
 
 
 @pytest.mark.parametrize("field", ["duration", "rate"])
