@@ -51,11 +51,11 @@ class KeyframeMovement:
         return np.array([s.time for s in self.steps], dtype=float)
 
 
-def validate_movement(m: KeyframeMovement, n_joints=None) -> ValidationReport:
+def validate_movement(m: KeyframeMovement) -> ValidationReport:
     """Check every movement invariant; never raises.
 
     Returns a report listing all violations, with ok=True iff there are
-    none.  Pass n_joints to additionally pin the expected joint count.
+    none.
     """
     bad = []
     if len(m.steps) < 2:
@@ -63,8 +63,6 @@ def validate_movement(m: KeyframeMovement, n_joints=None) -> ValidationReport:
     dims = {len(s.joints) for s in m.steps}
     if len(dims) > 1:
         bad.append(("joint-dimensions", "all keyframes must have the same number of joints"))
-    elif n_joints is not None and dims and dims != {n_joints}:
-        bad.append(("joint-count", f"expected {n_joints} joints per keyframe, found {dims.pop()}"))
     elif dims == {0}:
         bad.append(("no-joints", "keyframes must hold at least one joint angle"))
     if not all(np.all(np.isfinite(s.joints)) for s in m.steps):
@@ -171,10 +169,6 @@ def parse_movement(text: str, name: str = "") -> KeyframeMovement:
     if len(steps) != gamma:
         lines.fail(f"header declares gamma={gamma} but found {len(steps)} steps")
     return KeyframeMovement(steps, speed_rate=rate, name=name)
-
-
-def save_movement(m: KeyframeMovement, path):
-    Path(path).write_text(format_movement(m))
 
 
 def load_movement(path) -> KeyframeMovement:

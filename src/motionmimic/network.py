@@ -200,23 +200,16 @@ def forward_backward(net: MimicNetwork, x, y):
     return loss, acts[-1], grads
 
 
-def backward(net: MimicNetwork, x, y):
-    """Batch loss and its gradient for every parameter."""
-    loss, _, grads = forward_backward(net, x, y)
-    return loss, grads
-
-
-def param_count(net: MimicNetwork):
-    """Per-layer parameter counts (weights + biases) and their total."""
-    counts = [layer.out_dim * layer.in_dim + layer.out_dim for layer in net.layers]
-    return counts, sum(counts)
+MAX_PARAMETERS = 10_000_000  # about 2000 times the 5123 of the 1-75-50-23 net
 
 
 def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:
     """Seeded network: weights uniform in +/-sqrt(6/(in+out)), biases zero.
 
     layer_sizes is the full chain [input, hidden..., output]; hidden
-    layers are leaky ReLU and the last layer is linear.
+    layers are leaky ReLU and the last layer is linear.  A chain of more
+    than MAX_PARAMETERS weights and biases raises ConfigError before any
+    array is built.
     """
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2:
@@ -225,6 +218,9 @@ def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:
         raise ConfigError(f"layer sizes must be positive, got {sizes}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    total = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
+    if total > MAX_PARAMETERS:
+        raise ConfigError(f"{total} parameters; a network holds at most {MAX_PARAMETERS}")
     n_layers = len(sizes) - 1
 
     rng = np.random.default_rng(seed)

@@ -16,71 +16,51 @@ from .errors import ConfigError, DivergenceError, FormatError, ShapeError
 from .textio import format_record, parse_record, text_lines
 
 
+BETA1 = 0.9  # decay of the first-moment average
+BETA2 = 0.999  # decay of the second-moment average
+EPS = 1e-8  # keeps the update finite where the second moment is zero
+
+
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators plus the step counter."""
+    """Moment accumulators shaped like the parameter vector, plus the step counter."""
 
-    first_moment: list
-    second_moment: list
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
-        if self.t < 0:
-            raise ConfigError("step counter must be non-negative")
 
 
-def adam_init(params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """Fresh state with zero moments shaped like the given parameter list."""
-    return AdamState(
-        [np.zeros_like(p) for p in params],
-        [np.zeros_like(p) for p in params],
-        t=0,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def adam_init(params) -> AdamState:
+    """Fresh state with zero moments shaped like the given parameter vector."""
+    return AdamState(np.zeros_like(params), np.zeros_like(params))
 
 
 def reset_state(state: AdamState) -> AdamState:
-    """Zeroed moments and step counter; betas and eps are retained."""
-    return adam_init(state.first_moment, state.beta1, state.beta2, state.eps)
+    """Zeroed moments and step counter."""
+    return adam_init(state.first_moment)
 
 
 def adam_step(state: AdamState, params, grads, lr: float):
-    """One bias-corrected Adam update, applied to params in place.
+    """One bias-corrected Adam update, applied to the params vector in place.
 
     m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
     theta <- theta - lr * mhat / (sqrt(vhat) + eps).
-    Raises DivergenceError on a non-finite gradient, naming its index.
+    Raises DivergenceError on a non-finite gradient, leaving params and state untouched.
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ShapeError(
-            f"expected {len(state.first_moment)} parameter tensors, "
-            f"got {len(params)} params and {len(grads)} grads"
-        )
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape or p.shape != state.first_moment[i].shape:
-            raise ShapeError(f"parameter {i}: shape {p.shape} does not match gradient/state")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in parameter {i}")
+    m, v = state.first_moment, state.second_moment
+    if not params.shape == grads.shape == m.shape:
+        raise ShapeError(f"shapes differ: params {params.shape}, grads {grads.shape}, m {m.shape}")
+    if not np.all(np.isfinite(grads)):
+        raise DivergenceError("non-finite gradient")
 
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * grads * grads
+    params -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 MAX_EPOCHS = 1_000_000  # 20 times the reference recipe
@@ -152,19 +132,18 @@ def format_schedule(schedule: TrainingSchedule) -> str:
 
 
 def parse_schedule(text: str) -> TrainingSchedule:
-    phases, reset = [], True
+    """Read the phases, then at most one reset_on_phase line (true when absent)."""
+    phases, reset = [], None
     for no, line in text_lines(text):
+        if reset is not None:
+            raise FormatError(f"line {no}: nothing may follow the reset_on_phase line")
         if line.lstrip().startswith("reset_on_phase"):
             (reset,) = parse_record(RESET, line, no)
         else:
             phases.append(parse_record(PHASE, line, no))
     if not phases:
         raise FormatError("schedule file contains no phases")
-    return TrainingSchedule(phases, reset_on_phase=reset)
-
-
-def save_schedule(schedule: TrainingSchedule, path):
-    Path(path).write_text(format_schedule(schedule))
+    return TrainingSchedule(phases, reset_on_phase=True if reset is None else reset)
 
 
 def load_schedule(path) -> TrainingSchedule:

@@ -80,8 +80,7 @@ class SimulationResult:
 
 def p_command(reference, position, kp, max_speed):
     """Proportional speed command clamp(kp * (reference - position), +/-max_speed)."""
-    cmd = np.clip(kp * (np.asarray(reference, dtype=float) - position), -max_speed, max_speed)
-    return float(cmd) if np.ndim(cmd) == 0 else cmd
+    return np.clip(kp * (np.asarray(reference, dtype=float) - position), -max_speed, max_speed)
 
 
 def step(state: PlantState, references, cfg: PlantConfig) -> PlantState:

@@ -7,9 +7,12 @@ import numpy as np
 from .errors import FormatError
 
 
+FLOAT = "%.17g"  # 17 significant digits, so every float parses back exactly
+
+
 def fmt(x: float) -> str:
-    """Format a float with 17 significant digits so it parses back exactly."""
-    return format(float(x), ".17g")
+    """Format a float as FLOAT does."""
+    return FLOAT % float(x)
 
 
 def text_lines(text: str) -> list:
@@ -118,7 +121,7 @@ class LineReader:
 
 def format_table(header, matrix) -> str:
     """CSV text: the header names, then one line per row, cells written as fmt does."""
-    template = ",".join(["%.17g"] * len(header))
+    template = ",".join([FLOAT] * len(header))
     lines = [",".join(header)]
     lines += [template % tuple(row.tolist()) for row in np.asarray(matrix, dtype=float)]
     lines.append("")  # the final newline, without a second copy of the joined text

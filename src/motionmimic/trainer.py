@@ -165,10 +165,7 @@ class TrainedModel:
 
     def predict(self, times) -> np.ndarray:
         """Joint + flag outputs at the given playback times."""
-        ts = np.asarray(times, dtype=float)
-        x = (ts - self.time_offset) / self.time_scale
-        if np.ndim(times) == 0:
-            return forward(self.network, np.array([float(x)]))
+        x = (np.asarray(times, dtype=float) - self.time_offset) / self.time_scale
         return forward(self.network, x[:, None])
 
 
@@ -229,8 +226,9 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
 
     Single missing samples are filled by linear interpolation of their
     neighbors; longer gaps are an error.  Periodic logs (one period of a
-    cyclic motion) get a constant-zero end flag; otherwise the final
-    sample is flagged and tail copies of it may be appended.
+    cyclic motion) get a constant-zero end flag and take no tail;
+    otherwise the final sample is flagged and tail copies of it may be
+    appended.
     """
     t = np.asarray(times, dtype=float)
     vals = np.asarray(joints, dtype=float)
@@ -242,6 +240,8 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
         raise IngestionError("log needs at least 2 samples")
     _check_rate(rate)
     _check_tail(tail)
+    if periodic and tail:
+        raise ValidationError(f"a periodic log has no end to hold, so no tail; got tail {tail}")
     if not np.all(np.isfinite(t)):
         raise IngestionError("sample times must be finite")
     order = np.diff(t)
@@ -266,15 +266,15 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
         )
 
     count = int(slots[-1]) + 1
-    grid_times = t[0] + np.arange(count + (0 if periodic else tail)) / rate
+    grid_times = t[0] + np.arange(count + tail) / rate
     n = vals.shape[1]
     rows = np.empty((len(grid_times), n + 1))
     rows[slots, :n] = vals
     for i in np.nonzero(gaps == 2)[0]:
         rows[slots[i] + 1, :n] = 0.5 * (vals[i] + vals[i + 1])
+    rows[count:, :n] = vals[-1]
     rows[:, n] = 0.0
     if not periodic:
-        rows[count:, :n] = vals[-1]
         rows[count - 1 :, n] = 1.0
     return MotionDataset(grid_times, rows, rate, joint_names=joint_names,
                          name=name, periodic=periodic)
@@ -311,8 +311,7 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
 
     x = dataset.normalized_times()[:, None]
     y = dataset.targets
-    params = [net.params]  # every weight and bias, updated in place by one Adam step
-    state = adam_init(params)
+    state = adam_init(net.params)  # every weight and bias, updated in place by one Adam step
 
     total = schedule.total_epochs
     mses = np.empty(total)
@@ -330,7 +329,7 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
                 if not np.isfinite(loss):
                     raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
                 try:
-                    adam_step(state, params, [grads.flat], lr)
+                    adam_step(state, net.params, grads.flat, lr)
                 except DivergenceError:
                     where = grads.first_nonfinite()
                     raise DivergenceError(f"non-finite gradient in {where}") from None

@@ -16,10 +16,9 @@ from motionmimic.motion import (
     parse_movement,
 )
 from motionmimic.network import (
-    backward,
     format_weights,
+    forward_backward,
     initialize,
-    param_count,
     parse_weights,
 )
 from motionmimic.optimizer import (
@@ -76,9 +75,9 @@ def kick_analog():
 
 def test_c01_parameter_accounting():
     net = initialize([1, 75, 50, 23], seed=0)
-    counts, total = param_count(net)
+    counts = [layer.weights.size + layer.biases.size for layer in net.layers]
     assert counts == [150, 3800, 1173]
-    assert total == 5123
+    assert net.params.size == 5123
     ok("criterion 1 (parameter accounting 150/3800/1173 = 5123)")
 
 
@@ -92,7 +91,7 @@ def test_c02_gradient_correctness():
         batch = int(rng.integers(1, 6))
         x = rng.standard_normal((batch, net.input_dim))
         y = rng.standard_normal((batch, net.output_dim))
-        loss, grads = backward(net, x, y)
+        loss, _, grads = forward_backward(net, x, y)
         fd_w, fd_b = finite_difference_gradients(net, x, y, epsilon=1e-6)
         err = max_relative_gradient_error(grads.weights, grads.biases, fd_w, fd_b, loss=loss)
         assert err < 1e-5
@@ -195,12 +194,12 @@ def test_c07_adam_oracle():
     assert expected[0] == pytest.approx(-0.09999999900000002, abs=1e-15)
     assert expected[1] == pytest.approx(-0.19999999799999935, abs=1e-15)
 
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = adam_init(params)
-    adam_step(state, params, [np.array([1.0])], lr=0.1)
-    assert params[0][0] == pytest.approx(expected[0], abs=1e-12)
-    adam_step(state, params, [np.array([1.0])], lr=0.1)
-    assert params[0][0] == pytest.approx(expected[1], abs=1e-12)
+    adam_step(state, params, np.array([1.0]), lr=0.1)
+    assert params[0] == pytest.approx(expected[0], abs=1e-12)
+    adam_step(state, params, np.array([1.0]), lr=0.1)
+    assert params[0] == pytest.approx(expected[1], abs=1e-12)
     ok("criterion 7 (first and second Adam steps match hand values to 1e-12)")
 
 

@@ -306,6 +306,12 @@ def test_ingest_uniform_log(workdir, capsys):
     assert "periodic" in capsys.readouterr().out
     header = (workdir / "walk.csv").read_text().splitlines()[0]
     assert header == "time,hip,knee,end_flag"
+    # a periodic motion has no end to hold, so a tail is refused, not dropped
+    code = run(["ingest", "--log", workdir / "log.csv", "--periodic", "--tail", 3,
+                "--out", workdir / "tailed.csv"])
+    assert code == 2
+    assert "periodic log has no end to hold, so no tail; got tail 3" in capsys.readouterr().err
+    assert not (workdir / "tailed.csv").exists()
 
 
 def test_ingest_gap_error_is_exit_2(workdir, capsys):
@@ -396,11 +402,14 @@ def test_ingest_bad_rate_is_exit_2(workdir, capsys, rate, message):
     [
         pytest.param("--seed", "seed must be non-negative, got -1", id="negative-seed"),
         pytest.param("--schedule", "a schedule holds at most 1000000", id="1e20-epochs"),
+        # refused from the layer sizes alone, before any weight is allocated
+        pytest.param("--arch", "500000003 parameters; a network holds at most 10000000",
+                     id="1e8-wide-arch"),
     ],
 )
 def test_unusable_train_config_is_exit_2(workdir, capsys, option, message):
     (workdir / "huge.txt").write_text("phase epochs=100000000000000000000 lr=0.001\n")
-    value = -1 if option == "--seed" else workdir / "huge.txt"
+    value = {"--seed": -1, "--schedule": workdir / "huge.txt", "--arch": "1:100000000:3"}[option]
     assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
     code = run(["train", "--dataset", workdir / "demo.csv", option, value,
                 "--out", workdir / "model"])

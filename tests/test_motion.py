@@ -14,7 +14,6 @@ from motionmimic.motion import (
     playback_duration,
     poses,
     reference_pose,
-    save_movement,
     validate_movement,
 )
 
@@ -81,12 +80,6 @@ def test_keyframes_without_joints_violation():
     m = KeyframeMovement([KeyframeStep(0.0, []), KeyframeStep(1.0, [])])
     report = validate_movement(m)
     assert ("no-joints", "keyframes must hold at least one joint angle") in report.violations
-
-
-def test_expected_joint_count_check():
-    report = validate_movement(simple_movement(), n_joints=3)
-    assert ("joint-count", "expected 3 joints per keyframe, found 2") in report.violations
-    assert validate_movement(simple_movement(), n_joints=2).ok
 
 
 def test_validate_is_pure():
@@ -240,7 +233,7 @@ def test_movement_file_round_trip(tmp_path):
         np.testing.assert_array_equal(a.joints, b.joints)
 
     path = tmp_path / "m.mov"
-    save_movement(m, path)
+    path.write_text(text)
     loaded = load_movement(path)
     assert loaded.name == "m"
     assert format_movement(loaded) == text

@@ -6,7 +6,6 @@ from motionmimic.network import (
     DenseLayer,
     MimicNetwork,
     _leaky_relu_backward,
-    backward,
     format_weights,
     forward,
     forward_backward,
@@ -14,7 +13,6 @@ from motionmimic.network import (
     leaky_relu,
     load_weights,
     mse_loss,
-    param_count,
     parse_weights,
     save_weights,
 )
@@ -115,7 +113,7 @@ def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
 
 def test_parameters_and_gradients_are_views_of_one_vector():
     net = initialize([1, 5, 4, 3], seed=0)
-    counts, total = param_count(net)
+    total = sum(layer.weights.size + layer.biases.size for layer in net.layers)
     assert net.params.shape == (total,)
     _, _, grads = forward_backward(net, [[0.3], [0.8]], np.zeros((2, 3)))
     assert grads.flat.shape == (total,)
@@ -207,7 +205,7 @@ def test_backward_hand_differentiated_case():
     # y = w*x + b with w=1, b=0, x=2, target 0: J = (2)^2/2 = 2,
     # dJ/dw = (wx+b-y)*x = 4, dJ/db = 2
     net = single_layer([[1.0]], [0.0])
-    loss, grads = backward(net, [[2.0]], [[0.0]])
+    loss, _, grads = forward_backward(net, [[2.0]], [[0.0]])
     assert loss == pytest.approx(2.0)
     np.testing.assert_allclose(grads.weights[0], [[4.0]])
     np.testing.assert_allclose(grads.biases[0], [2.0])
@@ -218,7 +216,7 @@ def test_backward_zero_everything_gives_zero_grads():
     for layer in net.layers:
         layer.weights[:] = 0.0
         layer.biases[:] = 0.0
-    loss, grads = backward(net, [[0.5]], [[0.0, 0.0, 0.0, 0.0]])
+    loss, _, grads = forward_backward(net, [[0.5]], [[0.0, 0.0, 0.0, 0.0]])
     assert loss == 0.0
     for g in grads.weights + grads.biases:
         np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -229,7 +227,7 @@ def test_backward_reference_architecture_matches_finite_differences():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 1.0, size=(5, 1))
     y = rng.uniform(-1.0, 1.0, size=(5, 23))
-    loss, grads = backward(net, x, y)
+    loss, _, grads = forward_backward(net, x, y)
     fd_w, fd_b = finite_difference_gradients(net, x, y)
     err = max_relative_gradient_error(grads.weights, grads.biases, fd_w, fd_b, loss=loss)
     assert err < 1e-5
@@ -242,7 +240,7 @@ def test_gradients_random_small_networks():
         batch = int(rng.integers(1, 6))
         x = rng.standard_normal((batch, net.input_dim))
         y = rng.standard_normal((batch, net.output_dim))
-        loss, grads = backward(net, x, y)
+        loss, _, grads = forward_backward(net, x, y)
         fd_w, fd_b = finite_difference_gradients(net, x, y)
         err = max_relative_gradient_error(grads.weights, grads.biases, fd_w, fd_b, loss=loss)
         assert err < 1e-5
@@ -260,7 +258,7 @@ def test_gradients_match_finite_differences(sizes, alpha):
     rng = np.random.default_rng(17)
     x = rng.uniform(-1.0, 1.0, size=(6, sizes[0]))
     y = rng.uniform(-1.0, 1.0, size=(6, sizes[-1]))
-    loss, grads = backward(net, x, y)
+    loss, _, grads = forward_backward(net, x, y)
     fd_w, fd_b = finite_difference_gradients(net, x, y)
     err = max_relative_gradient_error(grads.weights, grads.biases, fd_w, fd_b, loss=loss)
     assert err < 1e-5
@@ -271,15 +269,15 @@ def test_leaky_grad_at_exact_zero_is_one():
     hidden = DenseLayer(np.array([[1.0]]), np.array([0.0]), "leakyrelu", 0.01)
     out = DenseLayer(np.array([[1.0]]), np.array([0.0]), "linear")
     net = MimicNetwork([hidden, out], input_dim=1)
-    _, grads = backward(net, [[0.0]], [[-1.0]])
+    _, _, grads = forward_backward(net, [[0.0]], [[-1.0]])
     np.testing.assert_allclose(grads.biases[0], [1.0])
 
 
 def test_param_count_reference_architecture():
     net = initialize([1, 75, 50, 23], seed=0)
-    counts, total = param_count(net)
+    counts = [layer.weights.size + layer.biases.size for layer in net.layers]
     assert counts == [150, 3800, 1173]
-    assert total == 5123
+    assert net.params.size == 5123
 
 
 def test_initialize_deterministic_and_bounded():

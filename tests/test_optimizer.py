@@ -12,7 +12,6 @@ from motionmimic.optimizer import (
     parse_schedule,
     reference_schedule,
     reset_state,
-    save_schedule,
 )
 
 from oracles import scalar_adam
@@ -23,23 +22,23 @@ SECOND_STEP_THETA = -0.19999999799999935
 
 
 def scalar_setup(theta0=0.0):
-    params = [np.array([theta0])]
+    params = np.array([theta0])
     return params, adam_init(params)
 
 
 def test_first_adam_step_matches_hand_value():
     params, state = scalar_setup()
-    adam_step(state, params, [np.array([1.0])], lr=0.1)
+    adam_step(state, params, np.array([1.0]), lr=0.1)
     # bias correction makes mhat = vhat = 1 exactly at t=1
-    assert params[0][0] == pytest.approx(FIRST_STEP_THETA, abs=1e-12)
+    assert params[0] == pytest.approx(FIRST_STEP_THETA, abs=1e-12)
     assert state.t == 1
 
 
 def test_second_adam_step_matches_hand_value():
     params, state = scalar_setup()
     for _ in range(2):
-        adam_step(state, params, [np.array([1.0])], lr=0.1)
-    assert params[0][0] == pytest.approx(SECOND_STEP_THETA, abs=1e-12)
+        adam_step(state, params, np.array([1.0]), lr=0.1)
+    assert params[0] == pytest.approx(SECOND_STEP_THETA, abs=1e-12)
 
 
 def test_adam_matches_scalar_oracle_over_random_gradients():
@@ -48,72 +47,65 @@ def test_adam_matches_scalar_oracle_over_random_gradients():
     params, state = scalar_setup(theta0=0.3)
     expected = scalar_adam(grads, lr=0.05, theta0=0.3)
     for g, want in zip(grads, expected):
-        adam_step(state, params, [np.array([g])], lr=0.05)
-        assert params[0][0] == pytest.approx(want, abs=1e-12)
+        adam_step(state, params, np.array([g]), lr=0.05)
+        assert params[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_zero_gradients_leave_parameters_unchanged():
-    params = [np.array([0.5, -1.5]), np.ones((2, 2))]
+    params = np.array([0.5, -1.5, 1.0, 1.0, 1.0, 1.0])
     state = adam_init(params)
-    before = [p.copy() for p in params]
+    before = params.copy()
     for _ in range(5):
-        adam_step(state, params, [np.zeros_like(p) for p in params], lr=0.1)
-    for p, b in zip(params, before):
-        np.testing.assert_array_equal(p, b)
+        adam_step(state, params, np.zeros_like(params), lr=0.1)
+    np.testing.assert_array_equal(params, before)
     assert state.t == 5
 
 
 def test_update_magnitude_loose_bound():
     rng = np.random.default_rng(37)
-    params = [rng.standard_normal(8)]
+    params = rng.standard_normal(8)
     state = adam_init(params)
     lr = 0.01
     for _ in range(200):
-        prev = params[0].copy()
-        adam_step(state, params, [rng.uniform(-1.0, 1.0, size=8)], lr=lr)
-        assert np.all(np.abs(params[0] - prev) <= 3.0 * lr)
+        prev = params.copy()
+        adam_step(state, params, rng.uniform(-1.0, 1.0, size=8), lr=lr)
+        assert np.all(np.abs(params - prev) <= 3.0 * lr)
 
 
 def test_nonfinite_gradient_names_the_tensor():
     params, state = scalar_setup()
-    with pytest.raises(DivergenceError, match="parameter 0"):
-        adam_step(state, params, [np.array([np.nan])], lr=0.1)
-    # failed step leaves parameters and counter untouched
+    # the trainer names the tensor (GradientSet.first_nonfinite); the update only refuses it
+    with pytest.raises(DivergenceError, match="non-finite gradient"):
+        adam_step(state, params, np.array([np.nan]), lr=0.1)
+    # failed step leaves parameters, moments and counter untouched
     assert state.t == 0
-    assert params[0][0] == 0.0
+    assert params[0] == 0.0
+    assert state.first_moment[0] == 0.0 and state.second_moment[0] == 0.0
 
 
 def test_adam_shape_mismatch():
     params, state = scalar_setup()
     with pytest.raises(ShapeError):
-        adam_step(state, params, [np.zeros(2)], lr=0.1)
+        adam_step(state, params, np.zeros(2), lr=0.1)
     with pytest.raises(ShapeError):
-        adam_step(state, params, [], lr=0.1)
+        adam_step(state, params, np.zeros(0), lr=0.1)
+    with pytest.raises(ShapeError):
+        adam_step(state, np.zeros(2), np.zeros(2), lr=0.1)
 
 
 def test_reset_state_zeroes_moments_and_counter():
     params, state = scalar_setup()
     for _ in range(3):
-        adam_step(state, params, [np.array([1.0])], lr=0.1)
+        adam_step(state, params, np.array([1.0]), lr=0.1)
     fresh = reset_state(state)
     assert fresh.t == 0
-    assert fresh.beta1 == state.beta1
-    assert fresh.beta2 == state.beta2
-    assert fresh.eps == state.eps
-    np.testing.assert_array_equal(fresh.first_moment[0], [0.0])
-    np.testing.assert_array_equal(fresh.second_moment[0], [0.0])
+    np.testing.assert_array_equal(fresh.first_moment, [0.0])
+    np.testing.assert_array_equal(fresh.second_moment, [0.0])
     # idempotent, and no aliasing with the source state
     again = reset_state(fresh)
     assert again.t == fresh.t
-    np.testing.assert_array_equal(again.first_moment[0], fresh.first_moment[0])
-    assert again.first_moment[0] is not fresh.first_moment[0]
-
-
-def test_adam_state_validation():
-    with pytest.raises(ConfigError):
-        adam_init([np.zeros(1)], beta1=1.0)
-    with pytest.raises(ConfigError):
-        adam_init([np.zeros(1)], eps=0.0)
+    np.testing.assert_array_equal(again.first_moment, fresh.first_moment)
+    assert not np.shares_memory(again.first_moment, fresh.first_moment)
 
 
 def test_reference_schedule_phases():
@@ -174,7 +166,7 @@ def test_schedule_file_round_trip(tmp_path):
     assert format_schedule(again) == text
 
     path = tmp_path / "sched.txt"
-    save_schedule(sched, path)
+    path.write_text(text)
     assert load_schedule(path).phases == sched.phases
 
 
@@ -185,3 +177,11 @@ def test_schedule_parse_errors():
         parse_schedule("phase epochs=10 lr=0.001\nreset_on_phase=maybe\n")
     with pytest.raises(FormatError):
         parse_schedule("reset_on_phase=true\n")
+    # the phases, then at most one reset_on_phase line, which must come last
+    for text, line in [
+        ("phase epochs=10 lr=0.001\nreset_on_phase=false\nreset_on_phase=true\n", 3),
+        ("phase epochs=10 lr=0.001\nreset_on_phase=true\n\nphase epochs=5 lr=0.001\n", 4),
+        ("reset_on_phase=false\nphase epochs=10 lr=0.001\n", 2),
+    ]:
+        with pytest.raises(FormatError, match=f"line {line}: nothing may follow"):
+            parse_schedule(text)

@@ -257,7 +257,7 @@ def test_seeded_training_files_are_bit_identical(tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     assert len(updated) == sched.total_epochs
-    (theta,) = updated[0]
+    theta = updated[0]
     assert theta is model.network.params
     assert theta.size == sum(layer.weights.size + layer.biases.size
                              for layer in model.network.layers)
