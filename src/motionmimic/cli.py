@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DivergenceError, MimicError
+from .errors import ConfigError, DivergenceError, MimicError, ShapeError
 # validate_movement is not called here; bench/tracing.py looks it up on this module
 from .motion import load_movement, validate_movement
 from .optimizer import SCHEDULE_PRESETS, load_schedule
@@ -141,6 +141,8 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     model = load_model(args.model)
     ds = load_dataset(args.dataset)
+    if model.n_joints != ds.n_joints:  # --self-test skips evaluate's own check
+        raise ShapeError(f"model has {model.n_joints} joints, dataset {ds.n_joints}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

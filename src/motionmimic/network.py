@@ -13,50 +13,27 @@ import numpy as np
 from .errors import ConfigError, ShapeError, ValidationError
 from .textio import LineReader, format_numbers, format_record
 
-LEAKY_RELU = "leakyrelu"
-LINEAR = "linear"
-_ACTIVATIONS = (LEAKY_RELU, LINEAR)
+MAX_PARAMETERS = 10_000_000  # about 2000 times the 5123 of the 1-75-50-23 net
 
 
-@dataclass
-class DenseLayer:
-    """Affine map plus activation: act(W x + b), W is (out, in)."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-    activation: str = LEAKY_RELU
-    alpha: float = 0.01
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.biases = np.asarray(self.biases, dtype=float)
-        if self.weights.ndim != 2 or self.biases.ndim != 1:
-            raise ShapeError("weights must be 2-D and biases 1-D")
-        if self.biases.shape[0] != self.weights.shape[0]:
-            raise ShapeError(
-                f"bias length {self.biases.shape[0]} != output size {self.weights.shape[0]}"
-            )
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation '{self.activation}'")
-        if self.activation == LEAKY_RELU and not 0 < self.alpha < np.inf:
-            raise ConfigError("alpha must be positive and finite")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
-            raise ValidationError("layer parameters must be finite")
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
+def _parameter_count(sizes, alpha) -> int:
+    """Weights and biases of the net sizes; ConfigError unless sizes and alpha are usable."""
+    if len(sizes) < 2:
+        raise ConfigError(f"a network needs at least one layer, so two sizes: {sizes}")
+    if any(s <= 0 for s in sizes):
+        raise ConfigError(f"layer sizes must be positive, got {sizes}")
+    total = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
+    if total > MAX_PARAMETERS:
+        raise ConfigError(f"{total} parameters; a network holds at most {MAX_PARAMETERS}")
+    if not 0 < alpha < np.inf:
+        raise ConfigError("alpha must be positive and finite")
+    return total
 
 
-def _layer_views(layers, flat):
+def _layer_views(sizes, flat):
     """Per-layer (weights, biases) views into flat: each layer's weights, row-major, then biases."""
     weights, biases, start = [], [], 0
-    for layer in layers:
-        out_dim, in_dim = layer.weights.shape
+    for in_dim, out_dim in zip(sizes, sizes[1:]):
         weights.append(flat[start : start + out_dim * in_dim].reshape(out_dim, in_dim))
         start += out_dim * in_dim
         biases.append(flat[start : start + out_dim])
@@ -64,34 +41,44 @@ def _layer_views(layers, flat):
     return weights, biases
 
 
-@dataclass
-class MimicNetwork:
-    """Stack of dense layers; the reference motion net is 1-75-50-23.
+def _activation(i: int, n_layers: int) -> str:
+    """The activation of layer i, fixed by its position: the last layer is linear."""
+    return "linear" if i == n_layers - 1 else "leakyrelu"
 
-    All weights and biases live in params, one float64 vector that each
-    layer's weights and biases are views of.
+
+@dataclass(eq=False)
+class MimicNetwork:
+    """The net of layer sizes [input, hidden..., output]; the reference motion net is 1-75-50-23.
+
+    Each layer maps a to W a + b.  Hidden layers apply leaky ReLU with
+    slope alpha; the last layer is linear.  All weights and biases live
+    in params, one float64 vector; weights[i], shaped (out, in), and
+    biases[i] are views of it.
     """
 
-    layers: list
-    input_dim: int
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: list
+    alpha: float
+    params: np.ndarray = field(repr=False)
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.layers:
-            raise ShapeError("network needs at least one layer")
-        prev = self.input_dim
-        for i, layer in enumerate(self.layers):
-            if layer.in_dim != prev:
-                raise ShapeError(f"layer {i} expects input {layer.in_dim}, previous gives {prev}")
-            prev = layer.out_dim
-        self.params = np.concatenate([t.ravel() for layer in self.layers
-                                      for t in (layer.weights, layer.biases)])
-        for layer, w, b in zip(self.layers, *_layer_views(self.layers, self.params)):
-            layer.weights, layer.biases = w, b
+        self.sizes = [int(s) for s in self.sizes]
+        total = _parameter_count(self.sizes, self.alpha)
+        self.params = np.asarray(self.params, dtype=float)
+        if self.params.shape != (total,):
+            raise ShapeError(f"sizes {self.sizes} need {total} parameters, not {self.params.shape}")
+        if not np.all(np.isfinite(self.params)):
+            raise ValidationError("network parameters must be finite")
+        self.weights, self.biases = _layer_views(self.sizes, self.params)
+
+    @property
+    def input_dim(self) -> int:
+        return self.sizes[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.sizes[-1]
 
 
 @dataclass
@@ -110,7 +97,7 @@ class GradientSet:
                     return f"layer{i}.{kind}"
 
 
-def leaky_relu(x, alpha: float = 0.01):
+def leaky_relu(x, alpha: float = 0.01) -> np.ndarray:
     """x for x >= 0, alpha*x otherwise; alpha must be positive and finite."""
     if not 0 < alpha < np.inf:
         raise ConfigError("alpha must be positive and finite")
@@ -118,7 +105,7 @@ def leaky_relu(x, alpha: float = 0.01):
     out = np.multiply(alpha, z, out=np.empty(z.shape))
     # in place: the larger of z and alpha*z when alpha <= 1, the smaller when alpha > 1
     (np.maximum if alpha <= 1 else np.minimum)(z, out, out=out)
-    return float(out) if np.ndim(x) == 0 else out
+    return out
 
 
 def _leaky_relu_backward(delta, z, alpha):
@@ -128,41 +115,36 @@ def _leaky_relu_backward(delta, z, alpha):
 
 def _as_batch(x, dim, what="input"):
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ShapeError(f"{what} must have {dim} components, got shape {np.shape(x)}")
-    return arr, single
+        raise ShapeError(f"{what} must be a batch of {dim}-component rows, got shape {arr.shape}")
+    return arr
 
 
 def _layers(net: MimicNetwork, a):
     """Yield (pre-activation, activation) of each layer in turn for the batch a."""
-    for layer in net.layers:
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         # one input: a broadcast outer product, rounded exactly as the matrix product
-        z = a * layer.weights[:, 0] if layer.in_dim == 1 else a @ layer.weights.T
+        z = a * w[:, 0] if w.shape[1] == 1 else a @ w.T
         # in place: large temporaries go back to the OS and are faulted in again every step
-        z += layer.biases
-        a = leaky_relu(z, layer.alpha) if layer.activation == LEAKY_RELU else z
+        z += b
+        a = leaky_relu(z, net.alpha) if i < last else z
         yield z, a
 
 
-def forward(net: MimicNetwork, x):
-    """Layer-by-layer evaluation; accepts one vector or a (m, in) batch."""
-    a, single = _as_batch(x, net.input_dim)
-    for z, a in _layers(net, a):
+def forward(net: MimicNetwork, x) -> np.ndarray:
+    """Layer-by-layer evaluation of a (m, in) batch."""
+    for z, a in _layers(net, _as_batch(x, net.input_dim)):
         del z  # frees each pre-activation before the next layer's is computed
-    return a[0] if single else a
+    return a
 
 
 def mse_loss(pred, target) -> float:
-    """Half-scaled mean squared error over a batch: (1/2m) sum ||y - f||^2."""
+    """Half-scaled mean squared error over a (m, outputs) batch: (1/2m) sum ||y - f||^2."""
     p = np.asarray(pred, dtype=float)
     y = np.asarray(target, dtype=float)
-    if p.shape != y.shape:
-        raise ShapeError(f"prediction shape {p.shape} != target shape {y.shape}")
-    if p.ndim == 1:
-        p, y = p[None, :], y[None, :]
+    if p.ndim != 2 or p.shape != y.shape:
+        raise ShapeError(f"prediction {p.shape} and target {y.shape} must be one (m, out) shape")
     diff = y - p
     return float(0.5 * np.sum(diff * diff) / p.shape[0])
 
@@ -173,8 +155,8 @@ def forward_backward(net: MimicNetwork, x, y):
     Gradients are the exact analytic derivatives of mse_loss with
     respect to every weight and bias, accumulated over the batch.
     """
-    xb, _ = _as_batch(x, net.input_dim)
-    yb, _ = _as_batch(y, net.output_dim, what="target")
+    xb = _as_batch(x, net.input_dim)
+    yb = _as_batch(y, net.output_dim, what="target")
     if xb.shape[0] != yb.shape[0]:
         raise ShapeError(f"batch sizes differ: {xb.shape[0]} inputs vs {yb.shape[0]} targets")
     m = xb.shape[0]
@@ -187,51 +169,36 @@ def forward_backward(net: MimicNetwork, x, y):
     loss = float(0.5 * np.sum(delta * delta) / m)
 
     flat = np.empty_like(net.params)
-    grads = GradientSet(flat, *_layer_views(net.layers, flat))
+    grads = GradientSet(flat, *_layer_views(net.sizes, flat))
     delta /= m  # dJ/d(layer output), propagated backwards
-    for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
-        if layer.activation == LEAKY_RELU:
-            delta = _leaky_relu_backward(delta, pre[li], layer.alpha)
+    last = len(net.weights) - 1
+    for li in range(last, -1, -1):
+        if li < last:
+            delta = _leaky_relu_backward(delta, pre[li], net.alpha)
         np.matmul(delta.T, acts[li], out=grads.weights[li])
         delta.sum(axis=0, out=grads.biases[li])
         if li > 0:
-            delta = delta @ layer.weights
+            delta = delta @ net.weights[li]
     return loss, acts[-1], grads
-
-
-MAX_PARAMETERS = 10_000_000  # about 2000 times the 5123 of the 1-75-50-23 net
 
 
 def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:
     """Seeded network: weights uniform in +/-sqrt(6/(in+out)), biases zero.
 
-    layer_sizes is the full chain [input, hidden..., output]; hidden
-    layers are leaky ReLU and the last layer is linear.  A chain of more
-    than MAX_PARAMETERS weights and biases raises ConfigError before any
-    array is built.
+    layer_sizes is the full chain [input, hidden..., output].  Sizes,
+    alpha and the MAX_PARAMETERS bound are checked before any array is
+    built.
     """
     sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2:
-        raise ConfigError("need at least an input and an output size")
-    if any(s <= 0 for s in sizes):
-        raise ConfigError(f"layer sizes must be positive, got {sizes}")
+    total = _parameter_count(sizes, alpha)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    total = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
-    if total > MAX_PARAMETERS:
-        raise ConfigError(f"{total} parameters; a network holds at most {MAX_PARAMETERS}")
-    n_layers = len(sizes) - 1
-
+    net = MimicNetwork(sizes, alpha, np.zeros(total))
     rng = np.random.default_rng(seed)
-    layers = []
-    for i in range(n_layers):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        act = LINEAR if i == n_layers - 1 else LEAKY_RELU
-        layers.append(DenseLayer(weights, np.zeros(fan_out), act, alpha))
-    return MimicNetwork(layers, input_dim=sizes[0])
+    for w in net.weights:
+        bound = np.sqrt(6.0 / sum(w.shape))  # fan_in + fan_out
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 # --- weight file format ----------------------------------------------------
@@ -242,29 +209,30 @@ LAYER_HEADER = "layer out=<int> in=<int> act=<leakyrelu|linear>"
 
 
 def format_weights(net: MimicNetwork) -> str:
-    alphas = {layer.alpha for layer in net.layers if layer.activation == LEAKY_RELU}
-    if len(alphas) > 1:
-        raise ValidationError("layers must share a single alpha to be saved")
-    alpha = alphas.pop() if alphas else 0.01
-    lines = [format_record(WEIGHTS_HEADER, len(net.layers), net.input_dim, alpha)]
-    for layer in net.layers:
-        lines.append(format_record(LAYER_HEADER, layer.out_dim, layer.in_dim, layer.activation))
-        lines += [format_numbers(row) for row in layer.weights]
-        lines.append(format_numbers(layer.biases))
+    n_layers = len(net.weights)
+    lines = [format_record(WEIGHTS_HEADER, n_layers, net.input_dim, net.alpha)]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        lines.append(format_record(LAYER_HEADER, *w.shape, _activation(i, n_layers)))
+        lines += [format_numbers(row) for row in w]
+        lines.append(format_numbers(b))
     return "\n".join(lines) + "\n"
 
 
 def parse_weights(text: str) -> MimicNetwork:
     lines = LineReader(text)
     n_layers, input_dim, alpha = lines.record(WEIGHTS_HEADER)
-    layers = []
-    for _ in range(n_layers):
+    sizes, values = [input_dim], [np.empty(0)]
+    for i in range(n_layers):
         out_dim, in_dim, act = lines.record(LAYER_HEADER)
-        rows = [lines.numbers(in_dim, "weight") for _ in range(out_dim)]
-        biases = lines.numbers(out_dim, "bias")
-        layers.append(DenseLayer(np.array(rows), biases, act, alpha))
+        if in_dim != sizes[-1]:
+            lines.fail(f"in={in_dim} must equal the previous out= or input=, {sizes[-1]}")
+        if act != _activation(i, n_layers):
+            lines.fail(f"layer {i} of {n_layers} must be act={_activation(i, n_layers)}")
+        values += [lines.numbers(in_dim, "weight") for _ in range(out_dim)]
+        values.append(lines.numbers(out_dim, "bias"))
+        sizes.append(out_dim)
     lines.end()
-    return MimicNetwork(layers, input_dim=input_dim)
+    return MimicNetwork(sizes, alpha, np.concatenate(values))
 
 
 def save_weights(net: MimicNetwork, path):

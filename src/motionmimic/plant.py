@@ -108,19 +108,15 @@ def reference_stream(source, tick_rate: float):
     raise ConfigError(f"cannot simulate a {type(source).__name__}")
 
 
-def simulate(source, cfg: PlantConfig, initial: PlantState = None) -> SimulationResult:
+def simulate(source, cfg: PlantConfig) -> SimulationResult:
     """Run the plant open-loop along the source's reference trajectory.
 
-    The attained position is recorded at each tick before the tick's
-    reference is applied, so a perfectly tuned plant still trails the
-    reference by one tick.  initial defaults to the first reference.
+    The plant starts at the first reference.  The attained position is
+    recorded at each tick before the tick's reference is applied, so a
+    perfectly tuned plant still trails the reference by one tick.
     """
     times, desired = reference_stream(source, cfg.tick_rate)
-    state = initial if initial is not None else PlantState(desired[0].copy(), float(times[0]))
-    if state.positions.shape != desired[0].shape:
-        raise ShapeError(
-            f"initial state has {state.positions.shape} joints, source {desired[0].shape}"
-        )
+    state = PlantState(desired[0].copy(), float(times[0]))
     attained = np.empty_like(desired)
     for k in range(len(times)):
         attained[k] = state.positions
@@ -139,10 +135,8 @@ def simulate(source, cfg: PlantConfig, initial: PlantState = None) -> Simulation
 
 def format_comparison(result: SimulationResult, joint_names) -> str:
     """CSV with per-joint desired and attained columns, one row per tick."""
-    if len(joint_names) != result.desired.shape[1]:
-        raise ShapeError(f"{len(joint_names)} names for {result.desired.shape[1]} joints")
     header = ["time"] + [f"{n}_{side}" for n in joint_names for side in ("desired", "attained")]
-    table = np.empty((len(result.times), len(header)))
+    table = np.empty((len(result.times), 1 + 2 * result.desired.shape[1]))
     table[:, 0], table[:, 1::2], table[:, 2::2] = result.times, result.desired, result.attained
     return format_table(header, table)
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 
 
 FLOAT = "%.17g"  # 17 significant digits, so every float parses back exactly
@@ -120,10 +120,16 @@ class LineReader:
 
 
 def format_table(header, matrix) -> str:
-    """CSV text: the header names, then one line per row, cells written as fmt does."""
+    """CSV text: the header names, then one line per row, cells written as fmt does.
+
+    A header whose width differs from the matrix's columns raises ShapeError.
+    """
+    table = np.asarray(matrix, dtype=float)
+    if table.shape[1:] != (len(header),):
+        raise ShapeError(f"{len(header)} column names for a table of shape {table.shape}")
     template = ",".join([FLOAT] * len(header))
     lines = [",".join(header)]
-    lines += [template % tuple(row.tolist()) for row in np.asarray(matrix, dtype=float)]
+    lines += [template % tuple(row.tolist()) for row in table]
     lines.append("")  # the final newline, without a second copy of the joined text
     return "\n".join(lines)
 

@@ -73,29 +73,20 @@ def finite_difference_gradients(net, x, y, epsilon=1e-6):
     def loss():
         return mse_loss(forward(net, x), y)
 
-    w_grads, b_grads = [], []
-    for layer in net.layers:
-        gw = np.zeros_like(layer.weights)
-        for idx in np.ndindex(*layer.weights.shape):
-            orig = layer.weights[idx]
-            layer.weights[idx] = orig + epsilon
+    def central_difference(tensor):
+        grad = np.zeros_like(tensor)
+        for idx in np.ndindex(*tensor.shape):
+            orig = tensor[idx]
+            tensor[idx] = orig + epsilon
             hi = loss()
-            layer.weights[idx] = orig - epsilon
+            tensor[idx] = orig - epsilon
             lo = loss()
-            layer.weights[idx] = orig
-            gw[idx] = (hi - lo) / (2.0 * epsilon)
-        w_grads.append(gw)
-        gb = np.zeros_like(layer.biases)
-        for idx in np.ndindex(*layer.biases.shape):
-            orig = layer.biases[idx]
-            layer.biases[idx] = orig + epsilon
-            hi = loss()
-            layer.biases[idx] = orig - epsilon
-            lo = loss()
-            layer.biases[idx] = orig
-            gb[idx] = (hi - lo) / (2.0 * epsilon)
-        b_grads.append(gb)
-    return w_grads, b_grads
+            tensor[idx] = orig
+            grad[idx] = (hi - lo) / (2.0 * epsilon)
+        return grad
+
+    return ([central_difference(w) for w in net.weights],
+            [central_difference(b) for b in net.biases])
 
 
 def max_relative_gradient_error(analytic_w, analytic_b, fd_w, fd_b, loss=1.0):
@@ -133,16 +124,20 @@ def scalar_adam(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, theta0=0.0):
 
 
 def loop_forward(net, x):
-    """Per-neuron scalar re-implementation of the forward pass."""
+    """Per-neuron scalar re-implementation of the forward pass for one input vector x.
+
+    Hidden layers are leaky ReLU with slope net.alpha; the last layer is linear.
+    """
     values = [float(v) for v in x]
-    for layer in net.layers:
+    last = len(net.sizes) - 2
+    for li, (n_in, n_out) in enumerate(zip(net.sizes, net.sizes[1:])):
         nxt = []
-        for o in range(layer.out_dim):
-            z = float(layer.biases[o])
-            for i in range(layer.in_dim):
-                z += float(layer.weights[o, i]) * values[i]
-            if layer.activation == "leakyrelu":
-                z = z if z >= 0 else layer.alpha * z
+        for o in range(n_out):
+            z = float(net.biases[li][o])
+            for i in range(n_in):
+                z += float(net.weights[li][o, i]) * values[i]
+            if li < last:
+                z = z if z >= 0 else net.alpha * z
             nxt.append(z)
         values = nxt
     return np.array(values)

@@ -75,7 +75,7 @@ def kick_analog():
 
 def test_c01_parameter_accounting():
     net = initialize([1, 75, 50, 23], seed=0)
-    counts = [layer.weights.size + layer.biases.size for layer in net.layers]
+    counts = [w.size + b.size for w, b in zip(net.weights, net.biases)]
     assert counts == [150, 3800, 1173]
     assert net.params.size == 5123
     ok("criterion 1 (parameter accounting 150/3800/1173 = 5123)")

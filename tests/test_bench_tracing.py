@@ -12,20 +12,48 @@ import motionmimic.plant
 import motionmimic.spline
 import motionmimic.trainer
 
+from motionmimic.motion import KeyframeMovement, KeyframeStep
+from motionmimic.optimizer import TrainingSchedule
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+MM = types.SimpleNamespace(
+    cli=motionmimic.cli, trainer=motionmimic.trainer, plant=motionmimic.plant,
+    motion=motionmimic.motion, network=motionmimic.network, spline=motionmimic.spline,
+    errors=motionmimic.errors,
+)
 
 
-def test_every_trace_patch_point_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    mm = types.SimpleNamespace(
-        cli=motionmimic.cli, trainer=motionmimic.trainer, plant=motionmimic.plant,
-        motion=motionmimic.motion, network=motionmimic.network, spline=motionmimic.spline,
-        errors=motionmimic.errors,
-    )
-    points = tracing.patch_points(mm)
+    return tracing
+
+
+def test_every_trace_patch_point_resolves():
+    points = load_tracing().patch_points(MM)
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _, _ in points
                if not callable(getattr(owner, attr, None))]
     assert points
     assert not missing
+
+
+def test_traced_train_and_rollout_record_the_network_spans():
+    # the per-layer numbers of the benchmark read these spans; a name the
+    # program stops looking up would read 0 calls without an error
+    tracing = load_tracing()
+    movement = KeyframeMovement([KeyframeStep(0.0, [0.0]), KeyframeStep(0.5, [0.4]),
+                                 KeyframeStep(1.0, [0.1])])
+    ds = motionmimic.trainer.sample_movement(movement, 20.0)
+    tracer = tracing.Tracer(MM)
+    tracer.install()
+    try:
+        model, _ = motionmimic.trainer.train(ds, arch=[1, 4, 2],
+                                             schedule=TrainingSchedule([(3, 0.001)]))
+        motionmimic.trainer.rollout(model, 20.0)
+    finally:
+        tracer.uninstall()
+    per, _ = tracing.fold(tracer.take())
+    for name in ("network.forward_backward", "network.leaky_relu", "optimizer.adam_step",
+                 "network.forward"):
+        assert per[name][0] >= 1, name

@@ -292,6 +292,25 @@ def test_compare_self_test_replays_dataset(trained, capsys):
     assert metrics["end_time_error"] == "0"
 
 
+@pytest.mark.parametrize("model, dataset", [("model3", "demo.csv"), ("model", "three.csv")],
+                         ids=["3-joint-model", "2-joint-model"])
+def test_compare_joint_count_mismatch_is_exit_2(trained, capsys, model, dataset):
+    (trained / "three.mov").write_text(
+        "movement n=3 gamma=3 rate=1\nt=0 0 0.3 0.1\nt=0.5 0.8 -0.4 0\nt=1 0.1 0.2 -0.2\n")
+    (trained / "short.txt").write_text("phase epochs=5 lr=0.001\n")
+    assert run(["gen", "--movement", trained / "three.mov", "--out", trained / "three.csv"]) == 0
+    assert run(["train", "--dataset", trained / "three.csv", "--schedule", trained / "short.txt",
+                "--out", trained / "model3"]) == 0
+    capsys.readouterr()
+    code = run(["compare", "--model", trained / model, "--dataset", trained / dataset,
+                "--self-test", "--out", trained / "cmp"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "joints" in err
+    assert not (trained / "cmp" / "rollout.csv").exists()
+    assert not (trained / "cmp").exists()
+
+
 def test_ingest_uniform_log(workdir, capsys):
     times = np.arange(30) / 50.0
     lines = ["time,hip,knee"]
@@ -398,21 +417,25 @@ def test_ingest_bad_rate_is_exit_2(workdir, capsys, rate, message):
 
 
 @pytest.mark.parametrize(
-    "option, message",
+    "options, message",
     [
-        pytest.param("--seed", "seed must be non-negative, got -1", id="negative-seed"),
-        pytest.param("--schedule", "a schedule holds at most 1000000", id="1e20-epochs"),
+        pytest.param(["--seed", -1], "seed must be non-negative, got -1", id="negative-seed"),
+        pytest.param(["--schedule", "{dir}/huge.txt"], "a schedule holds at most 1000000",
+                     id="1e20-epochs"),
         # refused from the layer sizes alone, before any weight is allocated
-        pytest.param("--arch", "500000003 parameters; a network holds at most 10000000",
+        pytest.param(["--arch", "1:100000000:3"],
+                     "500000003 parameters; a network holds at most 10000000",
                      id="1e8-wide-arch"),
+        # checked even where no hidden layer uses it
+        pytest.param(["--arch", "1:3", "--alpha", "nan"], "alpha must be positive and finite",
+                     id="nan-alpha-no-hidden-layer"),
     ],
 )
-def test_unusable_train_config_is_exit_2(workdir, capsys, option, message):
+def test_unusable_train_config_is_exit_2(workdir, capsys, options, message):
     (workdir / "huge.txt").write_text("phase epochs=100000000000000000000 lr=0.001\n")
-    value = {"--seed": -1, "--schedule": workdir / "huge.txt", "--arch": "1:100000000:3"}[option]
     assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
-    code = run(["train", "--dataset", workdir / "demo.csv", option, value,
-                "--out", workdir / "model"])
+    code = run(["train", "--dataset", workdir / "demo.csv",
+                *[str(o).format(dir=workdir) for o in options], "--out", workdir / "model"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

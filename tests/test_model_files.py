@@ -37,9 +37,9 @@ def test_weights_format_parse_format_is_byte_identical(bundle):
     text = bundle[WEIGHTS_FILE]
     net = parse_weights(text)
     assert format_weights(net) == text
-    for layer in net.layers:
-        assert np.shares_memory(layer.weights, net.params)
-        assert np.shares_memory(layer.biases, net.params)
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.params)
+        assert np.shares_memory(b, net.params)
 
 
 def test_bundle_load_save_is_byte_identical(bundle, tmp_path):
@@ -102,7 +102,7 @@ def mutate(text, rng):
 
 def model_values(model):
     return [*model.network.params, model.duration, model.sample_rate, model.time_offset,
-            model.time_scale, model.network.layers[0].alpha]
+            model.time_scale, model.network.alpha]
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,7 +3,6 @@ import pytest
 
 from motionmimic.errors import ConfigError, FormatError, ShapeError
 from motionmimic.network import (
-    DenseLayer,
     MimicNetwork,
     _leaky_relu_backward,
     format_weights,
@@ -20,11 +19,10 @@ from motionmimic.network import (
 from oracles import finite_difference_gradients, loop_forward, max_relative_gradient_error
 
 
-def single_layer(w, b, activation="linear", alpha=0.01):
-    return MimicNetwork(
-        [DenseLayer(np.array(w, dtype=float), np.array(b, dtype=float), activation, alpha)],
-        input_dim=np.shape(w)[1],
-    )
+def single_layer(w, b):
+    """The linear net of one layer with weights w, shaped (out, in), and biases b."""
+    w = np.array(w, dtype=float)
+    return MimicNetwork([w.shape[1], w.shape[0]], 0.01, np.concatenate([w.ravel(), b]))
 
 
 def random_small_network(rng):
@@ -34,15 +32,17 @@ def random_small_network(rng):
 
 
 def test_leaky_relu_branches():
-    assert leaky_relu(2.0, 0.01) == 2.0
-    assert leaky_relu(-1.0, 0.01) == -0.01
-    assert leaky_relu(0.0, 0.3) == 0.0
+    np.testing.assert_array_equal(leaky_relu(np.array([2.0, -1.0]), 0.01), [2.0, -0.01])
+    np.testing.assert_array_equal(leaky_relu(np.array([0.0]), 0.3), [0.0])
     np.testing.assert_allclose(leaky_relu(np.array([-2.0, 3.0]), 0.1), [-0.2, 3.0])
     for bad in (0.0, -0.5, np.nan, np.inf):
         with pytest.raises(ConfigError):
-            leaky_relu(1.0, bad)
+            leaky_relu(np.array([1.0]), bad)
         with pytest.raises(ConfigError):
-            DenseLayer(np.zeros((1, 1)), np.zeros(1), "leakyrelu", bad)
+            MimicNetwork([1, 1, 1], bad, np.zeros(4))
+        # checked with no hidden layer too, where no leaky ReLU runs
+        with pytest.raises(ConfigError):
+            initialize([1, 3], alpha=bad)
 
 
 TINY = np.finfo(float).tiny
@@ -60,7 +60,8 @@ def test_leaky_relu_matches_where_reference_bit_for_bit(alpha):
     z = np.concatenate([SPECIAL, rng.standard_normal(200), rng.standard_normal(50) * TINY])
     np.testing.assert_array_equal(bits(leaky_relu(z, alpha)), bits(np.where(z >= 0, z, alpha * z)))
     for v in SPECIAL:
-        assert bits(leaky_relu(float(v), alpha)) == bits(np.where(v >= 0, v, alpha * v))
+        one = np.array([v])
+        assert bits(leaky_relu(one, alpha)) == bits(np.where(one >= 0, one, alpha * one))
 
 
 @pytest.mark.parametrize("alpha", [0.01, 1.0, 2.5])
@@ -76,22 +77,22 @@ def test_leaky_relu_backward_matches_slope_mask_bit_for_bit(alpha):
 
 def unfused_forward_backward(net, x, y):
     """The per-tensor pass: np.where activation, slope-mask gradient, fresh arrays."""
+    last = len(net.weights) - 1
     pre, acts = [], [x]
-    for layer in net.layers:
-        z = acts[-1] @ layer.weights.T + layer.biases
+    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
         pre.append(z)
-        acts.append(np.where(z >= 0, z, layer.alpha * z) if layer.activation == "leakyrelu" else z)
+        acts.append(np.where(z >= 0, z, net.alpha * z) if li < last else z)
     diff = acts[-1] - y
     loss = float(0.5 * np.sum(diff * diff) / len(x))
     delta = diff / len(x)
     w_grads, b_grads = [], []
-    for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
-        if layer.activation == "leakyrelu":
-            delta = delta * np.where(pre[li] >= 0, 1.0, layer.alpha)
+    for li in range(last, -1, -1):
+        if li < last:
+            delta = delta * np.where(pre[li] >= 0, 1.0, net.alpha)
         w_grads.insert(0, delta.T @ acts[li])
         b_grads.insert(0, delta.sum(axis=0))
-        delta = delta @ layer.weights
+        delta = delta @ net.weights[li]
     return loss, acts[-1], w_grads, b_grads
 
 
@@ -113,13 +114,13 @@ def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
 
 def test_parameters_and_gradients_are_views_of_one_vector():
     net = initialize([1, 5, 4, 3], seed=0)
-    total = sum(layer.weights.size + layer.biases.size for layer in net.layers)
+    total = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
     assert net.params.shape == (total,)
     _, _, grads = forward_backward(net, [[0.3], [0.8]], np.zeros((2, 3)))
     assert grads.flat.shape == (total,)
     start = 0
-    for layer, gw, gb in zip(net.layers, grads.weights, grads.biases):
-        for tensor, grad in ((layer.weights, gw), (layer.biases, gb)):
+    for w, b, gw, gb in zip(net.weights, net.biases, grads.weights, grads.biases):
+        for tensor, grad in ((w, gw), (b, gb)):
             assert np.shares_memory(tensor, net.params)
             assert np.shares_memory(grad, grads.flat)
             assert grad.shape == tensor.shape
@@ -128,7 +129,7 @@ def test_parameters_and_gradients_are_views_of_one_vector():
             start += tensor.size
     assert start == total
     net.params[:] = 0.0
-    np.testing.assert_array_equal(forward(net, [0.5]), np.zeros(3))
+    np.testing.assert_array_equal(forward(net, [[0.5]]), np.zeros((1, 3)))
 
 
 def test_gradient_set_names_first_nonfinite_tensor():
@@ -145,21 +146,22 @@ def test_gradient_set_names_first_nonfinite_tensor():
 
 def test_forward_zero_network_gives_zeros():
     net = initialize([1, 75, 50, 23], seed=0)
-    for layer in net.layers:
-        layer.weights[:] = 0.0
-        layer.biases[:] = 0.0
-    np.testing.assert_array_equal(forward(net, [0.7]), np.zeros(23))
+    for w, b in zip(net.weights, net.biases):
+        w[:] = 0.0
+        b[:] = 0.0
+    np.testing.assert_array_equal(forward(net, [[0.7]]), np.zeros((1, 23)))
 
 
 def test_forward_single_affine_layer():
     net = single_layer([[2.0]], [1.0])
-    np.testing.assert_allclose(forward(net, [3.0]), [7.0])
+    np.testing.assert_allclose(forward(net, [[3.0]]), [[7.0]])
 
 
 def test_forward_matches_loop_oracle():
     net = initialize([1, 75, 50, 23], seed=42)
-    x = np.array([0.5])
-    np.testing.assert_allclose(forward(net, x), loop_forward(net, x), rtol=1e-12, atol=1e-12)
+    x = np.array([[0.5]])
+    np.testing.assert_allclose(forward(net, x), [loop_forward(net, row) for row in x],
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_forward_batch_and_determinism():
@@ -170,13 +172,15 @@ def test_forward_batch_and_determinism():
     assert out1.shape == (3, 3)
     np.testing.assert_array_equal(out1, out2)
     # single-row evaluation may use a different BLAS path; values agree
-    np.testing.assert_allclose(out1[1], forward(net, batch[1]), rtol=1e-14)
+    np.testing.assert_allclose(out1[1], forward(net, batch[1:2])[0], rtol=1e-14)
 
 
 def test_forward_shape_error():
     net = initialize([2, 4], seed=0)
     with pytest.raises(ShapeError):
-        forward(net, [1.0, 2.0, 3.0])
+        forward(net, [[1.0, 2.0, 3.0]])
+    with pytest.raises(ShapeError):  # one sample is a batch of one row, not a vector
+        forward(net, [1.0, 2.0])
 
 
 def test_mse_examples():
@@ -191,6 +195,8 @@ def test_mse_examples():
 def test_mse_shape_mismatch():
     with pytest.raises(ShapeError):
         mse_loss(np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ShapeError):
+        mse_loss(np.zeros(3), np.zeros(3))
 
 
 def test_mse_nonnegative_and_zero_iff_equal():
@@ -213,9 +219,7 @@ def test_backward_hand_differentiated_case():
 
 def test_backward_zero_everything_gives_zero_grads():
     net = initialize([1, 8, 4], seed=3)
-    for layer in net.layers:
-        layer.weights[:] = 0.0
-        layer.biases[:] = 0.0
+    net.params[:] = 0.0
     loss, _, grads = forward_backward(net, [[0.5]], [[0.0, 0.0, 0.0, 0.0]])
     assert loss == 0.0
     for g in grads.weights + grads.biases:
@@ -266,16 +270,15 @@ def test_gradients_match_finite_differences(sizes, alpha):
 
 def test_leaky_grad_at_exact_zero_is_one():
     # hidden pre-activation is exactly 0; its bias gradient uses slope 1
-    hidden = DenseLayer(np.array([[1.0]]), np.array([0.0]), "leakyrelu", 0.01)
-    out = DenseLayer(np.array([[1.0]]), np.array([0.0]), "linear")
-    net = MimicNetwork([hidden, out], input_dim=1)
+    # weights 1 and biases 0 in both layers: [w0, b0, w1, b1]
+    net = MimicNetwork([1, 1, 1], 0.01, np.array([1.0, 0.0, 1.0, 0.0]))
     _, _, grads = forward_backward(net, [[0.0]], [[-1.0]])
     np.testing.assert_allclose(grads.biases[0], [1.0])
 
 
 def test_param_count_reference_architecture():
     net = initialize([1, 75, 50, 23], seed=0)
-    counts = [layer.weights.size + layer.biases.size for layer in net.layers]
+    counts = [w.size + b.size for w, b in zip(net.weights, net.biases)]
     assert counts == [150, 3800, 1173]
     assert net.params.size == 5123
 
@@ -283,17 +286,15 @@ def test_param_count_reference_architecture():
 def test_initialize_deterministic_and_bounded():
     a = initialize([1, 75, 50, 23], seed=5)
     b = initialize([1, 75, 50, 23], seed=5)
-    for la, lb in zip(a.layers, b.layers):
-        np.testing.assert_array_equal(la.weights, lb.weights)
-        np.testing.assert_array_equal(la.biases, lb.biases)
-        np.testing.assert_array_equal(lb.biases, np.zeros_like(lb.biases))
+    for wa, ba, wb, bb in zip(a.weights, a.biases, b.weights, b.biases):
+        np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(ba, bb)
+        np.testing.assert_array_equal(bb, np.zeros_like(bb))
     bound = np.sqrt(6.0 / (1 + 75))
     assert bound == pytest.approx(0.28097574347450816, abs=1e-15)
-    assert np.max(np.abs(a.layers[0].weights)) <= bound
+    assert np.max(np.abs(a.weights[0])) <= bound
     c = initialize([1, 75, 50, 23], seed=6)
-    assert any(
-        not np.array_equal(la.weights, lc.weights) for la, lc in zip(a.layers, c.layers)
-    )
+    assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.weights, c.weights))
 
 
 def test_initialize_rejects_bad_sizes():
@@ -304,14 +305,16 @@ def test_initialize_rejects_bad_sizes():
 
 
 def test_network_dimension_chaining_enforced():
+    # the sizes fix each layer's shape: 2->3 and 3->2 take 9 + 8 values
+    assert MimicNetwork([2, 3, 2], 0.01, np.zeros(17)).weights[1].shape == (2, 3)
     with pytest.raises(ShapeError):
-        MimicNetwork(
-            [
-                DenseLayer(np.zeros((3, 2)), np.zeros(3)),
-                DenseLayer(np.zeros((2, 4)), np.zeros(2)),
-            ],
-            input_dim=2,
-        )
+        MimicNetwork([2, 3, 2], 0.01, np.zeros(3 * 2 + 3 + 2 * 4 + 2))
+    # a weights file whose layer takes other than the previous layer's outputs
+    lines = format_weights(initialize([2, 3, 2], seed=0)).splitlines()
+    assert lines[6] == "layer out=2 in=3 act=linear"
+    lines[6] = "layer out=2 in=4 act=linear"
+    with pytest.raises(FormatError, match="line 7: in=4 must equal the previous out= or input=, 3"):
+        parse_weights("\n".join(lines) + "\n")
 
 
 def test_weight_file_round_trip():
@@ -319,11 +322,11 @@ def test_weight_file_round_trip():
     text = format_weights(net)
     again = parse_weights(text)
     assert format_weights(again) == text
-    for la, lb in zip(net.layers, again.layers):
-        np.testing.assert_array_equal(la.weights, lb.weights)
-        np.testing.assert_array_equal(la.biases, lb.biases)
-        assert la.activation == lb.activation
-        assert la.alpha == lb.alpha
+    assert again.sizes == net.sizes == [1, 5, 3]
+    assert again.alpha == net.alpha == 0.02
+    for wa, ba, wb, bb in zip(net.weights, net.biases, again.weights, again.biases):
+        np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(ba, bb)
 
 
 def test_weight_file_save_load(tmp_path):
@@ -343,7 +346,14 @@ def test_weight_parse_errors_carry_line_numbers():
         parse_weights("\n".join(lines[:2] + ["1.0 extra"] + lines[3:]) + "\n")
     with pytest.raises(FormatError, match="line 2"):
         parse_weights("\n".join([lines[0], "layer out=2 in=1 act=sigmoid"] + lines[2:]) + "\n")
-    with pytest.raises(ShapeError, match="at least one layer"):
+    # act= is fixed by position: leaky ReLU on hidden layers, linear on the last
+    assert lines[1] == "layer out=2 in=1 act=leakyrelu"
+    assert lines[5] == "layer out=1 in=2 act=linear"
+    with pytest.raises(FormatError, match="line 2: layer 0 of 2 must be act=leakyrelu"):
+        parse_weights("\n".join([lines[0], "layer out=2 in=1 act=linear"] + lines[2:]) + "\n")
+    with pytest.raises(FormatError, match="line 6: layer 1 of 2 must be act=linear"):
+        parse_weights("\n".join(lines[:5] + ["layer out=1 in=2 act=leakyrelu"] + lines[6:]) + "\n")
+    with pytest.raises(ConfigError, match="at least one layer"):
         parse_weights("mimicnet layers=0 input=1 alpha=0.01\n")
     with pytest.raises(FormatError, match="line 9: expected the end of the file"):
         parse_weights(good + "0.5\n")

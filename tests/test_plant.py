@@ -27,10 +27,8 @@ def sine_movement(freq, duration=2.0, amplitude=0.5, knots_per_cycle=12):
 def flag_only_model(n_joints=2):
     # constant high end flag: rollout stops immediately after one sample
     net = initialize([1, 4, n_joints + 1], seed=0)
-    for layer in net.layers:
-        layer.weights[:] = 0.0
-        layer.biases[:] = 0.0
-    net.layers[-1].biases[-1] = 1.0
+    net.params[:] = 0.0
+    net.biases[-1][-1] = 1.0
     return TrainedModel(
         network=net, name="f", n_joints=n_joints, duration=1.0,
         sample_rate=50.0, time_offset=0.0, time_scale=1.0,

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from motionmimic.errors import MimicError
+from motionmimic.errors import MimicError, ShapeError
 from motionmimic.motion import KeyframeMovement, KeyframeStep
 from motionmimic.optimizer import TrainingSchedule
 from motionmimic.plant import PlantConfig, format_comparison, simulate
@@ -92,6 +92,13 @@ def test_format_parse_format_is_byte_identical(kind, written, tmp_path):
     read, write = readers(tmp_path)[kind]
     text = written[kind]
     assert write(read(text)) == text
+
+
+@pytest.mark.parametrize("header", [["time", "a"], ["time", "a", "b", "c"]],
+                         ids=["narrower", "wider"])
+def test_format_table_header_must_match_columns(header):
+    with pytest.raises(ShapeError, match=f"{len(header)} column names for a table of shape"):
+        format_table(header, np.zeros((2, 3)))
 
 
 def mutate(text, rng):

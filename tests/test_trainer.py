@@ -57,9 +57,7 @@ def one_second_movement():
 
 def zero_model(n_joints, duration=1.0, rate=50.0, scale=1.2):
     net = initialize([1, 4, n_joints + 1], seed=0)
-    for layer in net.layers:
-        layer.weights[:] = 0.0
-        layer.biases[:] = 0.0
+    net.params[:] = 0.0
     return TrainedModel(
         network=net,
         name="zero",
@@ -225,9 +223,10 @@ def test_train_is_deterministic(desk_fit):
     m2, l2 = train(dataset, schedule=sched, seed=3)
     np.testing.assert_array_equal(l1.mses, l2.mses)
     np.testing.assert_array_equal(l1.maes, l2.maes)
-    for a, b in zip(m1.network.layers, m2.network.layers):
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.biases, b.biases)
+    for wa, ba, wb, bb in zip(m1.network.weights, m1.network.biases,
+                              m2.network.weights, m2.network.biases):
+        np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(ba, bb)
 
 
 # SHA-256 of the files a seeded run saves, computed at the commit before
@@ -259,11 +258,11 @@ def test_seeded_training_files_are_bit_identical(tmp_path, monkeypatch):
     assert len(updated) == sched.total_epochs
     theta = updated[0]
     assert theta is model.network.params
-    assert theta.size == sum(layer.weights.size + layer.biases.size
-                             for layer in model.network.layers)
-    for layer in model.network.layers:
-        assert np.shares_memory(layer.weights, theta)
-        assert np.shares_memory(layer.biases, theta)
+    assert theta.size == sum(w.size + b.size
+                             for w, b in zip(model.network.weights, model.network.biases))
+    for w, b in zip(model.network.weights, model.network.biases):
+        assert np.shares_memory(w, theta)
+        assert np.shares_memory(b, theta)
 
 
 def test_divergence_names_the_first_nonfinite_gradient(monkeypatch):
@@ -484,8 +483,9 @@ def test_model_bundle_round_trip(tmp_path, desk_fit):
     assert again.time_offset == model.time_offset
     assert again.time_scale == model.time_scale
     assert again.periodic == model.periodic
-    for a, b in zip(again.network.layers, model.network.layers):
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.biases, b.biases)
+    for wa, ba, wb, bb in zip(again.network.weights, again.network.biases,
+                              model.network.weights, model.network.biases):
+        np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(ba, bb)
     probe = np.array([0.0, 0.4, 1.1])
     np.testing.assert_array_equal(again.predict(probe), model.predict(probe))
