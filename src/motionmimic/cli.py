@@ -143,16 +143,16 @@ def cmd_compare(args) -> int:
     ds = load_dataset(args.dataset)
     if model.n_joints != ds.n_joints:  # --self-test skips evaluate's own check
         raise ShapeError(f"model has {model.n_joints} joints, dataset {ds.n_joints}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if args.self_test:
         rep = evaluate_predictions(ds.targets, ds)
     else:
         rep = evaluate(model, ds)
-    save_rollout(rollout(model, ds.sample_rate), ds.joint_names, out / "rollout.csv")
-
+    ro = rollout(model, ds.sample_rate)
     result = simulate(model, _plant_config(args))
+
+    out = Path(args.out)  # created once every result is in hand, so a refusal leaves nothing
+    out.mkdir(parents=True, exist_ok=True)
+    save_rollout(ro, ds.joint_names, out / "rollout.csv")
     save_comparison(result, ds.joint_names, out / "tracking.csv")
 
     metrics = [("mse=<float>", rep.mse), ("mae=<float>", rep.mae),

@@ -16,7 +16,7 @@ from .textio import LineReader, format_numbers, format_record
 MAX_PARAMETERS = 10_000_000  # about 2000 times the 5123 of the 1-75-50-23 net
 
 
-def _parameter_count(sizes, alpha) -> int:
+def parameter_count(sizes, alpha) -> int:
     """Weights and biases of the net sizes; ConfigError unless sizes and alpha are usable."""
     if len(sizes) < 2:
         raise ConfigError(f"a network needs at least one layer, so two sizes: {sizes}")
@@ -64,7 +64,7 @@ class MimicNetwork:
 
     def __post_init__(self):
         self.sizes = [int(s) for s in self.sizes]
-        total = _parameter_count(self.sizes, self.alpha)
+        total = parameter_count(self.sizes, self.alpha)
         self.params = np.asarray(self.params, dtype=float)
         if self.params.shape != (total,):
             raise ShapeError(f"sizes {self.sizes} need {total} parameters, not {self.params.shape}")
@@ -190,7 +190,7 @@ def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:
     built.
     """
     sizes = [int(s) for s in layer_sizes]
-    total = _parameter_count(sizes, alpha)
+    total = parameter_count(sizes, alpha)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     net = MimicNetwork(sizes, alpha, np.zeros(total))

@@ -83,15 +83,19 @@ def p_command(reference, position, kp, max_speed):
     return np.clip(kp * (np.asarray(reference, dtype=float) - position), -max_speed, max_speed)
 
 
+def _check_gains(cfg: PlantConfig, joints):
+    """ShapeError unless kp and max_speed are scalars or one value per joint."""
+    for name, gain in (("kp", cfg.kp), ("max_speed", cfg.max_speed)):
+        if gain.ndim > 0 and gain.shape != joints:
+            raise ShapeError(f"per-joint {name} shape {gain.shape} != joints {joints}")
+
+
 def step(state: PlantState, references, cfg: PlantConfig) -> PlantState:
     """Advance the plant one tick toward the reference posture."""
     refs = np.asarray(references, dtype=float)
     if refs.shape != state.positions.shape:
         raise ShapeError(f"references shape {refs.shape} != positions {state.positions.shape}")
-    if cfg.kp.ndim > 0 and cfg.kp.shape != refs.shape:
-        raise ShapeError(f"per-joint kp shape {cfg.kp.shape} != joints {refs.shape}")
-    if cfg.max_speed.ndim > 0 and cfg.max_speed.shape != refs.shape:
-        raise ShapeError(f"per-joint max_speed shape {cfg.max_speed.shape} != joints {refs.shape}")
+    _check_gains(cfg, refs.shape)
     speed = p_command(refs, state.positions, cfg.kp, cfg.max_speed)
     return PlantState(state.positions + speed / cfg.tick_rate, state.time + 1.0 / cfg.tick_rate)
 
@@ -116,11 +120,21 @@ def simulate(source, cfg: PlantConfig) -> SimulationResult:
     perfectly tuned plant still trails the reference by one tick.
     """
     times, desired = reference_stream(source, cfg.tick_rate)
-    state = PlantState(desired[0].copy(), float(times[0]))
+    _check_gains(cfg, desired.shape[1:])
+    # step's arithmetic in place on one speed buffer; every operand is an array,
+    # and the maximum/minimum pair is faster than np.clip(out=)
+    kp, high, low = cfg.kp, cfg.max_speed, -cfg.max_speed
+    rate = np.asarray(cfg.tick_rate, dtype=float)
+    speed = np.empty(desired.shape[1:])
     attained = np.empty_like(desired)
-    for k in range(len(times)):
-        attained[k] = state.positions
-        state = step(state, desired[k], cfg)
+    attained[0] = desired[0]
+    for ref, now, nxt in zip(desired, attained, attained[1:]):
+        np.subtract(ref, now, out=speed)
+        np.multiply(kp, speed, out=speed)
+        np.maximum(speed, low, out=speed)
+        np.minimum(speed, high, out=speed)
+        np.divide(speed, rate, out=speed)
+        np.add(now, speed, out=nxt)
 
     err = desired - attained
     per_joint_max = np.max(np.abs(err), axis=0)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DivergenceError,
     FormatError,
     IngestionError,
@@ -37,6 +38,7 @@ from .network import (
     initialize,
     load_weights,
     mse_loss,
+    parameter_count,
     save_weights,
 )
 from .optimizer import TrainingSchedule, adam_init, adam_step, desk_schedule, reset_state
@@ -45,6 +47,10 @@ from .textio import LineReader, format_record, format_table, parse_table
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
 DEFAULT_HIDDEN = (75, 50)
 MAX_DURATION_FACTOR = 2.0  # a sweep whose flag never crosses stops at twice the span to the end
+MAX_OUTPUT = 1e6  # joints are radians and the flag is 0 to 1; larger outputs mean unusable weights
+# rows x activations per row (the layer widths after the input) of one training
+# batch: about 90 times walk1500's 1500 x 148
+MAX_BATCH_ACTIVATIONS = 20_000_000
 
 
 def default_joint_names(n: int) -> list:
@@ -166,7 +172,15 @@ class TrainedModel:
     def predict(self, times) -> np.ndarray:
         """Joint + flag outputs at the given playback times."""
         x = (np.asarray(times, dtype=float) - self.time_offset) / self.time_scale
-        return forward(self.network, x[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):  # the bound below reports it
+            out = forward(self.network, x[:, None])
+        peak = np.abs(out).max(initial=0.0)
+        if not peak <= MAX_OUTPUT:
+            raise ValidationError(
+                f"model output reaches {peak:.6g}; outputs beyond {MAX_OUTPUT:g} "
+                "mean the weights are unusable"
+            )
+        return out
 
 
 @dataclass
@@ -295,6 +309,13 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
     if sizes[-1] != n + 1:
         raise ShapeError(
             f"network output size {sizes[-1]} must equal joints + end flag = {n + 1}"
+        )
+    parameter_count(sizes, alpha)  # the sizes, alpha and MAX_PARAMETERS are refused first
+    activations = len(dataset.times) * sum(sizes[1:])
+    if activations > MAX_BATCH_ACTIVATIONS:
+        raise ConfigError(
+            f"{len(dataset.times)} rows x {sum(sizes[1:])} activations per row = {activations}; "
+            f"a training batch holds at most {MAX_BATCH_ACTIVATIONS}"
         )
     net = initialize(sizes, seed=seed, alpha=alpha)
     # built first, so a dataset the model could not replay fails before training

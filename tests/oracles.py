@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: the
 spline oracle assembles the full dense linear system instead of the
 tridiagonal solve, the gradient oracle uses central finite differences,
-the Adam oracle is a plain-float recurrence, and the forward oracle is
-per-neuron Python loops.
+the Adam oracle is a plain-float recurrence, the forward oracle is
+per-neuron Python loops, and the plant oracle advances one tick at a
+time through plant.step.
 """
 
 import math
@@ -141,3 +142,19 @@ def loop_forward(net, x):
             nxt.append(z)
         values = nxt
     return np.array(values)
+
+
+def plant_step_loop(desired, cfg):
+    """Attained plant positions from one plant.step call per tick.
+
+    The plant starts at desired[0]; each tick records the position, then
+    steps toward that tick's reference.
+    """
+    from motionmimic.plant import PlantState, step
+
+    state = PlantState(np.array(desired[0], dtype=float))
+    attained = np.empty_like(desired)
+    for k, ref in enumerate(desired):
+        attained[k] = state.positions
+        state = step(state, ref, cfg)
+    return attained

@@ -207,6 +207,34 @@ def test_rollout_rejects_huge_duration(trained, capsys):
         assert not (trained / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, options, output",
+    [
+        pytest.param("eval", ["--dataset", "{dir}/demo.csv"], None, id="eval"),
+        pytest.param("rollout", ["--out", "{dir}/x.csv"], "x.csv", id="rollout"),
+        pytest.param("simulate", ["--out", "{dir}/x.csv"], "x.csv", id="simulate"),
+        pytest.param("compare", ["--dataset", "{dir}/demo.csv", "--out", "{dir}/cmp"], "cmp",
+                     id="compare"),
+        pytest.param("compare", ["--dataset", "{dir}/demo.csv", "--self-test", "--out", "{dir}/cmp"],
+                     "cmp", id="compare-self-test"),
+    ],
+)
+def test_overflowing_model_is_exit_2(trained, capsys, command, options, output):
+    # finite weights load, but the outputs would overflow the metrics and the plant
+    weights = trained / "model" / "weights.txt"
+    lines = weights.read_text().splitlines()
+    lines[2:77] = ["1e300"] * 75  # the 75 first-layer weights of the 1-75-50-3 net
+    weights.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run([command, "--model", trained / "model", *[o.format(dir=trained) for o in options]])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: model output reaches ")
+    assert len(captured.err.splitlines()) == 1
+    assert output is None or not (trained / output).exists()
+
+
 def test_eval_prints_metrics(trained, capsys):
     code = run(["eval", "--model", trained / "model", "--dataset", trained / "demo.csv"])
     assert code == 0
@@ -439,4 +467,21 @@ def test_unusable_train_config_is_exit_2(workdir, capsys, options, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (workdir / "model").exists()
+
+
+def test_training_batch_too_wide_is_exit_2(workdir, capsys):
+    # 9.75 M parameters, under the parameter bound, but 61 rows x 390023
+    # activations per row; refused from the sizes alone, before any allocation
+    keyframes = "".join(f"t={t} " + " ".join([str(v)] * 22) + "\n"
+                        for t, v in ((0, 0), (0.5, 0.4), (1, 0.1)))
+    (workdir / "wide.mov").write_text("movement n=22 gamma=3 rate=1\n" + keyframes)
+    assert run(["gen", "--movement", workdir / "wide.mov", "--out", workdir / "wide.csv"]) == 0
+    capsys.readouterr()
+    code = run(["train", "--dataset", workdir / "wide.csv", "--arch", "1:390000:23",
+                "--out", workdir / "model"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: 61 rows x 390023 activations per row = 23791403; "
+                   "a training batch holds at most 20000000\n")
     assert not (workdir / "model").exists()

@@ -13,6 +13,7 @@ from motionmimic.plant import (
     step,
 )
 from motionmimic.trainer import TrainedModel
+from oracles import plant_step_loop
 
 
 def sine_movement(freq, duration=2.0, amplitude=0.5, knots_per_cycle=12):
@@ -22,6 +23,14 @@ def sine_movement(freq, duration=2.0, amplitude=0.5, knots_per_cycle=12):
         KeyframeStep(float(t), [amplitude * np.sin(2.0 * np.pi * freq * t)]) for t in times
     ]
     return KeyframeMovement(steps)
+
+
+def three_joint_movement():
+    # joint 0 sweeps fast, joint 1 slowly, joint 2 holds still
+    times = np.linspace(0.0, 2.0, 25)
+    return KeyframeMovement([
+        KeyframeStep(float(t), [1.2 * np.sin(6.0 * t), 0.3 * np.sin(t), -0.4]) for t in times
+    ])
 
 
 def flag_only_model(n_joints=2):
@@ -123,6 +132,30 @@ def test_step_shape_mismatch():
     cfg_per_joint = PlantConfig(kp=np.array([10.0, 10.0, 10.0]))
     with pytest.raises(ShapeError):
         step(PlantState(np.zeros(2)), np.zeros(2), cfg_per_joint)
+
+
+@pytest.mark.parametrize(
+    "kp, max_speed",
+    [
+        pytest.param(40.0, 2.0, id="scalar"),
+        pytest.param(np.array([60.0, 25.0, 5.0]), np.array([3.0, 7.0, 0.5]), id="per-joint"),
+    ],
+)
+def test_simulate_matches_step_loop_bit_for_bit(kp, max_speed):
+    cfg = PlantConfig(kp=kp, max_speed=max_speed, tick_rate=50.0)
+    result = simulate(three_joint_movement(), cfg)
+    np.testing.assert_array_equal(result.attained, plant_step_loop(result.desired, cfg))
+    # the fast joint hits its speed limit, so the clamp is exercised
+    moves = np.abs(np.diff(result.attained[:, 0]))
+    limit = np.broadcast_to(max_speed, (3,))[0] / 50.0
+    assert np.max(moves) == pytest.approx(limit, rel=1e-9)
+
+
+@pytest.mark.parametrize("gain", ["kp", "max_speed"])
+def test_simulate_rejects_per_joint_gain_of_wrong_length(gain):
+    cfg = PlantConfig(**{gain: np.array([5.0, 6.0])})
+    with pytest.raises(ShapeError, match=f"per-joint {gain} shape"):
+        simulate(three_joint_movement(), cfg)
 
 
 def test_slow_motion_tracks_tightly():
