@@ -122,16 +122,152 @@ class LineReader:
 def format_table(header, matrix) -> str:
     """CSV text: the header names, then one line per row, cells written as fmt does.
 
-    A header whose width differs from the matrix's columns raises ShapeError.
+    A header whose width differs from the matrix's columns, or a table
+    without columns, raises ShapeError.
     """
     table = np.asarray(matrix, dtype=float)
     if table.shape[1:] != (len(header),):
         raise ShapeError(f"{len(header)} column names for a table of shape {table.shape}")
-    template = ",".join([FLOAT] * len(header))
-    lines = [",".join(header)]
-    lines += [template % tuple(row.tolist()) for row in table]
-    lines.append("")  # the final newline, without a second copy of the joined text
-    return "\n".join(lines)
+    if not header:
+        raise ShapeError(f"a table of shape {table.shape} has no columns")
+    # One buffer with room for the longest cells, filled a block of rows at a
+    # time: its size is known up front, so it is allocated once, not grown.
+    head = (",".join(header) + "\n").encode("utf-8", "surrogatepass")  # names may be any text
+    text = bytearray(len(head) + table.size * _LONGEST)
+    text[: len(head)] = head
+    end = len(head)
+    rows = max(1, _BLOCK_CELLS // len(header))
+    for i in range(0, len(table), rows):
+        lines = _format_rows(table[i : i + rows])
+        text[end : end + len(lines)] = lines
+        end += len(lines)
+    del text[end:]
+    return text.decode("utf-8", "surrogatepass")
+
+
+# Cells are formatted a block of rows at a time.  numpy writes every cell with
+# 1e-5 <= |x| < 1e15, and 0: it finds the 17 digits FLOAT would write, then lays
+# them out in a NUL-padded slot (sign, '0.'..'0.000' prefix, the digits with their
+# dot, 'e-05' suffix, separator) that deleting the NULs closes up.  FLOAT % x
+# writes the other cells (-0.0, tiny, huge, inf, nan) into their slots.
+_BLOCK_CELLS = 2048  # bounds the block's temporaries to a few hundred KB
+_SLOT = 32  # bytes per cell, the separator last
+_LONGEST = 25  # FLOAT % x writes at most 24 characters, then the separator
+_BODY = 7  # slot column of the body, the digits with their dot
+# the 4 ASCII digits of 0..9999 as one uint32 each, in memory order
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+_DIGITS4 = _DIGITS4.reshape(-1, 4).view(np.uint32).ravel()
+_POW10 = np.array([float(10**i) for i in range(23)])  # exact doubles
+
+
+def _layouts():
+    """Slot masks and bytes per layout code.
+
+    A code is sign * 357 + (exponent + 5) * 17 + digits - 1, for exponents
+    -5..15 and 1..17 digits before the trailing zeros; the last code is 0.
+    Returns (mask of the columns that keep digit j, mask of those that take
+    digit j - 1, the slot's other bytes), each (codes, _SLOT).
+    """
+    grid = np.meshgrid([0, 1], np.arange(-5, 16), np.arange(1, 18), indexing="ij")
+    neg, k, sig = (a.ravel() for a in grid)
+    dot = np.where(k >= 0, k + 1, np.where(k == -5, 1, 18))  # digits before the dot; 18: none
+    end = np.where(sig > dot, sig + 1, np.where(k >= 0, dot, sig))  # body length
+    j = np.arange(_SLOT) - _BODY  # the body column of each slot column
+    body = (j >= 0) & (j < end[:, None])
+    masks = [np.vstack([m, np.zeros(_SLOT, bool)]) * np.uint8(255)
+             for m in (body & (j < dot[:, None]), body & (j > dot[:, None]))]
+    frame = np.zeros((len(k) + 1, _SLOT), np.uint8)
+    frame[:-1, 0] = np.where(neg, ord("-"), 0)
+    prefix = np.frombuffer(b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0" b"0.000", np.uint8)
+    frame[:-1, 1:_BODY - 1] = prefix.reshape(5, 5)[np.where((-5 < k) & (k < 0), -k, 0)]
+    shown = np.flatnonzero(sig > dot)
+    frame[shown, _BODY + dot[shown]] = ord(".")
+    frame[np.flatnonzero(k == -5), _BODY + 18 : _BODY + 22] = np.frombuffer(b"e-05", np.uint8)
+    frame[-1, 0] = ord("0")
+    return (*masks, frame)
+
+
+_LEFT, _RIGHT, _FRAME = _layouts()
+_ZERO = len(_FRAME) - 1
+
+
+def _split(a):
+    """(hi, lo): a = hi + lo with each half 26 bits wide (Veltkamp)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a, k):
+    """(p, e): p + e = a * 10**(16 - k) exactly, p the rounded product (Dekker)."""
+    p = a * _POW10[16 - k]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[16 - k], _POW10_LO[16 - k]
+    err = ((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo
+    return p, a_lo * b_lo - err
+
+
+def _decimal(a):
+    """(k, n): a * 10**(16 - k) rounded half to even is n, in [1e16, 1e17).
+
+    For 1e-5 <= a < 1e15; n holds the 17 digits FLOAT writes, k the exponent.
+    """
+    k = np.floor(np.log10(a)).astype(np.intp)
+    p, e = _scaled(a, k)
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:  # log10 rounded across a power of ten
+        k[fix] += np.where(low[fix], -1, 1)
+        p[fix], e[fix] = _scaled(a[fix], k[fix])
+    # p is an even integer >= 2**53, so p + rint(e) is p + e rounded half to even.
+    # It never reaches 1e17: the largest double below each power of ten up to
+    # 1e15 scales to 1e17 - 8 or less.
+    return k, p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _digit_slots(n):
+    """(cells, _SLOT) bytes with the 17 ASCII digits of n at columns _BODY.._BODY + 16.
+
+    The other columns are not set.
+    """
+    groups = np.empty((len(n), 5), np.int32)  # the leading digit, then four groups of four
+    for i, scale in enumerate((10**16, 10**12, 10**8, 10**4)):
+        groups[:, i] = lead = n // scale
+        n = n - lead * scale
+    groups[:, 4] = n
+    slots = np.empty((len(n), _SLOT), np.uint8)
+    slots.view(np.uint32)[:, 1:6] = _DIGITS4[groups]  # the leading digit is written '000d'
+    return slots
+
+
+def _format_rows(block) -> bytes:
+    """The CSV lines of a block of rows, each cell byte-identical to FLOAT % x."""
+    x = block.ravel()
+    plain = (np.abs(x) >= 1e-5) & (np.abs(x) < 1e15)
+    k, n = _decimal(np.where(plain, np.abs(x), 1.0))
+    slots = _digit_slots(n)
+    sig = 17 - np.argmax(slots[:, _BODY + 16 : _BODY - 1 : -1] != 48, axis=1)
+    code = np.where(x < 0, 21 * 17, 0) + (k + 5) * 17 + sig - 1
+    code[x == 0] = _ZERO  # -0.0 too; FLOAT % x rewrites it below
+    # digit j stays put before the dot and moves one column right after it
+    flat = slots.ravel()
+    moved = np.take(_RIGHT, code, axis=0).ravel()
+    moved[1:] &= flat[:-1]
+    flat &= np.take(_LEFT, code, axis=0).ravel()
+    flat |= moved
+    flat |= np.take(_FRAME, code, axis=0).ravel()
+    rest = np.flatnonzero(~plain & ((x != 0) | np.signbit(x)))
+    if rest.size:
+        text = b"".join(fmt(v).encode().ljust(_SLOT, b"\0") for v in x[rest].tolist())
+        slots[rest] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT)
+    slots = slots.reshape(block.shape[0], block.shape[1], _SLOT)
+    slots[:, :, -1] = 44  # ','
+    slots[:, -1, -1] = 10  # '\n'
+    return slots.tobytes().translate(None, b"\0")
 
 
 def parse_table(text: str, header: str):
@@ -139,11 +275,14 @@ def parse_table(text: str, header: str):
 
     header is the expected first line.  It may hold one '<...>' item,
     which stands for one or more names; those names are returned.
-    Blank lines are skipped.  A wrong header, a wrong field count or a
-    field that is not a finite number raises FormatError naming the line.
+    Blank lines are skipped.  A text without lines, a wrong header, a
+    wrong field count or a field that is not a finite number raises
+    FormatError naming the line.
     """
     lines = text_lines(text)
-    head_no, first = lines[0] if lines else (1, "")
+    if not lines:
+        raise FormatError(f"line 1: expected header '{header}', found no lines")
+    head_no, first = lines[0]
     names = _header_names(first, header)
     if names is None:
         raise FormatError(f"line {head_no}: expected header '{header}'")

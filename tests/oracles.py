@@ -5,7 +5,8 @@ spline oracle assembles the full dense linear system instead of the
 tridiagonal solve, the gradient oracle uses central finite differences,
 the Adam oracle is a plain-float recurrence, the forward oracle is
 per-neuron Python loops, and the plant oracle advances one tick at a
-time through plant.step.
+time through plant.step.  The table oracle is the row-template CSV
+writer that textio.format_table replaced: one '%.17g,...' % row per line.
 """
 
 import math
@@ -158,3 +159,17 @@ def plant_step_loop(desired, cfg):
         attained[k] = state.positions
         state = step(state, ref, cfg)
     return attained
+
+
+def format_table_rows(header, matrix):
+    """CSV text with every row written by one '%.17g,...' % tuple(row) template."""
+    from motionmimic.errors import ShapeError
+
+    table = np.asarray(matrix, dtype=float)
+    if table.shape[1:] != (len(header),):
+        raise ShapeError(f"{len(header)} column names for a table of shape {table.shape}")
+    template = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)]
+    lines += [template % tuple(row.tolist()) for row in table]
+    lines.append("")  # the final newline, without a second copy of the joined text
+    return "\n".join(lines)

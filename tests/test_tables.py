@@ -1,12 +1,15 @@
-"""The five CSV kinds share one reader and one writer: round trips and a mutation fuzz."""
+"""The five CSV kinds share one reader and one writer: round trips, byte identity
+with the row-template writer, bounded memory and a mutation fuzz."""
 
 import math
 import random
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from motionmimic.errors import MimicError, ShapeError
+from motionmimic.errors import FormatError, MimicError, ShapeError
 from motionmimic.motion import KeyframeMovement, KeyframeStep
 from motionmimic.optimizer import TrainingSchedule
 from motionmimic.plant import PlantConfig, format_comparison, simulate
@@ -24,6 +27,8 @@ from motionmimic.trainer import (
     save_rollout,
     train,
 )
+
+from oracles import format_table_rows
 
 ROLLOUT_HEADER = "time,<joint names...>,end_flag"
 TRACKING_HEADER = "time,<joint columns...>"
@@ -99,6 +104,106 @@ def test_format_parse_format_is_byte_identical(kind, written, tmp_path):
 def test_format_table_header_must_match_columns(header):
     with pytest.raises(ShapeError, match=f"{len(header)} column names for a table of shape"):
         format_table(header, np.zeros((2, 3)))
+
+
+def test_format_table_refuses_a_table_without_columns():
+    with pytest.raises(ShapeError, match=r"a table of shape \(3, 0\) has no columns"):
+        format_table([], np.empty((3, 0)))
+
+
+@pytest.mark.parametrize("text", ["", "\n\n\n\n", "  \n\t\n"], ids=["empty", "newlines", "blanks"])
+@pytest.mark.parametrize("header", ["", "time,a", "time,<names...>"])
+def test_parse_table_without_lines_names_line_1(text, header):
+    with pytest.raises(FormatError, match="^line 1: expected header"):
+        parse_table(text, header)
+
+
+# --- byte identity with the row-template writer ------------------------------
+
+
+def assert_same_bytes(table):
+    """format_table writes table exactly as the oracle does, under every warning check."""
+    table = np.asarray(table, dtype=float)
+    header = [f"c{i}" for i in range(table.shape[1])]
+    with np.errstate(all="raise"):
+        got = format_table(header, table)
+    want = format_table_rows(header, table)
+    if got != want:  # name the first cell that differs, not two megabytes of text
+        for no, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))):
+            cells = [(a, b) for a, b in zip(g.split(","), w.split(",")) if a != b]
+            assert g == w, f"line {no}: first differing cells (got, want) {cells[:3]}"
+    assert got == want
+
+
+def around(values, steps=3):
+    """values with their nearest neighbours on either side, both signs."""
+    values = np.asarray(values, dtype=float)
+    out = [values]
+    for toward in (0.0, np.inf):
+        near = values
+        for _ in range(steps):
+            near = np.nextafter(near, toward)
+            out.append(near)
+    out = np.concatenate(out)
+    return np.concatenate([out, -out])
+
+
+def test_writer_matches_row_template_on_random_bit_patterns():
+    """A million seeded 64-bit patterns: subnormals, zeros, infinities and nans included."""
+    bits = np.random.default_rng(2019).integers(0, 2**64, 1_000_000, dtype=np.uint64)
+    table = bits.view(np.float64).reshape(-1, 40)
+    table[0, :6] = [0.0, -0.0, np.inf, -np.inf, 5e-324, -1.7976931348623157e308]
+    assert_same_bytes(table)
+
+
+def test_writer_matches_row_template_at_powers_of_ten():
+    assert_same_bytes(around([float(f"1e{i}") for i in range(-8, 19)], steps=1).reshape(-1, 1))
+
+
+def test_writer_matches_row_template_where_the_layout_changes():
+    """Either side of 1e-5 (the e-05 form), 1e-4 (0.000...), 1e15, 1e16 and 1e17."""
+    assert_same_bytes(around([1e-5, 1e-4, 1e15, 1e16, 1e17], steps=40).reshape(-1, 5))
+
+
+def test_writer_matches_row_template_on_ties():
+    """m * 2**-j with 18 significant digits, the last a 5: exact halves at 17 digits."""
+    rng = np.random.default_rng(7)
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        ties += [math.ldexp(int(m) | 1, -j) for m in rng.integers(lo, hi - 1, 200)]
+    assert all(Decimal(t).as_tuple().digits[17:] == (5,) for t in ties)
+    assert_same_bytes(np.array(ties).reshape(-1, 8))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_writer_matches_row_template_on_written_tables(kind, written):
+    names, table = parse_table(written[kind], "<all columns>")
+    assert format_table(names, table) == format_table_rows(names, table) == written[kind]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 5), (700, 1), (5000, 3), (61, 45)],
+                         ids=["no rows", "one row", "one column", "many blocks", "wide"])
+def test_writer_matches_row_template_on_every_shape(shape):
+    rng = np.random.default_rng(shape)
+    assert_same_bytes(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 16, shape))
+
+
+@pytest.mark.parametrize("shape", [(501, 45), (511, 24), (1500, 45)])
+def test_writer_peak_memory_stays_near_the_row_template(shape):
+    """The block temporaries add at most 512 KB to the row writer's traced peak."""
+    table = np.random.default_rng(1).standard_normal(shape)
+    header = [f"c{i}" for i in range(shape[1])]
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            write(header, table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(format_table) <= peak(format_table_rows) + 512 * 1024
 
 
 def mutate(text, rng):
