@@ -1,11 +1,12 @@
 """Keyframe movements: validation, timing semantics, and playback poses.
 
-A movement is an ordered list of keyframe steps (joint posture + the
-time it must be reached) plus a speed rate.  Playback rescales time as
-playback_time = keyframe_time / speed_rate, so rates above 1 play the
-movement faster.  Poses between keyframes come from one natural cubic
-spline through every joint's keyframes, built lazily and cached on the
-movement, and evaluated on a whole grid of playback times at once.
+A movement is its keyframe times, one (steps,) array, and the postures
+to reach at them, one (steps, joints) array, plus a speed rate.
+Playback rescales time as playback_time = keyframe_time / speed_rate,
+so rates above 1 play the movement faster.  A movement is checked and
+splined once, when it is built: poses between keyframes come from one
+natural cubic spline through every joint's keyframes, evaluated on a
+whole grid of playback times at once.
 """
 
 from dataclasses import dataclass, field
@@ -17,73 +18,61 @@ from .errors import OutOfRangeError, ValidationError
 from .spline import CubicSpline, build_spline
 from .textio import LineReader, format_numbers, format_record
 
-
-@dataclass
-class KeyframeStep:
-    """One target posture and the movement time at which to reach it."""
-
-    time: float
-    joints: np.ndarray
-
-    def __post_init__(self):
-        self.joints = np.asarray(self.joints, dtype=float)
+MAX_ANGLE = 1e6  # radians; a joint value beyond it is unusable, whatever produced it
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list  # (rule id, message) pairs
+def check_angles(values, what: str):
+    """Raise ValidationError unless every value is within MAX_ANGLE (NaN is not)."""
+    peak = np.abs(values).max(initial=0.0)
+    if not peak <= MAX_ANGLE:
+        raise ValidationError(f"{what} reaches {peak:.6g}, beyond the {MAX_ANGLE:g} rad bound")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KeyframeMovement:
-    steps: list
+    """Keyframe times (steps,) and postures (steps, joints), played at speed_rate.
+
+    Building one validates it (see validate_movement) and builds its
+    spline; keyframes too close for their postures raise ValidationError
+    from build_spline.
+    """
+
+    times: np.ndarray
+    joints: np.ndarray
     speed_rate: float = 1.0
     name: str = ""
-    _spline: CubicSpline = field(default=None, init=False, repr=False, compare=False)
+    spline: CubicSpline = field(init=False, repr=False)
 
-    @property
-    def n_joints(self) -> int:
-        return len(self.steps[0].joints) if self.steps else 0
-
-    @property
-    def step_times(self) -> np.ndarray:
-        return np.array([s.time for s in self.steps], dtype=float)
+    def __post_init__(self):
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "joints", np.asarray(self.joints, dtype=float))
+        validate_movement(self)
+        object.__setattr__(self, "spline", build_spline(self.times, self.joints))
 
 
-def validate_movement(m: KeyframeMovement) -> ValidationReport:
-    """Check every movement invariant; never raises.
-
-    Returns a report listing all violations, with ok=True iff there are
-    none.
-    """
+def validate_movement(m: KeyframeMovement):
+    """Raise one ValidationError naming every movement rule m breaks."""
+    t, q = m.times.ravel(), m.joints
     bad = []
-    if len(m.steps) < 2:
+    if len(t) < 2:
         bad.append(("step-count", "movement needs at least 2 keyframe steps"))
-    dims = {len(s.joints) for s in m.steps}
-    if len(dims) > 1:
-        bad.append(("joint-dimensions", "all keyframes must have the same number of joints"))
-    elif dims == {0}:
+    if q.shape[:1] != m.times.shape or q.ndim != 2 and q.size:  # no steps: step-count alone
+        bad.append(("joint-shape", "joints must hold one row of angles per step time"))
+    elif q.ndim == 2 and q.shape[1] == 0:
         bad.append(("no-joints", "keyframes must hold at least one joint angle"))
-    if not all(np.all(np.isfinite(s.joints)) for s in m.steps):
+    if not np.all(np.isfinite(q)):
         bad.append(("finite-angles", "joint angles must be finite"))
-    times = [s.time for s in m.steps]
-    if not all(np.isfinite(t) for t in times):
+    if not np.all(np.isfinite(t)):
         bad.append(("finite-times", "step times must be finite"))
     else:
-        if m.steps and times[0] != 0.0:
+        if np.any(t[:1] != 0.0):
             bad.append(("first-step-time", "first step time must be 0"))
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(np.diff(t) <= 0):
             bad.append(("times-increasing", "times strictly increasing"))
     if not (np.isfinite(m.speed_rate) and m.speed_rate > 0):
         bad.append(("speed-rate", "speed rate must be positive"))
-    return ValidationReport(ok=not bad, violations=bad)
-
-
-def _require_valid(m: KeyframeMovement):
-    report = validate_movement(m)
-    if not report.ok:
-        detail = "; ".join(f"{rule}: {msg}" for rule, msg in report.violations)
+    if bad:
+        detail = "; ".join(f"{rule}: {msg}" for rule, msg in bad)
         raise ValidationError(f"invalid movement: {detail}")
 
 
@@ -108,21 +97,8 @@ def grid_size(span: float, rate: float) -> int:
 
 def playback_duration(m: KeyframeMovement) -> float:
     """Wall-clock duration of the movement: last keyframe time / speed rate."""
-    movement_splines(m)  # validates m once; its spline is needed to play it anyway
-    return m.steps[-1].time / m.speed_rate
-
-
-def movement_splines(m: KeyframeMovement) -> CubicSpline:
-    """One natural cubic spline over keyframe time for all joints, cached on m.
-
-    m is validated when its spline is first built; an invalid movement
-    raises ValidationError naming every violated rule, and keyframes too
-    close for their postures raise ValidationError from build_spline.
-    """
-    if m._spline is None:
-        _require_valid(m)
-        m._spline = build_spline(m.step_times, np.stack([s.joints for s in m.steps]))
-    return m._spline
+    # Python floats: a tiny rate gives inf, which grid_size refuses, not a numpy warning
+    return float(m.times[-1]) / float(m.speed_rate)
 
 
 def poses(m: KeyframeMovement, times) -> np.ndarray:
@@ -130,16 +106,19 @@ def poses(m: KeyframeMovement, times) -> np.ndarray:
 
     Every time must lie in [0, playback_duration(m)]; open-loop
     movements have a definite end, so out-of-range queries raise
-    OutOfRangeError rather than clamp.
+    OutOfRangeError rather than clamp.  Postures beyond MAX_ANGLE (the
+    spline can overshoot far past close keyframes) raise ValidationError.
     """
-    spline = movement_splines(m)
     duration = playback_duration(m)
     ts = np.asarray(times, dtype=float)
     outside = ~((ts >= 0.0) & (ts <= duration))
     if np.any(outside):
         raise OutOfRangeError(f"playback time {ts[outside][0]} outside [0, {duration}]")
     # guard the end knot against rounding in t * speed_rate
-    return spline.eval(np.minimum(ts * m.speed_rate, m.steps[-1].time))
+    with np.errstate(over="ignore", invalid="ignore"):  # check_angles reports it
+        out = m.spline.eval(np.minimum(ts * m.speed_rate, m.times[-1]))
+    check_angles(out, "the movement's joint angle")
+    return out
 
 
 def reference_pose(m: KeyframeMovement, t: float) -> np.ndarray:
@@ -154,21 +133,22 @@ STEP = "t=<float> <text>"  # the text holds the n joint angles
 
 
 def format_movement(m: KeyframeMovement) -> str:
-    lines = [format_record(MOVEMENT_HEADER, m.n_joints, len(m.steps), m.speed_rate)]
-    lines += [format_record(STEP, s.time, format_numbers(s.joints)) for s in m.steps]
+    lines = [format_record(MOVEMENT_HEADER, m.joints.shape[1], len(m.times), m.speed_rate)]
+    lines += [format_record(STEP, t, format_numbers(q)) for t, q in zip(m.times, m.joints)]
     return "\n".join(lines) + "\n"
 
 
 def parse_movement(text: str, name: str = "") -> KeyframeMovement:
     lines = LineReader(text)
     n, gamma, rate = lines.record(MOVEMENT_HEADER)
-    steps = []
+    times, joints = [], []
     while lines.more():
-        t, joints = lines.record(STEP)
-        steps.append(KeyframeStep(t, lines.numbers(n, "joint", joints)))
-    if len(steps) != gamma:
-        lines.fail(f"header declares gamma={gamma} but found {len(steps)} steps")
-    return KeyframeMovement(steps, speed_rate=rate, name=name)
+        t, angles = lines.record(STEP)
+        times.append(t)
+        joints.append(lines.numbers(n, "joint", angles))
+    if len(times) != gamma:
+        lines.fail(f"header declares gamma={gamma} but found {len(times)} steps")
+    return KeyframeMovement(times, joints, speed_rate=rate, name=name)
 
 
 def load_movement(path) -> KeyframeMovement:

@@ -62,8 +62,6 @@ class PlantState:
 
 @dataclass
 class TrackingReport:
-    per_joint_max: np.ndarray
-    per_joint_rms: np.ndarray
     overall_rms: float
     desired_amplitude: np.ndarray
     attained_amplitude: np.ndarray
@@ -137,13 +135,11 @@ def simulate(source, cfg: PlantConfig) -> SimulationResult:
         np.add(now, speed, out=nxt)
 
     err = desired - attained
-    per_joint_max = np.max(np.abs(err), axis=0)
-    per_joint_rms = np.sqrt(np.mean(err * err, axis=0))
     overall_rms = float(np.sqrt(np.mean(err * err)))
     des_amp = 0.5 * (desired.max(axis=0) - desired.min(axis=0))
     att_amp = 0.5 * (attained.max(axis=0) - attained.min(axis=0))
     attenuated = bool(np.any(att_amp < ATTENUATION_RATIO * des_amp - 1e-12))
-    report = TrackingReport(per_joint_max, per_joint_rms, overall_rms, des_amp, att_amp, attenuated)
+    report = TrackingReport(overall_rms, des_amp, att_amp, attenuated)
     return SimulationResult(times, desired, attained, report)
 
 

@@ -14,11 +14,11 @@ from .errors import OutOfRangeError, ValidationError
 
 
 class CubicSpline:
-    """Piecewise cubic a + b*d + c*d^2 + e*d^3 with d = t - t_segment_start.
+    """Piecewise cubics a + b*d + c*d^2 + e*d^3 with d = t - t_segment_start.
 
-    coeffs is (segments, 4) for one curve, or (segments, 4, joints) for
-    one curve per joint over the same knots.  Immutable after
-    construction; use :func:`build_spline` to create one.
+    coeffs is (segments, 4, joints): one curve per joint over the same
+    knots.  Immutable after construction; use :func:`build_spline` to
+    create one.
     """
 
     def __init__(self, knot_times: np.ndarray, coeffs: np.ndarray):
@@ -36,51 +36,36 @@ class CubicSpline:
         if np.any(ts < lo) or np.any(ts > hi):
             raise OutOfRangeError(f"query time outside knot range [{lo}, {hi}]")
         i = np.clip(np.searchsorted(self.knot_times, ts, side="right") - 1, 0, self.n_segments - 1)
-        d = ts - self.knot_times[i]
         # one offset per query, shared by every joint column
-        return i, d if self.coeffs.ndim == 2 else d[..., None]
+        return i, (ts - self.knot_times[i])[..., None]
 
     def eval(self, t):
-        """Spline value at time t: a float, or one value (row of joints) per time."""
+        """Spline values at times t: one row of joints per time."""
         i, d = self._locate(t)
         a, b, c, e = (self.coeffs[i, k] for k in range(4))
-        out = a + d * (b + d * (c + d * e))
-        return float(out) if out.ndim == 0 else out
+        return a + d * (b + d * (c + d * e))
 
     def eval_derivatives(self, t):
-        """First and second derivative at time t: (velocity, acceleration)."""
+        """First and second derivatives at times t: (velocity, acceleration) rows."""
         i, d = self._locate(t)
         b, c, e = (self.coeffs[i, k] for k in range(1, 4))
-        vel = b + d * (2.0 * c + 3.0 * e * d)
-        acc = 2.0 * c + 6.0 * e * d
-        if vel.ndim == 0:
-            return float(vel), float(acc)
-        return vel, acc
+        return b + d * (2.0 * c + 3.0 * e * d), 2.0 * c + 6.0 * e * d
 
 
 def build_spline(times, values) -> CubicSpline:
     """Build the natural cubic spline through (times[i], values[i]).
 
-    values is 1-D (one per knot) or 2-D (knots, joints); a 2-D spline
-    evaluates to one row of joints per query time, each column exactly
-    as a 1-D spline through it would.  Requires at least 2 knots,
-    strictly increasing times, finite values and finite coefficients
-    (knots too close for their values overflow them); raises
-    ValidationError otherwise.
+    times is (knots,) and values (knots, joints): the spline evaluates to
+    one row of joints per query time, each column exactly as a spline
+    through that column alone would.  The caller guarantees at least 2
+    knots, strictly increasing times and finite values (a
+    KeyframeMovement is checked when built).  Raises ValidationError when
+    the coefficients overflow: knots too close for their values.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
-    if t.ndim != 1 or y.ndim not in (1, 2) or len(t) != len(y):
-        raise ValidationError("knot times must be 1-D and values 1-D or 2-D, equally long")
-    if t.size < 2:
-        raise ValidationError("spline needs at least 2 knots")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise ValidationError("knot times and values must be finite")
     h = np.diff(t)
-    if np.any(h <= 0):
-        raise ValidationError("knot times must be strictly increasing")
-
-    hs = h if y.ndim == 1 else h[:, None]  # one knot spacing per row, shared by the columns
+    hs = h[:, None]  # one knot spacing per row, shared by the columns
     with np.errstate(all="ignore"):  # overflow shows in the finite check below
         slopes = np.diff(y, axis=0) / hs
         m = _interior_second_derivatives(h, slopes)

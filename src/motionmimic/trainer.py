@@ -25,6 +25,7 @@ from .errors import (
 from .motion import (
     MAX_GRID_SAMPLES,
     KeyframeMovement,
+    check_angles,
     grid_size,
     playback_duration,
     poses,
@@ -47,7 +48,6 @@ from .textio import LineReader, format_record, format_table, parse_table
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
 DEFAULT_HIDDEN = (75, 50)
 MAX_DURATION_FACTOR = 2.0  # a sweep whose flag never crosses stops at twice the span to the end
-MAX_OUTPUT = 1e6  # joints are radians and the flag is 0 to 1; larger outputs mean unusable weights
 # rows x activations per row (the layer widths after the input) of one training
 # batch: about 90 times walk1500's 1500 x 148
 MAX_BATCH_ACTIVATIONS = 20_000_000
@@ -81,6 +81,7 @@ class MotionDataset:
             raise ShapeError(f"{len(self.times)} times vs {len(self.targets)} target rows")
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.targets))):
             raise ValidationError("dataset times and targets must be finite")
+        check_angles(self.targets, "a dataset value")
         if len(self.times) < 2 or self.targets.shape[1] < 2:
             raise ValidationError("dataset needs at least 2 samples and 1 joint + end flag")
         _check_rate(self.sample_rate)
@@ -174,12 +175,7 @@ class TrainedModel:
         x = (np.asarray(times, dtype=float) - self.time_offset) / self.time_scale
         with np.errstate(over="ignore", invalid="ignore"):  # the bound below reports it
             out = forward(self.network, x[:, None])
-        peak = np.abs(out).max(initial=0.0)
-        if not peak <= MAX_OUTPUT:
-            raise ValidationError(
-                f"model output reaches {peak:.6g}; outputs beyond {MAX_OUTPUT:g} "
-                "mean the weights are unusable"
-            )
+        check_angles(out, "model output")
         return out
 
 
@@ -216,10 +212,10 @@ def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) 
     count = grid_size(duration, rate)
     end = int(np.ceil((duration - 1e-12) * rate))
     times = np.arange(max(count + tail, end + 1)) / rate
-    n = m.n_joints
+    n = m.joints.shape[1]
     targets = np.empty((len(times), n + 1))
     targets[:count, :n] = poses(m, np.minimum(times[:count], duration))
-    targets[count:, :n] = m.steps[-1].joints
+    targets[count:, :n] = m.joints[-1]
     targets[:, n] = times >= duration - 1e-12
     return MotionDataset(times, targets, rate, name=m.name)
 
@@ -342,21 +338,23 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
 
     epoch = 0
     try:
-        for phase_idx, (n_epochs, lr) in enumerate(schedule.phases):
-            if phase_idx > 0 and schedule.reset_on_phase:
-                state = reset_state(state)
-            for _ in range(n_epochs):
-                loss, pred, grads = forward_backward(net, x, y)
-                if not np.isfinite(loss):
-                    raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
-                try:
-                    adam_step(state, net.params, grads.flat, lr)
-                except DivergenceError:
-                    where = grads.first_nonfinite()
-                    raise DivergenceError(f"non-finite gradient in {where}") from None
-                mses[epoch] = loss
-                maes[epoch] = np.mean(np.abs(pred[:, :n] - y[:, :n]))
-                epoch += 1
+        # overflow and NaN fail the finite checks below, so DivergenceError reports them
+        with np.errstate(over="ignore", invalid="ignore"):
+            for phase_idx, (n_epochs, lr) in enumerate(schedule.phases):
+                if phase_idx > 0 and schedule.reset_on_phase:
+                    state = reset_state(state)
+                for _ in range(n_epochs):
+                    loss, pred, grads = forward_backward(net, x, y)
+                    if not np.isfinite(loss):
+                        raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
+                    try:
+                        adam_step(state, net.params, grads.flat, lr)
+                    except DivergenceError:
+                        where = grads.first_nonfinite()
+                        raise DivergenceError(f"non-finite gradient in {where}") from None
+                    mses[epoch] = loss
+                    maes[epoch] = np.mean(np.abs(pred[:, :n] - y[:, :n]))
+                    epoch += 1
     except DivergenceError as err:
         partial = TrainingLog(
             np.arange(epoch), log_phases[:epoch], log_lrs[:epoch], mses[:epoch], maes[:epoch]

@@ -11,7 +11,6 @@ import pytest
 
 from motionmimic.motion import (
     KeyframeMovement,
-    KeyframeStep,
     format_movement,
     parse_movement,
 )
@@ -59,18 +58,18 @@ def random_walk_movement(seed, n_joints, n_keys, duration, name):
         interior = np.sort(rng.uniform(0.05, duration - 0.05, size=n_keys - 2))
     times = np.concatenate([[0.0], interior, [duration]])
     pose = rng.uniform(-0.5, 0.5, size=n_joints)
-    steps = []
-    for t in times:
-        steps.append(KeyframeStep(float(t), pose.copy()))
+    joints = []
+    for _ in times:
+        joints.append(pose.copy())
         pose = np.clip(pose + rng.uniform(-0.6, 0.6, size=n_joints), -1.2, 1.2)
-    return KeyframeMovement(steps, name=name)
+    return KeyframeMovement(times, joints, name=name)
 
 
 def kick_analog():
     rng = np.random.default_rng(100)
     times = np.linspace(0.0, 1.5, 5)
-    steps = [KeyframeStep(float(t), rng.uniform(-1, 1, size=5)) for t in times]
-    return KeyframeMovement(steps, name="kick-analog")
+    joints = [rng.uniform(-1, 1, size=5) for _ in times]
+    return KeyframeMovement(times, joints, name="kick-analog")
 
 
 def test_c01_parameter_accounting():
@@ -108,31 +107,29 @@ def test_c03_spline_suite():
         while np.any(np.diff(times) < 1e-2):
             times = np.sort(rng.uniform(0.0, 5.0, size=n))
         values = rng.uniform(-2.0, 2.0, size=n)
-        s = build_spline(times, values)
-        for t, v in zip(times, values):
-            assert abs(s.eval(t) - v) < 1e-10
+        s = build_spline(times, values[:, None])
+        np.testing.assert_allclose(s.eval(times)[:, 0], values, rtol=0, atol=1e-10)
+        coeffs = s.coeffs[:, :, 0]
         for i in range(1, n - 1):
             h = times[i] - times[i - 1]
-            left = s.coeffs[i - 1]
+            left = coeffs[i - 1]
             val_l = left[0] + h * (left[1] + h * (left[2] + h * left[3]))
             vel_l = left[1] + 2 * left[2] * h + 3 * left[3] * h * h
             acc_l = 2 * left[2] + 6 * left[3] * h
-            assert abs(val_l - s.coeffs[i, 0]) < 1e-8
-            assert abs(vel_l - s.coeffs[i, 1]) < 1e-8
-            assert abs(acc_l - 2 * s.coeffs[i, 2]) < 1e-8
-        _, acc_start = s.eval_derivatives(times[0])
-        _, acc_end = s.eval_derivatives(times[-1])
-        assert abs(acc_start) < 1e-10
-        assert abs(acc_end) < 1e-10
+            assert abs(val_l - coeffs[i, 0]) < 1e-8
+            assert abs(vel_l - coeffs[i, 1]) < 1e-8
+            assert abs(acc_l - 2 * coeffs[i, 2]) < 1e-8
+        _, acc = s.eval_derivatives([times[0], times[-1]])
+        assert np.all(np.abs(acc) < 1e-10)
 
     line_times = np.array([0.0, 0.4, 1.1, 2.0, 3.5])
-    s = build_spline(line_times, 0.7 * line_times - 0.2)
-    for t in rng.uniform(0.0, 3.5, size=100):
-        assert abs(s.eval(t) - (0.7 * t - 0.2)) < 1e-10
+    s = build_spline(line_times, (0.7 * line_times - 0.2)[:, None])
+    queries = rng.uniform(0.0, 3.5, size=100)
+    np.testing.assert_allclose(s.eval(queries)[:, 0], 0.7 * queries - 0.2, rtol=0, atol=1e-10)
 
-    four = build_spline([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0])
+    four = build_spline([0.0, 1.0, 2.0, 3.0], [[0.0], [2.0], [1.0], [3.0]])
     oracle = dense_natural_spline([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0])
-    np.testing.assert_allclose(four.coeffs, oracle, atol=1e-12)
+    np.testing.assert_allclose(four.coeffs[:, :, 0], oracle, atol=1e-12)
     ok("criterion 3 (spline interpolation, C2, linearity, natural ends, dense oracle)")
 
 
@@ -224,10 +221,8 @@ def test_c08_plant_physics():
         err = new_err
 
     times = np.linspace(0.0, 2.0, 73)
-    steps = [
-        KeyframeStep(float(t), [0.5 * np.sin(2.0 * np.pi * 3.0 * t)]) for t in times
-    ]
-    result = simulate(KeyframeMovement(steps), PlantConfig(kp=25.0, max_speed=7.0))
+    joints = 0.5 * np.sin(2.0 * np.pi * 3.0 * times)[:, None]
+    result = simulate(KeyframeMovement(times, joints), PlantConfig(kp=25.0, max_speed=7.0))
     assert result.report.attained_amplitude[0] < result.report.desired_amplitude[0]
     assert result.report.attenuated
     ok("criterion 8 (speed limit, exact error recurrence, sinusoid attenuation)")
@@ -240,8 +235,7 @@ def test_c09_round_trips():
     text = format_weights(net)
     assert format_weights(parse_weights(text)) == text
 
-    steps = [KeyframeStep(float(t), rng.standard_normal(3)) for t in (0.0, 0.37, 1.12)]
-    movement = KeyframeMovement(steps, speed_rate=1.5)
+    movement = KeyframeMovement([0.0, 0.37, 1.12], rng.standard_normal((3, 3)), speed_rate=1.5)
     mtext = format_movement(movement)
     assert format_movement(parse_movement(mtext)) == mtext
 

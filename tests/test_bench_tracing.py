@@ -12,7 +12,7 @@ import motionmimic.plant
 import motionmimic.spline
 import motionmimic.trainer
 
-from motionmimic.motion import KeyframeMovement, KeyframeStep
+from motionmimic.motion import KeyframeMovement
 from motionmimic.optimizer import TrainingSchedule
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -42,8 +42,7 @@ def test_traced_train_and_rollout_record_the_network_spans():
     # the per-layer numbers of the benchmark read these spans; a name the
     # program stops looking up would read 0 calls without an error
     tracing = load_tracing()
-    movement = KeyframeMovement([KeyframeStep(0.0, [0.0]), KeyframeStep(0.5, [0.4]),
-                                 KeyframeStep(1.0, [0.1])])
+    movement = KeyframeMovement([0.0, 0.5, 1.0], [[0.0], [0.4], [0.1]])
     ds = motionmimic.trainer.sample_movement(movement, 20.0)
     tracer = tracing.Tracer(MM)
     tracer.install()

@@ -89,6 +89,12 @@ def test_gen_rejects_nonpositive_rate(workdir, capsys):
         pytest.param("movement n=2 gamma=3 rate=1\nt=0 0 0.3\nt=1e-320 0.8 -0.4\nt=1 0.1 0.2\n",
                      "spline coefficients overflow", id="knot-1e-320"),
         pytest.param("movement n=0 gamma=2 rate=1\nt=0\nt=1\n", "no-joints", id="no-joints"),
+        # keyframes within +/-1000 rad, but the spline overshoots past 1e152 between them
+        pytest.param("movement n=1 gamma=3 rate=1\nt=0 0\nt=1e-150 1000\nt=1 0\n",
+                     "joint angle reaches 1.92444e+152, beyond the 1e+06 rad bound",
+                     id="overshoot"),
+        pytest.param("movement n=1 gamma=2 rate=1\nt=0 0\nt=1 1e308\n",
+                     "joint angle reaches 1e+308, beyond the 1e+06 rad bound", id="angle-1e308"),
     ],
 )
 def test_unplayable_movement_is_exit_2(workdir, capsys, command, text, message):
@@ -98,6 +104,7 @@ def test_unplayable_movement_is_exit_2(workdir, capsys, command, text, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
     assert not (workdir / "x.csv").exists()
 
 
@@ -172,13 +179,24 @@ def test_train_arch_mismatch_is_exit_2(trained, capsys):
 
 def test_train_divergence_is_exit_3(trained, capsys):
     (trained / "wild.txt").write_text("phase epochs=50 lr=1e51\nreset_on_phase=true\n")
-    with np.errstate(all="ignore"):
-        code = run(
-            ["train", "--dataset", trained / "demo.csv", "--schedule", trained / "wild.txt",
-             "--out", trained / "m4"]
-        )
+    code = run(
+        ["train", "--dataset", trained / "demo.csv", "--schedule", trained / "wild.txt",
+         "--out", trained / "m4"]
+    )
     assert code == 3
     assert "last finite epoch" in capsys.readouterr().err
+
+
+def test_train_overflow_at_first_epoch_is_exit_3(trained, capsys):
+    # an absurd leaky-ReLU slope overflows the first forward pass; warnings are errors here
+    capsys.readouterr()
+    code = run(["train", "--dataset", trained / "demo.csv", "--arch", "1:5:3",
+                "--alpha", "1e300", "--out", trained / "m5"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: training loss became non-finite at epoch 0; "
+                            "last finite epoch -1\n")
 
 
 @pytest.mark.parametrize(
@@ -395,6 +413,11 @@ LOG_HEAD = "time,hip\n0,0\n"
                      "line 3: hip is not finite", id="log-nan"),
         pytest.param("log", LOG_HEAD + "0.02,1e400\n0.04,0.1\n",
                      "line 3: hip is not finite", id="log-1e400"),
+        pytest.param("dataset", DATASET_HEAD + "0.02,1e308,0\n0.04,0.1,1\n",
+                     "a dataset value reaches 1e+308, beyond the 1e+06 rad bound",
+                     id="dataset-1e308"),
+        pytest.param("log", LOG_HEAD + "0.02,1e308\n0.04,0.1\n",
+                     "a dataset value reaches 1e+308, beyond the 1e+06 rad bound", id="log-1e308"),
     ],
 )
 def test_bad_table_is_exit_2(workdir, capsys, kind, text, message):
@@ -409,6 +432,7 @@ def test_bad_table_is_exit_2(workdir, capsys, kind, text, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 def test_gen_tail_zero_flags_off_grid_end(workdir):

@@ -1,15 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from motionmimic.errors import FormatError, OutOfRangeError, ValidationError
 from motionmimic.motion import (
+    MAX_ANGLE,
     MAX_GRID_SAMPLES,
     KeyframeMovement,
-    KeyframeStep,
     format_movement,
     grid_size,
     load_movement,
-    movement_splines,
     parse_movement,
     playback_duration,
     poses,
@@ -21,73 +22,80 @@ from oracles import dense_natural_spline, eval_segment_poly
 
 
 def simple_movement(rate=1.0):
-    return KeyframeMovement(
-        [
-            KeyframeStep(0.0, [0.0, 0.1]),
-            KeyframeStep(0.5, [1.0, -0.2]),
-            KeyframeStep(1.0, [0.0, 0.3]),
-        ],
-        speed_rate=rate,
-    )
+    return KeyframeMovement([0.0, 0.5, 1.0], [[0.0, 0.1], [1.0, -0.2], [0.0, 0.3]],
+                            speed_rate=rate)
 
 
 def bump_movement(rate=1.0):
     # single joint 0 -> 1 -> 0 at t = 0, 1, 2
-    return KeyframeMovement(
-        [KeyframeStep(0.0, [0.0]), KeyframeStep(1.0, [1.0]), KeyframeStep(2.0, [0.0])],
-        speed_rate=rate,
-    )
+    return KeyframeMovement([0.0, 1.0, 2.0], [[0.0], [1.0], [0.0]], speed_rate=rate)
 
 
 def test_valid_movement_passes():
-    report = validate_movement(simple_movement())
-    assert report.ok
-    assert report.violations == []
+    m = simple_movement()
+    assert m.times.shape == (3,) and m.joints.shape == (3, 2)
+    assert validate_movement(m) is None
 
 
 def test_nonzero_first_time_violation():
-    m = simple_movement()
-    m.steps[0] = KeyframeStep(0.1, m.steps[0].joints)
-    report = validate_movement(m)
-    assert not report.ok
-    assert ("first-step-time", "first step time must be 0") in report.violations
+    with pytest.raises(ValidationError) as err:
+        KeyframeMovement([0.1, 0.5, 1.0], simple_movement().joints)
+    assert str(err.value) == "invalid movement: first-step-time: first step time must be 0"
 
 
 def test_duplicate_times_violation():
-    m = KeyframeMovement(
-        [KeyframeStep(0.0, [0.0]), KeyframeStep(0.5, [1.0]), KeyframeStep(0.5, [2.0])]
-    )
-    report = validate_movement(m)
-    assert not report.ok
-    rules = [r for r, _ in report.violations]
-    assert "times-increasing" in rules
-    assert any(msg == "times strictly increasing" for _, msg in report.violations)
+    with pytest.raises(ValidationError) as err:
+        KeyframeMovement([0.0, 0.5, 0.5], [[0.0], [1.0], [2.0]])
+    assert str(err.value) == "invalid movement: times-increasing: times strictly increasing"
 
 
 def test_all_violations_reported():
-    m = KeyframeMovement(
-        [KeyframeStep(0.2, [0.0, 1.0]), KeyframeStep(0.1, [np.inf])],
-        speed_rate=-1.0,
+    with pytest.raises(ValidationError) as err:
+        KeyframeMovement([0.2], [[np.inf, 1.0]], speed_rate=-1.0)
+    assert str(err.value) == (
+        "invalid movement: step-count: movement needs at least 2 keyframe steps; "
+        "finite-angles: joint angles must be finite; first-step-time: first step time must be 0; "
+        "speed-rate: speed rate must be positive"
     )
-    report = validate_movement(m)
-    rules = {r for r, _ in report.violations}
-    assert {"joint-dimensions", "finite-angles", "first-step-time",
-            "times-increasing", "speed-rate"} <= rules
-    assert report.ok == (len(report.violations) == 0)
+    with pytest.raises(ValidationError) as err:
+        KeyframeMovement([0.2, 0.1], [0.0, 1.0], speed_rate=np.nan)
+    for rule in ("joint-shape", "first-step-time", "times-increasing", "speed-rate"):
+        assert rule in str(err.value)
+
+
+@pytest.mark.parametrize("times, joints, rule", [
+    ([0.0], [[1.0]], "step-count"),
+    ([], [], "step-count"),
+    ([0.0, 1.0], [[0.0], [1.0], [2.0]], "joint-shape"),
+    ([0.0, 1.0], [1.0, 2.0], "joint-shape"),
+    ([[0.0, 1.0]], [[0.0], [1.0]], "joint-shape"),
+    ([0.0, 1.0], [[np.nan], [1.0]], "finite-angles"),
+    ([0.0, np.inf], [[0.0], [1.0]], "finite-times"),
+    ([0.0, 1.0, 0.5], [[0.0], [1.0], [2.0]], "times-increasing"),
+])
+def test_each_rule_refuses_a_movement(times, joints, rule):
+    with pytest.raises(ValidationError, match=f"^invalid movement: {rule}: [^;]*$"):
+        KeyframeMovement(times, joints)
 
 
 def test_keyframes_without_joints_violation():
-    m = KeyframeMovement([KeyframeStep(0.0, []), KeyframeStep(1.0, [])])
-    report = validate_movement(m)
-    assert ("no-joints", "keyframes must hold at least one joint angle") in report.violations
+    with pytest.raises(ValidationError) as err:
+        KeyframeMovement([0.0, 1.0], np.zeros((2, 0)))
+    assert str(err.value) == (
+        "invalid movement: no-joints: keyframes must hold at least one joint angle"
+    )
 
 
 def test_validate_is_pure():
     m = simple_movement()
-    first = validate_movement(m)
-    second = validate_movement(m)
-    assert first == second
-    assert m.steps[0].time == 0.0
+    assert validate_movement(m) is None and validate_movement(m) is None
+    assert m.times[0] == 0.0
+
+
+def test_movement_is_frozen_once_checked():
+    m = simple_movement()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.speed_rate = 0.0
 
 
 def test_playback_duration_rates():
@@ -104,18 +112,15 @@ def test_duration_scales_inversely_with_rate():
 
 
 def test_duration_invalid_movement_raises():
-    m = simple_movement()
-    m.speed_rate = 0.0
-    with pytest.raises(ValidationError):
-        playback_duration(m)
+    for rate in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="speed-rate"):
+            simple_movement(rate)
 
 
 def test_reference_pose_endpoints():
     m = simple_movement()
-    np.testing.assert_allclose(reference_pose(m, 0.0), m.steps[0].joints, atol=1e-12)
-    np.testing.assert_allclose(
-        reference_pose(m, playback_duration(m)), m.steps[-1].joints, atol=1e-12
-    )
+    np.testing.assert_allclose(reference_pose(m, 0.0), m.joints[0], atol=1e-12)
+    np.testing.assert_allclose(reference_pose(m, playback_duration(m)), m.joints[-1], atol=1e-12)
 
 
 def test_speed_rate_rescales_knot_arrivals():
@@ -136,13 +141,11 @@ def test_reference_pose_interior_frozen_value():
 def test_reference_pose_hits_every_keyframe():
     rng = np.random.default_rng(5)
     times = [0.0, 0.4, 0.9, 1.7, 2.2]
-    steps = [KeyframeStep(t, rng.uniform(-1, 1, size=4)) for t in times]
+    joints = rng.uniform(-1, 1, size=(5, 4))
     for rate in (0.5, 1.0, 3.0):
-        m = KeyframeMovement(steps, speed_rate=rate)
-        for s in steps:
-            np.testing.assert_allclose(
-                reference_pose(m, s.time / rate), s.joints, atol=1e-10
-            )
+        m = KeyframeMovement(times, joints, speed_rate=rate)
+        for t, q in zip(times, joints):
+            np.testing.assert_allclose(reference_pose(m, t / rate), q, atol=1e-10)
 
 
 def test_reference_pose_out_of_range():
@@ -154,17 +157,15 @@ def test_reference_pose_out_of_range():
 
 
 def test_reference_pose_invalid_movement():
-    m = KeyframeMovement([KeyframeStep(0.0, [0.0])])
-    with pytest.raises(ValidationError):
-        reference_pose(m, 0.0)
+    with pytest.raises(ValidationError, match="step-count"):
+        KeyframeMovement([0.0], [[0.0]])
 
 
 def oracle_poses(m, times):
     """Poses from one dense-solve spline per joint, one sample at a time."""
-    knots = np.array([s.time for s in m.steps])
-    values = np.stack([s.joints for s in m.steps])
-    coeffs = [dense_natural_spline(knots, values[:, j]) for j in range(m.n_joints)]
-    out = np.empty((len(times), m.n_joints))
+    knots, values = m.times, m.joints
+    coeffs = [dense_natural_spline(knots, values[:, j]) for j in range(values.shape[1])]
+    out = np.empty((len(times), values.shape[1]))
     for k, t in enumerate(times):
         u = min(t * m.speed_rate, knots[-1])
         seg = min(int(np.searchsorted(knots, u, side="right")) - 1, len(knots) - 2)
@@ -175,9 +176,9 @@ def oracle_poses(m, times):
 def test_poses_on_a_grid_match_dense_oracle():
     rng = np.random.default_rng(21)
     times = [0.0, 0.37, 0.8, 1.45, 2.013]
-    steps = [KeyframeStep(t, rng.uniform(-1, 1, size=5)) for t in times]
+    joints = rng.uniform(-1, 1, size=(5, 5))
     for rate in (0.7, 1.0, 1.3):
-        m = KeyframeMovement(steps, speed_rate=rate)
+        m = KeyframeMovement(times, joints, speed_rate=rate)
         duration = playback_duration(m)
         grid = np.minimum(np.arange(grid_size(duration, 50.0)) / 50.0, duration)
         got = poses(m, grid)
@@ -188,10 +189,24 @@ def test_poses_on_a_grid_match_dense_oracle():
 
 
 def test_one_spline_holds_every_joint():
-    m = KeyframeMovement([KeyframeStep(t, np.full(4, t)) for t in (0.0, 0.5, 1.2)])
-    spline = movement_splines(m)
-    assert spline.coeffs.shape == (2, 4, 4)
-    assert movement_splines(m) is spline
+    m = KeyframeMovement([0.0, 0.5, 1.2], [np.full(4, t) for t in (0.0, 0.5, 1.2)])
+    assert m.spline.coeffs.shape == (2, 4, 4)
+
+
+@pytest.mark.parametrize("times, joints", [
+    ([0.0, 1e-150, 1.0], [[0.0], [1000.0], [0.0]]),  # keyframes within 1000 overshoot to 1e151
+    ([0.0, 1.0], [[0.0], [1e308]]),
+    ([0.0, 1.0], [[0.0], [2 * MAX_ANGLE]]),
+])
+def test_poses_refuse_angles_beyond_the_bound(times, joints):
+    m = KeyframeMovement(times, joints)
+    with pytest.raises(ValidationError, match="rad bound"):
+        poses(m, np.linspace(0.0, 1.0, 11))
+
+
+def test_poses_accept_angles_at_the_bound():
+    m = KeyframeMovement([0.0, 1.0], [[-MAX_ANGLE], [MAX_ANGLE]])
+    np.testing.assert_array_equal(poses(m, [0.0, 1.0]), [[-MAX_ANGLE], [MAX_ANGLE]])
 
 
 def test_poses_reject_any_time_out_of_range():
@@ -222,15 +237,13 @@ def test_grid_size_rejects_impossible_grids(span, rate):
 
 def test_movement_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    steps = [KeyframeStep(float(t), rng.standard_normal(3)) for t in (0.0, 0.31, 0.9)]
-    m = KeyframeMovement(steps, speed_rate=1.25, name="rt")
+    m = KeyframeMovement([0.0, 0.31, 0.9], rng.standard_normal((3, 3)), speed_rate=1.25, name="rt")
     text = format_movement(m)
     again = parse_movement(text)
     assert format_movement(again) == text
     assert again.speed_rate == m.speed_rate
-    for a, b in zip(again.steps, m.steps):
-        assert a.time == b.time
-        np.testing.assert_array_equal(a.joints, b.joints)
+    np.testing.assert_array_equal(again.times, m.times)
+    np.testing.assert_array_equal(again.joints, m.joints)
 
     path = tmp_path / "m.mov"
     path.write_text(text)

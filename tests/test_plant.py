@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motionmimic.errors import ConfigError, ShapeError
-from motionmimic.motion import KeyframeMovement, KeyframeStep
+from motionmimic.motion import KeyframeMovement
 from motionmimic.network import initialize
 from motionmimic.plant import (
     PlantConfig,
@@ -19,18 +19,13 @@ from oracles import plant_step_loop
 def sine_movement(freq, duration=2.0, amplitude=0.5, knots_per_cycle=12):
     n = max(int(duration * freq * knots_per_cycle), 8)
     times = np.linspace(0.0, duration, n + 1)
-    steps = [
-        KeyframeStep(float(t), [amplitude * np.sin(2.0 * np.pi * freq * t)]) for t in times
-    ]
-    return KeyframeMovement(steps)
+    return KeyframeMovement(times, amplitude * np.sin(2.0 * np.pi * freq * times)[:, None])
 
 
 def three_joint_movement():
     # joint 0 sweeps fast, joint 1 slowly, joint 2 holds still
     times = np.linspace(0.0, 2.0, 25)
-    return KeyframeMovement([
-        KeyframeStep(float(t), [1.2 * np.sin(6.0 * t), 0.3 * np.sin(t), -0.4]) for t in times
-    ])
+    return KeyframeMovement(times, [[1.2 * np.sin(6.0 * t), 0.3 * np.sin(t), -0.4] for t in times])
 
 
 def flag_only_model(n_joints=2):

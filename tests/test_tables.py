@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from motionmimic.errors import FormatError, MimicError, ShapeError
-from motionmimic.motion import KeyframeMovement, KeyframeStep
+from motionmimic.motion import KeyframeMovement
 from motionmimic.optimizer import TrainingSchedule
 from motionmimic.plant import PlantConfig, format_comparison, simulate
 from motionmimic.textio import format_table, parse_table
@@ -39,11 +39,8 @@ BAD_TOKENS = ("nan", "inf", "-inf", "1e400", "")
 def written(tmp_path_factory):
     """Each CSV kind as the program writes it."""
     tmp = tmp_path_factory.mktemp("tables")
-    movement = KeyframeMovement(
-        [KeyframeStep(0.0, [0.0, 0.3]), KeyframeStep(0.37, [0.8, -0.4]),
-         KeyframeStep(1.013, [0.1, 0.2])],
-        name="demo",
-    )
+    movement = KeyframeMovement([0.0, 0.37, 1.013], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]],
+                                name="demo")
     ds = sample_movement(movement, 50.0)
     model, log = train(ds, arch=[1, 8, 3], schedule=TrainingSchedule([(20, 1e-2), (10, 5e-3)]))
     save_log(log, tmp / "log.csv")

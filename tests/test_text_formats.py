@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from motionmimic.errors import MimicError
-from motionmimic.motion import format_movement, parse_movement
+from motionmimic.motion import MAX_ANGLE, format_movement, parse_movement
 from motionmimic.optimizer import format_schedule, parse_schedule
 from motionmimic.plant import PlantConfig, simulate
 from motionmimic.trainer import sample_movement
@@ -33,6 +33,8 @@ BAD_TOKENS = ("nan", "inf", "-inf", "1e400", "", "0", "-1", "x")
 # finite but tiny: as a rate or a knot spacing they overflow the playback
 # duration, the sample count or the spline coefficients
 TINY_TOKENS = ("1e-300", "1e-320", "5e-324")
+# finite but huge: as a joint angle they overflow the spline or pass MAX_ANGLE
+HUGE_TOKENS = ("1e300", "1e308")
 
 
 def test_movement_format_parse_format_is_byte_identical():
@@ -49,8 +51,8 @@ def test_schedule_format_parse_format_is_byte_identical():
     assert format_schedule(parse_schedule(format_schedule(schedule))) == SCHEDULE
 
 
-def mutate(text, rng):
-    """Cut the text or a line, drop a line or a field, duplicate a field, or swap in a bad or tiny token.
+def mutate(text, rng, odd=TINY_TOKENS):
+    """Cut the text or a line, drop a line or a field, duplicate a field, or swap in a bad or odd token.
 
     Fields are space-separated; a 'key=value' field keeps its key and gets the new value.
     """
@@ -71,19 +73,19 @@ def mutate(text, rng):
         elif op == 4:
             fields.insert(j, fields[j])
         else:
-            token = rng.choice(BAD_TOKENS if op == 5 else TINY_TOKENS)
+            token = rng.choice(BAD_TOKENS if op == 5 else odd)
             key, eq, _ = fields[j].partition("=")
             fields[j] = key + eq + token if eq else token
         lines[i] = " ".join(fields)
     return "\n".join(lines) + "\n"
 
 
-def mutants(text, seed, count):
+def mutants(text, seed, count, odd=TINY_TOKENS):
     rng = random.Random(seed)
     for _ in range(count):
         mutated = text
         for _ in range(rng.randint(1, 2)):
-            mutated = mutate(mutated, rng)
+            mutated = mutate(mutated, rng, odd)
         yield mutated
 
 
@@ -98,15 +100,18 @@ def play(text):
 @pytest.mark.filterwarnings("error")
 def test_mutated_movements_play_or_raise_mimic_error():
     outcomes = {"played": 0, "rejected": 0}
-    for movement in (MOVEMENT, SHORT_MOVEMENT):
-        for text in mutants(movement, "fuzz movement", 300):
-            try:
-                outputs = play(text)
-            except MimicError:
-                outcomes["rejected"] += 1
-            else:
-                outcomes["played"] += 1
-                assert all(np.all(np.isfinite(out)) for out in outputs), text
+    texts = [text for movement in (MOVEMENT, SHORT_MOVEMENT)
+             for text in mutants(movement, "fuzz movement", 300)]
+    texts += [text for movement in (MOVEMENT, SHORT_MOVEMENT)
+              for text in mutants(movement, "fuzz huge movement", 300, HUGE_TOKENS)]
+    for text in texts:
+        try:
+            outputs = play(text)
+        except MimicError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["played"] += 1
+            assert all(np.all(np.abs(out) <= MAX_ANGLE) for out in outputs), text
     assert outcomes["rejected"] > 0 and outcomes["played"] > 0
 
 

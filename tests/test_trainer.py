@@ -12,7 +12,7 @@ from motionmimic.errors import (
     ShapeError,
     ValidationError,
 )
-from motionmimic.motion import KeyframeMovement, KeyframeStep
+from motionmimic.motion import MAX_ANGLE, KeyframeMovement
 from motionmimic.network import initialize
 from motionmimic.optimizer import TrainingSchedule, desk_schedule
 from motionmimic.spline import build_spline
@@ -40,19 +40,11 @@ from motionmimic.trainer import (
 def kick_analog(seed=100, n_joints=5, n_keys=5, duration=1.5):
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, duration, n_keys)
-    steps = [KeyframeStep(float(t), rng.uniform(-1, 1, size=n_joints)) for t in times]
-    return KeyframeMovement(steps, name="kick-analog")
+    return KeyframeMovement(times, rng.uniform(-1, 1, size=(n_keys, n_joints)), name="kick-analog")
 
 
 def one_second_movement():
-    return KeyframeMovement(
-        [
-            KeyframeStep(0.0, [0.0, 0.3]),
-            KeyframeStep(0.5, [0.8, -0.4]),
-            KeyframeStep(1.0, [0.1, 0.2]),
-        ],
-        name="demo",
-    )
+    return KeyframeMovement([0.0, 0.5, 1.0], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]], name="demo")
 
 
 def zero_model(n_joints, duration=1.0, rate=50.0, scale=1.2):
@@ -87,19 +79,17 @@ def test_sample_counts_one_second_50hz():
 def test_first_sample_is_first_keyframe_with_flag_zero():
     m = one_second_movement()
     ds = sample_movement(m, 50.0)
-    np.testing.assert_allclose(ds.joints[0], m.steps[0].joints, atol=1e-12)
+    np.testing.assert_allclose(ds.joints[0], m.joints[0], atol=1e-12)
     assert ds.flags[0] == 0.0
 
 
 def test_samples_equal_spline_values():
     m = kick_analog()
     ds = sample_movement(m, 50.0)
-    times = np.array([s.time for s in m.steps])
-    values = np.stack([s.joints for s in m.steps])
     in_motion = ds.times <= 1.5 + 1e-12
-    for j in range(m.n_joints):
-        spline = build_spline(times, values[:, j])
-        expected = spline.eval(np.minimum(ds.times[in_motion], 1.5))
+    for j in range(m.joints.shape[1]):
+        spline = build_spline(m.times, m.joints[:, [j]])  # this joint alone
+        expected = spline.eval(np.minimum(ds.times[in_motion], 1.5))[:, 0]
         np.testing.assert_allclose(ds.joints[in_motion, j], expected, atol=1e-12)
 
 
@@ -108,7 +98,7 @@ def test_tail_holds_last_keyframe():
     ds = sample_movement(m, 50.0, tail=4)
     assert len(ds.times) == 55
     for row in ds.joints[-4:]:
-        np.testing.assert_array_equal(row, m.steps[-1].joints)
+        np.testing.assert_array_equal(row, m.joints[-1])
     np.testing.assert_array_equal(ds.flags[-5:], np.ones(5))
 
 
@@ -118,9 +108,8 @@ def test_sample_rejects_bad_rate_and_movement():
     for tail in (-1, 10**19):
         with pytest.raises(ValidationError, match="tail must be 0 to"):
             sample_movement(one_second_movement(), 50.0, tail=tail)
-    bad = KeyframeMovement([KeyframeStep(0.1, [0.0]), KeyframeStep(0.5, [1.0])])
     with pytest.raises(ValidationError, match="first step time must be 0"):
-        sample_movement(bad, 50.0)
+        sample_movement(KeyframeMovement([0.1, 0.5], [[0.0], [1.0]]), 50.0)
 
 
 def test_dataset_invariants():
@@ -144,6 +133,11 @@ def test_dataset_validation_errors():
         MotionDataset(np.array([0.0, 0.02]), np.array([[np.nan, 0.0], [0.0, 1.0]]), 50.0)
     with pytest.raises(ValidationError, match="finite"):
         MotionDataset(np.array([0.0, np.inf]), np.zeros((2, 2)), 50.0)
+    for angle in (1e308, -2 * MAX_ANGLE, np.nextafter(MAX_ANGLE, np.inf)):
+        with pytest.raises(ValidationError, match="rad bound"):
+            MotionDataset(np.array([0.0, 0.02]), np.array([[0.0, 0.0], [angle, 1.0]]), 50.0)
+    at_bound = MotionDataset([0.0, 0.02], [[MAX_ANGLE, 0.0], [-MAX_ANGLE, 1.0]], 50.0)
+    assert np.abs(at_bound.joints).max() == MAX_ANGLE
 
 
 def test_ingest_uniform_log_is_identity():
@@ -302,7 +296,7 @@ def test_train_divergence_reports_last_finite_epoch():
     # Adam updates are bounded by the learning rate, so the rate must be
     # absurd enough to push the layer product past float range
     ds = sample_movement(one_second_movement(), 50.0)
-    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+    with pytest.raises(DivergenceError) as err:
         train(ds, schedule=TrainingSchedule([(500, 1e51)]), seed=0)
     assert err.value.last_epoch is not None
     assert err.value.log is not None
