@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DivergenceError, MimicError, ShapeError
+from .errors import ConfigError, DivergenceError, MimicError
 # validate_movement is not called here; bench/tracing.py looks it up on this module
 from .motion import load_movement, validate_movement
 from .optimizer import SCHEDULE_PRESETS, load_schedule
@@ -21,7 +21,6 @@ from .textio import fmt, format_record
 from .trainer import (
     default_joint_names,
     evaluate,
-    evaluate_predictions,
     ingest_log,
     load_dataset,
     load_joint_log,
@@ -130,10 +129,10 @@ def cmd_simulate(args) -> int:
     result = simulate(source, cfg)
     names = default_joint_names(result.desired.shape[1])
     save_comparison(result, names, args.out)
-    flag = " (attenuated)" if result.report.attenuated else ""
+    flag = " (attenuated)" if result.attenuated else ""
     print(
         f"{len(result.times)} ticks at {fmt(cfg.tick_rate)} Hz: "
-        f"tracking rms={result.report.overall_rms:.6g} rad{flag} -> {args.out}"
+        f"tracking rms={result.overall_rms:.6g} rad{flag} -> {args.out}"
     )
     return 0
 
@@ -141,12 +140,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     model = load_model(args.model)
     ds = load_dataset(args.dataset)
-    if model.n_joints != ds.n_joints:  # --self-test skips evaluate's own check
-        raise ShapeError(f"model has {model.n_joints} joints, dataset {ds.n_joints}")
-    if args.self_test:
-        rep = evaluate_predictions(ds.targets, ds)
-    else:
-        rep = evaluate(model, ds)
+    rep = evaluate(model, ds)
     ro = rollout(model, ds.sample_rate)
     result = simulate(model, _plant_config(args))
 
@@ -157,12 +151,12 @@ def cmd_compare(args) -> int:
 
     metrics = [("mse=<float>", rep.mse), ("mae=<float>", rep.mae),
                ("end_time_error=<int>", rep.end_time_error),
-               ("tracking_rms=<float>", result.report.overall_rms),
-               ("attenuated=<true|false>", result.report.attenuated)]
+               ("tracking_rms=<float>", result.overall_rms),
+               ("attenuated=<true|false>", result.attenuated)]
     (out / "metrics.txt").write_text("".join(format_record(*m) + "\n" for m in metrics))
     print(f"mae={rep.mae:.6g} rad")
     print(f"end_time_error={rep.end_time_error} samples")
-    print(f"tracking_rms={result.report.overall_rms:.6g} rad")
+    print(f"tracking_rms={result.overall_rms:.6g} rad")
     return 0
 
 
@@ -224,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kp", type=float, default=25.0)
     p.add_argument("--max-speed", type=float, default=7.0, dest="max_speed")
     p.add_argument("--tick-rate", type=float, default=50.0, dest="tick_rate")
-    p.add_argument("--self-test", action="store_true", dest="self_test",
-                   help="replay the dataset as the model output (round-trip check)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_compare)
     return parser

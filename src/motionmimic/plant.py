@@ -1,4 +1,4 @@
-"""Speed-controlled joint plant under per-joint proportional control.
+"""Speed-controlled joint plant under proportional control.
 
 The simulated joints take speed commands; a proportional controller
 turns position references into clamped speed commands, and the plant
@@ -21,29 +21,22 @@ from .trainer import TrainedModel, rollout
 ATTENUATION_RATIO = 0.95
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantConfig:
-    """Controller gain (1/s), speed limit (rad/s), and tick rate (Hz).
+    """Controller gain (1/s) and speed limit (rad/s), shared by every joint, and tick rate (Hz)."""
 
-    kp and max_speed may be scalars or per-joint arrays.
-    """
-
-    kp: np.ndarray = 25.0
-    max_speed: np.ndarray = 7.0
+    kp: float = 25.0
+    max_speed: float = 7.0
     tick_rate: float = 50.0
 
     def __post_init__(self):
-        self.kp = np.asarray(self.kp, dtype=float)
-        self.max_speed = np.asarray(self.max_speed, dtype=float)
-        if self.tick_rate <= 0 or not np.isfinite(self.tick_rate):
-            raise ConfigError("tick rate must be positive")
-        if np.any(self.kp <= 0) or not np.all(np.isfinite(self.kp)):
-            raise ConfigError("kp must be positive")
-        if np.any(self.max_speed <= 0) or not np.all(np.isfinite(self.max_speed)):
-            raise ConfigError("max speed must be positive")
+        for what, value in (("tick rate", self.tick_rate), ("kp", self.kp),
+                            ("max speed", self.max_speed)):
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{what} must be positive")
         # discrete-time stability: the error recurrence 1 - kp/tick_rate
         # must stay inside (-1, 1]
-        if np.any(self.kp >= 2.0 * self.tick_rate):
+        if self.kp >= 2.0 * self.tick_rate:
             raise ConfigError(
                 f"kp must stay below 2 * tick_rate = {2.0 * self.tick_rate} for stability"
             )
@@ -61,19 +54,12 @@ class PlantState:
 
 
 @dataclass
-class TrackingReport:
-    overall_rms: float
-    desired_amplitude: np.ndarray
-    attained_amplitude: np.ndarray
-    attenuated: bool
-
-
-@dataclass
 class SimulationResult:
     times: np.ndarray
     desired: np.ndarray
     attained: np.ndarray
-    report: TrackingReport
+    overall_rms: float
+    attenuated: bool
 
 
 def p_command(reference, position, kp, max_speed):
@@ -81,19 +67,11 @@ def p_command(reference, position, kp, max_speed):
     return np.clip(kp * (np.asarray(reference, dtype=float) - position), -max_speed, max_speed)
 
 
-def _check_gains(cfg: PlantConfig, joints):
-    """ShapeError unless kp and max_speed are scalars or one value per joint."""
-    for name, gain in (("kp", cfg.kp), ("max_speed", cfg.max_speed)):
-        if gain.ndim > 0 and gain.shape != joints:
-            raise ShapeError(f"per-joint {name} shape {gain.shape} != joints {joints}")
-
-
 def step(state: PlantState, references, cfg: PlantConfig) -> PlantState:
     """Advance the plant one tick toward the reference posture."""
     refs = np.asarray(references, dtype=float)
     if refs.shape != state.positions.shape:
         raise ShapeError(f"references shape {refs.shape} != positions {state.positions.shape}")
-    _check_gains(cfg, refs.shape)
     speed = p_command(refs, state.positions, cfg.kp, cfg.max_speed)
     return PlantState(state.positions + speed / cfg.tick_rate, state.time + 1.0 / cfg.tick_rate)
 
@@ -118,11 +96,10 @@ def simulate(source, cfg: PlantConfig) -> SimulationResult:
     perfectly tuned plant still trails the reference by one tick.
     """
     times, desired = reference_stream(source, cfg.tick_rate)
-    _check_gains(cfg, desired.shape[1:])
     # step's arithmetic in place on one speed buffer; every operand is an array,
     # and the maximum/minimum pair is faster than np.clip(out=)
-    kp, high, low = cfg.kp, cfg.max_speed, -cfg.max_speed
-    rate = np.asarray(cfg.tick_rate, dtype=float)
+    kp, high, rate = (np.asarray(v, dtype=float) for v in (cfg.kp, cfg.max_speed, cfg.tick_rate))
+    low = -high
     speed = np.empty(desired.shape[1:])
     attained = np.empty_like(desired)
     attained[0] = desired[0]
@@ -135,12 +112,10 @@ def simulate(source, cfg: PlantConfig) -> SimulationResult:
         np.add(now, speed, out=nxt)
 
     err = desired - attained
-    overall_rms = float(np.sqrt(np.mean(err * err)))
     des_amp = 0.5 * (desired.max(axis=0) - desired.min(axis=0))
     att_amp = 0.5 * (attained.max(axis=0) - attained.min(axis=0))
-    attenuated = bool(np.any(att_amp < ATTENUATION_RATIO * des_amp - 1e-12))
-    report = TrackingReport(overall_rms, des_amp, att_amp, attenuated)
-    return SimulationResult(times, desired, attained, report)
+    return SimulationResult(times, desired, attained, float(np.sqrt(np.mean(err * err))),
+                            bool(np.any(att_amp < ATTENUATION_RATIO * des_amp - 1e-12)))
 
 
 def format_comparison(result: SimulationResult, joint_names) -> str:

@@ -62,7 +62,7 @@ class MotionDataset:
     """Uniform-rate samples of joint targets plus the end flag.
 
     targets has one row per sample: n joint angles (radians) followed by
-    the end flag.  periodic datasets carry a constant-zero flag.
+    the end flag.  A periodic dataset is one with no flagged sample.
     """
 
     times: np.ndarray
@@ -70,7 +70,6 @@ class MotionDataset:
     sample_rate: float
     joint_names: list = None
     name: str = ""
-    periodic: bool = False
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -93,8 +92,6 @@ class MotionDataset:
             raise ValidationError("end flag must be 0 or 1")
         if np.any(np.diff(flags) < 0):
             raise ValidationError("end flag must never fall back to 0")
-        if self.periodic and np.any(flags != 0.0):
-            raise ValidationError("periodic datasets must have a constant-zero end flag")
         if self.joint_names is None:
             self.joint_names = default_joint_names(self.n_joints)
         if len(self.joint_names) != self.n_joints:
@@ -111,6 +108,10 @@ class MotionDataset:
     @property
     def flags(self) -> np.ndarray:
         return self.targets[:, -1]
+
+    @property
+    def periodic(self) -> bool:
+        return not np.any(self.flags)
 
     @property
     def time_offset(self) -> float:
@@ -194,7 +195,10 @@ class Rollout:
     times: np.ndarray
     joints: np.ndarray
     flags: np.ndarray
-    end_detected: bool
+
+    @property
+    def end_detected(self) -> bool:
+        return bool(self.flags[-1] >= 0.5)
 
 
 def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) -> MotionDataset:
@@ -286,8 +290,7 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
     rows[:, n] = 0.0
     if not periodic:
         rows[count - 1 :, n] = 1.0
-    return MotionDataset(grid_times, rows, rate, joint_names=joint_names,
-                         name=name, periodic=periodic)
+    return MotionDataset(grid_times, rows, rate, joint_names=joint_names, name=name)
 
 
 def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
@@ -367,22 +370,20 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
     return model, log
 
 
-def evaluate_predictions(pred: np.ndarray, dataset: MotionDataset) -> EvalReport:
-    """Metrics of arbitrary predictions against a dataset's targets.
+def evaluate(model: TrainedModel, dataset: MotionDataset) -> EvalReport:
+    """Model metrics on a dataset.
 
     MAE covers the joint outputs only; the end flag enters the MSE but
     is scored separately as the sample-index error of the 0.5 crossing.
     """
-    pred = np.asarray(pred, dtype=float)
-    if pred.shape != dataset.targets.shape:
-        raise ShapeError(f"prediction shape {pred.shape} != targets {dataset.targets.shape}")
-    mse = mse_loss(pred, dataset.targets)
+    if model.n_joints != dataset.n_joints:
+        raise ShapeError(f"model has {model.n_joints} joints, dataset {dataset.n_joints}")
+    pred = model.predict(dataset.times)
     joint_err = np.abs(pred[:, :-1] - dataset.joints)
-    per_joint = joint_err.mean(axis=0)
     return EvalReport(
-        mse=mse,
+        mse=mse_loss(pred, dataset.targets),
         mae=float(joint_err.mean()),
-        per_joint_mae=per_joint,
+        per_joint_mae=joint_err.mean(axis=0),
         end_time_error=_flag_index_error(pred[:, -1], dataset.flags),
     )
 
@@ -402,31 +403,21 @@ def _first_crossing(flags):
     return int(hits[0]) if len(hits) else None
 
 
-def evaluate(model: TrainedModel, dataset: MotionDataset) -> EvalReport:
-    """Model metrics on a dataset; see evaluate_predictions."""
-    if model.n_joints != dataset.n_joints:
-        raise ShapeError(f"model has {model.n_joints} joints, dataset {dataset.n_joints}")
-    return evaluate_predictions(model.predict(dataset.times), dataset)
-
-
 def rollout(model: TrainedModel, rate: float) -> Rollout:
     """Sweep the model over time until its end flag crosses 0.5.
 
     The sweep starts at the dataset's first time and is capped at
     MAX_DURATION_FACTOR times the span from there to the training
     duration (the end time); if the flag never crosses, the capped
-    trajectory is returned with end_detected=False.
+    trajectory is returned and end_detected is False.
     """
     _check_rate(rate)
     count = grid_size(MAX_DURATION_FACTOR * (model.duration - model.time_offset), rate)
     times = model.time_offset + np.arange(count) / rate
     pred = model.predict(times)
-    flags = pred[:, -1]
-    crossed = np.nonzero(flags >= 0.5)[0]
-    if len(crossed):
-        end = int(crossed[0]) + 1
-        return Rollout(times[:end], pred[:end, :-1], flags[:end], end_detected=True)
-    return Rollout(times, pred[:, :-1], flags, end_detected=False)
+    crossed = np.nonzero(pred[:, -1] >= 0.5)[0]
+    end = int(crossed[0]) + 1 if len(crossed) else count
+    return Rollout(times[:end], pred[:end, :-1], pred[:end, -1])
 
 
 # --- CSV files: dataset, joint log, rollout, training log --------------------
@@ -445,15 +436,24 @@ def parse_dataset(text: str, name: str = "") -> MotionDataset:
     if np.any(np.diff(times) <= 0):
         i = int(np.argmax(np.diff(times) <= 0)) + 1
         raise FormatError(f"dataset times must increase (violation at record {i}, t={times[i]})")
-    periodic = not np.any(targets[:, -1] >= 0.5)
     return MotionDataset(times, targets, _recover_rate(times), joint_names=joint_names,
-                         name=name, periodic=periodic)
+                         name=name)
 
 
 def _recover_rate(times: np.ndarray) -> float:
+    """The shortest decimal of the estimated rate whose grid is the time column bit for bit.
+
+    Without one, the estimate, rounded to an integer when within 1e-6 of one.
+    """
     rate = (len(times) - 1) / float(times[-1] - times[0])
     if not np.isfinite(rate):
         raise FormatError(f"dataset spans {times[-1] - times[0]} s, too short for a sample rate")
+    steps = np.arange(len(times))
+    with np.errstate(all="ignore"):  # a grid that overflows is no match
+        for digits in range(1, 18):
+            short = float(f"{rate:.{digits}g}")
+            if np.array_equal(times[0] + steps / short, times):
+                return short
     return float(round(rate)) if abs(rate - round(rate)) < 1e-6 else float(rate)
 
 

@@ -134,6 +134,65 @@ def test_movement_outputs_are_bit_identical(workdir):
         assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
 
 
+# (command, its stdout) for the model-side pipeline over GUARD_MOVEMENT and a
+# 50 Hz log with two dropped samples; run from the work directory
+MODEL_GUARD_STEPS = [
+    ("gen --movement guard.mov --rate 37 --tail 3 --out g37.csv",
+     "61 samples at 37 Hz -> g37.csv\n"),
+    ("ingest --log log.csv --tail 2 --out fin.csv",
+     "42 samples (finite) at 50 Hz -> fin.csv\n"),
+    ("ingest --log log.csv --periodic --out per.csv",
+     "40 samples (periodic) at 50 Hz -> per.csv\n"),
+    ("train --dataset g37.csv --schedule sched.txt --out m37",
+     "trained 400 epochs on 61 samples: final mse=0.0196836 mae=0.0341851 rad -> m37\n"),
+    ("train --dataset per.csv --schedule sched.txt --arch 1:8:3 --out mper",
+     "trained 400 epochs on 40 samples: final mse=0.0314853 mae=0.151736 rad -> mper\n"),
+    ("rollout --model m37 --out ro37.csv",
+     "61 samples at 37 Hz, end detected -> ro37.csv\n"),
+    ("rollout --model mper --out roper.csv",
+     "79 samples at 50 Hz, no end detected (capped) -> roper.csv\n"),
+    ("simulate --model m37 --out sim.csv",
+     "82 ticks at 50 Hz: tracking rms=0.0702977 rad -> sim.csv\n"),
+    ("compare --model m37 --dataset g37.csv --out cmp",
+     "mae=0.0341851 rad\nend_time_error=2 samples\ntracking_rms=0.0702977 rad\n"),
+    ("compare --model m37 --dataset g37.csv --max-speed 0.5 --out cmp05",
+     "mae=0.0341851 rad\nend_time_error=2 samples\ntracking_rms=0.508918 rad\n"),
+]
+# SHA-256 of the files MODEL_GUARD_STEPS write, computed before the dataset's
+# periodic flag, the rollout's end flag and the tracking metrics each came to be
+# stored once; 37 and 50 Hz are rates whose recovery from a dataset never changed
+MODEL_GUARD_DIGESTS = {
+    "fin.csv": "e5193bdf30626206e039f5b9435e0163a7cf5a8a2ab39fdb1947bdb665a1f676",
+    "per.csv": "59bc891e90ddac5be2ae08f5a15c57852cf349372057abae0831b88daa16f2d9",
+    "m37/model.meta": "e2120a6187b9b93df8c6e98e95053334705a66f29c24a709243c345ef48a5e73",
+    "mper/model.meta": "81ee18a00d8fa02fb53e10ce3cb8630987bbef53064319540bea4e00952c1f78",
+    "ro37.csv": "464b3d94a12ab739ee3b56ae2e5a5277f5a7253321b2eec4419e31bf5dbe594c",
+    "roper.csv": "39120637ef26a0d9ff48c88a97e2ac8cc0f1dc6f6c0870c0efa8787cb9030d63",
+    "sim.csv": "d96c60ae12e297fad451c36f3753c613c82dedd2cab4f7ce443f63ed31acbf1c",
+    "cmp/metrics.txt": "8c599f4e733d03ca35cd29b4bf0e5e9f47e6a2ba183295c2fce7dee029c91f72",
+    "cmp/rollout.csv": "464b3d94a12ab739ee3b56ae2e5a5277f5a7253321b2eec4419e31bf5dbe594c",
+    "cmp/tracking.csv": "d96c60ae12e297fad451c36f3753c613c82dedd2cab4f7ce443f63ed31acbf1c",
+    "cmp05/metrics.txt": "f95b194dfa4090f80a67778a78688c080752c820136bda92d3263e173dc36525",
+    "cmp05/rollout.csv": "464b3d94a12ab739ee3b56ae2e5a5277f5a7253321b2eec4419e31bf5dbe594c",
+    "cmp05/tracking.csv": "133db51f5cb638e9b558134ae7e3059000a1ddda5ec4c443f1c8427603f8d50b",
+}
+
+
+def test_model_outputs_are_bit_identical(workdir, monkeypatch, capsys):
+    (workdir / "guard.mov").write_text(GUARD_MOVEMENT)
+    t = np.arange(40) / 50.0
+    rows = [f"{float(t[i])!r},{float(np.sin(3 * t[i]))!r},{float(np.cos(2 * t[i]))!r}"
+            for i in np.delete(np.arange(40), [7, 23])]
+    (workdir / "log.csv").write_text("\n".join(["time,hip,knee", *rows]) + "\n")
+    monkeypatch.chdir(workdir)
+    capsys.readouterr()
+    for command, stdout in MODEL_GUARD_STEPS:
+        assert main(command.split()) == 0, command
+        assert capsys.readouterr().out == stdout, command
+    for name, digest in MODEL_GUARD_DIGESTS.items():
+        assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_gen_missing_file_is_input_error(workdir, capsys):
     code = run(["gen", "--movement", workdir / "nope.mov", "--out", workdir / "x.csv"])
     assert code == 2
@@ -233,8 +292,6 @@ def test_rollout_rejects_huge_duration(trained, capsys):
         pytest.param("simulate", ["--out", "{dir}/x.csv"], "x.csv", id="simulate"),
         pytest.param("compare", ["--dataset", "{dir}/demo.csv", "--out", "{dir}/cmp"], "cmp",
                      id="compare"),
-        pytest.param("compare", ["--dataset", "{dir}/demo.csv", "--self-test", "--out", "{dir}/cmp"],
-                     "cmp", id="compare-self-test"),
     ],
 )
 def test_overflowing_model_is_exit_2(trained, capsys, command, options, output):
@@ -325,19 +382,6 @@ def test_compare_flags_attenuation_on_starved_plant(trained, capsys):
     assert metrics["attenuated"] == "true"
 
 
-def test_compare_self_test_replays_dataset(trained, capsys):
-    code = run(
-        ["compare", "--model", trained / "model", "--dataset", trained / "demo.csv",
-         "--self-test", "--out", trained / "cmp2"]
-    )
-    assert code == 0
-    metrics = dict(
-        line.split("=", 1) for line in (trained / "cmp2" / "metrics.txt").read_text().splitlines()
-    )
-    assert float(metrics["mae"]) == 0.0
-    assert metrics["end_time_error"] == "0"
-
-
 @pytest.mark.parametrize("model, dataset", [("model3", "demo.csv"), ("model", "three.csv")],
                          ids=["3-joint-model", "2-joint-model"])
 def test_compare_joint_count_mismatch_is_exit_2(trained, capsys, model, dataset):
@@ -349,7 +393,7 @@ def test_compare_joint_count_mismatch_is_exit_2(trained, capsys, model, dataset)
                 "--out", trained / "model3"]) == 0
     capsys.readouterr()
     code = run(["compare", "--model", trained / model, "--dataset", trained / dataset,
-                "--self-test", "--out", trained / "cmp"])
+                "--out", trained / "cmp"])
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "joints" in err
@@ -444,6 +488,20 @@ def test_gen_tail_zero_flags_off_grid_end(workdir):
     assert ds.times[-1] >= 1.013 > ds.times[-2]
     assert ds.flags[-1] == 1.0 and ds.flags[-2] == 0.0
     assert not ds.periodic
+
+
+def test_rollout_keeps_the_dataset_rate(workdir, capsys):
+    # 11 rows at 61.7 Hz give the estimate (rows - 1) / span = 61.699999999999996
+    (workdir / "short.mov").write_text("movement n=1 gamma=2 rate=1\nt=0 0\nt=0.1 0.3\n")
+    (workdir / "quick.txt").write_text("phase epochs=5 lr=0.001\n")
+    assert run(["gen", "--movement", workdir / "short.mov", "--rate", 61.7, "--tail", 4,
+                "--out", workdir / "short.csv"]) == 0
+    assert run(["train", "--dataset", workdir / "short.csv", "--schedule", workdir / "quick.txt",
+                "--out", workdir / "m"]) == 0
+    assert "rate=61.700000000000003\n" in (workdir / "m" / "model.meta").read_text()
+    capsys.readouterr()
+    assert run(["rollout", "--model", workdir / "m", "--out", workdir / "r.csv"]) == 0
+    assert " at 61.700000000000003 Hz, " in capsys.readouterr().out
 
 
 def test_unknown_subcommand_exits_2():

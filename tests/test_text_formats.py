@@ -94,7 +94,7 @@ def play(text):
     m = parse_movement(text)
     ds = sample_movement(m, 50.0)
     result = simulate(m, PlantConfig())
-    return [ds.targets, result.desired, result.attained, [result.report.overall_rms]]
+    return [ds.targets, result.desired, result.attained, [result.overall_rms]]
 
 
 @pytest.mark.filterwarnings("error")

@@ -20,7 +20,6 @@ from motionmimic.trainer import (
     MotionDataset,
     TrainedModel,
     evaluate,
-    evaluate_predictions,
     format_dataset,
     format_log,
     ingest_log,
@@ -203,7 +202,8 @@ def test_train_constant_target_converges_fast():
     # settles Adam's stationary oscillation.
     times = np.arange(20) / 50.0
     targets = np.tile([0.2, -0.4, 0.0], (20, 1))
-    ds = MotionDataset(times, targets, 50.0, periodic=True)
+    ds = MotionDataset(times, targets, 50.0)
+    assert ds.periodic
     sched = TrainingSchedule([(250, 0.01), (250, 0.0005)])
     model, _ = train(ds, schedule=sched, seed=0)
     rep = evaluate(model, ds)
@@ -361,8 +361,9 @@ def test_trained_model_rejects_bad_duration_and_rate(field, value):
 
 
 def test_evaluate_perfect_predictions():
-    ds = sample_movement(one_second_movement(), 50.0)
-    rep = evaluate_predictions(ds.targets, ds)
+    # a zero network reproduces a still, periodic dataset exactly
+    ds = MotionDataset(np.arange(20) / 50.0, np.zeros((20, 3)), 50.0)
+    rep = evaluate(zero_model(2, duration=ds.duration, scale=ds.time_scale), ds)
     assert rep.mse == 0.0
     assert rep.mae == 0.0
     np.testing.assert_array_equal(rep.per_joint_mae, np.zeros(2))
@@ -425,6 +426,19 @@ def test_rollout_at_double_rate_is_consistent(desk_fit):
     np.testing.assert_allclose(
         ro1.joints[:shared], ro2.joints[: 2 * shared : 2], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("rate, rows", [(7.77, 511), (29.97, 1541), (61.7, 11)])
+def test_dataset_rate_round_trips(rate, rows):
+    ds = MotionDataset(np.arange(rows) / rate, np.zeros((rows, 2)), rate)
+    assert parse_dataset(format_dataset(ds)).sample_rate == rate
+
+
+def test_ingested_rate_round_trips_from_a_late_start():
+    ds = ingest_log(0.37 + np.arange(161) / 61.7, np.zeros((161, 1)), 61.7)
+    again = parse_dataset(format_dataset(ds))
+    assert again.sample_rate == 61.7
+    np.testing.assert_array_equal(0.37 + np.arange(161) / again.sample_rate, again.times)
 
 
 def test_dataset_csv_round_trip(tmp_path):
