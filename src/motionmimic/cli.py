@@ -10,6 +10,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, DivergenceError, MimicError
@@ -19,6 +20,7 @@ from .optimizer import SCHEDULE_PRESETS, load_schedule
 from .plant import PlantConfig, save_comparison, simulate
 from .textio import fmt, format_record
 from .trainer import (
+    DEFAULT_TAIL,
     default_joint_names,
     evaluate,
     ingest_log,
@@ -58,7 +60,7 @@ def _load_schedule_arg(spec):
 
 
 def _plant_config(args):
-    return PlantConfig(kp=args.kp, max_speed=args.max_speed, tick_rate=args.tick_rate)
+    return PlantConfig(**{f.name: getattr(args, f.name) for f in fields(PlantConfig)})
 
 
 def cmd_gen(args) -> int:
@@ -166,11 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sample keyframe movements, train a mimicking network, and inspect it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    plant = argparse.ArgumentParser(add_help=False)  # --kp, --max-speed, --tick-rate
+    for f in fields(PlantConfig):
+        plant.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
 
     p = sub.add_parser("gen", help="sample a movement file into a dataset CSV")
     p.add_argument("--movement", required=True)
     p.add_argument("--rate", type=float, default=50.0)
-    p.add_argument("--tail", type=int, default=10)
+    p.add_argument("--tail", type=int, default=DEFAULT_TAIL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -202,22 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rollout)
 
-    p = sub.add_parser("simulate", help="play a source through the joint plant")
+    p = sub.add_parser("simulate", parents=[plant], help="play a source through the joint plant")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--model")
     src.add_argument("--movement")
-    p.add_argument("--kp", type=float, default=25.0)
-    p.add_argument("--max-speed", type=float, default=7.0, dest="max_speed")
-    p.add_argument("--tick-rate", type=float, default=50.0, dest="tick_rate")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", help="evaluate, roll out, and track a model vs its dataset")
+    p = sub.add_parser("compare", parents=[plant],
+                       help="evaluate, roll out, and track a model vs its dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--kp", type=float, default=25.0)
-    p.add_argument("--max-speed", type=float, default=7.0, dest="max_speed")
-    p.add_argument("--tick-rate", type=float, default=50.0, dest="tick_rate")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_compare)
     return parser
@@ -238,10 +238,7 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except MimicError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (MimicError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

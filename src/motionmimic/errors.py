@@ -37,11 +37,10 @@ class ConfigError(MimicError):
 class DivergenceError(MimicError):
     """Training produced non-finite values.
 
-    Carries the last epoch that was still finite and the partial
-    training log up to that epoch, when available.
+    Carries the partial training log: one row per epoch that was still
+    finite.
     """
 
-    def __init__(self, message, last_epoch=None, log=None):
+    def __init__(self, message, log=None):
         super().__init__(message)
-        self.last_epoch = last_epoch
         self.log = log

@@ -97,11 +97,8 @@ class GradientSet:
                     return f"layer{i}.{kind}"
 
 
-def leaky_relu(x, alpha: float = 0.01) -> np.ndarray:
-    """x for x >= 0, alpha*x otherwise; alpha must be positive and finite."""
-    if not 0 < alpha < np.inf:
-        raise ConfigError("alpha must be positive and finite")
-    z = np.asarray(x, dtype=float)
+def leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
+    """z for z >= 0, alpha*z otherwise; parameter_count has checked alpha."""
     out = np.multiply(alpha, z, out=np.empty(z.shape))
     # in place: the larger of z and alpha*z when alpha <= 1, the smaller when alpha > 1
     (np.maximum if alpha <= 1 else np.minimum)(z, out, out=out)
@@ -111,13 +108,6 @@ def leaky_relu(x, alpha: float = 0.01) -> np.ndarray:
 def _leaky_relu_backward(delta, z, alpha):
     # the derivative at exactly 0 is taken as 1, for determinism
     return np.where(z >= 0, delta, alpha * delta)
-
-
-def _as_batch(x, dim, what="input"):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ShapeError(f"{what} must be a batch of {dim}-component rows, got shape {arr.shape}")
-    return arr
 
 
 def _layers(net: MimicNetwork, a):
@@ -132,40 +122,32 @@ def _layers(net: MimicNetwork, a):
         yield z, a
 
 
-def forward(net: MimicNetwork, x) -> np.ndarray:
-    """Layer-by-layer evaluation of a (m, in) batch."""
-    for z, a in _layers(net, _as_batch(x, net.input_dim)):
+def forward(net: MimicNetwork, x: np.ndarray) -> np.ndarray:
+    """Layer-by-layer evaluation of a float (m, in) batch."""
+    for z, a in _layers(net, x):
         del z  # frees each pre-activation before the next layer's is computed
     return a
 
 
-def mse_loss(pred, target) -> float:
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
     """Half-scaled mean squared error over a (m, outputs) batch: (1/2m) sum ||y - f||^2."""
-    p = np.asarray(pred, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if p.ndim != 2 or p.shape != y.shape:
-        raise ShapeError(f"prediction {p.shape} and target {y.shape} must be one (m, out) shape")
-    diff = y - p
-    return float(0.5 * np.sum(diff * diff) / p.shape[0])
+    diff = target - pred
+    return float(0.5 * np.sum(diff * diff) / pred.shape[0])
 
 
-def forward_backward(net: MimicNetwork, x, y):
+def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray):
     """One full pass: returns (loss, predictions, GradientSet).
 
-    Gradients are the exact analytic derivatives of mse_loss with
-    respect to every weight and bias, accumulated over the batch.
+    x is a float (m, in) batch and y its (m, out) targets.  Gradients are
+    the exact analytic derivatives of mse_loss with respect to every
+    weight and bias, accumulated over the batch.
     """
-    xb = _as_batch(x, net.input_dim)
-    yb = _as_batch(y, net.output_dim, what="target")
-    if xb.shape[0] != yb.shape[0]:
-        raise ShapeError(f"batch sizes differ: {xb.shape[0]} inputs vs {yb.shape[0]} targets")
-    m = xb.shape[0]
-
-    pre, acts = [], [xb]
-    for z, a in _layers(net, xb):
+    m = x.shape[0]
+    pre, acts = [], [x]
+    for z, a in _layers(net, x):
         pre.append(z)
         acts.append(a)
-    delta = acts[-1] - yb
+    delta = acts[-1] - y
     loss = float(0.5 * np.sum(delta * delta) / m)
 
     flat = np.empty_like(net.params)

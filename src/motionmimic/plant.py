@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 # reference_pose is not called here; bench/tracing.py looks it up on this module
 from .motion import KeyframeMovement, grid_size, playback_duration, poses, reference_pose
 from .textio import format_table
@@ -43,17 +43,6 @@ class PlantConfig:
 
 
 @dataclass
-class PlantState:
-    """Joint positions (radians) at a simulation time."""
-
-    positions: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-
-
-@dataclass
 class SimulationResult:
     times: np.ndarray
     desired: np.ndarray
@@ -62,18 +51,13 @@ class SimulationResult:
     attenuated: bool
 
 
-def p_command(reference, position, kp, max_speed):
-    """Proportional speed command clamp(kp * (reference - position), +/-max_speed)."""
-    return np.clip(kp * (np.asarray(reference, dtype=float) - position), -max_speed, max_speed)
+def step(positions: np.ndarray, references: np.ndarray, cfg: PlantConfig) -> np.ndarray:
+    """The joint positions one tick later, driven toward the reference posture.
 
-
-def step(state: PlantState, references, cfg: PlantConfig) -> PlantState:
-    """Advance the plant one tick toward the reference posture."""
-    refs = np.asarray(references, dtype=float)
-    if refs.shape != state.positions.shape:
-        raise ShapeError(f"references shape {refs.shape} != positions {state.positions.shape}")
-    speed = p_command(refs, state.positions, cfg.kp, cfg.max_speed)
-    return PlantState(state.positions + speed / cfg.tick_rate, state.time + 1.0 / cfg.tick_rate)
+    The speed command is clamp(kp * (reference - position), +/-max_speed).
+    """
+    speed = np.clip(cfg.kp * (references - positions), -cfg.max_speed, cfg.max_speed)
+    return positions + speed / cfg.tick_rate
 
 
 def reference_stream(source, tick_rate: float):

@@ -7,6 +7,7 @@ the network with one full-batch Adam step per epoch; the flag is learned
 by the same regression and thresholded at 0.5 during rollout.
 """
 
+import itertools
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -48,6 +49,9 @@ from .textio import LineReader, format_record, format_table, parse_table
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
 DEFAULT_HIDDEN = (75, 50)
 MAX_DURATION_FACTOR = 2.0  # a sweep whose flag never crosses stops at twice the span to the end
+# how far, in ulps, a dataset's rate may lie from its (rows - 1) / span estimate
+# and still be found; the estimate's error grows with the grid's start time
+RATE_SEARCH_ULPS = 64
 # rows x activations per row (the layer widths after the input) of one training
 # batch: about 90 times walk1500's 1500 x 148
 MAX_BATCH_ACTIVATIONS = 20_000_000
@@ -166,6 +170,9 @@ class TrainedModel:
         for what, value in (("duration", self.duration), ("sample rate", self.sample_rate)):
             if not 0 < value < np.inf:
                 raise ValidationError(f"{what} must be positive and finite, got {value}")
+        if self.network.input_dim != 1:
+            raise ShapeError(f"network takes {self.network.input_dim} inputs; "
+                             "it needs 1, the normalized time")
         if self.network.output_dim != self.n_joints + 1:
             raise ShapeError(
                 f"network emits {self.network.output_dim} values, expected {self.n_joints + 1}"
@@ -299,7 +306,9 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
 
     One epoch is one full-batch Adam step.  When the schedule asks for
     it, the optimizer state is reset at each phase boundary; the weights
-    carry over untouched.  Fully deterministic for a fixed seed.
+    carry over untouched.  Each epoch checks that its loss, then its
+    gradient, is finite; the first failure raises DivergenceError with
+    the log of the finite epochs.  Fully deterministic for a fixed seed.
     """
     if schedule is None:
         schedule = desk_schedule()
@@ -317,7 +326,7 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
             f"a training batch holds at most {MAX_BATCH_ACTIVATIONS}"
         )
     net = initialize(sizes, seed=seed, alpha=alpha)
-    # built first, so a dataset the model could not replay fails before training
+    # built first, so a net or dataset the model could not replay fails before training
     model = TrainedModel(
         network=net,
         name=dataset.name,
@@ -332,42 +341,24 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
     x = dataset.normalized_times()[:, None]
     y = dataset.targets
     state = adam_init(net.params)  # every weight and bias, updated in place by one Adam step
-
-    total = schedule.total_epochs
-    mses = np.empty(total)
-    maes = np.empty(total)
-    log_phases = schedule.epoch_phases()
-    log_lrs = schedule.epoch_lrs()
-
-    epoch = 0
-    try:
-        # overflow and NaN fail the finite checks below, so DivergenceError reports them
-        with np.errstate(over="ignore", invalid="ignore"):
-            for phase_idx, (n_epochs, lr) in enumerate(schedule.phases):
-                if phase_idx > 0 and schedule.reset_on_phase:
-                    state = reset_state(state)
-                for _ in range(n_epochs):
-                    loss, pred, grads = forward_backward(net, x, y)
-                    if not np.isfinite(loss):
-                        raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
-                    try:
-                        adam_step(state, net.params, grads.flat, lr)
-                    except DivergenceError:
-                        where = grads.first_nonfinite()
-                        raise DivergenceError(f"non-finite gradient in {where}") from None
-                    mses[epoch] = loss
-                    maes[epoch] = np.mean(np.abs(pred[:, :n] - y[:, :n]))
-                    epoch += 1
-    except DivergenceError as err:
-        partial = TrainingLog(
-            np.arange(epoch), log_phases[:epoch], log_lrs[:epoch], mses[:epoch], maes[:epoch]
-        )
-        raise DivergenceError(
-            f"{err}; last finite epoch {epoch - 1}", last_epoch=epoch - 1, log=partial
-        ) from None
-
-    log = TrainingLog(np.arange(total), log_phases, log_lrs, mses, maes)
-    return model, log
+    phases, lrs = schedule.epoch_phases(), schedule.epoch_lrs()
+    mses, maes = np.empty(len(lrs)), np.empty(len(lrs))
+    # overflow and NaN fail the finite check below, so DivergenceError reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch, (phase, lr) in enumerate(zip(phases, lrs)):
+            if schedule.reset_on_phase and epoch and phase != phases[epoch - 1]:
+                state = reset_state(state)
+            loss, pred, grads = forward_backward(net, x, y)
+            if not (np.isfinite(loss) and np.all(np.isfinite(grads.flat))):
+                what = (f"non-finite gradient in {grads.first_nonfinite()}" if np.isfinite(loss)
+                        else f"training loss became non-finite at epoch {epoch}")
+                partial = TrainingLog(np.arange(epoch), phases[:epoch], lrs[:epoch],
+                                      mses[:epoch], maes[:epoch])
+                raise DivergenceError(f"{what}; last finite epoch {epoch - 1}", log=partial)
+            adam_step(state, net.params, grads.flat, lr)
+            mses[epoch] = loss
+            maes[epoch] = np.mean(np.abs(pred[:, :n] - y[:, :n]))
+    return model, TrainingLog(np.arange(len(lrs)), phases, lrs, mses, maes)
 
 
 def evaluate(model: TrainedModel, dataset: MotionDataset) -> EvalReport:
@@ -441,20 +432,32 @@ def parse_dataset(text: str, name: str = "") -> MotionDataset:
 
 
 def _recover_rate(times: np.ndarray) -> float:
-    """The shortest decimal of the estimated rate whose grid is the time column bit for bit.
+    """The rate whose grid times[0] + arange(rows) / rate is the time column bit for bit.
 
-    Without one, the estimate, rounded to an integer when within 1e-6 of one.
+    Tried in turn: the shortest decimals of the estimated rate, then the
+    estimate's float neighbours out to RATE_SEARCH_ULPS, nearest first.
+    Without a match, the estimate, rounded to an integer when within 1e-6
+    of one.
     """
     rate = (len(times) - 1) / float(times[-1] - times[0])
     if not np.isfinite(rate):
         raise FormatError(f"dataset spans {times[-1] - times[0]} s, too short for a sample rate")
     steps = np.arange(len(times))
+    decimals = (float(f"{rate:.{digits}g}") for digits in range(1, 18))
     with np.errstate(all="ignore"):  # a grid that overflows is no match
-        for digits in range(1, 18):
-            short = float(f"{rate:.{digits}g}")
-            if np.array_equal(times[0] + steps / short, times):
-                return short
+        for candidate in itertools.chain(decimals, _float_neighbours(rate, RATE_SEARCH_ULPS)):
+            if np.array_equal(times[0] + steps / candidate, times):
+                return candidate
     return float(round(rate)) if abs(rate - round(rate)) < 1e-6 else float(rate)
+
+
+def _float_neighbours(x: float, reach: int):
+    """The floats 1, 2, ... reach ulps above and below x, nearest first."""
+    up = down = x
+    for _ in range(reach):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        yield float(up)
+        yield float(down)
 
 
 def save_dataset(ds: MotionDataset, path):

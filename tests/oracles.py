@@ -151,13 +151,13 @@ def plant_step_loop(desired, cfg):
     The plant starts at desired[0]; each tick records the position, then
     steps toward that tick's reference.
     """
-    from motionmimic.plant import PlantState, step
+    from motionmimic.plant import step
 
-    state = PlantState(np.array(desired[0], dtype=float))
+    positions = np.array(desired[0], dtype=float)
     attained = np.empty_like(desired)
     for k, ref in enumerate(desired):
-        attained[k] = state.positions
-        state = step(state, ref, cfg)
+        attained[k] = positions
+        positions = step(positions, ref, cfg)
     return attained
 
 

@@ -27,7 +27,7 @@ from motionmimic.optimizer import (
     desk_schedule,
     reference_schedule,
 )
-from motionmimic.plant import PlantConfig, PlantState, simulate, step
+from motionmimic.plant import PlantConfig, simulate, step
 from motionmimic.spline import build_spline
 from motionmimic.trainer import (
     evaluate,
@@ -203,20 +203,20 @@ def test_c07_adam_oracle():
 def test_c08_plant_physics():
     rng = np.random.default_rng(8)
     cfg = PlantConfig(kp=30.0, max_speed=2.0, tick_rate=50.0)
-    state = PlantState(rng.uniform(-1, 1, size=3))
+    positions = rng.uniform(-1, 1, size=3)
     bound = 2.0 / 50.0 + 1e-14
     for _ in range(300):
-        nxt = step(state, rng.uniform(-2, 2, size=3), cfg)
-        assert np.all(np.abs(nxt.positions - state.positions) <= bound)
-        state = nxt
+        nxt = step(positions, rng.uniform(-2, 2, size=3), cfg)
+        assert np.all(np.abs(nxt - positions) <= bound)
+        positions = nxt
 
     # kp/tick_rate = 0.5 is exact in binary, so the recurrence is exact
     cfg = PlantConfig(kp=25.0, max_speed=100.0, tick_rate=50.0)
-    state = PlantState(np.array([0.0]))
+    positions = np.array([0.0])
     err = 1.0
     for _ in range(20):
-        state = step(state, np.array([1.0]), cfg)
-        new_err = 1.0 - state.positions[0]
+        positions = step(positions, np.array([1.0]), cfg)
+        new_err = 1.0 - positions[0]
         assert new_err == 0.5 * err
         err = new_err
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import motionmimic.motion
-from motionmimic.cli import main
+from motionmimic.cli import build_parser, main
+from motionmimic.network import format_weights, initialize
+from motionmimic.plant import PlantConfig
 from motionmimic.trainer import load_dataset
 
 MOVEMENT = """movement n=2 gamma=3 rate=1
@@ -134,6 +136,12 @@ def test_movement_outputs_are_bit_identical(workdir):
         assert hashlib.sha256((workdir / name).read_bytes()).hexdigest() == digest, name
 
 
+# three phases whose Adam moments carry across each boundary
+SCHEDULE3 = """phase epochs=150 lr=0.002
+phase epochs=100 lr=0.001
+phase epochs=50 lr=0.0004
+reset_on_phase=false
+"""
 # (command, its stdout) for the model-side pipeline over GUARD_MOVEMENT and a
 # 50 Hz log with two dropped samples; run from the work directory
 MODEL_GUARD_STEPS = [
@@ -147,6 +155,8 @@ MODEL_GUARD_STEPS = [
      "trained 400 epochs on 61 samples: final mse=0.0196836 mae=0.0341851 rad -> m37\n"),
     ("train --dataset per.csv --schedule sched.txt --arch 1:8:3 --out mper",
      "trained 400 epochs on 40 samples: final mse=0.0314853 mae=0.151736 rad -> mper\n"),
+    ("train --dataset fin.csv --schedule sched3.txt --arch 1:12:6:3 --seed 5 --out m3",
+     "trained 300 epochs on 42 samples: final mse=0.0394539 mae=0.110622 rad -> m3\n"),
     ("rollout --model m37 --out ro37.csv",
      "61 samples at 37 Hz, end detected -> ro37.csv\n"),
     ("rollout --model mper --out roper.csv",
@@ -160,12 +170,20 @@ MODEL_GUARD_STEPS = [
 ]
 # SHA-256 of the files MODEL_GUARD_STEPS write, computed before the dataset's
 # periodic flag, the rollout's end flag and the tracking metrics each came to be
-# stored once; 37 and 50 Hz are rates whose recovery from a dataset never changed
+# stored once; 37 and 50 Hz are rates whose recovery from a dataset never changed.
+# The weights and training logs were computed before the training loop became
+# one loop over the schedule's epochs with one finite check per epoch.
 MODEL_GUARD_DIGESTS = {
     "fin.csv": "e5193bdf30626206e039f5b9435e0163a7cf5a8a2ab39fdb1947bdb665a1f676",
     "per.csv": "59bc891e90ddac5be2ae08f5a15c57852cf349372057abae0831b88daa16f2d9",
     "m37/model.meta": "e2120a6187b9b93df8c6e98e95053334705a66f29c24a709243c345ef48a5e73",
     "mper/model.meta": "81ee18a00d8fa02fb53e10ce3cb8630987bbef53064319540bea4e00952c1f78",
+    "m37/weights.txt": "9b6f672f4bbe9b5eb992c46c0dd3f086ee17a7d463ff5f74e3ca9881f9a29636",
+    "m37/training_log.csv": "13bd3df0b07fd41f1219aa710a9e9c3ebf798db0af47266683848bb7f6be46ad",
+    "mper/weights.txt": "f4e5fe77c8a6d31d9327cd9f2132bd448fec97c7d8a02e4f5af85c5005814aeb",
+    "mper/training_log.csv": "6cf0beb79496bd0687a218bea996d277daafc02cd27a7e4dc15c664523a8d479",
+    "m3/weights.txt": "24f4fed23eb8f0abd2bc3e2ce82f130146c57fdee74f650eac6c7b5377912359",
+    "m3/training_log.csv": "8fc7a9af833abb1343e175f6dee4565217ce2c9194c9c7babefedba321f69c13",
     "ro37.csv": "464b3d94a12ab739ee3b56ae2e5a5277f5a7253321b2eec4419e31bf5dbe594c",
     "roper.csv": "39120637ef26a0d9ff48c88a97e2ac8cc0f1dc6f6c0870c0efa8787cb9030d63",
     "sim.csv": "d96c60ae12e297fad451c36f3753c613c82dedd2cab4f7ce443f63ed31acbf1c",
@@ -184,6 +202,7 @@ def test_model_outputs_are_bit_identical(workdir, monkeypatch, capsys):
     rows = [f"{float(t[i])!r},{float(np.sin(3 * t[i]))!r},{float(np.cos(2 * t[i]))!r}"
             for i in np.delete(np.arange(40), [7, 23])]
     (workdir / "log.csv").write_text("\n".join(["time,hip,knee", *rows]) + "\n")
+    (workdir / "sched3.txt").write_text(SCHEDULE3)
     monkeypatch.chdir(workdir)
     capsys.readouterr()
     for command, stdout in MODEL_GUARD_STEPS:
@@ -243,7 +262,13 @@ def test_train_divergence_is_exit_3(trained, capsys):
          "--out", trained / "m4"]
     )
     assert code == 3
-    assert "last finite epoch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    last = int(err.rsplit("last finite epoch ", 1)[1])
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # the partial log holds every finite epoch, and no model is saved
+    log_lines = (trained / "m4" / "training_log.csv").read_text().splitlines()
+    assert len(log_lines) == 1 + last + 1 and log_lines[-1].startswith(f"{last},0,")
+    assert not (trained / "m4" / "weights.txt").exists()
 
 
 def test_train_overflow_at_first_epoch_is_exit_3(trained, capsys):
@@ -310,6 +335,18 @@ def test_overflowing_model_is_exit_2(trained, capsys, command, options, output):
     assert output is None or not (trained / output).exists()
 
 
+def test_model_with_two_inputs_is_exit_2(trained, capsys):
+    # a consistent weights file whose net takes 2 inputs, for the bundle's 2 joints
+    (trained / "model" / "weights.txt").write_text(format_weights(initialize([2, 4, 3], seed=0)))
+    capsys.readouterr()
+    for command in ("rollout", "simulate"):
+        assert run([command, "--model", trained / "model", "--out", trained / "x.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: network takes 2 inputs; it needs 1, the normalized time\n"
+        assert not (trained / "x.csv").exists()
+
+
 def test_eval_prints_metrics(trained, capsys):
     code = run(["eval", "--model", trained / "model", "--dataset", trained / "demo.csv"])
     assert code == 0
@@ -331,6 +368,16 @@ def test_simulate_movement_source(workdir, capsys):
     header = (workdir / "sim.csv").read_text().splitlines()[0]
     assert header == "time,j1_desired,j1_attained,j2_desired,j2_attained"
     assert "tracking rms=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["simulate", "--movement", "demo.mov"],
+                                     ["compare", "--model", "model", "--dataset", "demo.csv"]])
+def test_plant_options_default_to_plant_config(command):
+    parse = build_parser().parse_args
+    args = parse([*command, "--out", "x"])
+    assert PlantConfig(args.kp, args.max_speed, args.tick_rate) == PlantConfig()
+    args = parse([*command, "--kp", "9", "--max-speed", "0.5", "--tick-rate", "20", "--out", "x"])
+    assert (args.kp, args.max_speed, args.tick_rate) == (9.0, 0.5, 20.0)
 
 
 def test_simulate_rejects_unstable_gain(workdir, capsys):
@@ -539,6 +586,9 @@ def test_ingest_bad_rate_is_exit_2(workdir, capsys, rate, message):
         # checked even where no hidden layer uses it
         pytest.param(["--arch", "1:3", "--alpha", "nan"], "alpha must be positive and finite",
                      id="nan-alpha-no-hidden-layer"),
+        # the one input is the normalized time
+        pytest.param(["--arch", "2:5:3"], "network takes 2 inputs; it needs 1, the normalized time",
+                     id="two-inputs"),
     ],
 )
 def test_unusable_train_config_is_exit_2(workdir, capsys, options, message):
@@ -549,6 +599,7 @@ def test_unusable_train_config_is_exit_2(workdir, capsys, options, message):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
     assert not (workdir / "model").exists()
 
 

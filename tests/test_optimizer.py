@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from motionmimic.errors import ConfigError, DivergenceError, FormatError, ShapeError
+import motionmimic.trainer
+from motionmimic.errors import ConfigError, DivergenceError, FormatError
+from motionmimic.motion import KeyframeMovement
 from motionmimic.optimizer import (
     TrainingSchedule,
     adam_init,
@@ -13,6 +15,7 @@ from motionmimic.optimizer import (
     reference_schedule,
     reset_state,
 )
+from motionmimic.trainer import sample_movement, train
 
 from oracles import scalar_adam
 
@@ -72,25 +75,29 @@ def test_update_magnitude_loose_bound():
         assert np.all(np.abs(params - prev) <= 3.0 * lr)
 
 
-def test_nonfinite_gradient_names_the_tensor():
-    params, state = scalar_setup()
-    # the trainer names the tensor (GradientSet.first_nonfinite); the update only refuses it
-    with pytest.raises(DivergenceError, match="non-finite gradient"):
-        adam_step(state, params, np.array([np.nan]), lr=0.1)
-    # failed step leaves parameters, moments and counter untouched
-    assert state.t == 0
-    assert params[0] == 0.0
-    assert state.first_moment[0] == 0.0 and state.second_moment[0] == 0.0
+def test_nonfinite_gradient_names_the_tensor(monkeypatch):
+    # the trainer checks each gradient once and names the tensor; adam_step
+    # only updates, and never sees the non-finite gradient
+    real_pass = motionmimic.trainer.forward_backward
+    steps = []
 
+    def poisoned_pass(net, x, y):
+        loss, pred, grads = real_pass(net, x, y)
+        if steps:
+            grads.biases[0][1] = np.nan
+        return loss, pred, grads
 
-def test_adam_shape_mismatch():
-    params, state = scalar_setup()
-    with pytest.raises(ShapeError):
-        adam_step(state, params, np.zeros(2), lr=0.1)
-    with pytest.raises(ShapeError):
-        adam_step(state, params, np.zeros(0), lr=0.1)
-    with pytest.raises(ShapeError):
-        adam_step(state, np.zeros(2), np.zeros(2), lr=0.1)
+    def recording_step(state, params, grads, lr):
+        steps.append(lr)
+        return adam_step(state, params, grads, lr)
+
+    monkeypatch.setattr(motionmimic.trainer, "forward_backward", poisoned_pass)
+    monkeypatch.setattr(motionmimic.trainer, "adam_step", recording_step)
+    ds = sample_movement(KeyframeMovement([0.0, 1.0], [[0.0], [0.5]]), 10.0)
+    with pytest.raises(DivergenceError, match="^non-finite gradient in layer0.biases; "
+                                              "last finite epoch 0$") as err:
+        train(ds, arch=[1, 3, 2], schedule=TrainingSchedule([(4, 0.1)]))
+    assert len(steps) == 1 and len(err.value.log) == 1
 
 
 def test_reset_state_zeroes_moments_and_counter():

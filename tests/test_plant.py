@@ -4,14 +4,7 @@ import pytest
 from motionmimic.errors import ConfigError, ShapeError
 from motionmimic.motion import KeyframeMovement
 from motionmimic.network import initialize
-from motionmimic.plant import (
-    PlantConfig,
-    PlantState,
-    format_comparison,
-    p_command,
-    simulate,
-    step,
-)
+from motionmimic.plant import PlantConfig, format_comparison, simulate, step
 from motionmimic.trainer import TrainedModel
 from oracles import plant_step_loop
 
@@ -40,40 +33,41 @@ def flag_only_model(n_joints=2):
 
 
 def test_p_command_cases():
-    assert p_command(1.0, 1.0, 10.0, 7.0) == 0.0
-    assert p_command(1.05, 1.0, 10.0, 7.0) == pytest.approx(0.5)
-    assert p_command(3.0, 1.0, 10.0, 7.0) == 7.0
-    assert p_command(-1.0, 1.0, 10.0, 7.0) == -7.0
-    np.testing.assert_allclose(
-        p_command(np.array([0.0, 2.0]), np.zeros(2), 10.0, 7.0), [0.0, 7.0]
-    )
+    # at 8 Hz one tick moves an eighth of the speed command, exactly in binary
+    cfg = PlantConfig(kp=10.0, max_speed=7.0, tick_rate=8.0)
+
+    def command(reference, position):
+        return (step(np.array([position]), np.array([reference]), cfg)[0] - position) * 8.0
+
+    assert command(1.0, 1.0) == 0.0
+    assert command(1.05, 1.0) == pytest.approx(0.5)
+    assert command(3.0, 1.0) == 7.0
+    assert command(-1.0, 1.0) == -7.0
+    np.testing.assert_array_equal(step(np.zeros(2), np.array([0.0, 2.0]), cfg), [0.0, 7.0 / 8.0])
 
 
 def test_step_zero_error_only_advances_time():
     cfg = PlantConfig(kp=10.0, max_speed=7.0, tick_rate=50.0)
-    state = PlantState(np.array([0.3, -0.2]))
-    nxt = step(state, np.array([0.3, -0.2]), cfg)
-    np.testing.assert_array_equal(nxt.positions, state.positions)
-    assert nxt.time == pytest.approx(0.02)
+    positions = np.array([0.3, -0.2])
+    # no error, no motion; the tick's time is the caller's to count
+    np.testing.assert_array_equal(step(positions, np.array([0.3, -0.2]), cfg), positions)
 
 
 def test_step_hand_computed_saturated():
     # kp*error = 50 saturates at 10 rad/s; one 50 Hz tick moves 0.2 rad
     cfg = PlantConfig(kp=50.0, max_speed=10.0, tick_rate=50.0)
-    state = PlantState(np.array([0.0]))
-    nxt = step(state, np.array([1.0]), cfg)
-    assert nxt.positions[0] == pytest.approx(0.2)
+    assert step(np.array([0.0]), np.array([1.0]), cfg)[0] == pytest.approx(0.2)
 
 
 def test_geometric_error_recurrence_exact():
     # kp/tick_rate = 0.5 is exact in binary: error halves every tick
     cfg = PlantConfig(kp=25.0, max_speed=100.0, tick_rate=50.0)
-    state = PlantState(np.array([0.0]))
+    positions = np.array([0.0])
     ref = np.array([1.0])
     errors = [1.0]
     for _ in range(20):
-        state = step(state, ref, cfg)
-        errors.append(float(ref[0] - state.positions[0]))
+        positions = step(positions, ref, cfg)
+        errors.append(float(ref[0] - positions[0]))
     for prev, cur in zip(errors, errors[1:]):
         assert cur == 0.5 * prev
 
@@ -81,12 +75,12 @@ def test_geometric_error_recurrence_exact():
 def test_geometric_error_recurrence_general_ratio():
     # kp=10 at 50 Hz: error shrinks by exactly 0.8 per tick while unsaturated
     cfg = PlantConfig(kp=10.0, max_speed=100.0, tick_rate=50.0)
-    state = PlantState(np.array([0.3]))
+    positions = np.array([0.3])
     ref = np.array([0.7])
     err = 0.4
     for _ in range(30):
-        state = step(state, ref, cfg)
-        new_err = float(ref[0] - state.positions[0])
+        positions = step(positions, ref, cfg)
+        new_err = float(ref[0] - positions[0])
         assert new_err == pytest.approx(0.8 * err, rel=1e-12)
         err = new_err
 
@@ -94,15 +88,15 @@ def test_geometric_error_recurrence_general_ratio():
 def test_speed_limit_bounds_every_tick():
     rng = np.random.default_rng(41)
     cfg = PlantConfig(kp=30.0, max_speed=2.0, tick_rate=50.0)
-    state = PlantState(rng.uniform(-1, 1, size=4))
+    positions = rng.uniform(-1, 1, size=4)
     # the commanded step is exactly bounded; measuring it back off the
     # positions picks up one addition rounding at position magnitude
     bound = 2.0 / 50.0 + 1e-14
     for _ in range(200):
         refs = rng.uniform(-2.0, 2.0, size=4)
-        nxt = step(state, refs, cfg)
-        assert np.all(np.abs(nxt.positions - state.positions) <= bound)
-        state = nxt
+        nxt = step(positions, refs, cfg)
+        assert np.all(np.abs(nxt - positions) <= bound)
+        positions = nxt
 
 
 def test_stability_guard_rejects_large_kp():
@@ -118,12 +112,6 @@ def test_config_validation():
         PlantConfig(max_speed=-1.0)
     with pytest.raises(ConfigError):
         PlantConfig(tick_rate=0.0)
-
-
-def test_step_shape_mismatch():
-    cfg = PlantConfig()
-    with pytest.raises(ShapeError):
-        step(PlantState(np.zeros(2)), np.zeros(3), cfg)
 
 
 @pytest.mark.parametrize("kp, max_speed", [pytest.param(40.0, 2.0, id="scalar")])
