@@ -88,8 +88,9 @@ def grid_size(span: float, rate: float) -> int:
     """
     last = np.floor(float(span) * float(rate) + 1e-9)
     if not 0 <= last < MAX_GRID_SAMPLES:
+        count = int(last) + 1 if np.isfinite(last) else last
         raise ValidationError(
-            f"a grid over {span} s at {rate} Hz needs {last + 1} samples; "
+            f"a grid over {span} s at {rate} Hz needs {count} samples; "
             f"allowed are 1 to {MAX_GRID_SAMPLES}"
         )
     return int(last) + 1

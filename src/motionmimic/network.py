@@ -97,35 +97,81 @@ class GradientSet:
                     return f"layer{i}.{kind}"
 
 
-def leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
-    """z for z >= 0, alpha*z otherwise; parameter_count has checked alpha."""
-    out = np.multiply(alpha, z, out=np.empty(z.shape))
-    # in place: the larger of z and alpha*z when alpha <= 1, the smaller when alpha > 1
-    (np.maximum if alpha <= 1 else np.minimum)(z, out, out=out)
-    return out
+def leaky_relu(z: np.ndarray, alpha: float, slope: np.ndarray) -> np.ndarray:
+    """z for z >= 0, alpha*z otherwise, written over z; returns z.
+
+    slope, shaped like z, is filled with the derivative, 1 where z >= 0
+    (0 included, for determinism) and alpha elsewhere, NaN too; the
+    backward pass multiplies its delta by it.  parameter_count has
+    checked alpha.
+    """
+    np.greater_equal(z, 0.0, out=slope)  # 1 or 0, with no mask array
+    if alpha <= 1:
+        np.maximum(slope, alpha, out=slope)
+    else:
+        np.subtract(1.0, slope, out=slope)  # 0 or 1
+        slope *= alpha
+        np.maximum(slope, 1.0, out=slope)
+    z *= slope
+    return z
 
 
-def _leaky_relu_backward(delta, z, alpha):
-    # the derivative at exactly 0 is taken as 1, for determinism
-    return np.where(z >= 0, delta, alpha * delta)
+@dataclass(eq=False)
+class EpochBuffers:
+    """The arrays one forward_backward pass writes into, made once by epoch_buffers.
+
+    acts[i], shaped (rows, out) for layer i, holds the layer's
+    pre-activation, then its activation in place, and, once the next
+    layer's weight gradient has read it, the backward delta of layer i.
+    slopes[i] holds hidden layer i's leaky ReLU slope.  error holds the
+    predictions minus the targets; delta holds its square, then error / m,
+    the output layer's backward delta.
+    """
+
+    acts: list
+    slopes: list
+    error: np.ndarray
+    delta: np.ndarray
+    grads: GradientSet
 
 
-def _layers(net: MimicNetwork, a):
-    """Yield (pre-activation, activation) of each layer in turn for the batch a."""
+def epoch_buffers(net: MimicNetwork, rows: int) -> EpochBuffers:
+    """Buffers for passes of net over batches of rows rows."""
+    acts = [np.empty((rows, out)) for out in net.sizes[1:]]
+    flat = np.empty_like(net.params)
+    return EpochBuffers(
+        acts=acts,
+        slopes=[np.empty_like(a) for a in acts[:-1]],
+        error=np.empty_like(acts[-1]),
+        delta=np.empty_like(acts[-1]),
+        grads=GradientSet(flat, *_layer_views(net.sizes, flat)),
+    )
+
+
+def _layers(net: MimicNetwork, a, buffers=None):
+    """Yield the activation of each layer in turn for the batch a.
+
+    With buffers, layer i is written into buffers.acts[i]; without, into
+    fresh arrays, so a caller that drops each one frees it.
+    """
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        # one input: a broadcast outer product, rounded exactly as the matrix product
-        z = a * w[:, 0] if w.shape[1] == 1 else a @ w.T
-        # in place: large temporaries go back to the OS and are faulted in again every step
+        z = np.empty((len(a), len(b))) if buffers is None else buffers.acts[i]
+        if w.shape[1] == 1:  # a broadcast outer product, rounded exactly as the matrix product
+            np.multiply(a, w[:, 0], out=z)
+        else:
+            np.matmul(a, w.T, out=z)
         z += b
-        a = leaky_relu(z, net.alpha) if i < last else z
-        yield z, a
+        if i < last:
+            leaky_relu(z, net.alpha, np.empty_like(z) if buffers is None else buffers.slopes[i])
+        a = z
+        yield a
 
 
 def forward(net: MimicNetwork, x: np.ndarray) -> np.ndarray:
     """Layer-by-layer evaluation of a float (m, in) batch."""
-    for z, a in _layers(net, x):
-        del z  # frees each pre-activation before the next layer's is computed
+    for a in _layers(net, x):
+        pass  # each layer's input is freed once the next layer is computed
     return a
 
 
@@ -135,33 +181,37 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(0.5 * np.sum(diff * diff) / pred.shape[0])
 
 
-def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray):
+def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers=None):
     """One full pass: returns (loss, predictions, GradientSet).
 
     x is a float (m, in) batch and y its (m, out) targets.  Gradients are
     the exact analytic derivatives of mse_loss with respect to every
-    weight and bias, accumulated over the batch.
+    weight and bias, accumulated over the batch.  The pass writes into
+    buffers, an EpochBuffers for m rows (made here when None); the
+    predictions and gradients it returns are views of them, overwritten
+    by the next pass through the same buffers.
     """
     m = x.shape[0]
-    pre, acts = [], [x]
-    for z, a in _layers(net, x):
-        pre.append(z)
-        acts.append(a)
-    delta = acts[-1] - y
-    loss = float(0.5 * np.sum(delta * delta) / m)
+    if buffers is None:
+        buffers = epoch_buffers(net, m)
+    for pred in _layers(net, x, buffers):
+        pass
+    error, delta = buffers.error, buffers.delta
+    np.subtract(pred, y, out=error)
+    np.multiply(error, error, out=delta)
+    loss = float(0.5 * np.sum(delta) / m)
 
-    flat = np.empty_like(net.params)
-    grads = GradientSet(flat, *_layer_views(net.sizes, flat))
-    delta /= m  # dJ/d(layer output), propagated backwards
-    last = len(net.weights) - 1
-    for li in range(last, -1, -1):
-        if li < last:
-            delta = _leaky_relu_backward(delta, pre[li], net.alpha)
-        np.matmul(delta.T, acts[li], out=grads.weights[li])
+    grads = buffers.grads
+    np.divide(error, m, out=delta)  # dJ/d(layer output), propagated backwards
+    inputs = [x, *buffers.acts[:-1]]
+    for li in range(len(net.weights) - 1, -1, -1):
+        np.matmul(delta.T, inputs[li], out=grads.weights[li])
         delta.sum(axis=0, out=grads.biases[li])
         if li > 0:
-            delta = delta @ net.weights[li]
-    return loss, acts[-1], grads
+            # layer li - 1's activation has served the weight gradient; its delta takes its place
+            delta = np.matmul(delta, net.weights[li], out=inputs[li])
+            delta *= buffers.slopes[li - 1]
+    return loss, pred, grads
 
 
 def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:

@@ -7,7 +7,7 @@ reproduces the transient loss peaks seen when a model is rebuilt between
 phases; the weights themselves are untouched by a reset.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +23,19 @@ EPS = 1e-8  # keeps the update finite where the second moment is zero
 
 @dataclass
 class AdamState:
-    """Moment accumulators shaped like the parameter vector, plus the step counter."""
+    """Moment accumulators shaped like the parameter vector, plus the step counter.
+
+    scratch holds two more such vectors that adam_step writes its
+    intermediates into, so no step allocates.
+    """
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     t: int = 0
+    scratch: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
 def adam_init(params) -> AdamState:
@@ -48,14 +56,23 @@ def adam_step(state: AdamState, params, grads, lr: float):
     grads is laid out like params; the trainer has checked that it is finite.
     """
     m, v = state.first_moment, state.second_moment
+    s1, s2 = state.scratch
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
+    # the operations and their order are those of the plain expressions in the docstring
     m *= BETA1
-    m += (1.0 - BETA1) * grads
+    m += np.multiply(1.0 - BETA1, grads, out=s1)
     v *= BETA2
-    v += (1.0 - BETA2) * grads * grads
-    params -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    np.multiply(1.0 - BETA2, grads, out=s1)
+    v += np.multiply(s1, grads, out=s1)
+    np.divide(m, bc1, out=s1)
+    s1 *= lr
+    np.divide(v, bc2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += EPS
+    s1 /= s2
+    params -= s1
 
 
 MAX_EPOCHS = 1_000_000  # 20 times the reference recipe

@@ -35,6 +35,7 @@ from .motion import (
 )
 from .network import (
     MimicNetwork,
+    epoch_buffers,
     forward,
     forward_backward,
     initialize,
@@ -308,7 +309,8 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
     it, the optimizer state is reset at each phase boundary; the weights
     carry over untouched.  Each epoch checks that its loss, then its
     gradient, is finite; the first failure raises DivergenceError with
-    the log of the finite epochs.  Fully deterministic for a fixed seed.
+    the log of the finite epochs.  Every epoch writes into the same
+    buffers, made once here.  Fully deterministic for a fixed seed.
     """
     if schedule is None:
         schedule = desk_schedule()
@@ -341,6 +343,8 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
     x = dataset.normalized_times()[:, None]
     y = dataset.targets
     state = adam_init(net.params)  # every weight and bias, updated in place by one Adam step
+    buffers = epoch_buffers(net, len(x))
+    abs_error = np.empty((len(x), n))  # contiguous, so its mean sums as a fresh array's does
     phases, lrs = schedule.epoch_phases(), schedule.epoch_lrs()
     mses, maes = np.empty(len(lrs)), np.empty(len(lrs))
     # overflow and NaN fail the finite check below, so DivergenceError reports them
@@ -348,7 +352,7 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
         for epoch, (phase, lr) in enumerate(zip(phases, lrs)):
             if schedule.reset_on_phase and epoch and phase != phases[epoch - 1]:
                 state = reset_state(state)
-            loss, pred, grads = forward_backward(net, x, y)
+            loss, _, grads = forward_backward(net, x, y, buffers)
             if not (np.isfinite(loss) and np.all(np.isfinite(grads.flat))):
                 what = (f"non-finite gradient in {grads.first_nonfinite()}" if np.isfinite(loss)
                         else f"training loss became non-finite at epoch {epoch}")
@@ -357,7 +361,7 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
                 raise DivergenceError(f"{what}; last finite epoch {epoch - 1}", log=partial)
             adam_step(state, net.params, grads.flat, lr)
             mses[epoch] = loss
-            maes[epoch] = np.mean(np.abs(pred[:, :n] - y[:, :n]))
+            maes[epoch] = np.mean(np.abs(buffers.error[:, :n], out=abs_error))
     return model, TrainingLog(np.arange(len(lrs)), phases, lrs, mses, maes)
 
 

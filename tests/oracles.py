@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: the
 spline oracle assembles the full dense linear system instead of the
 tridiagonal solve, the gradient oracle uses central finite differences,
 the Adam oracle is a plain-float recurrence, the forward oracle is
-per-neuron Python loops, and the plant oracle advances one tick at a
+per-neuron Python loops, the unfused pass and the expression Adam step
+are the array code that the buffered epoch replaced, making fresh arrays, and the plant oracle advances one tick at a
 time through plant.step.  The table oracle is the row-template CSV
 writer that textio.format_table replaced: one '%.17g,...' % row per line.
 """
@@ -123,6 +124,39 @@ def scalar_adam(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8, theta0=0.0):
         theta = theta - lr * mhat / (math.sqrt(vhat) + eps)
         out.append(theta)
     return out
+
+
+def expression_adam_step(m, v, t, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t as plain array expressions; updates m, v and params in place."""
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * grads * grads
+    params -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+
+
+def unfused_forward_backward(net, x, y):
+    """The per-tensor pass: np.where activation, slope-mask gradient, fresh arrays.
+
+    Returns (loss, predictions, weight gradients, bias gradients).
+    """
+    last = len(net.weights) - 1
+    pre, acts = [], [x]
+    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        pre.append(z)
+        acts.append(np.where(z >= 0, z, net.alpha * z) if li < last else z)
+    diff = acts[-1] - y
+    loss = float(0.5 * np.sum(diff * diff) / len(x))
+    delta = diff / len(x)
+    w_grads, b_grads = [], []
+    for li in range(last, -1, -1):
+        if li < last:
+            delta = delta * np.where(pre[li] >= 0, 1.0, net.alpha)
+        w_grads.insert(0, delta.T @ acts[li])
+        b_grads.insert(0, delta.sum(axis=0))
+        delta = delta @ net.weights[li]
+    return loss, acts[-1], w_grads, b_grads
 
 
 def loop_forward(net, x):

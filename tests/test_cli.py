@@ -80,6 +80,14 @@ def test_gen_rejects_nonpositive_rate(workdir, capsys):
     assert "rate must be positive" in capsys.readouterr().err
 
 
+def test_gen_names_an_oversized_grid_by_its_integer_count(workdir, capsys):
+    code = run(["gen", "--movement", workdir / "demo.mov", "--rate", 1e9, "--out", workdir / "x.csv"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: a grid over 1.0 s at 1000000000.0 Hz needs 1000000001 samples; "
+        "allowed are 1 to 1000000\n")
+
+
 @pytest.mark.parametrize("command", ["gen", "simulate"])
 @pytest.mark.parametrize(
     "text, message",

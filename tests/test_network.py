@@ -4,7 +4,7 @@ import pytest
 from motionmimic.errors import ConfigError, FormatError, ShapeError
 from motionmimic.network import (
     MimicNetwork,
-    _leaky_relu_backward,
+    epoch_buffers,
     format_weights,
     forward,
     forward_backward,
@@ -16,7 +16,12 @@ from motionmimic.network import (
     save_weights,
 )
 
-from oracles import finite_difference_gradients, loop_forward, max_relative_gradient_error
+from oracles import (
+    finite_difference_gradients,
+    loop_forward,
+    max_relative_gradient_error,
+    unfused_forward_backward,
+)
 
 
 def single_layer(w, b):
@@ -31,10 +36,21 @@ def random_small_network(rng):
     return initialize(sizes, seed=int(rng.integers(0, 2**31)), alpha=0.01)
 
 
+def relu(z, alpha):
+    """leaky_relu of a copy of z, and the slope it wrote."""
+    z = np.array(z, dtype=float)
+    slope = np.empty_like(z)
+    return leaky_relu(z, alpha, slope), slope
+
+
 def test_leaky_relu_branches():
-    np.testing.assert_array_equal(leaky_relu(np.array([2.0, -1.0]), 0.01), [2.0, -0.01])
-    np.testing.assert_array_equal(leaky_relu(np.array([0.0]), 0.3), [0.0])
-    np.testing.assert_allclose(leaky_relu(np.array([-2.0, 3.0]), 0.1), [-0.2, 3.0])
+    z = np.array([2.0, -1.0])
+    slope = np.empty_like(z)
+    assert leaky_relu(z, 0.01, slope) is z  # in place
+    np.testing.assert_array_equal(z, [2.0, -0.01])
+    np.testing.assert_array_equal(slope, [1.0, 0.01])
+    np.testing.assert_array_equal(relu([0.0], 0.3), [[0.0], [1.0]])
+    np.testing.assert_allclose(relu([-2.0, 3.0], 0.1)[0], [-0.2, 3.0])
     # alpha is checked when a net is built, not on each call
     for bad in (0.0, -0.5, np.nan, np.inf):
         with pytest.raises(ConfigError):
@@ -57,58 +73,48 @@ def bits(a):
 def test_leaky_relu_matches_where_reference_bit_for_bit(alpha):
     rng = np.random.default_rng(11)
     z = np.concatenate([SPECIAL, rng.standard_normal(200), rng.standard_normal(50) * TINY])
-    np.testing.assert_array_equal(bits(leaky_relu(z, alpha)), bits(np.where(z >= 0, z, alpha * z)))
+    np.testing.assert_array_equal(bits(relu(z, alpha)[0]), bits(np.where(z >= 0, z, alpha * z)))
     for v in SPECIAL:
         one = np.array([v])
-        assert bits(leaky_relu(one, alpha)) == bits(np.where(one >= 0, one, alpha * one))
+        assert bits(relu(one, alpha)[0]) == bits(np.where(one >= 0, one, alpha * one))
 
 
-@pytest.mark.parametrize("alpha", [0.01, 1.0, 2.5])
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 2.5, 1e-300, 1e300])
 def test_leaky_relu_backward_matches_slope_mask_bit_for_bit(alpha):
     rng = np.random.default_rng(12)
     z = np.concatenate([SPECIAL, rng.standard_normal(len(SPECIAL))])
     delta = np.concatenate([rng.standard_normal(len(SPECIAL)), SPECIAL])
     z, delta = np.meshgrid(z, delta)  # every value of z against every value of delta
-    slope_mask = np.where(z >= 0, 1.0, alpha)
-    np.testing.assert_array_equal(bits(_leaky_relu_backward(delta, z, alpha)),
-                                  bits(delta * slope_mask))
+    with np.errstate(over="ignore", under="ignore"):
+        _, slope = relu(z, alpha)
+        backward, reference = delta * slope, np.where(z >= 0, delta, alpha * delta)
+    # the derivative at exactly 0 is taken as 1, for determinism; NaN takes alpha
+    np.testing.assert_array_equal(bits(slope), bits(np.where(z >= 0, 1.0, alpha)))
+    np.testing.assert_array_equal(bits(backward), bits(reference))
 
 
-def unfused_forward_backward(net, x, y):
-    """The per-tensor pass: np.where activation, slope-mask gradient, fresh arrays."""
-    last = len(net.weights) - 1
-    pre, acts = [], [x]
-    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w.T + b
-        pre.append(z)
-        acts.append(np.where(z >= 0, z, net.alpha * z) if li < last else z)
-    diff = acts[-1] - y
-    loss = float(0.5 * np.sum(diff * diff) / len(x))
-    delta = diff / len(x)
-    w_grads, b_grads = [], []
-    for li in range(last, -1, -1):
-        if li < last:
-            delta = delta * np.where(pre[li] >= 0, 1.0, net.alpha)
-        w_grads.insert(0, delta.T @ acts[li])
-        b_grads.insert(0, delta.sum(axis=0))
-        delta = delta @ net.weights[li]
-    return loss, acts[-1], w_grads, b_grads
-
-
-@pytest.mark.parametrize("sizes", [[1, 75, 50, 23], [3, 6, 4, 2]])
+@pytest.mark.parametrize("sizes", [[1, 75, 50, 23], [3, 6, 4, 2], [1, 3]])
 @pytest.mark.parametrize("alpha", [0.01, 1.0, 2.5])
 def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
-    net = initialize(sizes, seed=4, alpha=alpha)
+    """Fresh buffers, and two passes with other params and targets through one set, match."""
     rng = np.random.default_rng(4)
     x = rng.uniform(-1.0, 1.0, size=(33, sizes[0]))
-    y = rng.uniform(-1.0, 1.0, size=(33, sizes[-1]))
-    loss, pred, grads = forward_backward(net, x, y)
-    ref_loss, ref_pred, ref_w, ref_b = unfused_forward_backward(net, x, y)
-    assert loss == ref_loss
-    np.testing.assert_array_equal(bits(pred), bits(ref_pred))
-    np.testing.assert_array_equal(bits(forward(net, x)), bits(ref_pred))
-    for got, want in zip(grads.weights + grads.biases, ref_w + ref_b):
-        np.testing.assert_array_equal(bits(got), bits(want))
+    shared = epoch_buffers(initialize(sizes, alpha=alpha), len(x))
+    for seed in (4, 5):
+        net = initialize(sizes, seed=seed, alpha=alpha)
+        for b in net.biases:
+            b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
+        y = rng.uniform(-1.0, 1.0, size=(33, sizes[-1]))
+        ref_loss, ref_pred, ref_w, ref_b = unfused_forward_backward(net, x, y)
+        np.testing.assert_array_equal(bits(forward(net, x)), bits(ref_pred))
+        for buffers in (None, shared):
+            loss, pred, grads = forward_backward(net, x, y, buffers)
+            assert loss == ref_loss
+            np.testing.assert_array_equal(bits(pred), bits(ref_pred))
+            for got, want in zip(grads.weights + grads.biases, ref_w + ref_b):
+                np.testing.assert_array_equal(bits(got), bits(want))
+        assert pred is shared.acts[-1] and grads is shared.grads
+        np.testing.assert_array_equal(bits(shared.error), bits(ref_pred - y))
 
 
 def test_parameters_and_gradients_are_views_of_one_vector():

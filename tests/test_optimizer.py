@@ -17,7 +17,7 @@ from motionmimic.optimizer import (
 )
 from motionmimic.trainer import sample_movement, train
 
-from oracles import scalar_adam
+from oracles import expression_adam_step, scalar_adam
 
 # frozen from the plain-float recurrence in oracles.scalar_adam
 FIRST_STEP_THETA = -0.09999999900000002
@@ -54,6 +54,27 @@ def test_adam_matches_scalar_oracle_over_random_gradients():
         assert params[0] == pytest.approx(want, abs=1e-12)
 
 
+def test_adam_step_matches_expression_step_bit_for_bit():
+    # the step works in its state's scratch vectors; the values are the plain expression's
+    rng = np.random.default_rng(32)
+    params = rng.standard_normal(300)
+    want = params.copy()
+    m, v = np.zeros_like(want), np.zeros_like(want)
+    state, t = adam_init(params), 0
+    for step in range(50):
+        if step == 30:
+            state, t = reset_state(state), 0
+            m[:], v[:] = 0.0, 0.0
+        grads = rng.standard_normal(300) * 10.0 ** rng.integers(-8, 3)
+        lr = float(rng.uniform(1e-4, 0.1))
+        t += 1
+        adam_step(state, params, grads, lr)
+        expression_adam_step(m, v, t, want, grads, lr)
+        assert state.t == t
+        for got, ref in ((params, want), (state.first_moment, m), (state.second_moment, v)):
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 def test_zero_gradients_leave_parameters_unchanged():
     params = np.array([0.5, -1.5, 1.0, 1.0, 1.0, 1.0])
     state = adam_init(params)
@@ -81,8 +102,8 @@ def test_nonfinite_gradient_names_the_tensor(monkeypatch):
     real_pass = motionmimic.trainer.forward_backward
     steps = []
 
-    def poisoned_pass(net, x, y):
-        loss, pred, grads = real_pass(net, x, y)
+    def poisoned_pass(*args):
+        loss, pred, grads = real_pass(*args)
         if steps:
             grads.biases[0][1] = np.nan
         return loss, pred, grads

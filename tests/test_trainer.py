@@ -17,6 +17,7 @@ from motionmimic.network import initialize
 from motionmimic.optimizer import TrainingSchedule, desk_schedule
 from motionmimic.spline import build_spline
 from motionmimic.trainer import (
+    DEFAULT_HIDDEN,
     MotionDataset,
     TrainedModel,
     evaluate,
@@ -34,6 +35,8 @@ from motionmimic.trainer import (
     save_model,
     train,
 )
+
+from oracles import expression_adam_step, unfused_forward_backward
 
 
 def kick_analog(seed=100, n_joints=5, n_keys=5, duration=1.5):
@@ -259,12 +262,42 @@ def test_seeded_training_files_are_bit_identical(tmp_path, monkeypatch):
         assert np.shares_memory(b, theta)
 
 
+def reference_training(dataset, schedule, seed, alpha):
+    """(params, mses, maes) of the epoch loop on fresh arrays: unfused pass, expression Adam."""
+    n = dataset.n_joints
+    net = initialize([1, *DEFAULT_HIDDEN, n + 1], seed=seed, alpha=alpha)
+    x, y = dataset.normalized_times()[:, None], dataset.targets
+    m, v, t = np.zeros_like(net.params), np.zeros_like(net.params), 0
+    phases, mses, maes = schedule.epoch_phases(), [], []
+    for epoch, lr in enumerate(schedule.epoch_lrs()):
+        if epoch and phases[epoch] != phases[epoch - 1]:
+            m[:], v[:], t = 0.0, 0.0, 0
+        loss, pred, w_grads, b_grads = unfused_forward_backward(net, x, y)
+        flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(w_grads, b_grads)])
+        t += 1
+        expression_adam_step(m, v, t, net.params, flat, lr)
+        mses.append(loss)
+        maes.append(np.mean(np.abs(pred[:, :n] - y[:, :n])))
+    return net.params, np.array(mses), np.array(maes)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 2.5])
+def test_buffered_training_matches_fresh_array_loop_bit_for_bit(alpha):
+    ds = sample_movement(one_second_movement(), 289.0)
+    assert len(ds.times) == 300
+    sched = TrainingSchedule([(20, 0.01), (15, 0.004), (10, 0.001)], reset_on_phase=True)
+    model, log = train(ds, schedule=sched, seed=2, alpha=alpha)
+    params, mses, maes = reference_training(ds, sched, seed=2, alpha=alpha)
+    for got, want in ((model.network.params, params), (log.mses, mses), (log.maes, maes)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_divergence_names_the_first_nonfinite_gradient(monkeypatch):
     real_pass = motionmimic.trainer.forward_backward
     passes = []
 
-    def poisoned_pass(net, x, y):  # finite loss, non-finite gradients from epoch 3 on
-        loss, pred, grads = real_pass(net, x, y)
+    def poisoned_pass(*args):  # finite loss, non-finite gradients from epoch 3 on
+        loss, pred, grads = real_pass(*args)
         passes.append(loss)
         if len(passes) > 3:
             grads.biases[2][0] = np.inf
