@@ -30,7 +30,7 @@ def parameter_count(sizes, alpha) -> int:
     return total
 
 
-def _layer_views(sizes, flat):
+def layer_views(sizes, flat):
     """Per-layer (weights, biases) views into flat: each layer's weights, row-major, then biases."""
     weights, biases, start = [], [], 0
     for in_dim, out_dim in zip(sizes, sizes[1:]):
@@ -70,7 +70,7 @@ class MimicNetwork:
             raise ShapeError(f"sizes {self.sizes} need {total} parameters, not {self.params.shape}")
         if not np.all(np.isfinite(self.params)):
             raise ValidationError("network parameters must be finite")
-        self.weights, self.biases = _layer_views(self.sizes, self.params)
+        self.weights, self.biases = layer_views(self.sizes, self.params)
 
     @property
     def input_dim(self) -> int:
@@ -81,20 +81,13 @@ class MimicNetwork:
         return self.sizes[-1]
 
 
-@dataclass
-class GradientSet:
-    """Loss gradients: one vector laid out like MimicNetwork.params, and per-layer views into it."""
-
-    flat: np.ndarray
-    weights: list
-    biases: list
-
-    def first_nonfinite(self):
-        """Name of the first tensor holding a non-finite value, e.g. 'layer1.weights'."""
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            for kind, g in (("weights", w), ("biases", b)):
-                if not np.all(np.isfinite(g)):
-                    return f"layer{i}.{kind}"
+def nonfinite_tensor(sizes, flat):
+    """Name of the first tensor of flat, laid out like params, holding a non-finite value."""
+    weights, biases = layer_views(sizes, flat)
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        for kind, g in (("weights", w), ("biases", b)):
+            if not np.isfinite(g).all():
+                return f"layer{i}.{kind}"
 
 
 def leaky_relu(z: np.ndarray, alpha: float, slope: np.ndarray) -> np.ndarray:
@@ -118,50 +111,82 @@ def leaky_relu(z: np.ndarray, alpha: float, slope: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class EpochBuffers:
-    """The arrays one forward_backward pass writes into, made once by epoch_buffers.
+    """The arrays one forward_backward pass over a batch x writes into, made once by epoch_buffers.
 
-    acts[i], shaped (rows, out) for layer i, holds the layer's
-    pre-activation, then its activation in place, and, once the next
-    layer's weight gradient has read it, the backward delta of layer i.
-    slopes[i] holds hidden layer i's leaky ReLU slope.  error holds the
-    predictions minus the targets; delta holds its square, then error / m,
-    the output layer's backward delta.
+    x1 is [x, 1] when layer 0 is one matrix product over it (see
+    _input_matrix), else None.  acts[i], shaped (rows, out) for layer i,
+    holds the layer's pre-activation, then its activation in place, and,
+    once the next layer's weight gradient has read it, the backward delta
+    of layer i.  slopes[i] holds hidden layer i's leaky ReLU slope.
+    error holds the predictions minus the targets; delta holds its
+    square, then error / m, the output layer's backward delta.  grads is
+    the gradient vector, laid out like params, and grad_weights and
+    grad_biases are its per-layer views.
     """
 
+    x1: np.ndarray
     acts: list
     slopes: list
     error: np.ndarray
     delta: np.ndarray
-    grads: GradientSet
+    grads: np.ndarray
+    grad_weights: list
+    grad_biases: list
 
 
-def epoch_buffers(net: MimicNetwork, rows: int) -> EpochBuffers:
-    """Buffers for passes of net over batches of rows rows."""
-    acts = [np.empty((rows, out)) for out in net.sizes[1:]]
-    flat = np.empty_like(net.params)
+def _input_matrix(sizes, x):
+    """[x, 1], shaped (rows, 2), when layer 0 is one matrix product over it, else None.
+
+    A 1-input layer 0 stores its one weight column right before its
+    biases, so [x, 1] @ params[:2 * width].reshape(2, width) is x w + b,
+    bias included.  With at least 2 rows and 2 units numpy runs a
+    matrix-matrix product, which rounds exactly as x * w followed by + b;
+    a 1-row batch or a 1-unit layer goes to a matrix-vector kernel that
+    rounds differently, so those keep the broadcast product.  The one
+    bit that can differ is the sign of an exact-zero sum when a bias is
+    -0.0: the product gives +0.0.
+    """
+    if sizes[0] != 1 or x.shape[1] != 1 or len(x) < 2 or sizes[1] < 2:
+        return None
+    return np.column_stack((x[:, 0], np.ones(len(x))))
+
+
+def epoch_buffers(net: MimicNetwork, x: np.ndarray) -> EpochBuffers:
+    """Buffers for passes of net, or of any net of its sizes, over the batch x."""
+    acts = [np.empty((len(x), out)) for out in net.sizes[1:]]
+    grads = np.empty_like(net.params)
+    grad_weights, grad_biases = layer_views(net.sizes, grads)
     return EpochBuffers(
+        x1=_input_matrix(net.sizes, x),
         acts=acts,
         slopes=[np.empty_like(a) for a in acts[:-1]],
         error=np.empty_like(acts[-1]),
         delta=np.empty_like(acts[-1]),
-        grads=GradientSet(flat, *_layer_views(net.sizes, flat)),
+        grads=grads,
+        grad_weights=grad_weights,
+        grad_biases=grad_biases,
     )
 
 
-def _layers(net: MimicNetwork, a, buffers=None):
-    """Yield the activation of each layer in turn for the batch a.
+def _layers(net: MimicNetwork, x, buffers=None):
+    """Yield the activation of each layer in turn for the batch x.
 
-    With buffers, layer i is written into buffers.acts[i]; without, into
-    fresh arrays, so a caller that drops each one frees it.
+    With buffers, made for x, layer i is written into buffers.acts[i];
+    without, into fresh arrays, so a caller that drops each one frees it.
     """
+    x1 = _input_matrix(net.sizes, x) if buffers is None else buffers.x1
     last = len(net.weights) - 1
+    a = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = np.empty((len(a), len(b))) if buffers is None else buffers.acts[i]
-        if w.shape[1] == 1:  # a broadcast outer product, rounded exactly as the matrix product
-            np.multiply(a, w[:, 0], out=z)
+        if i == 0 and x1 is not None:  # [x, 1] @ [w; b], a view of params: no bias add
+            np.matmul(x1, net.params[: 2 * len(b)].reshape(2, len(b)), out=z)
         else:
-            np.matmul(a, w.T, out=z)
-        z += b
+            if w.shape[1] == 1:  # a broadcast outer product, rounded exactly as the matrix product
+                np.multiply(a, w[:, 0], out=z)
+            else:
+                np.matmul(a, w.T, out=z)
+            z += b
         if i < last:
             leaky_relu(z, net.alpha, np.empty_like(z) if buffers is None else buffers.slopes[i])
         a = z
@@ -182,36 +207,36 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers=None):
-    """One full pass: returns (loss, predictions, GradientSet).
+    """One full pass: returns (loss, predictions, gradient vector).
 
     x is a float (m, in) batch and y its (m, out) targets.  Gradients are
     the exact analytic derivatives of mse_loss with respect to every
-    weight and bias, accumulated over the batch.  The pass writes into
-    buffers, an EpochBuffers for m rows (made here when None); the
-    predictions and gradients it returns are views of them, overwritten
-    by the next pass through the same buffers.
+    weight and bias, accumulated over the batch, laid out like params.
+    The pass writes into buffers, made by epoch_buffers for this x (made
+    here when None); the predictions and gradients it returns are views
+    of them, overwritten by the next pass through the same buffers.
     """
     m = x.shape[0]
     if buffers is None:
-        buffers = epoch_buffers(net, m)
+        buffers = epoch_buffers(net, x)
     for pred in _layers(net, x, buffers):
         pass
     error, delta = buffers.error, buffers.delta
     np.subtract(pred, y, out=error)
     np.multiply(error, error, out=delta)
-    loss = float(0.5 * np.sum(delta) / m)
+    loss = float(0.5 * np.add.reduce(delta, axis=None) / m)  # np.sum, without its wrapper
 
-    grads = buffers.grads
+    grad_weights, grad_biases = buffers.grad_weights, buffers.grad_biases
     np.divide(error, m, out=delta)  # dJ/d(layer output), propagated backwards
     inputs = [x, *buffers.acts[:-1]]
     for li in range(len(net.weights) - 1, -1, -1):
-        np.matmul(delta.T, inputs[li], out=grads.weights[li])
-        delta.sum(axis=0, out=grads.biases[li])
+        np.matmul(delta.T, inputs[li], out=grad_weights[li])
+        np.add.reduce(delta, axis=0, out=grad_biases[li])
         if li > 0:
             # layer li - 1's activation has served the weight gradient; its delta takes its place
             delta = np.matmul(delta, net.weights[li], out=inputs[li])
             delta *= buffers.slopes[li - 1]
-    return loss, pred, grads
+    return loss, pred, buffers.grads
 
 
 def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:

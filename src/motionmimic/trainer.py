@@ -8,6 +8,7 @@ by the same regression and thresholded at 0.5 during rollout.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .network import (
     initialize,
     load_weights,
     mse_loss,
+    nonfinite_tensor,
     parameter_count,
     save_weights,
 )
@@ -343,8 +345,8 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
     x = dataset.normalized_times()[:, None]
     y = dataset.targets
     state = adam_init(net.params)  # every weight and bias, updated in place by one Adam step
-    buffers = epoch_buffers(net, len(x))
-    abs_error = np.empty((len(x), n))  # contiguous, so its mean sums as a fresh array's does
+    buffers = epoch_buffers(net, x)
+    abs_error = np.empty((len(x), n))  # contiguous, so its sum runs as a fresh array's does
     phases, lrs = schedule.epoch_phases(), schedule.epoch_lrs()
     mses, maes = np.empty(len(lrs)), np.empty(len(lrs))
     # overflow and NaN fail the finite check below, so DivergenceError reports them
@@ -353,15 +355,21 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
             if schedule.reset_on_phase and epoch and phase != phases[epoch - 1]:
                 state = reset_state(state)
             loss, _, grads = forward_backward(net, x, y, buffers)
-            if not (np.isfinite(loss) and np.all(np.isfinite(grads.flat))):
-                what = (f"non-finite gradient in {grads.first_nonfinite()}" if np.isfinite(loss)
+            # a sum is finite only if every entry is; the scan runs when the sum is not,
+            # so a finite vector whose sum overflows still passes
+            if not (math.isfinite(loss) and (math.isfinite(np.add.reduce(grads))
+                                             or np.isfinite(grads).all())):
+                what = (f"non-finite gradient in {nonfinite_tensor(sizes, grads)}"
+                        if math.isfinite(loss)
                         else f"training loss became non-finite at epoch {epoch}")
                 partial = TrainingLog(np.arange(epoch), phases[:epoch], lrs[:epoch],
                                       mses[:epoch], maes[:epoch])
                 raise DivergenceError(f"{what}; last finite epoch {epoch - 1}", log=partial)
-            adam_step(state, net.params, grads.flat, lr)
+            adam_step(state, net.params, grads, lr)
             mses[epoch] = loss
-            maes[epoch] = np.mean(np.abs(buffers.error[:, :n], out=abs_error))
+            # np.mean without its wrapper: the sum, divided by the count
+            np.abs(buffers.error[:, :n], out=abs_error)
+            maes[epoch] = np.add.reduce(abs_error, axis=None) / abs_error.size
     return model, TrainingLog(np.arange(len(lrs)), phases, lrs, mses, maes)
 
 

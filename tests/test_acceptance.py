@@ -18,6 +18,7 @@ from motionmimic.network import (
     format_weights,
     forward_backward,
     initialize,
+    layer_views,
     parse_weights,
 )
 from motionmimic.optimizer import (
@@ -92,7 +93,7 @@ def test_c02_gradient_correctness():
         y = rng.standard_normal((batch, net.output_dim))
         loss, _, grads = forward_backward(net, x, y)
         fd_w, fd_b = finite_difference_gradients(net, x, y, epsilon=1e-6)
-        err = max_relative_gradient_error(grads.weights, grads.biases, fd_w, fd_b, loss=loss)
+        err = max_relative_gradient_error(*layer_views(net.sizes, grads), fd_w, fd_b, loss=loss)
         assert err < 1e-5
         checked += 1
     assert checked >= 20

@@ -18,7 +18,7 @@ def test_small_run_checks_the_parts_and_times_every_one(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("numpy ") and "BLAS threads" in lines[0]
     assert lines[1] == ("net 1:75:50:23, 8 rows, 2 timed epochs; "
-                        "parts match forward_backward bit for bit: yes")
+                        "parts match forward_backward and the MAE bit for bit: yes")
     assert lines[2].split() == ["part", "median_us", "q1_us", "q3_us"]
     parts = [line.split()[0] for line in lines[3:]]
     assert parts == [
@@ -26,7 +26,7 @@ def test_small_run_checks_the_parts_and_times_every_one(capsys):
         "layer2.affine", "loss",
         "layer2.weight_grad", "layer2.bias_grad", "layer2.delta_back", "layer1.activation_grad",
         "layer1.weight_grad", "layer1.bias_grad", "layer1.delta_back", "layer0.activation_grad",
-        "layer0.weight_grad", "layer0.bias_grad", "adam", "epoch",
+        "layer0.weight_grad", "layer0.bias_grad", "finite_check", "adam", "mae", "epoch",
     ]
     for line in lines[3:]:
         median, q1, q3 = map(float, line.split()[-3:])

@@ -9,12 +9,15 @@ from motionmimic.network import (
     forward,
     forward_backward,
     initialize,
+    layer_views,
     leaky_relu,
     load_weights,
     mse_loss,
+    nonfinite_tensor,
     parse_weights,
     save_weights,
 )
+from motionmimic.optimizer import adam_init, adam_step
 
 from oracles import (
     finite_difference_gradients,
@@ -99,7 +102,7 @@ def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
     """Fresh buffers, and two passes with other params and targets through one set, match."""
     rng = np.random.default_rng(4)
     x = rng.uniform(-1.0, 1.0, size=(33, sizes[0]))
-    shared = epoch_buffers(initialize(sizes, alpha=alpha), len(x))
+    shared = epoch_buffers(initialize(sizes, alpha=alpha), x)
     for seed in (4, 5):
         net = initialize(sizes, seed=seed, alpha=alpha)
         for b in net.biases:
@@ -111,10 +114,63 @@ def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
             loss, pred, grads = forward_backward(net, x, y, buffers)
             assert loss == ref_loss
             np.testing.assert_array_equal(bits(pred), bits(ref_pred))
-            for got, want in zip(grads.weights + grads.biases, ref_w + ref_b):
+            got_w, got_b = layer_views(sizes, grads)
+            for got, want in zip(got_w + got_b, ref_w + ref_b):
                 np.testing.assert_array_equal(bits(got), bits(want))
         assert pred is shared.acts[-1] and grads is shared.grads
         np.testing.assert_array_equal(bits(shared.error), bits(ref_pred - y))
+
+
+LAYER0_ROWS = [*range(1, 71), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025,
+               2999, 3001]
+LAYER0_INPUTS = np.array([0.0, -0.0, 5e-324, -5e-324, TINY / 3, TINY, np.inf, -np.inf, 1.0])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 23, 50, 75])
+def test_layer0_product_matches_broadcast_formula_bit_for_bit(width):
+    """[t, 1] @ [w; b] rounds as t * w + b, in forward and in the buffered pass, at every size.
+
+    1-row batches and 1-unit layers keep the broadcast formula; the
+    inputs include zeros, subnormals and infinities.
+    """
+    rng = np.random.default_rng(width)
+    for rows in LAYER0_ROWS:
+        t = rng.uniform(0.0, 1.0, size=(rows, 1))
+        t[1 : 1 + len(LAYER0_INPUTS), 0] = LAYER0_INPUTS[: rows - 1]  # row 0 stays random
+        w = rng.uniform(-1.0, 1.0, size=(width, 1))
+        w[1:3, 0] = [TINY / 5, -3.0][: width - 1]  # a subnormal product, -0.0 times a negative
+        b = rng.uniform(-0.5, 0.5, size=width)
+        net = single_layer(w, b)
+        with np.errstate(all="ignore"):
+            want = bits(np.multiply(t, w[:, 0]) + b)
+            np.testing.assert_array_equal(bits(forward(net, t)), want)
+            buffers = epoch_buffers(net, t)
+            _, pred, _ = forward_backward(net, t, np.zeros((rows, width)), buffers)
+        np.testing.assert_array_equal(bits(pred), want)
+
+
+def test_layer0_product_sign_of_zero_with_negative_zero_bias():
+    """The one bit the product can change: t * w + b is -0.0 only where t * w and b are -0.0.
+
+    The product gives +0.0 there; a 1-row batch keeps the broadcast
+    formula's -0.0.  Training never makes a -0.0 bias: biases start at
+    +0.0, and an Adam step subtracts, which from +0.0 never gives -0.0.
+    """
+    net = single_layer([[-1.0], [2.0]], [-0.0, -0.0])
+    t = np.array([[0.0], [0.5]])
+    want = np.multiply(t, net.weights[0][:, 0]) + net.biases[0]
+    assert np.signbit(want[0, 0]) and want[0, 0] == 0.0
+    got = forward(net, t)
+    assert not np.signbit(got[0, 0]) and got[0, 0] == 0.0
+    np.testing.assert_array_equal(bits(got.ravel()[1:]), bits(want.ravel()[1:]))
+    assert np.signbit(forward(net, t[:1])[0, 0])
+    net = initialize([1, 4, 3], seed=0)
+    for b in net.biases:
+        assert not np.signbit(b).any()
+    state = adam_init(net.params)
+    adam_step(state, net.params, np.where(np.arange(net.params.size) % 2, -0.0, 0.0), lr=0.1)
+    for b in net.biases:
+        assert not np.signbit(b).any()
 
 
 def test_parameters_and_gradients_are_views_of_one_vector():
@@ -122,15 +178,15 @@ def test_parameters_and_gradients_are_views_of_one_vector():
     total = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
     assert net.params.shape == (total,)
     _, _, grads = forward_backward(net, np.array([[0.3], [0.8]]), np.zeros((2, 3)))
-    assert grads.flat.shape == (total,)
+    assert grads.shape == (total,)
     start = 0
-    for w, b, gw, gb in zip(net.weights, net.biases, grads.weights, grads.biases):
+    for w, b, gw, gb in zip(net.weights, net.biases, *layer_views(net.sizes, grads)):
         for tensor, grad in ((w, gw), (b, gb)):
             assert np.shares_memory(tensor, net.params)
-            assert np.shares_memory(grad, grads.flat)
+            assert np.shares_memory(grad, grads)
             assert grad.shape == tensor.shape
             np.testing.assert_array_equal(net.params[start : start + tensor.size], tensor.ravel())
-            np.testing.assert_array_equal(grads.flat[start : start + grad.size], grad.ravel())
+            np.testing.assert_array_equal(grads[start : start + grad.size], grad.ravel())
             start += tensor.size
     assert start == total
     net.params[:] = 0.0
@@ -140,13 +196,14 @@ def test_parameters_and_gradients_are_views_of_one_vector():
 def test_gradient_set_names_first_nonfinite_tensor():
     net = initialize([1, 4, 2], seed=0)
     _, _, grads = forward_backward(net, np.array([[0.5]]), np.array([[0.0, 1.0]]))
-    assert grads.first_nonfinite() is None
-    grads.biases[1][0] = np.inf
-    assert grads.first_nonfinite() == "layer1.biases"
-    grads.weights[1][1, 2] = np.nan
-    assert grads.first_nonfinite() == "layer1.weights"
-    grads.biases[0][3] = -np.inf
-    assert grads.first_nonfinite() == "layer0.biases"
+    weights, biases = layer_views(net.sizes, grads)
+    assert nonfinite_tensor(net.sizes, grads) is None
+    biases[1][0] = np.inf
+    assert nonfinite_tensor(net.sizes, grads) == "layer1.biases"
+    weights[1][1, 2] = np.nan
+    assert nonfinite_tensor(net.sizes, grads) == "layer1.weights"
+    biases[0][3] = -np.inf
+    assert nonfinite_tensor(net.sizes, grads) == "layer0.biases"
 
 
 def test_forward_zero_network_gives_zeros():
@@ -203,8 +260,7 @@ def test_backward_hand_differentiated_case():
     net = single_layer([[1.0]], [0.0])
     loss, _, grads = forward_backward(net, np.array([[2.0]]), np.zeros((1, 1)))
     assert loss == pytest.approx(2.0)
-    np.testing.assert_allclose(grads.weights[0], [[4.0]])
-    np.testing.assert_allclose(grads.biases[0], [2.0])
+    np.testing.assert_allclose(grads, [4.0, 2.0])  # [dJ/dw, dJ/db]
 
 
 def test_backward_zero_everything_gives_zero_grads():
@@ -212,8 +268,7 @@ def test_backward_zero_everything_gives_zero_grads():
     net.params[:] = 0.0
     loss, _, grads = forward_backward(net, np.array([[0.5]]), np.zeros((1, 4)))
     assert loss == 0.0
-    for g in grads.weights + grads.biases:
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    np.testing.assert_array_equal(grads, np.zeros_like(net.params))
 
 
 def test_backward_reference_architecture_matches_finite_differences():
@@ -223,7 +278,7 @@ def test_backward_reference_architecture_matches_finite_differences():
     y = rng.uniform(-1.0, 1.0, size=(5, 23))
     loss, _, grads = forward_backward(net, x, y)
     fd_w, fd_b = finite_difference_gradients(net, x, y)
-    err = max_relative_gradient_error(grads.weights, grads.biases, fd_w, fd_b, loss=loss)
+    err = max_relative_gradient_error(*layer_views(net.sizes, grads), fd_w, fd_b, loss=loss)
     assert err < 1e-5
 
 
@@ -236,7 +291,7 @@ def test_gradients_random_small_networks():
         y = rng.standard_normal((batch, net.output_dim))
         loss, _, grads = forward_backward(net, x, y)
         fd_w, fd_b = finite_difference_gradients(net, x, y)
-        err = max_relative_gradient_error(grads.weights, grads.biases, fd_w, fd_b, loss=loss)
+        err = max_relative_gradient_error(*layer_views(net.sizes, grads), fd_w, fd_b, loss=loss)
         assert err < 1e-5
 
 
@@ -254,7 +309,7 @@ def test_gradients_match_finite_differences(sizes, alpha):
     y = rng.uniform(-1.0, 1.0, size=(6, sizes[-1]))
     loss, _, grads = forward_backward(net, x, y)
     fd_w, fd_b = finite_difference_gradients(net, x, y)
-    err = max_relative_gradient_error(grads.weights, grads.biases, fd_w, fd_b, loss=loss)
+    err = max_relative_gradient_error(*layer_views(net.sizes, grads), fd_w, fd_b, loss=loss)
     assert err < 1e-5
 
 
@@ -263,7 +318,7 @@ def test_leaky_grad_at_exact_zero_is_one():
     # weights 1 and biases 0 in both layers: [w0, b0, w1, b1]
     net = MimicNetwork([1, 1, 1], 0.01, np.array([1.0, 0.0, 1.0, 0.0]))
     _, _, grads = forward_backward(net, np.zeros((1, 1)), np.array([[-1.0]]))
-    np.testing.assert_allclose(grads.biases[0], [1.0])
+    np.testing.assert_allclose(layer_views(net.sizes, grads)[1][0], [1.0])
 
 
 def test_param_count_reference_architecture():

@@ -13,7 +13,7 @@ from motionmimic.errors import (
     ValidationError,
 )
 from motionmimic.motion import MAX_ANGLE, KeyframeMovement
-from motionmimic.network import initialize
+from motionmimic.network import initialize, layer_views
 from motionmimic.optimizer import TrainingSchedule, desk_schedule
 from motionmimic.spline import build_spline
 from motionmimic.trainer import (
@@ -300,8 +300,9 @@ def test_divergence_names_the_first_nonfinite_gradient(monkeypatch):
         loss, pred, grads = real_pass(*args)
         passes.append(loss)
         if len(passes) > 3:
-            grads.biases[2][0] = np.inf
-            grads.weights[1][3, 4] = np.nan
+            weights, biases = layer_views(args[0].sizes, grads)
+            biases[2][0] = np.inf
+            weights[1][3, 4] = np.nan
         return loss, pred, grads
 
     monkeypatch.setattr(motionmimic.trainer, "forward_backward", poisoned_pass)
@@ -310,6 +311,48 @@ def test_divergence_names_the_first_nonfinite_gradient(monkeypatch):
         train(ds, schedule=TrainingSchedule([(5, 0.001)]), seed=0)
     assert "last finite epoch 2" in str(err.value)
     assert len(err.value.log) == 3
+
+
+def huge_gradient_pass(real_pass, bad=None, from_pass=3):
+    """A forward_backward whose layer-0 weight gradients start with two finite 1e308s.
+
+    Their sum overflows, so the vector's sum is not finite though every
+    entry is.  From pass from_pass on, layer1.weights[3, 4] is set to bad.
+    """
+    passes = []
+
+    def poisoned_pass(*args):
+        loss, pred, grads = real_pass(*args)
+        passes.append(loss)
+        weights, _ = layer_views(args[0].sizes, grads)
+        weights[0][:2] = 1e308
+        assert np.isinf(np.add.reduce(grads))
+        if bad is not None and len(passes) >= from_pass:
+            weights[1][3, 4] = bad
+        return loss, pred, grads
+
+    return poisoned_pass
+
+
+def test_finite_gradients_whose_sum_overflows_train_on(monkeypatch):
+    real_pass = motionmimic.trainer.forward_backward
+    monkeypatch.setattr(motionmimic.trainer, "forward_backward", huge_gradient_pass(real_pass))
+    ds = sample_movement(one_second_movement(), 50.0)
+    model, log = train(ds, schedule=TrainingSchedule([(5, 0.001)]), seed=0)
+    assert len(log) == 5
+    assert np.all(np.isfinite(log.mses)) and np.all(np.isfinite(model.network.params))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_one_nonfinite_gradient_entry_names_its_tensor(monkeypatch, bad):
+    real_pass = motionmimic.trainer.forward_backward
+    monkeypatch.setattr(motionmimic.trainer, "forward_backward",
+                        huge_gradient_pass(real_pass, bad=bad, from_pass=3))
+    ds = sample_movement(one_second_movement(), 50.0)
+    with pytest.raises(DivergenceError, match="^non-finite gradient in layer1.weights; "
+                                              "last finite epoch 1$") as err:
+        train(ds, schedule=TrainingSchedule([(5, 0.001)]), seed=0)
+    assert len(err.value.log) == 2
 
 
 def test_desk_scale_fit_reaches_mae_bound(desk_fit):
