@@ -107,8 +107,10 @@ def poses(m: KeyframeMovement, times) -> np.ndarray:
 
     Every time must lie in [0, playback_duration(m)]; open-loop
     movements have a definite end, so out-of-range queries raise
-    OutOfRangeError rather than clamp.  Postures beyond MAX_ANGLE (the
-    spline can overshoot far past close keyframes) raise ValidationError.
+    OutOfRangeError rather than clamp.  This is the one range check, so
+    the spline is evaluated only inside its knots.  Postures beyond
+    MAX_ANGLE (the spline can overshoot far past close keyframes) raise
+    ValidationError.
     """
     duration = playback_duration(m)
     ts = np.asarray(times, dtype=float)

@@ -142,9 +142,9 @@ def _input_matrix(sizes, x):
     bias included.  With at least 2 rows and 2 units numpy runs a
     matrix-matrix product, which rounds exactly as x * w followed by + b;
     a 1-row batch or a 1-unit layer goes to a matrix-vector kernel that
-    rounds differently, so those keep the broadcast product.  The one
-    bit that can differ is the sign of an exact-zero sum when a bias is
-    -0.0: the product gives +0.0.
+    rounds differently, so those take x @ w.T, then + b, as every other
+    layer does.  Both give an exact-zero x * w as +0.0, so with a -0.0
+    bias the sum is +0.0 where the broadcast x * w + b gives -0.0.
     """
     if sizes[0] != 1 or x.shape[1] != 1 or len(x) < 2 or sizes[1] < 2:
         return None
@@ -182,10 +182,7 @@ def _layers(net: MimicNetwork, x, buffers=None):
         if i == 0 and x1 is not None:  # [x, 1] @ [w; b], a view of params: no bias add
             np.matmul(x1, net.params[: 2 * len(b)].reshape(2, len(b)), out=z)
         else:
-            if w.shape[1] == 1:  # a broadcast outer product, rounded exactly as the matrix product
-                np.multiply(a, w[:, 0], out=z)
-            else:
-                np.matmul(a, w.T, out=z)
+            np.matmul(a, w.T, out=z)
             z += b
         if i < last:
             leaky_relu(z, net.alpha, np.empty_like(z) if buffers is None else buffers.slopes[i])
@@ -206,19 +203,17 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(0.5 * np.sum(diff * diff) / pred.shape[0])
 
 
-def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers=None):
+def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers: EpochBuffers):
     """One full pass: returns (loss, predictions, gradient vector).
 
     x is a float (m, in) batch and y its (m, out) targets.  Gradients are
     the exact analytic derivatives of mse_loss with respect to every
     weight and bias, accumulated over the batch, laid out like params.
-    The pass writes into buffers, made by epoch_buffers for this x (made
-    here when None); the predictions and gradients it returns are views
-    of them, overwritten by the next pass through the same buffers.
+    The pass writes into buffers, made by epoch_buffers for this x; the
+    predictions and gradients it returns are views of them, overwritten
+    by the next pass through the same buffers.
     """
     m = x.shape[0]
-    if buffers is None:
-        buffers = epoch_buffers(net, x)
     for pred in _layers(net, x, buffers):
         pass
     error, delta = buffers.error, buffers.delta

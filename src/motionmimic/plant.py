@@ -15,7 +15,7 @@ from .errors import ConfigError
 # reference_pose is not called here; bench/tracing.py looks it up on this module
 from .motion import KeyframeMovement, grid_size, playback_duration, poses, reference_pose
 from .textio import format_table
-from .trainer import TrainedModel, rollout
+from .trainer import rollout
 
 # a joint counts as attenuated when it loses more than 5% of amplitude
 ATTENUATION_RATIO = 0.95
@@ -61,15 +61,13 @@ def step(positions: np.ndarray, references: np.ndarray, cfg: PlantConfig) -> np.
 
 
 def reference_stream(source, tick_rate: float):
-    """Tick times and per-tick reference postures for a movement or model."""
+    """Tick times and per-tick reference postures for a movement, else a trained model."""
     if isinstance(source, KeyframeMovement):
         duration = playback_duration(source)
         times = np.arange(grid_size(duration, tick_rate)) / tick_rate
         return times, poses(source, np.minimum(times, duration))
-    if isinstance(source, TrainedModel):
-        ro = rollout(source, tick_rate)
-        return ro.times, ro.joints
-    raise ConfigError(f"cannot simulate a {type(source).__name__}")
+    ro = rollout(source, tick_rate)
+    return ro.times, ro.joints
 
 
 def simulate(source, cfg: PlantConfig) -> SimulationResult:

@@ -10,7 +10,7 @@ sweep solves it for every column of a (knots, joints) value array.
 
 import numpy as np
 
-from .errors import OutOfRangeError, ValidationError
+from .errors import ValidationError
 
 
 class CubicSpline:
@@ -25,31 +25,18 @@ class CubicSpline:
         self.knot_times = knot_times
         self.coeffs = coeffs  # columns a, b, c, d on axis 1
 
-    @property
-    def n_segments(self) -> int:
-        return len(self.knot_times) - 1
-
-    def _locate(self, t):
-        """(segment indices, offsets into the segments) for query times t."""
-        ts = np.asarray(t, dtype=float)
-        lo, hi = self.knot_times[0], self.knot_times[-1]
-        if np.any(ts < lo) or np.any(ts > hi):
-            raise OutOfRangeError(f"query time outside knot range [{lo}, {hi}]")
-        i = np.clip(np.searchsorted(self.knot_times, ts, side="right") - 1, 0, self.n_segments - 1)
-        # one offset per query, shared by every joint column
-        return i, (ts - self.knot_times[i])[..., None]
-
     def eval(self, t):
-        """Spline values at times t: one row of joints per time."""
-        i, d = self._locate(t)
+        """Spline values at times t inside the knots: one row of joints per time.
+
+        The caller owns the range (motion.poses checks it); a time past an
+        end knot extends that end's cubic.
+        """
+        ts = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.knot_times, ts, side="right") - 1,
+                    0, len(self.knot_times) - 2)
+        d = (ts - self.knot_times[i])[..., None]  # one offset per query, shared by every joint
         a, b, c, e = (self.coeffs[i, k] for k in range(4))
         return a + d * (b + d * (c + d * e))
-
-    def eval_derivatives(self, t):
-        """First and second derivatives at times t: (velocity, acceleration) rows."""
-        i, d = self._locate(t)
-        b, c, e = (self.coeffs[i, k] for k in range(1, 4))
-        return b + d * (2.0 * c + 3.0 * e * d), 2.0 * c + 6.0 * e * d
 
 
 def build_spline(times, values) -> CubicSpline:

@@ -177,9 +177,10 @@ class TrainedModel:
             raise ShapeError(f"network takes {self.network.input_dim} inputs; "
                              "it needs 1, the normalized time")
         if self.network.output_dim != self.n_joints + 1:
-            raise ShapeError(
-                f"network emits {self.network.output_dim} values, expected {self.n_joints + 1}"
-            )
+            raise ShapeError(f"network output size {self.network.output_dim} must equal "
+                             f"joints + end flag = {self.n_joints + 1}")
+        if "".join(self.name.splitlines()) != self.name:  # model.meta holds it on one line
+            raise ValidationError(f"model name {self.name!r} must not hold a line break")
 
     def predict(self, times) -> np.ndarray:
         """Joint + flag outputs at the given playback times."""
@@ -246,7 +247,10 @@ def _check_tail(tail):
 
 def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0,
                joint_names=None, name: str = "") -> MotionDataset:
-    """Regularize an externally captured (time, joints) log onto a uniform grid.
+    """Regularize an externally captured log onto a uniform grid.
+
+    times and joints are the time column and the (samples, joints) rest
+    of one table, as load_joint_log reads it.
 
     Single missing samples are filled by linear interpolation of their
     neighbors; longer gaps are an error.  Periodic logs (one period of a
@@ -256,10 +260,6 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
     """
     t = np.asarray(times, dtype=float)
     vals = np.asarray(joints, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if t.ndim != 1 or len(t) != len(vals):
-        raise ShapeError(f"{len(t)} times vs {len(vals)} joint rows")
     if len(t) < 2:
         raise IngestionError("log needs at least 2 samples")
     _check_rate(rate)
@@ -318,10 +318,6 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
         schedule = desk_schedule()
     n = dataset.n_joints
     sizes = [int(s) for s in arch] if arch is not None else [1, *DEFAULT_HIDDEN, n + 1]
-    if sizes[-1] != n + 1:
-        raise ShapeError(
-            f"network output size {sizes[-1]} must equal joints + end flag = {n + 1}"
-        )
     parameter_count(sizes, alpha)  # the sizes, alpha and MAX_PARAMETERS are refused first
     activations = len(dataset.times) * sum(sizes[1:])
     if activations > MAX_BATCH_ACTIVATIONS:

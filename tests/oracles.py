@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: the
 spline oracle assembles the full dense linear system instead of the
 tridiagonal solve, the gradient oracle uses central finite differences,
 the Adam oracle is a plain-float recurrence, the forward oracle is
-per-neuron Python loops, the unfused pass and the expression Adam step
+per-neuron Python loops, the derivative oracle differentiates a
+spline's segment cubics term by term, the unfused pass and the expression Adam step
 are the array code that the buffered epoch replaced, making fresh arrays, and the plant oracle advances one tick at a
 time through plant.step.  The table oracle is the row-template CSV
 writer that textio.format_table replaced: one '%.17g,...' % row per line.
@@ -64,6 +65,16 @@ def eval_segment_poly(coeffs_row, d):
     """Evaluate one segment polynomial at local offset d."""
     a, b, c, e = coeffs_row
     return a + d * (b + d * (c + d * e))
+
+
+def spline_derivatives(spline, t):
+    """First and second derivatives of a CubicSpline at times t: (velocity, acceleration) rows."""
+    ts = np.asarray(t, dtype=float)
+    knots = spline.knot_times
+    i = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, len(knots) - 2)
+    d = (ts - knots[i])[..., None]  # one offset per query, shared by every joint
+    b, c, e = (spline.coeffs[i, k] for k in range(1, 4))
+    return b + d * (2.0 * c + 3.0 * e * d), 2.0 * c + 6.0 * e * d
 
 
 def finite_difference_gradients(net, x, y, epsilon=1e-6):

@@ -7,7 +7,7 @@ import motionmimic.motion
 from motionmimic.cli import build_parser, main
 from motionmimic.network import format_weights, initialize
 from motionmimic.plant import PlantConfig
-from motionmimic.trainer import load_dataset
+from motionmimic.trainer import load_dataset, load_model
 
 MOVEMENT = """movement n=2 gamma=3 rate=1
 t=0 0 0.3
@@ -261,6 +261,30 @@ def test_train_arch_mismatch_is_exit_2(trained, capsys):
     )
     assert code == 2
     assert "output size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stem", ["a\nb", "a\x1cb"], ids=["newline", "file-separator"])
+def test_train_refuses_a_dataset_name_model_meta_cannot_hold(workdir, capsys, stem):
+    # str.splitlines breaks at both, so model.meta's name= line would read back as two
+    dataset = workdir / f"{stem}.csv"
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", dataset]) == 0
+    capsys.readouterr()
+    code = run(["train", "--dataset", dataset, "--schedule", workdir / "sched.txt",
+                "--out", workdir / "model"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: model name {stem!r} must not hold a line break\n"
+    assert not (workdir / "model").exists()
+
+
+def test_dataset_name_with_spaces_round_trips_through_model_meta(workdir, capsys):
+    dataset = workdir / "a b .csv"
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", dataset]) == 0
+    assert run(["train", "--dataset", dataset, "--schedule", workdir / "sched.txt",
+                "--out", workdir / "model"]) == 0
+    assert "name=a b \n" in (workdir / "model" / "model.meta").read_text()
+    assert load_model(workdir / "model").name == "a b "
+    assert run(["eval", "--model", workdir / "model", "--dataset", dataset]) == 0
 
 
 def test_train_divergence_is_exit_3(trained, capsys):
@@ -597,6 +621,13 @@ def test_ingest_bad_rate_is_exit_2(workdir, capsys, rate, message):
         # the one input is the normalized time
         pytest.param(["--arch", "2:5:3"], "network takes 2 inputs; it needs 1, the normalized time",
                      id="two-inputs"),
+        # the model owns the output width, the network the layer count
+        pytest.param(["--arch", "1:8:5"], "network output size 5 must equal joints + end flag = 3",
+                     id="output-width"),
+        pytest.param(["--arch", "23"], "a network needs at least one layer, so two sizes: [23]",
+                     id="one-size-23"),
+        pytest.param(["--arch", "5"], "a network needs at least one layer, so two sizes: [5]",
+                     id="one-size-5"),
     ],
 )
 def test_unusable_train_config_is_exit_2(workdir, capsys, options, message):

@@ -110,7 +110,7 @@ def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
         y = rng.uniform(-1.0, 1.0, size=(33, sizes[-1]))
         ref_loss, ref_pred, ref_w, ref_b = unfused_forward_backward(net, x, y)
         np.testing.assert_array_equal(bits(forward(net, x)), bits(ref_pred))
-        for buffers in (None, shared):
+        for buffers in (epoch_buffers(net, x), shared):
             loss, pred, grads = forward_backward(net, x, y, buffers)
             assert loss == ref_loss
             np.testing.assert_array_equal(bits(pred), bits(ref_pred))
@@ -124,37 +124,54 @@ def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
 LAYER0_ROWS = [*range(1, 71), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025,
                2999, 3001]
 LAYER0_INPUTS = np.array([0.0, -0.0, 5e-324, -5e-324, TINY / 3, TINY, np.inf, -np.inf, 1.0])
+# one layer of each width, a width-1 hidden layer and a 1-unit layer 0
+LAYER0_NETS = [*(pytest.param([1, w], id=str(w)) for w in (1, 2, 3, 5, 23, 50, 75)),
+               pytest.param([1, 5, 1, 3], id="1:5:1:3"), pytest.param([1, 1, 4, 3], id="1:1:4:3")]
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 5, 23, 50, 75])
-def test_layer0_product_matches_broadcast_formula_bit_for_bit(width):
+def broadcast_forward(net, x):
+    """The forward pass with every 1-input layer as the broadcast np.multiply(a, w[:, 0]) + b."""
+    a = x
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = (np.multiply(a, w[:, 0]) if w.shape[1] == 1 else a @ w.T) + b
+        a = np.where(z >= 0, z, net.alpha * z) if i < len(net.weights) - 1 else z
+    return a
+
+
+@pytest.mark.parametrize("sizes", LAYER0_NETS)
+def test_layer0_product_matches_broadcast_formula_bit_for_bit(sizes):
     """[t, 1] @ [w; b] rounds as t * w + b, in forward and in the buffered pass, at every size.
 
-    1-row batches and 1-unit layers keep the broadcast formula; the
+    1-row batches, 1-unit layers and layers after a 1-unit layer take
+    a @ w.T, then + b, which rounds as the broadcast formula too; the
     inputs include zeros, subnormals and infinities.
     """
+    width = sizes[1]
     rng = np.random.default_rng(width)
     for rows in LAYER0_ROWS:
         t = rng.uniform(0.0, 1.0, size=(rows, 1))
         t[1 : 1 + len(LAYER0_INPUTS), 0] = LAYER0_INPUTS[: rows - 1]  # row 0 stays random
         w = rng.uniform(-1.0, 1.0, size=(width, 1))
         w[1:3, 0] = [TINY / 5, -3.0][: width - 1]  # a subnormal product, -0.0 times a negative
-        b = rng.uniform(-0.5, 0.5, size=width)
-        net = single_layer(w, b)
+        params = [w.ravel(), rng.uniform(-0.5, 0.5, size=width)]
+        for n_in, n_out in zip(sizes[1:], sizes[2:]):
+            params += [rng.uniform(-1.0, 1.0, size=n_out * n_in),
+                       rng.uniform(-0.5, 0.5, size=n_out)]
+        net = MimicNetwork(sizes, 0.01, np.concatenate(params))
         with np.errstate(all="ignore"):
-            want = bits(np.multiply(t, w[:, 0]) + b)
+            want = bits(broadcast_forward(net, t))
             np.testing.assert_array_equal(bits(forward(net, t)), want)
             buffers = epoch_buffers(net, t)
-            _, pred, _ = forward_backward(net, t, np.zeros((rows, width)), buffers)
+            _, pred, _ = forward_backward(net, t, np.zeros((rows, sizes[-1])), buffers)
         np.testing.assert_array_equal(bits(pred), want)
 
 
 def test_layer0_product_sign_of_zero_with_negative_zero_bias():
     """The one bit the product can change: t * w + b is -0.0 only where t * w and b are -0.0.
 
-    The product gives +0.0 there; a 1-row batch keeps the broadcast
-    formula's -0.0.  Training never makes a -0.0 bias: biases start at
-    +0.0, and an Adam step subtracts, which from +0.0 never gives -0.0.
+    The product gives +0.0 there, and so does a 1-row batch's t @ w.T,
+    then + b.  Training never makes a -0.0 bias: biases start at +0.0,
+    and an Adam step subtracts, which from +0.0 never gives -0.0.
     """
     net = single_layer([[-1.0], [2.0]], [-0.0, -0.0])
     t = np.array([[0.0], [0.5]])
@@ -163,7 +180,7 @@ def test_layer0_product_sign_of_zero_with_negative_zero_bias():
     got = forward(net, t)
     assert not np.signbit(got[0, 0]) and got[0, 0] == 0.0
     np.testing.assert_array_equal(bits(got.ravel()[1:]), bits(want.ravel()[1:]))
-    assert np.signbit(forward(net, t[:1])[0, 0])
+    assert not np.signbit(forward(net, t[:1])[0, 0])
     net = initialize([1, 4, 3], seed=0)
     for b in net.biases:
         assert not np.signbit(b).any()
@@ -177,7 +194,8 @@ def test_parameters_and_gradients_are_views_of_one_vector():
     net = initialize([1, 5, 4, 3], seed=0)
     total = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
     assert net.params.shape == (total,)
-    _, _, grads = forward_backward(net, np.array([[0.3], [0.8]]), np.zeros((2, 3)))
+    x = np.array([[0.3], [0.8]])
+    _, _, grads = forward_backward(net, x, np.zeros((2, 3)), epoch_buffers(net, x))
     assert grads.shape == (total,)
     start = 0
     for w, b, gw, gb in zip(net.weights, net.biases, *layer_views(net.sizes, grads)):
@@ -195,7 +213,8 @@ def test_parameters_and_gradients_are_views_of_one_vector():
 
 def test_gradient_set_names_first_nonfinite_tensor():
     net = initialize([1, 4, 2], seed=0)
-    _, _, grads = forward_backward(net, np.array([[0.5]]), np.array([[0.0, 1.0]]))
+    x = np.array([[0.5]])
+    _, _, grads = forward_backward(net, x, np.array([[0.0, 1.0]]), epoch_buffers(net, x))
     weights, biases = layer_views(net.sizes, grads)
     assert nonfinite_tensor(net.sizes, grads) is None
     biases[1][0] = np.inf
@@ -258,7 +277,8 @@ def test_backward_hand_differentiated_case():
     # y = w*x + b with w=1, b=0, x=2, target 0: J = (2)^2/2 = 2,
     # dJ/dw = (wx+b-y)*x = 4, dJ/db = 2
     net = single_layer([[1.0]], [0.0])
-    loss, _, grads = forward_backward(net, np.array([[2.0]]), np.zeros((1, 1)))
+    x = np.array([[2.0]])
+    loss, _, grads = forward_backward(net, x, np.zeros((1, 1)), epoch_buffers(net, x))
     assert loss == pytest.approx(2.0)
     np.testing.assert_allclose(grads, [4.0, 2.0])  # [dJ/dw, dJ/db]
 
@@ -266,7 +286,8 @@ def test_backward_hand_differentiated_case():
 def test_backward_zero_everything_gives_zero_grads():
     net = initialize([1, 8, 4], seed=3)
     net.params[:] = 0.0
-    loss, _, grads = forward_backward(net, np.array([[0.5]]), np.zeros((1, 4)))
+    x = np.array([[0.5]])
+    loss, _, grads = forward_backward(net, x, np.zeros((1, 4)), epoch_buffers(net, x))
     assert loss == 0.0
     np.testing.assert_array_equal(grads, np.zeros_like(net.params))
 
@@ -276,7 +297,7 @@ def test_backward_reference_architecture_matches_finite_differences():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 1.0, size=(5, 1))
     y = rng.uniform(-1.0, 1.0, size=(5, 23))
-    loss, _, grads = forward_backward(net, x, y)
+    loss, _, grads = forward_backward(net, x, y, epoch_buffers(net, x))
     fd_w, fd_b = finite_difference_gradients(net, x, y)
     err = max_relative_gradient_error(*layer_views(net.sizes, grads), fd_w, fd_b, loss=loss)
     assert err < 1e-5
@@ -289,7 +310,7 @@ def test_gradients_random_small_networks():
         batch = int(rng.integers(1, 6))
         x = rng.standard_normal((batch, net.input_dim))
         y = rng.standard_normal((batch, net.output_dim))
-        loss, _, grads = forward_backward(net, x, y)
+        loss, _, grads = forward_backward(net, x, y, epoch_buffers(net, x))
         fd_w, fd_b = finite_difference_gradients(net, x, y)
         err = max_relative_gradient_error(*layer_views(net.sizes, grads), fd_w, fd_b, loss=loss)
         assert err < 1e-5
@@ -307,7 +328,7 @@ def test_gradients_match_finite_differences(sizes, alpha):
     rng = np.random.default_rng(17)
     x = rng.uniform(-1.0, 1.0, size=(6, sizes[0]))
     y = rng.uniform(-1.0, 1.0, size=(6, sizes[-1]))
-    loss, _, grads = forward_backward(net, x, y)
+    loss, _, grads = forward_backward(net, x, y, epoch_buffers(net, x))
     fd_w, fd_b = finite_difference_gradients(net, x, y)
     err = max_relative_gradient_error(*layer_views(net.sizes, grads), fd_w, fd_b, loss=loss)
     assert err < 1e-5
@@ -317,7 +338,8 @@ def test_leaky_grad_at_exact_zero_is_one():
     # hidden pre-activation is exactly 0; its bias gradient uses slope 1
     # weights 1 and biases 0 in both layers: [w0, b0, w1, b1]
     net = MimicNetwork([1, 1, 1], 0.01, np.array([1.0, 0.0, 1.0, 0.0]))
-    _, _, grads = forward_backward(net, np.zeros((1, 1)), np.array([[-1.0]]))
+    x = np.zeros((1, 1))
+    _, _, grads = forward_backward(net, x, np.array([[-1.0]]), epoch_buffers(net, x))
     np.testing.assert_allclose(layer_views(net.sizes, grads)[1][0], [1.0])
 
 

@@ -180,11 +180,6 @@ def test_simulate_model_source():
     assert len(result.times) >= 1
 
 
-def test_simulate_rejects_unknown_source():
-    with pytest.raises(ConfigError):
-        simulate(object(), PlantConfig())
-
-
 def test_comparison_csv_layout():
     movement = sine_movement(freq=1.0, duration=0.5)
     result = simulate(movement, PlantConfig())

@@ -419,7 +419,7 @@ def test_phase_reset_spike_is_transient():
 def test_every_sample_rate_must_be_positive_and_finite(rate):
     calls = [
         lambda: sample_movement(one_second_movement(), rate),
-        lambda: ingest_log([0.0, 0.02], [0.0, 1.0], rate),
+        lambda: ingest_log([0.0, 0.02], [[0.0], [1.0]], rate),
         lambda: rollout(zero_model(1), rate),
         lambda: MotionDataset([0.0, 0.02], np.zeros((2, 2)), rate),
     ]
