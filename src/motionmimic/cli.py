@@ -13,12 +13,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError, DivergenceError, MimicError
+from .errors import DivergenceError, MimicError
 # validate_movement is not called here; bench/tracing.py looks it up on this module
 from .motion import load_movement, validate_movement
 from .optimizer import SCHEDULE_PRESETS, load_schedule
 from .plant import PlantConfig, save_comparison, simulate
-from .textio import fmt, format_record
+from .textio import fmt, format_record, write_text
 from .trainer import (
     DEFAULT_TAIL,
     default_joint_names,
@@ -43,7 +43,7 @@ def _parse_arch(text):
     try:
         sizes = [int(p) for p in text.split(":")]
     except ValueError:
-        raise ConfigError(f"arch must look like 1:75:50:23, got '{text}'") from None
+        raise MimicError(f"arch must look like 1:75:50:23, got '{text}'") from None
     return sizes  # train refuses sizes no net or model can take
 
 
@@ -52,7 +52,7 @@ def _load_schedule_arg(spec):
         return SCHEDULE_PRESETS[spec]()
     if Path(spec).exists():
         return load_schedule(spec)
-    raise ConfigError(
+    raise MimicError(
         f"unknown schedule '{spec}': expected one of {sorted(SCHEDULE_PRESETS)} or a file"
     )
 
@@ -153,7 +153,7 @@ def cmd_compare(args) -> int:
                ("end_time_error=<int>", rep.end_time_error),
                ("tracking_rms=<float>", result.overall_rms),
                ("attenuated=<true|false>", result.attenuated)]
-    (out / "metrics.txt").write_text("".join(format_record(*m) + "\n" for m in metrics))
+    write_text(out / "metrics.txt", "".join(format_record(*m) + "\n" for m in metrics))
     print(f"mae={rep.mae:.6g} rad")
     print(f"end_time_error={rep.end_time_error} samples")
     print(f"tracking_rms={result.overall_rms:.6g} rad")

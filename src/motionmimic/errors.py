@@ -1,37 +1,15 @@
-"""Exception hierarchy shared across the toolkit.
+"""The two errors the toolkit raises, one per CLI exit code.
 
-The CLI maps these onto exit codes: any MimicError is an input or
-validation problem (exit 2) except DivergenceError, which signals a
-numerical failure during training (exit 3).
+MimicError (exit 2): an input the toolkit cannot use, a file, an option
+or a value; its message says which and why.  DivergenceError (exit 3),
+a MimicError: training produced non-finite values.
 """
+
+import math
 
 
 class MimicError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class ValidationError(MimicError):
-    """Input data violates a documented invariant."""
-
-
-class FormatError(MimicError):
-    """A text file or record stream could not be parsed."""
-
-
-class ShapeError(MimicError):
-    """Array dimensions do not agree."""
-
-
-class OutOfRangeError(MimicError):
-    """A query time falls outside the defined interval."""
-
-
-class IngestionError(MimicError):
-    """An external sample log cannot be regularized."""
-
-
-class ConfigError(MimicError):
-    """A configuration value is unusable."""
+    """An unusable input; the message names it."""
 
 
 class DivergenceError(MimicError):
@@ -44,3 +22,9 @@ class DivergenceError(MimicError):
     def __init__(self, message, log=None):
         super().__init__(message)
         self.log = log
+
+
+def require_positive(what: str, value):
+    """Raise MimicError unless value is positive and finite (NaN is not)."""
+    if not 0 < value < math.inf:
+        raise MimicError(f"{what} must be positive and finite, got {value}")

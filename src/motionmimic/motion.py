@@ -14,18 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OutOfRangeError, ValidationError
+from .errors import MimicError
 from .spline import CubicSpline, build_spline
-from .textio import LineReader, format_numbers, format_record
+from .textio import LineReader, format_numbers, format_record, read_text
 
 MAX_ANGLE = 1e6  # radians; a joint value beyond it is unusable, whatever produced it
 
 
 def check_angles(values, what: str):
-    """Raise ValidationError unless every value is within MAX_ANGLE (NaN is not)."""
+    """Raise MimicError unless every value is within MAX_ANGLE (NaN is not)."""
     peak = np.abs(values).max(initial=0.0)
     if not peak <= MAX_ANGLE:
-        raise ValidationError(f"{what} reaches {peak:.6g}, beyond the {MAX_ANGLE:g} rad bound")
+        raise MimicError(f"{what} reaches {peak:.6g}, beyond the {MAX_ANGLE:g} rad bound")
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +33,7 @@ class KeyframeMovement:
     """Keyframe times (steps,) and postures (steps, joints), played at speed_rate.
 
     Building one validates it (see validate_movement) and builds its
-    spline; keyframes too close for their postures raise ValidationError
+    spline; keyframes too close for their postures raise MimicError
     from build_spline.
     """
 
@@ -51,7 +51,7 @@ class KeyframeMovement:
 
 
 def validate_movement(m: KeyframeMovement):
-    """Raise one ValidationError naming every movement rule m breaks."""
+    """Raise one MimicError naming every movement rule m breaks."""
     t, q = m.times.ravel(), m.joints
     bad = []
     if len(t) < 2:
@@ -73,7 +73,7 @@ def validate_movement(m: KeyframeMovement):
         bad.append(("speed-rate", "speed rate must be positive"))
     if bad:
         detail = "; ".join(f"{rule}: {msg}" for rule, msg in bad)
-        raise ValidationError(f"invalid movement: {detail}")
+        raise MimicError(f"invalid movement: {detail}")
 
 
 MAX_GRID_SAMPLES = 1_000_000  # about 5.5 hours at 50 Hz
@@ -82,14 +82,14 @@ MAX_GRID_SAMPLES = 1_000_000  # about 5.5 hours at 50 Hz
 def grid_size(span: float, rate: float) -> int:
     """Samples of the uniform grid 0, 1/rate, ... that reach span (1e-9 slack).
 
-    Raises ValidationError unless the count is finite and between 1 and
+    Raises MimicError unless the count is finite and between 1 and
     MAX_GRID_SAMPLES, so an absurd duration or rate is an input error
     rather than an overflow or a huge allocation.
     """
     last = np.floor(float(span) * float(rate) + 1e-9)
     if not 0 <= last < MAX_GRID_SAMPLES:
         count = int(last) + 1 if np.isfinite(last) else last
-        raise ValidationError(
+        raise MimicError(
             f"a grid over {span} s at {rate} Hz needs {count} samples; "
             f"allowed are 1 to {MAX_GRID_SAMPLES}"
         )
@@ -107,16 +107,16 @@ def poses(m: KeyframeMovement, times) -> np.ndarray:
 
     Every time must lie in [0, playback_duration(m)]; open-loop
     movements have a definite end, so out-of-range queries raise
-    OutOfRangeError rather than clamp.  This is the one range check, so
+    MimicError rather than clamp.  This is the one range check, so
     the spline is evaluated only inside its knots.  Postures beyond
     MAX_ANGLE (the spline can overshoot far past close keyframes) raise
-    ValidationError.
+    MimicError.
     """
     duration = playback_duration(m)
     ts = np.asarray(times, dtype=float)
     outside = ~((ts >= 0.0) & (ts <= duration))
     if np.any(outside):
-        raise OutOfRangeError(f"playback time {ts[outside][0]} outside [0, {duration}]")
+        raise MimicError(f"playback time {ts[outside][0]} outside [0, {duration}]")
     # guard the end knot against rounding in t * speed_rate
     with np.errstate(over="ignore", invalid="ignore"):  # check_angles reports it
         out = m.spline.eval(np.minimum(ts * m.speed_rate, m.times[-1]))
@@ -155,4 +155,4 @@ def parse_movement(text: str, name: str = "") -> KeyframeMovement:
 
 
 def load_movement(path) -> KeyframeMovement:
-    return parse_movement(Path(path).read_text(), name=Path(path).stem)
+    return parse_movement(read_text(path), name=Path(path).stem)

@@ -6,27 +6,25 @@ written out layer by layer in plain NumPy, in double precision.
 """
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError
-from .textio import LineReader, format_numbers, format_record
+from .errors import MimicError, require_positive
+from .textio import LineReader, format_numbers, format_record, read_text, write_text
 
 MAX_PARAMETERS = 10_000_000  # about 2000 times the 5123 of the 1-75-50-23 net
 
 
 def parameter_count(sizes, alpha) -> int:
-    """Weights and biases of the net sizes; ConfigError unless sizes and alpha are usable."""
+    """Weights and biases of the net sizes; MimicError unless sizes and alpha are usable."""
     if len(sizes) < 2:
-        raise ConfigError(f"a network needs at least one layer, so two sizes: {sizes}")
+        raise MimicError(f"a network needs at least one layer, so two sizes: {sizes}")
     if any(s <= 0 for s in sizes):
-        raise ConfigError(f"layer sizes must be positive, got {sizes}")
+        raise MimicError(f"layer sizes must be positive, got {sizes}")
     total = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
     if total > MAX_PARAMETERS:
-        raise ConfigError(f"{total} parameters; a network holds at most {MAX_PARAMETERS}")
-    if not 0 < alpha < np.inf:
-        raise ConfigError("alpha must be positive and finite")
+        raise MimicError(f"{total} parameters; a network holds at most {MAX_PARAMETERS}")
+    require_positive("alpha", alpha)
     return total
 
 
@@ -67,9 +65,9 @@ class MimicNetwork:
         total = parameter_count(self.sizes, self.alpha)
         self.params = np.asarray(self.params, dtype=float)
         if self.params.shape != (total,):
-            raise ShapeError(f"sizes {self.sizes} need {total} parameters, not {self.params.shape}")
+            raise MimicError(f"sizes {self.sizes} need {total} parameters, not {self.params.shape}")
         if not np.all(np.isfinite(self.params)):
-            raise ValidationError("network parameters must be finite")
+            raise MimicError("network parameters must be finite")
         self.weights, self.biases = layer_views(self.sizes, self.params)
 
     @property
@@ -244,7 +242,7 @@ def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:
     sizes = [int(s) for s in layer_sizes]
     total = parameter_count(sizes, alpha)
     if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+        raise MimicError(f"seed must be non-negative, got {seed}")
     net = MimicNetwork(sizes, alpha, np.zeros(total))
     rng = np.random.default_rng(seed)
     for w in net.weights:
@@ -288,8 +286,8 @@ def parse_weights(text: str) -> MimicNetwork:
 
 
 def save_weights(net: MimicNetwork, path):
-    Path(path).write_text(format_weights(net))
+    write_text(path, format_weights(net))
 
 
 def load_weights(path) -> MimicNetwork:
-    return parse_weights(Path(path).read_text())
+    return parse_weights(read_text(path))

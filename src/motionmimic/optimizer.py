@@ -8,12 +8,11 @@ phases; the weights themselves are untouched by a reset.
 """
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
-from .textio import format_record, parse_record, text_lines
+from .errors import MimicError, require_positive
+from .textio import format_record, parse_record, read_text, text_lines
 
 
 BETA1 = 0.9  # decay of the first-moment average
@@ -87,17 +86,16 @@ class TrainingSchedule:
 
     def __post_init__(self):
         if not self.phases:
-            raise ConfigError("schedule needs at least one phase")
+            raise MimicError("schedule needs at least one phase")
         cleaned = []
         for i, (epochs, lr) in enumerate(self.phases):
             if int(epochs) != epochs or epochs <= 0:
-                raise ConfigError(f"phase {i}: epochs must be a positive integer, got {epochs}")
-            if not (np.isfinite(lr) and lr > 0):
-                raise ConfigError(f"phase {i}: learning rate must be positive, got {lr}")
+                raise MimicError(f"phase {i}: epochs must be a positive integer, got {epochs}")
+            require_positive(f"phase {i}: learning rate", lr)
             cleaned.append((int(epochs), float(lr)))
         self.phases = cleaned
         if self.total_epochs > MAX_EPOCHS:
-            raise ConfigError(f"{self.total_epochs} epochs; a schedule holds at most {MAX_EPOCHS}")
+            raise MimicError(f"{self.total_epochs} epochs; a schedule holds at most {MAX_EPOCHS}")
 
     @property
     def total_epochs(self) -> int:
@@ -148,15 +146,15 @@ def parse_schedule(text: str) -> TrainingSchedule:
     phases, reset = [], None
     for no, line in text_lines(text):
         if reset is not None:
-            raise FormatError(f"line {no}: nothing may follow the reset_on_phase line")
+            raise MimicError(f"line {no}: nothing may follow the reset_on_phase line")
         if line.lstrip().startswith("reset_on_phase"):
             (reset,) = parse_record(RESET, line, no)
         else:
             phases.append(parse_record(PHASE, line, no))
     if not phases:
-        raise FormatError("schedule file contains no phases")
+        raise MimicError("schedule file contains no phases")
     return TrainingSchedule(phases, reset_on_phase=True if reset is None else reset)
 
 
 def load_schedule(path) -> TrainingSchedule:
-    return parse_schedule(Path(path).read_text())
+    return parse_schedule(read_text(path))

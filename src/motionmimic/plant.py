@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import MimicError, require_positive
 # reference_pose is not called here; bench/tracing.py looks it up on this module
 from .motion import KeyframeMovement, grid_size, playback_duration, poses, reference_pose
-from .textio import format_table
+from .textio import format_table, write_text
 from .trainer import rollout
 
 # a joint counts as attenuated when it loses more than 5% of amplitude
@@ -32,12 +32,11 @@ class PlantConfig:
     def __post_init__(self):
         for what, value in (("tick rate", self.tick_rate), ("kp", self.kp),
                             ("max speed", self.max_speed)):
-            if not 0 < value < np.inf:
-                raise ConfigError(f"{what} must be positive")
+            require_positive(what, value)
         # discrete-time stability: the error recurrence 1 - kp/tick_rate
         # must stay inside (-1, 1]
         if self.kp >= 2.0 * self.tick_rate:
-            raise ConfigError(
+            raise MimicError(
                 f"kp must stay below 2 * tick_rate = {2.0 * self.tick_rate} for stability"
             )
 
@@ -109,5 +108,4 @@ def format_comparison(result: SimulationResult, joint_names) -> str:
 
 
 def save_comparison(result: SimulationResult, joint_names, path):
-    with open(path, "w") as f:
-        f.write(format_comparison(result, joint_names))
+    write_text(path, format_comparison(result, joint_names))

@@ -10,7 +10,7 @@ sweep solves it for every column of a (knots, joints) value array.
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import MimicError
 
 
 class CubicSpline:
@@ -46,7 +46,7 @@ def build_spline(times, values) -> CubicSpline:
     one row of joints per query time, each column exactly as a spline
     through that column alone would.  The caller guarantees at least 2
     knots, strictly increasing times and finite values (a
-    KeyframeMovement is checked when built).  Raises ValidationError when
+    KeyframeMovement is checked when built).  Raises MimicError when
     the coefficients overflow: knots too close for their values.
     """
     t = np.asarray(times, dtype=float)
@@ -62,7 +62,7 @@ def build_spline(times, values) -> CubicSpline:
         d = (m[1:] - m[:-1]) / (6.0 * hs)
     coeffs = np.stack([a, b, c, d], axis=1)
     if not np.all(np.isfinite(coeffs)):
-        raise ValidationError("spline coefficients overflow: knot times too close for their values")
+        raise MimicError("spline coefficients overflow: knot times too close for their values")
     return CubicSpline(t.copy(), coeffs)
 
 

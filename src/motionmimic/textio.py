@@ -1,10 +1,11 @@
 """One codec for every text file: key=value records, rows of numbers and CSV tables."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import MimicError
 
 
 FLOAT = "%.17g"  # 17 significant digits, so every float parses back exactly
@@ -13,6 +14,21 @@ FLOAT = "%.17g"  # 17 significant digits, so every float parses back exactly
 def fmt(x: float) -> str:
     """Format a float as FLOAT does."""
     return FLOAT % float(x)
+
+
+def read_text(path) -> str:
+    """The text of the file at path, read as UTF-8.
+
+    A byte that is not UTF-8 is kept as a lone surrogate, which the
+    parsers refuse as they refuse any other bad character and which
+    write_text writes back as the same byte.
+    """
+    return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+
+
+def write_text(path, text: str):
+    """Write text to the file at path as UTF-8, the bytes read_text kept included."""
+    Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def text_lines(text: str) -> list:
@@ -45,12 +61,12 @@ def parse_record(template: str, line: str, line_no: int) -> list:
     rest = fields[-1].endswith("<text>")  # the text may be empty, so the line may end before it
     parts = (line.split(None, len(fields) - 1) + [""])[: len(fields)] if rest else line.split()
     if len(parts) != len(fields):
-        raise FormatError(f"line {line_no}: expected '{template}'")
+        raise MimicError(f"line {line_no}: expected '{template}'")
     values = []
     for field, part in zip(fields, parts):
         head, sep, kind = field.partition("<")
         if not part.startswith(head) or (not sep and part != head):
-            raise FormatError(f"line {line_no}: expected '{field}', got '{part}'")
+            raise MimicError(f"line {line_no}: expected '{field}', got '{part}'")
         if sep:
             values.append(_parse_value(kind[:-1], part[len(head):], head.rstrip("="), line_no))
     return values
@@ -63,12 +79,12 @@ def _parse_value(kind: str, token: str, what: str, line_no: int):
             return int(token) if kind == "int" else float(token)
         except ValueError:
             noun = "an integer" if kind == "int" else "a number"
-            raise FormatError(f"line {line_no}: {what} is not {noun}: '{token}'") from None
+            raise MimicError(f"line {line_no}: {what} is not {noun}: '{token}'") from None
     if kind == "text":
         return token
     words = kind.split("|")
     if token not in words:
-        raise FormatError(f"line {line_no}: {what} must be {' or '.join(words)}, got '{token}'")
+        raise MimicError(f"line {line_no}: {what} must be {' or '.join(words)}, got '{token}'")
     return token == "true" if kind == "true|false" else token
 
 
@@ -98,11 +114,11 @@ class LineReader:
             return np.array([_parse_value("float", p, what, self.line_no) for p in parts])
 
     def fail(self, message: str):
-        """Raise FormatError about the line read last."""
-        raise FormatError(f"line {self.line_no}: {message}")
+        """Raise MimicError about the line read last."""
+        raise MimicError(f"line {self.line_no}: {message}")
 
     def end(self):
-        """Raise FormatError unless every line has been read."""
+        """Raise MimicError unless every line has been read."""
         if self.more():
             line = self._take("")
             self.fail(f"expected the end of the file, got '{line}'")
@@ -123,13 +139,13 @@ def format_table(header, matrix) -> str:
     """CSV text: the header names, then one line per row, cells written as fmt does.
 
     A header whose width differs from the matrix's columns, or a table
-    without columns, raises ShapeError.
+    without columns, raises MimicError.
     """
     table = np.asarray(matrix, dtype=float)
     if table.shape[1:] != (len(header),):
-        raise ShapeError(f"{len(header)} column names for a table of shape {table.shape}")
+        raise MimicError(f"{len(header)} column names for a table of shape {table.shape}")
     if not header:
-        raise ShapeError(f"a table of shape {table.shape} has no columns")
+        raise MimicError(f"a table of shape {table.shape} has no columns")
     # One buffer with room for the longest cells, filled a block of rows at a
     # time: its size is known up front, so it is allocated once, not grown.
     head = (",".join(header) + "\n").encode("utf-8", "surrogatepass")  # names may be any text
@@ -277,21 +293,21 @@ def parse_table(text: str, header: str):
     which stands for one or more names; those names are returned.
     Blank lines are skipped.  A text without lines, a wrong header, a
     wrong field count or a field that is not a finite number raises
-    FormatError naming the line.
+    MimicError naming the line.
     """
     lines = text_lines(text)
     if not lines:
-        raise FormatError(f"line 1: expected header '{header}', found no lines")
+        raise MimicError(f"line 1: expected header '{header}', found no lines")
     head_no, first = lines[0]
     names = _header_names(first, header)
     if names is None:
-        raise FormatError(f"line {head_no}: expected header '{header}'")
+        raise MimicError(f"line {head_no}: expected header '{header}'")
     cols = first.split(",")
     table = np.empty((len(lines) - 1, len(cols)))
     for i, (no, raw) in enumerate(lines[1:]):
         parts = raw.split(",")
         if len(parts) != len(cols):
-            raise FormatError(f"line {no}: expected {len(cols)} fields, found {len(parts)}")
+            raise MimicError(f"line {no}: expected {len(cols)} fields, found {len(parts)}")
         try:
             table[i] = [float(p) for p in parts]
         except ValueError:  # field by field, to name the bad one
@@ -300,7 +316,7 @@ def parse_table(text: str, header: str):
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
         no, raw = lines[1 + r]
-        raise FormatError(f"line {no}: {cols[c]} is not finite: '{raw.split(',')[c]}'")
+        raise MimicError(f"line {no}: {cols[c]} is not finite: '{raw.split(',')[c]}'")
     return names, table
 
 

@@ -14,14 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    FormatError,
-    IngestionError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import DivergenceError, MimicError, require_positive
 # reference_pose and validate_movement are not called here; bench/tracing.py
 # looks them up on this module
 from .motion import (
@@ -47,7 +40,7 @@ from .network import (
     save_weights,
 )
 from .optimizer import TrainingSchedule, adam_init, adam_step, desk_schedule, reset_state
-from .textio import LineReader, format_record, format_table, parse_table
+from .textio import LineReader, format_record, format_table, parse_table, read_text, write_text
 
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
 DEFAULT_HIDDEN = (75, 50)
@@ -82,27 +75,27 @@ class MotionDataset:
         self.times = np.asarray(self.times, dtype=float)
         self.targets = np.asarray(self.targets, dtype=float)
         if self.times.ndim != 1 or self.targets.ndim != 2:
-            raise ShapeError("times must be 1-D and targets 2-D")
+            raise MimicError("times must be 1-D and targets 2-D")
         if len(self.times) != len(self.targets):
-            raise ShapeError(f"{len(self.times)} times vs {len(self.targets)} target rows")
+            raise MimicError(f"{len(self.times)} times vs {len(self.targets)} target rows")
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.targets))):
-            raise ValidationError("dataset times and targets must be finite")
+            raise MimicError("dataset times and targets must be finite")
         check_angles(self.targets, "a dataset value")
         if len(self.times) < 2 or self.targets.shape[1] < 2:
-            raise ValidationError("dataset needs at least 2 samples and 1 joint + end flag")
-        _check_rate(self.sample_rate)
+            raise MimicError("dataset needs at least 2 samples and 1 joint + end flag")
+        require_positive("rate", self.sample_rate)
         deltas = np.diff(self.times)
         if np.any(np.abs(deltas - 1.0 / self.sample_rate) > 1e-9):
-            raise ValidationError("sample times must be uniform at 1/rate")
+            raise MimicError("sample times must be uniform at 1/rate")
         flags = self.targets[:, -1]
         if not np.all((flags == 0.0) | (flags == 1.0)):
-            raise ValidationError("end flag must be 0 or 1")
+            raise MimicError("end flag must be 0 or 1")
         if np.any(np.diff(flags) < 0):
-            raise ValidationError("end flag must never fall back to 0")
+            raise MimicError("end flag must never fall back to 0")
         if self.joint_names is None:
             self.joint_names = default_joint_names(self.n_joints)
         if len(self.joint_names) != self.n_joints:
-            raise ShapeError(f"{len(self.joint_names)} joint names for {self.n_joints} joints")
+            raise MimicError(f"{len(self.joint_names)} joint names for {self.n_joints} joints")
 
     @property
     def n_joints(self) -> int:
@@ -166,21 +159,19 @@ class TrainedModel:
     periodic: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.time_offset) and np.isfinite(self.time_scale)):
-            raise ValidationError("normalization constants must be finite")
-        if self.time_scale <= 0:
-            raise ValidationError("time scale must be positive")
-        for what, value in (("duration", self.duration), ("sample rate", self.sample_rate)):
-            if not 0 < value < np.inf:
-                raise ValidationError(f"{what} must be positive and finite, got {value}")
+        if not np.isfinite(self.time_offset):
+            raise MimicError("normalization constants must be finite")
+        for what, value in (("time scale", self.time_scale), ("duration", self.duration),
+                            ("sample rate", self.sample_rate)):
+            require_positive(what, value)
         if self.network.input_dim != 1:
-            raise ShapeError(f"network takes {self.network.input_dim} inputs; "
+            raise MimicError(f"network takes {self.network.input_dim} inputs; "
                              "it needs 1, the normalized time")
         if self.network.output_dim != self.n_joints + 1:
-            raise ShapeError(f"network output size {self.network.output_dim} must equal "
+            raise MimicError(f"network output size {self.network.output_dim} must equal "
                              f"joints + end flag = {self.n_joints + 1}")
         if "".join(self.name.splitlines()) != self.name:  # model.meta holds it on one line
-            raise ValidationError(f"model name {self.name!r} must not hold a line break")
+            raise MimicError(f"model name {self.name!r} must not hold a line break")
 
     def predict(self, times) -> np.ndarray:
         """Joint + flag outputs at the given playback times."""
@@ -221,7 +212,7 @@ def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) 
     represented in the data.  Even with tail=0 the grid reaches the first
     sample at or after the end, so the last sample is always flagged.
     """
-    _check_rate(rate)
+    require_positive("rate", rate)
     _check_tail(tail)
     duration = playback_duration(m)
     count = grid_size(duration, rate)
@@ -235,14 +226,17 @@ def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) 
     return MotionDataset(times, targets, rate, name=m.name)
 
 
-def _check_rate(rate):
-    if not 0 < rate < np.inf:
-        raise ValidationError("rate must be positive and finite")
+def _check_increasing(times):
+    """Raise MimicError naming the first record whose time does not exceed the one before."""
+    stalled = np.diff(times) <= 0
+    if stalled.any():
+        i = int(np.argmax(stalled)) + 1
+        raise MimicError(f"times must increase (violation at record {i}, t={times[i]})")
 
 
 def _check_tail(tail):
     if not 0 <= tail <= MAX_GRID_SAMPLES:
-        raise ValidationError(f"tail must be 0 to {MAX_GRID_SAMPLES} samples, got {tail}")
+        raise MimicError(f"tail must be 0 to {MAX_GRID_SAMPLES} samples, got {tail}")
 
 
 def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0,
@@ -261,31 +255,28 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
     t = np.asarray(times, dtype=float)
     vals = np.asarray(joints, dtype=float)
     if len(t) < 2:
-        raise IngestionError("log needs at least 2 samples")
-    _check_rate(rate)
+        raise MimicError("log needs at least 2 samples")
+    require_positive("rate", rate)
     _check_tail(tail)
     if periodic and tail:
-        raise ValidationError(f"a periodic log has no end to hold, so no tail; got tail {tail}")
+        raise MimicError(f"a periodic log has no end to hold, so no tail; got tail {tail}")
     if not np.all(np.isfinite(t)):
-        raise IngestionError("sample times must be finite")
-    order = np.diff(t)
-    if np.any(order <= 0):
-        i = int(np.nonzero(order <= 0)[0][0]) + 1
-        raise FormatError(f"samples must be sorted by time (violation at record {i}, t={t[i]})")
+        raise MimicError("sample times must be finite")
+    _check_increasing(t)
 
     grid_size(t[-1] - t[0], rate)  # a bounded grid, before its slots are cast to int
     slots = np.rint((t - t[0]) * rate).astype(int)
     off_grid = np.abs((t - t[0]) * rate - slots)
     if np.any(off_grid > 0.05):
         i = int(np.argmax(off_grid > 0.05))
-        raise IngestionError(f"sample at t={t[i]} is off the {rate} Hz grid")
+        raise MimicError(f"sample at t={t[i]} is off the {rate} Hz grid")
     gaps = np.diff(slots)
     if np.any(gaps == 0):
         i = int(np.argmax(gaps == 0)) + 1
-        raise IngestionError(f"two samples share the grid slot at t={t[i]}")
+        raise MimicError(f"two samples share the grid slot at t={t[i]}")
     if np.any(gaps > 2):
         i = int(np.argmax(gaps > 2))
-        raise IngestionError(
+        raise MimicError(
             f"{gaps[i] - 1} consecutive missing samples between t={t[i]} and t={t[i + 1]}"
         )
 
@@ -321,7 +312,7 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
     parameter_count(sizes, alpha)  # the sizes, alpha and MAX_PARAMETERS are refused first
     activations = len(dataset.times) * sum(sizes[1:])
     if activations > MAX_BATCH_ACTIVATIONS:
-        raise ConfigError(
+        raise MimicError(
             f"{len(dataset.times)} rows x {sum(sizes[1:])} activations per row = {activations}; "
             f"a training batch holds at most {MAX_BATCH_ACTIVATIONS}"
         )
@@ -376,7 +367,7 @@ def evaluate(model: TrainedModel, dataset: MotionDataset) -> EvalReport:
     is scored separately as the sample-index error of the 0.5 crossing.
     """
     if model.n_joints != dataset.n_joints:
-        raise ShapeError(f"model has {model.n_joints} joints, dataset {dataset.n_joints}")
+        raise MimicError(f"model has {model.n_joints} joints, dataset {dataset.n_joints}")
     pred = model.predict(dataset.times)
     joint_err = np.abs(pred[:, :-1] - dataset.joints)
     return EvalReport(
@@ -410,7 +401,7 @@ def rollout(model: TrainedModel, rate: float) -> Rollout:
     duration (the end time); if the flag never crosses, the capped
     trajectory is returned and end_detected is False.
     """
-    _check_rate(rate)
+    require_positive("rate", rate)
     count = grid_size(MAX_DURATION_FACTOR * (model.duration - model.time_offset), rate)
     times = model.time_offset + np.arange(count) / rate
     pred = model.predict(times)
@@ -430,11 +421,9 @@ def format_dataset(ds: MotionDataset) -> str:
 def parse_dataset(text: str, name: str = "") -> MotionDataset:
     joint_names, table = parse_table(text, "time,<joint names...>,end_flag")
     if len(table) < 2:
-        raise FormatError("dataset needs at least 2 samples")
+        raise MimicError("dataset needs at least 2 samples")
     times, targets = table[:, 0], table[:, 1:]
-    if np.any(np.diff(times) <= 0):
-        i = int(np.argmax(np.diff(times) <= 0)) + 1
-        raise FormatError(f"dataset times must increase (violation at record {i}, t={times[i]})")
+    _check_increasing(times)
     return MotionDataset(times, targets, _recover_rate(times), joint_names=joint_names,
                          name=name)
 
@@ -449,7 +438,7 @@ def _recover_rate(times: np.ndarray) -> float:
     """
     rate = (len(times) - 1) / float(times[-1] - times[0])
     if not np.isfinite(rate):
-        raise FormatError(f"dataset spans {times[-1] - times[0]} s, too short for a sample rate")
+        raise MimicError(f"dataset spans {times[-1] - times[0]} s, too short for a sample rate")
     steps = np.arange(len(times))
     decimals = (float(f"{rate:.{digits}g}") for digits in range(1, 18))
     with np.errstate(all="ignore"):  # a grid that overflows is no match
@@ -469,26 +458,23 @@ def _float_neighbours(x: float, reach: int):
 
 
 def save_dataset(ds: MotionDataset, path):
-    with open(path, "w") as f:
-        f.write(format_dataset(ds))
+    write_text(path, format_dataset(ds))
 
 
 def load_dataset(path) -> MotionDataset:
-    with open(path) as f:
-        return parse_dataset(f.read(), name=Path(path).stem)
+    return parse_dataset(read_text(path), name=Path(path).stem)
 
 
 def load_joint_log(path):
     """Read an external log CSV 'time,<joint names...>': (times, joints, names)."""
-    with open(path) as f:
-        names, table = parse_table(f.read(), "time,<joint names...>")
+    names, table = parse_table(read_text(path), "time,<joint names...>")
     return table[:, 0], table[:, 1:], names
 
 
 def save_rollout(ro: Rollout, joint_names, path):
     """Rollout CSV: the dataset header, one row per swept sample."""
     table = np.column_stack([ro.times, ro.joints, ro.flags])
-    Path(path).write_text(format_table(["time", *joint_names, "end_flag"], table))
+    write_text(path, format_table(["time", *joint_names, "end_flag"], table))
 
 
 LOG_HEADER = "epoch,phase,lr,mse,mae"
@@ -500,16 +486,14 @@ def format_log(log: TrainingLog) -> str:
 
 
 def save_log(log: TrainingLog, path):
-    with open(path, "w") as f:
-        f.write(format_log(log))
+    write_text(path, format_log(log))
 
 
 def load_log(path) -> TrainingLog:
-    with open(path) as f:
-        _, table = parse_table(f.read(), LOG_HEADER)
+    _, table = parse_table(read_text(path), LOG_HEADER)
     counters = table[:, :2]
     if np.any(counters != np.trunc(counters)):
-        raise FormatError("training log epoch and phase must be integers")
+        raise MimicError("training log epoch and phase must be integers")
     return TrainingLog(counters[:, 0].astype(int), counters[:, 1].astype(int),
                        table[:, 2], table[:, 3], table[:, 4])
 
@@ -527,14 +511,14 @@ def save_model(model: TrainedModel, directory):
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     save_weights(model.network, d / WEIGHTS_FILE)
-    (d / META_FILE).write_text("".join(format_record(record, getattr(model, f.name)) + "\n"
-                                       for record, f in zip(META_RECORDS, fields(model)[1:])))
+    write_text(d / META_FILE, "".join(format_record(record, getattr(model, f.name)) + "\n"
+                                      for record, f in zip(META_RECORDS, fields(model)[1:])))
 
 
 def load_model(directory) -> TrainedModel:
     d = Path(directory)
     network = load_weights(d / WEIGHTS_FILE)
-    lines = LineReader((d / META_FILE).read_text())
+    lines = LineReader(read_text(d / META_FILE))
     values = [lines.record(record)[0] for record in META_RECORDS]
     lines.end()
     return TrainedModel(network, *values)

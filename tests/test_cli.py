@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -285,6 +286,74 @@ def test_dataset_name_with_spaces_round_trips_through_model_meta(workdir, capsys
     assert "name=a b \n" in (workdir / "model" / "model.meta").read_text()
     assert load_model(workdir / "model").name == "a b "
     assert run(["eval", "--model", workdir / "model", "--dataset", dataset]) == 0
+
+
+def test_dataset_name_that_is_not_utf8_round_trips_through_model_meta(workdir, capfd):
+    dataset = workdir / os.fsdecode(b"\xff.csv")
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", dataset]) == 0
+    assert run(["train", "--dataset", dataset, "--schedule", workdir / "sched.txt",
+                "--out", workdir / "model"]) == 0
+    assert b"name=\xff\n" in (workdir / "model" / "model.meta").read_bytes()
+    assert load_model(workdir / "model").name == os.fsdecode(b"\xff")
+    assert run(["eval", "--model", workdir / "model", "--dataset", dataset]) == 0
+
+
+def test_joint_name_that_is_not_utf8_survives_train_and_compare(workdir, capfd):
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
+    data = (workdir / "demo.csv").read_bytes()
+    assert data.startswith(b"time,j1,j2,end_flag\n")
+    (workdir / "demo.csv").write_bytes(b"time,\xff1,j2,end_flag\n" + data.split(b"\n", 1)[1])
+    assert run(["train", "--dataset", workdir / "demo.csv", "--schedule", workdir / "sched.txt",
+                "--out", workdir / "model"]) == 0
+    assert run(["compare", "--model", workdir / "model", "--dataset", workdir / "demo.csv",
+                "--out", workdir / "cmp"]) == 0
+    head = (workdir / "cmp" / "rollout.csv").read_bytes().split(b"\n", 1)[0]
+    assert head == b"time,\xff1,j2,end_flag"
+    head = (workdir / "cmp" / "tracking.csv").read_bytes().split(b"\n", 1)[0]
+    assert head == b"time,\xff1_desired,\xff1_attained,j2_desired,j2_attained"
+
+
+# every kind of input file with a byte that is not UTF-8 where a number belongs:
+# the file's bytes, or (old, new) bytes to swap in the trained bundle's file
+@pytest.mark.parametrize(
+    "name, content, command, message",
+    [
+        pytest.param("bad.csv", b"time,j1,end_flag\n0,\xff,0\n0.02,0,1\n",
+                     ["train", "--dataset", "{dir}/bad.csv", "--out", "{dir}/m2"],
+                     "line 2: j1 is not a number", id="dataset"),
+        pytest.param("bad.log", b"time,hip\n0,\xff\n0.02,0\n",
+                     ["ingest", "--log", "{dir}/bad.log", "--out", "{dir}/m2"],
+                     "line 2: hip is not a number", id="joint-log"),
+        pytest.param("bad.mov", b"movement n=1 gamma=2 rate=1\nt=0 \xff\nt=1 0.5\n",
+                     ["gen", "--movement", "{dir}/bad.mov", "--out", "{dir}/m2"],
+                     "line 2: joint is not a number", id="movement"),
+        pytest.param("bad.txt", b"phase epochs=\xff lr=0.001\n",
+                     ["train", "--dataset", "{dir}/demo.csv", "--schedule", "{dir}/bad.txt",
+                      "--out", "{dir}/m2"],
+                     "line 1: epochs is not an integer", id="schedule"),
+        pytest.param("model/weights.txt", (b"layers=3 ", b"layers=\xff "),
+                     ["eval", "--model", "{dir}/model", "--dataset", "{dir}/demo.csv"],
+                     "line 1: layers is not an integer", id="weights"),
+        pytest.param("model/model.meta", (b"\nn=2\n", b"\nn=\xff\n"),
+                     ["eval", "--model", "{dir}/model", "--dataset", "{dir}/demo.csv"],
+                     "line 2: n is not an integer", id="model-meta"),
+    ],
+)
+def test_input_byte_that_is_not_utf8_is_exit_2(trained, capfd, name, content, command, message):
+    path = trained / name
+    if isinstance(content, tuple):
+        old, new = content
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        content = data.replace(old, new)
+    path.write_bytes(content)
+    capfd.readouterr()
+    assert run([arg.format(dir=trained) for arg in command]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}: '")
+    assert len(captured.err.splitlines()) == 1
+    assert not (trained / "m2").exists()
 
 
 def test_train_divergence_is_exit_3(trained, capsys):
@@ -589,9 +658,13 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+NOT_POSITIVE = ("0", "-1", "nan", "inf")
+
+
 @pytest.mark.parametrize(
     "rate, message",
-    [(rate, "rate must be positive and finite") for rate in ("0", "-1", "nan", "inf")]
+    [pytest.param(rate, f"rate must be positive and finite, got {float(rate)}",
+                  id=f"{rate}-rate must be positive and finite") for rate in NOT_POSITIVE]
     + [("1e308", "samples; allowed are 1 to 1000000")],
 )
 def test_ingest_bad_rate_is_exit_2(workdir, capsys, rate, message):
@@ -603,6 +676,18 @@ def test_ingest_bad_rate_is_exit_2(workdir, capsys, rate, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (workdir / "out.csv").exists()
+
+
+@pytest.mark.parametrize("value", NOT_POSITIVE)
+@pytest.mark.parametrize("option", ["--kp", "--max-speed", "--tick-rate"])
+def test_plant_option_must_be_positive_and_finite(workdir, capsys, option, value):
+    code = run(["simulate", "--movement", workdir / "demo.mov", option, value,
+                "--out", workdir / "sim.csv"])
+    assert code == 2
+    what = option[2:].replace("-", " ")
+    assert capsys.readouterr().err == (
+        f"error: {what} must be positive and finite, got {float(value)}\n")
+    assert not (workdir / "sim.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -628,10 +713,15 @@ def test_ingest_bad_rate_is_exit_2(workdir, capsys, rate, message):
                      id="one-size-23"),
         pytest.param(["--arch", "5"], "a network needs at least one layer, so two sizes: [5]",
                      id="one-size-5"),
-    ],
+    ]
+    + [pytest.param(["--schedule", f"{{dir}}/lr{lr}.txt"],
+                    f"phase 1: learning rate must be positive and finite, got {float(lr)}",
+                    id=f"lr-{lr}") for lr in NOT_POSITIVE],
 )
 def test_unusable_train_config_is_exit_2(workdir, capsys, options, message):
     (workdir / "huge.txt").write_text("phase epochs=100000000000000000000 lr=0.001\n")
+    for lr in NOT_POSITIVE:
+        (workdir / f"lr{lr}.txt").write_text(f"phase epochs=10 lr=0.001\nphase epochs=5 lr={lr}\n")
     assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
     code = run(["train", "--dataset", workdir / "demo.csv",
                 *[str(o).format(dir=workdir) for o in options], "--out", workdir / "model"])

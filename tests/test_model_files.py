@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from motionmimic.cli import main
-from motionmimic.errors import FormatError, MimicError
+from motionmimic.errors import MimicError
 from motionmimic.network import format_weights, parse_weights
 from motionmimic.optimizer import TrainingSchedule
 from motionmimic.trainer import META_FILE, WEIGHTS_FILE, ingest_log, load_model, save_model, train
@@ -64,7 +64,7 @@ def test_meta_keys_must_follow_the_written_order(edit, bundle, tmp_path, capsys)
         "unknown": [*lines[:3], "color=red", *lines[3:]],
     }[edit]
     texts = {**bundle, META_FILE: "\n".join(lines) + "\n"}
-    with pytest.raises(FormatError, match="line [0-9]+: expected"):
+    with pytest.raises(MimicError, match="line [0-9]+: expected"):
         load_bundle(tmp_path, texts)
     code = main(["rollout", "--model", str(tmp_path), "--out", str(tmp_path / "roll.csv")])
     assert code == 2

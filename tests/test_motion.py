@@ -1,9 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from motionmimic.errors import FormatError, OutOfRangeError, ValidationError
+from motionmimic.errors import MimicError
 from motionmimic.motion import (
     MAX_ANGLE,
     MAX_GRID_SAMPLES,
@@ -38,26 +39,26 @@ def test_valid_movement_passes():
 
 
 def test_nonzero_first_time_violation():
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(MimicError, match="^invalid movement: first-step-time: ") as err:
         KeyframeMovement([0.1, 0.5, 1.0], simple_movement().joints)
     assert str(err.value) == "invalid movement: first-step-time: first step time must be 0"
 
 
 def test_duplicate_times_violation():
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(MimicError, match="^invalid movement: times-increasing: ") as err:
         KeyframeMovement([0.0, 0.5, 0.5], [[0.0], [1.0], [2.0]])
     assert str(err.value) == "invalid movement: times-increasing: times strictly increasing"
 
 
 def test_all_violations_reported():
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(MimicError, match="^invalid movement: step-count: ") as err:
         KeyframeMovement([0.2], [[np.inf, 1.0]], speed_rate=-1.0)
     assert str(err.value) == (
         "invalid movement: step-count: movement needs at least 2 keyframe steps; "
         "finite-angles: joint angles must be finite; first-step-time: first step time must be 0; "
         "speed-rate: speed rate must be positive"
     )
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(MimicError, match="^invalid movement: joint-shape: ") as err:
         KeyframeMovement([0.2, 0.1], [0.0, 1.0], speed_rate=np.nan)
     for rule in ("joint-shape", "first-step-time", "times-increasing", "speed-rate"):
         assert rule in str(err.value)
@@ -74,12 +75,12 @@ def test_all_violations_reported():
     ([0.0, 1.0, 0.5], [[0.0], [1.0], [2.0]], "times-increasing"),
 ])
 def test_each_rule_refuses_a_movement(times, joints, rule):
-    with pytest.raises(ValidationError, match=f"^invalid movement: {rule}: [^;]*$"):
+    with pytest.raises(MimicError, match=f"^invalid movement: {rule}: [^;]*$"):
         KeyframeMovement(times, joints)
 
 
 def test_keyframes_without_joints_violation():
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(MimicError, match="^invalid movement: no-joints: ") as err:
         KeyframeMovement([0.0, 1.0], np.zeros((2, 0)))
     assert str(err.value) == (
         "invalid movement: no-joints: keyframes must hold at least one joint angle"
@@ -113,7 +114,7 @@ def test_duration_scales_inversely_with_rate():
 
 def test_duration_invalid_movement_raises():
     for rate in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValidationError, match="speed-rate"):
+        with pytest.raises(MimicError, match="speed-rate"):
             simple_movement(rate)
 
 
@@ -150,14 +151,14 @@ def test_reference_pose_hits_every_keyframe():
 
 def test_reference_pose_out_of_range():
     m = simple_movement()
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(MimicError, match=r"^playback time -0\.01 outside \[0, "):
         reference_pose(m, -0.01)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(MimicError, match=r"^playback time [0-9.]+ outside \[0, "):
         reference_pose(m, playback_duration(m) + 0.01)
 
 
 def test_reference_pose_invalid_movement():
-    with pytest.raises(ValidationError, match="step-count"):
+    with pytest.raises(MimicError, match="step-count"):
         KeyframeMovement([0.0], [[0.0]])
 
 
@@ -200,7 +201,7 @@ def test_one_spline_holds_every_joint():
 ])
 def test_poses_refuse_angles_beyond_the_bound(times, joints):
     m = KeyframeMovement(times, joints)
-    with pytest.raises(ValidationError, match="rad bound"):
+    with pytest.raises(MimicError, match="rad bound"):
         poses(m, np.linspace(0.0, 1.0, 11))
 
 
@@ -216,7 +217,8 @@ def test_poses_reject_any_time_out_of_range():
     for bad in (-0.01, duration + 0.01, np.nan):
         grid = np.linspace(0.0, duration, 11)
         grid[7] = bad
-        with pytest.raises(OutOfRangeError):
+        refusal = rf"^playback time {re.escape(str(bad))} outside \[0, "
+        with pytest.raises(MimicError, match=refusal):
             poses(m, grid)
 
 
@@ -231,7 +233,7 @@ def test_grid_size_counts_samples_up_to_the_span():
                                         (1.0, 1e300), (-1.0, 50.0),
                                         (MAX_GRID_SAMPLES / 50.0, 50.0)])
 def test_grid_size_rejects_impossible_grids(span, rate):
-    with pytest.raises(ValidationError, match="samples; allowed are 1 to"):
+    with pytest.raises(MimicError, match="samples; allowed are 1 to"):
         grid_size(span, rate)
 
 
@@ -253,11 +255,11 @@ def test_movement_file_round_trip(tmp_path):
 
 
 def test_movement_parse_errors_carry_line_numbers():
-    with pytest.raises(FormatError, match="line 1"):
+    with pytest.raises(MimicError, match="line 1"):
         parse_movement("bogus n=1 gamma=2 rate=1\n")
-    with pytest.raises(FormatError, match="line 3"):
+    with pytest.raises(MimicError, match="line 3"):
         parse_movement("movement n=2 gamma=2 rate=1\nt=0 0 0\nt=1 0\n")
-    with pytest.raises(FormatError, match="line 2"):
+    with pytest.raises(MimicError, match="line 2"):
         parse_movement("movement n=1 gamma=2 rate=1\nt=zero 0\nt=1 0\n")
-    with pytest.raises(FormatError, match="gamma=3"):
+    with pytest.raises(MimicError, match="gamma=3"):
         parse_movement("movement n=1 gamma=3 rate=1\nt=0 0\nt=1 0\n")

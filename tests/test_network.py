@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from motionmimic.errors import ConfigError, FormatError, ShapeError
+from motionmimic.errors import MimicError
 from motionmimic.network import (
     MimicNetwork,
     epoch_buffers,
@@ -56,10 +58,11 @@ def test_leaky_relu_branches():
     np.testing.assert_allclose(relu([-2.0, 3.0], 0.1)[0], [-0.2, 3.0])
     # alpha is checked when a net is built, not on each call
     for bad in (0.0, -0.5, np.nan, np.inf):
-        with pytest.raises(ConfigError):
+        refusal = f"^alpha must be positive and finite, got {re.escape(str(bad))}$"
+        with pytest.raises(MimicError, match=refusal):
             MimicNetwork([1, 1, 1], bad, np.zeros(4))
         # checked with no hidden layer too, where no leaky ReLU runs
-        with pytest.raises(ConfigError):
+        with pytest.raises(MimicError, match=refusal):
             initialize([1, 3], alpha=bad)
 
 
@@ -365,22 +368,23 @@ def test_initialize_deterministic_and_bounded():
 
 
 def test_initialize_rejects_bad_sizes():
-    with pytest.raises(ConfigError):
+    with pytest.raises(MimicError, match=r"^layer sizes must be positive, got \[1, 0, 3\]$"):
         initialize([1, 0, 3], seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(MimicError,
+                       match=r"^a network needs at least one layer, so two sizes: \[4\]$"):
         initialize([4], seed=0)
 
 
 def test_network_dimension_chaining_enforced():
     # the sizes fix each layer's shape: 2->3 and 3->2 take 9 + 8 values
     assert MimicNetwork([2, 3, 2], 0.01, np.zeros(17)).weights[1].shape == (2, 3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(MimicError, match=r"^sizes \[2, 3, 2\] need 17 parameters, not \(19,\)$"):
         MimicNetwork([2, 3, 2], 0.01, np.zeros(3 * 2 + 3 + 2 * 4 + 2))
     # a weights file whose layer takes other than the previous layer's outputs
     lines = format_weights(initialize([2, 3, 2], seed=0)).splitlines()
     assert lines[6] == "layer out=2 in=3 act=linear"
     lines[6] = "layer out=2 in=4 act=linear"
-    with pytest.raises(FormatError, match="line 7: in=4 must equal the previous out= or input=, 3"):
+    with pytest.raises(MimicError, match="line 7: in=4 must equal the previous out= or input=, 3"):
         parse_weights("\n".join(lines) + "\n")
 
 
@@ -407,20 +411,20 @@ def test_weight_file_save_load(tmp_path):
 def test_weight_parse_errors_carry_line_numbers():
     good = format_weights(initialize([1, 2, 1], seed=0))
     lines = good.splitlines()
-    with pytest.raises(FormatError, match="line 1"):
+    with pytest.raises(MimicError, match="line 1"):
         parse_weights("nonsense\n")
-    with pytest.raises(FormatError, match="line 3"):
+    with pytest.raises(MimicError, match="line 3"):
         parse_weights("\n".join(lines[:2] + ["1.0 extra"] + lines[3:]) + "\n")
-    with pytest.raises(FormatError, match="line 2"):
+    with pytest.raises(MimicError, match="line 2"):
         parse_weights("\n".join([lines[0], "layer out=2 in=1 act=sigmoid"] + lines[2:]) + "\n")
     # act= is fixed by position: leaky ReLU on hidden layers, linear on the last
     assert lines[1] == "layer out=2 in=1 act=leakyrelu"
     assert lines[5] == "layer out=1 in=2 act=linear"
-    with pytest.raises(FormatError, match="line 2: layer 0 of 2 must be act=leakyrelu"):
+    with pytest.raises(MimicError, match="line 2: layer 0 of 2 must be act=leakyrelu"):
         parse_weights("\n".join([lines[0], "layer out=2 in=1 act=linear"] + lines[2:]) + "\n")
-    with pytest.raises(FormatError, match="line 6: layer 1 of 2 must be act=linear"):
+    with pytest.raises(MimicError, match="line 6: layer 1 of 2 must be act=linear"):
         parse_weights("\n".join(lines[:5] + ["layer out=1 in=2 act=leakyrelu"] + lines[6:]) + "\n")
-    with pytest.raises(ConfigError, match="at least one layer"):
+    with pytest.raises(MimicError, match="at least one layer"):
         parse_weights("mimicnet layers=0 input=1 alpha=0.01\n")
-    with pytest.raises(FormatError, match="line 9: expected the end of the file"):
+    with pytest.raises(MimicError, match="line 9: expected the end of the file"):
         parse_weights(good + "0.5\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import motionmimic.trainer
-from motionmimic.errors import ConfigError, DivergenceError, FormatError
+from motionmimic.errors import DivergenceError, MimicError
 from motionmimic.motion import KeyframeMovement
 from motionmimic.network import layer_views
 from motionmimic.optimizer import (
@@ -176,13 +176,14 @@ def test_desk_schedule_keeps_proportions():
 
 
 def test_schedule_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(MimicError, match="^schedule needs at least one phase$"):
         TrainingSchedule([])
-    with pytest.raises(ConfigError):
+    with pytest.raises(MimicError, match="^phase 0: epochs must be a positive integer, got 0$"):
         TrainingSchedule([(0, 0.001)])
-    with pytest.raises(ConfigError):
+    with pytest.raises(MimicError,
+                       match=r"^phase 0: learning rate must be positive and finite, got -0\.001$"):
         TrainingSchedule([(10, -0.001)])
-    with pytest.raises(ConfigError, match="at most 1000000"):
+    with pytest.raises(MimicError, match="at most 1000000"):
         TrainingSchedule([(10**20, 0.001)])
 
 
@@ -200,11 +201,11 @@ def test_schedule_file_round_trip(tmp_path):
 
 
 def test_schedule_parse_errors():
-    with pytest.raises(FormatError, match="line 1"):
+    with pytest.raises(MimicError, match="line 1"):
         parse_schedule("phase epochs=ten lr=0.001\n")
-    with pytest.raises(FormatError, match="line 2"):
+    with pytest.raises(MimicError, match="line 2"):
         parse_schedule("phase epochs=10 lr=0.001\nreset_on_phase=maybe\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(MimicError, match="^schedule file contains no phases$"):
         parse_schedule("reset_on_phase=true\n")
     # the phases, then at most one reset_on_phase line, which must come last
     for text, line in [
@@ -212,5 +213,5 @@ def test_schedule_parse_errors():
         ("phase epochs=10 lr=0.001\nreset_on_phase=true\n\nphase epochs=5 lr=0.001\n", 4),
         ("reset_on_phase=false\nphase epochs=10 lr=0.001\n", 2),
     ]:
-        with pytest.raises(FormatError, match=f"line {line}: nothing may follow"):
+        with pytest.raises(MimicError, match=f"line {line}: nothing may follow"):
             parse_schedule(text)

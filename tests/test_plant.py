@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motionmimic.errors import ConfigError, ShapeError
+from motionmimic.errors import MimicError
 from motionmimic.motion import KeyframeMovement
 from motionmimic.network import initialize
 from motionmimic.plant import PlantConfig, format_comparison, simulate, step
@@ -100,17 +100,17 @@ def test_speed_limit_bounds_every_tick():
 
 
 def test_stability_guard_rejects_large_kp():
-    with pytest.raises(ConfigError, match="stability"):
+    with pytest.raises(MimicError, match="stability"):
         PlantConfig(kp=100.0, max_speed=7.0, tick_rate=50.0)
     PlantConfig(kp=99.9, max_speed=7.0, tick_rate=50.0)
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(MimicError, match=r"^kp must be positive and finite, got 0\.0$"):
         PlantConfig(kp=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(MimicError, match=r"^max speed must be positive and finite, got -1\.0$"):
         PlantConfig(max_speed=-1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(MimicError, match=r"^tick rate must be positive and finite, got 0\.0$"):
         PlantConfig(tick_rate=0.0)
 
 
@@ -191,5 +191,5 @@ def test_comparison_csv_layout():
     assert float(first[0]) == result.times[0]
     assert float(first[1]) == result.desired[0, 0]
     assert float(first[2]) == result.attained[0, 0]
-    with pytest.raises(ShapeError):
+    with pytest.raises(MimicError, match=r"^5 column names for a table of shape \([0-9]+, 3\)$"):
         format_comparison(result, ["a", "b"])

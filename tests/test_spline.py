@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motionmimic.errors import ValidationError
+from motionmimic.errors import MimicError
 from motionmimic.spline import build_spline
 
 from oracles import dense_natural_spline, eval_segment_poly, spline_derivatives
@@ -177,7 +177,7 @@ def test_joint_matrix_matches_column_splines_bit_for_bit():
 def test_overflowing_coefficients_are_rejected():
     # a knot spacing of 1e-320 is positive, but slopes over it overflow
     for values in ([[0.0], [0.8], [0.1]], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]]):
-        with np.errstate(all="raise"), pytest.raises(ValidationError, match="overflow"):
+        with np.errstate(all="raise"), pytest.raises(MimicError, match="overflow"):
             build_spline([0.0, 1e-320, 1.0], values)
-    with pytest.raises(ValidationError, match="overflow"):
+    with pytest.raises(MimicError, match="overflow"):
         build_spline([0.0, 1.0], [[-1e308], [1e308]])

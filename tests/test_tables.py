@@ -9,7 +9,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from motionmimic.errors import FormatError, MimicError, ShapeError
+from motionmimic.errors import MimicError
 from motionmimic.motion import KeyframeMovement
 from motionmimic.optimizer import TrainingSchedule
 from motionmimic.plant import PlantConfig, format_comparison, simulate
@@ -99,19 +99,19 @@ def test_format_parse_format_is_byte_identical(kind, written, tmp_path):
 @pytest.mark.parametrize("header", [["time", "a"], ["time", "a", "b", "c"]],
                          ids=["narrower", "wider"])
 def test_format_table_header_must_match_columns(header):
-    with pytest.raises(ShapeError, match=f"{len(header)} column names for a table of shape"):
+    with pytest.raises(MimicError, match=f"{len(header)} column names for a table of shape"):
         format_table(header, np.zeros((2, 3)))
 
 
 def test_format_table_refuses_a_table_without_columns():
-    with pytest.raises(ShapeError, match=r"a table of shape \(3, 0\) has no columns"):
+    with pytest.raises(MimicError, match=r"a table of shape \(3, 0\) has no columns"):
         format_table([], np.empty((3, 0)))
 
 
 @pytest.mark.parametrize("text", ["", "\n\n\n\n", "  \n\t\n"], ids=["empty", "newlines", "blanks"])
 @pytest.mark.parametrize("header", ["", "time,a", "time,<names...>"])
 def test_parse_table_without_lines_names_line_1(text, header):
-    with pytest.raises(FormatError, match="^line 1: expected header"):
+    with pytest.raises(MimicError, match="^line 1: expected header"):
         parse_table(text, header)
 
 

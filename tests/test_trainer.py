@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 import motionmimic.trainer
-from motionmimic.errors import (
-    DivergenceError,
-    FormatError,
-    IngestionError,
-    ShapeError,
-    ValidationError,
-)
+from motionmimic.errors import DivergenceError, MimicError
 from motionmimic.motion import MAX_ANGLE, KeyframeMovement
 from motionmimic.network import initialize, layer_views
 from motionmimic.optimizer import TrainingSchedule, desk_schedule
@@ -105,12 +99,12 @@ def test_tail_holds_last_keyframe():
 
 
 def test_sample_rejects_bad_rate_and_movement():
-    with pytest.raises(ValidationError, match="rate must be positive"):
+    with pytest.raises(MimicError, match="rate must be positive"):
         sample_movement(one_second_movement(), 0.0)
     for tail in (-1, 10**19):
-        with pytest.raises(ValidationError, match="tail must be 0 to"):
+        with pytest.raises(MimicError, match="tail must be 0 to"):
             sample_movement(one_second_movement(), 50.0, tail=tail)
-    with pytest.raises(ValidationError, match="first step time must be 0"):
+    with pytest.raises(MimicError, match="first step time must be 0"):
         sample_movement(KeyframeMovement([0.1, 0.5], [[0.0], [1.0]]), 50.0)
 
 
@@ -125,18 +119,18 @@ def test_dataset_invariants():
 
 
 def test_dataset_validation_errors():
-    with pytest.raises(ValidationError, match="uniform"):
+    with pytest.raises(MimicError, match="uniform"):
         MotionDataset(np.array([0.0, 0.02, 0.05]), np.zeros((3, 2)), 50.0)
-    with pytest.raises(ValidationError, match="end flag"):
+    with pytest.raises(MimicError, match="end flag"):
         MotionDataset(np.array([0.0, 0.02]), np.array([[0.0, 0.5], [0.0, 1.0]]), 50.0)
-    with pytest.raises(ValidationError, match="fall back"):
+    with pytest.raises(MimicError, match="fall back"):
         MotionDataset(np.array([0.0, 0.02]), np.array([[0.0, 1.0], [0.0, 0.0]]), 50.0)
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(MimicError, match="finite"):
         MotionDataset(np.array([0.0, 0.02]), np.array([[np.nan, 0.0], [0.0, 1.0]]), 50.0)
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(MimicError, match="finite"):
         MotionDataset(np.array([0.0, np.inf]), np.zeros((2, 2)), 50.0)
     for angle in (1e308, -2 * MAX_ANGLE, np.nextafter(MAX_ANGLE, np.inf)):
-        with pytest.raises(ValidationError, match="rad bound"):
+        with pytest.raises(MimicError, match="rad bound"):
             MotionDataset(np.array([0.0, 0.02]), np.array([[0.0, 0.0], [angle, 1.0]]), 50.0)
     at_bound = MotionDataset([0.0, 0.02], [[MAX_ANGLE, 0.0], [-MAX_ANGLE, 1.0]], 50.0)
     assert np.abs(at_bound.joints).max() == MAX_ANGLE
@@ -173,20 +167,21 @@ def test_ingest_rejects_long_gaps_and_disorder():
     joints = np.zeros((10, 1))
     kept = np.ones(10, dtype=bool)
     kept[4:6] = False
-    with pytest.raises(IngestionError, match="missing samples"):
+    with pytest.raises(MimicError, match="missing samples"):
         ingest_log(times[kept], joints[kept], 50.0)
     shuffled = times.copy()
     shuffled[3], shuffled[4] = shuffled[4], shuffled[3]
-    with pytest.raises(FormatError, match="sorted"):
+    with pytest.raises(MimicError,
+                       match=r"^times must increase \(violation at record 4, t=0\.06\)$"):
         ingest_log(shuffled, joints, 50.0)
-    with pytest.raises(IngestionError, match="off the"):
+    with pytest.raises(MimicError, match="off the"):
         ingest_log(times + np.linspace(0, 0.008, 10), joints, 50.0)
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(MimicError, match="finite"):
         ingest_log(times, np.full((10, 1), np.inf), 50.0)
-    with pytest.raises(IngestionError, match="finite"):
+    with pytest.raises(MimicError, match="finite"):
         ingest_log(np.append(times[:-1], np.inf), joints, 50.0)
     for tail in (-1, 10**19):
-        with pytest.raises(ValidationError, match="tail must be 0 to"):
+        with pytest.raises(MimicError, match="tail must be 0 to"):
             ingest_log(times, joints, 50.0, tail=tail)
 
 
@@ -364,7 +359,7 @@ def test_desk_scale_fit_reaches_mae_bound(desk_fit):
 
 def test_train_rejects_wrong_output_size():
     ds = sample_movement(one_second_movement(), 50.0)
-    with pytest.raises(ShapeError, match="output size"):
+    with pytest.raises(MimicError, match="output size"):
         train(ds, arch=[1, 8, 5], schedule=TrainingSchedule([(10, 0.001)]))
 
 
@@ -424,16 +419,22 @@ def test_every_sample_rate_must_be_positive_and_finite(rate):
         lambda: MotionDataset([0.0, 0.02], np.zeros((2, 2)), rate),
     ]
     for call in calls:
-        with pytest.raises(ValidationError, match="rate must be positive and finite"):
+        with pytest.raises(MimicError, match="rate must be positive and finite"):
             call()
 
 
-@pytest.mark.parametrize("field", ["duration", "rate"])
+@pytest.mark.parametrize("field", ["duration", "rate", "scale"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
 def test_trained_model_rejects_bad_duration_and_rate(field, value):
-    kwargs = {field: value}
-    with pytest.raises(ValidationError, match="must be positive and finite"):
-        zero_model(2, **kwargs)
+    what = {"duration": "duration", "rate": "sample rate", "scale": "time scale"}[field]
+    with pytest.raises(MimicError, match=f"^{what} must be positive and finite, got {value}$"):
+        zero_model(2, **{field: value})
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+def test_trained_model_rejects_nonfinite_time_offset(offset):
+    with pytest.raises(MimicError, match="^normalization constants must be finite$"):
+        replace(zero_model(2), time_offset=offset)
 
 
 def test_evaluate_perfect_predictions():
@@ -458,7 +459,7 @@ def test_evaluate_zero_network_gives_mean_abs_target():
 
 def test_evaluate_dimension_mismatch():
     ds = sample_movement(one_second_movement(), 50.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(MimicError, match=f"^model has 3 joints, dataset {ds.n_joints}$"):
         evaluate(zero_model(3), ds)
 
 
@@ -547,12 +548,12 @@ def test_dataset_csv_round_trip(tmp_path):
 
 
 def test_dataset_csv_parse_errors():
-    with pytest.raises(FormatError, match="line 1"):
+    with pytest.raises(MimicError, match="line 1"):
         parse_dataset("bogus\n1,2\n")
     good = format_dataset(sample_movement(one_second_movement(), 50.0))
     broken = good.splitlines()
     broken[3] = broken[3] + ",0.5"
-    with pytest.raises(FormatError, match="line 4"):
+    with pytest.raises(MimicError, match="line 4"):
         parse_dataset("\n".join(broken))
 
 
