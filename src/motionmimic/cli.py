@@ -72,7 +72,7 @@ def cmd_gen(args) -> int:
 def cmd_ingest(args) -> int:
     times, joints, names = load_joint_log(args.log)
     ds = ingest_log(times, joints, args.rate, periodic=args.periodic, tail=args.tail,
-                    joint_names=names, name=Path(args.log).stem)
+                    joint_names=names)
     save_dataset(ds, args.out)
     kind = "periodic" if ds.periodic else "finite"
     print(f"{len(ds.times)} samples ({kind}) at {fmt(args.rate)} Hz -> {args.out}")
@@ -87,7 +87,7 @@ def cmd_train(args) -> int:
     try:
         model, tlog = train(ds, arch=arch, schedule=schedule, seed=args.seed, alpha=args.alpha)
     except DivergenceError as err:
-        if err.log is not None and len(err.log):
+        if len(err.log):
             out.mkdir(parents=True, exist_ok=True)
             save_log(err.log, out / "training_log.csv")
         raise

@@ -19,7 +19,7 @@ class DivergenceError(MimicError):
     finite.
     """
 
-    def __init__(self, message, log=None):
+    def __init__(self, message, log):
         super().__init__(message)
         self.log = log
 

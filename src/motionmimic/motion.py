@@ -10,7 +10,6 @@ whole grid of playback times at once.
 """
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class KeyframeMovement:
     times: np.ndarray
     joints: np.ndarray
     speed_rate: float = 1.0
-    name: str = ""
     spline: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -69,8 +67,8 @@ def validate_movement(m: KeyframeMovement):
             bad.append(("first-step-time", "first step time must be 0"))
         if np.any(np.diff(t) <= 0):
             bad.append(("times-increasing", "times strictly increasing"))
-    if not (np.isfinite(m.speed_rate) and m.speed_rate > 0):
-        bad.append(("speed-rate", "speed rate must be positive"))
+    if not 0 < m.speed_rate < np.inf:  # errors.require_positive's rule and wording
+        bad.append(("speed-rate", f"speed rate must be positive and finite, got {m.speed_rate}"))
     if bad:
         detail = "; ".join(f"{rule}: {msg}" for rule, msg in bad)
         raise MimicError(f"invalid movement: {detail}")
@@ -141,7 +139,7 @@ def format_movement(m: KeyframeMovement) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_movement(text: str, name: str = "") -> KeyframeMovement:
+def parse_movement(text: str) -> KeyframeMovement:
     lines = LineReader(text)
     n, gamma, rate = lines.record(MOVEMENT_HEADER)
     times, joints = [], []
@@ -151,8 +149,8 @@ def parse_movement(text: str, name: str = "") -> KeyframeMovement:
         joints.append(lines.numbers(n, "joint", angles))
     if len(times) != gamma:
         lines.fail(f"header declares gamma={gamma} but found {len(times)} steps")
-    return KeyframeMovement(times, joints, speed_rate=rate, name=name)
+    return KeyframeMovement(times, joints, speed_rate=rate)
 
 
 def load_movement(path) -> KeyframeMovement:
-    return parse_movement(read_text(path), name=Path(path).stem)
+    return parse_movement(read_text(path))

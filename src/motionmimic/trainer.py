@@ -39,7 +39,7 @@ from .network import (
     parameter_count,
     save_weights,
 )
-from .optimizer import TrainingSchedule, adam_init, adam_step, desk_schedule, reset_state
+from .optimizer import TrainingSchedule, adam_init, adam_step, reset_state
 from .textio import LineReader, format_record, format_table, parse_table, read_text, write_text
 
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
@@ -55,6 +55,12 @@ MAX_BATCH_ACTIVATIONS = 20_000_000
 
 def default_joint_names(n: int) -> list:
     return [f"j{i + 1}" for i in range(n)]
+
+
+def _first_crossing(flags):
+    """Index of the first end flag >= 0.5, or None: the one place the 0.5 rule is written."""
+    hits = np.nonzero(flags >= 0.5)[0]
+    return int(hits[0]) if len(hits) else None
 
 
 @dataclass
@@ -74,15 +80,11 @@ class MotionDataset:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.targets = np.asarray(self.targets, dtype=float)
-        if self.times.ndim != 1 or self.targets.ndim != 2:
-            raise MimicError("times must be 1-D and targets 2-D")
-        if len(self.times) != len(self.targets):
-            raise MimicError(f"{len(self.times)} times vs {len(self.targets)} target rows")
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.targets))):
             raise MimicError("dataset times and targets must be finite")
         check_angles(self.targets, "a dataset value")
-        if len(self.times) < 2 or self.targets.shape[1] < 2:
-            raise MimicError("dataset needs at least 2 samples and 1 joint + end flag")
+        if len(self.times) < 2:
+            raise MimicError("dataset needs at least 2 samples")
         require_positive("rate", self.sample_rate)
         deltas = np.diff(self.times)
         if np.any(np.abs(deltas - 1.0 / self.sample_rate) > 1e-9):
@@ -94,8 +96,6 @@ class MotionDataset:
             raise MimicError("end flag must never fall back to 0")
         if self.joint_names is None:
             self.joint_names = default_joint_names(self.n_joints)
-        if len(self.joint_names) != self.n_joints:
-            raise MimicError(f"{len(self.joint_names)} joint names for {self.n_joints} joints")
 
     @property
     def n_joints(self) -> int:
@@ -124,11 +124,8 @@ class MotionDataset:
     @property
     def duration(self) -> float:
         """Motion end: time of the first flagged sample, or the last sample."""
-        flagged = np.nonzero(self.flags >= 0.5)[0]
-        return float(self.times[flagged[0]] if len(flagged) else self.times[-1])
-
-    def normalized_times(self) -> np.ndarray:
-        return (self.times - self.time_offset) / self.time_scale
+        end = _first_crossing(self.flags)
+        return float(self.times[-1 if end is None else end])
 
 
 @dataclass
@@ -173,11 +170,17 @@ class TrainedModel:
         if "".join(self.name.splitlines()) != self.name:  # model.meta holds it on one line
             raise MimicError(f"model name {self.name!r} must not hold a line break")
 
+    def inputs(self, times) -> np.ndarray:
+        """The net's (rows, 1) input: times normalized over the dataset span.
+
+        Training and replay both read it here, so they agree bit for bit.
+        """
+        return ((np.asarray(times, dtype=float) - self.time_offset) / self.time_scale)[:, None]
+
     def predict(self, times) -> np.ndarray:
         """Joint + flag outputs at the given playback times."""
-        x = (np.asarray(times, dtype=float) - self.time_offset) / self.time_scale
         with np.errstate(over="ignore", invalid="ignore"):  # the bound below reports it
-            out = forward(self.network, x[:, None])
+            out = forward(self.network, self.inputs(times))
         check_angles(out, "model output")
         return out
 
@@ -200,7 +203,7 @@ class Rollout:
 
     @property
     def end_detected(self) -> bool:
-        return bool(self.flags[-1] >= 0.5)
+        return _first_crossing(self.flags) is not None
 
 
 def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) -> MotionDataset:
@@ -223,7 +226,7 @@ def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) 
     targets[:count, :n] = poses(m, np.minimum(times[:count], duration))
     targets[count:, :n] = m.joints[-1]
     targets[:, n] = times >= duration - 1e-12
-    return MotionDataset(times, targets, rate, name=m.name)
+    return MotionDataset(times, targets, rate)
 
 
 def _check_increasing(times):
@@ -240,7 +243,7 @@ def _check_tail(tail):
 
 
 def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0,
-               joint_names=None, name: str = "") -> MotionDataset:
+               joint_names=None) -> MotionDataset:
     """Regularize an externally captured log onto a uniform grid.
 
     times and joints are the time column and the (samples, joints) rest
@@ -291,10 +294,10 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
     rows[:, n] = 0.0
     if not periodic:
         rows[count - 1 :, n] = 1.0
-    return MotionDataset(grid_times, rows, rate, joint_names=joint_names, name=name)
+    return MotionDataset(grid_times, rows, rate, joint_names=joint_names)
 
 
-def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
+def train(dataset: MotionDataset, schedule: TrainingSchedule, arch=None,
           seed: int = 0, alpha: float = 0.01):
     """Fit a network to the dataset; returns (TrainedModel, TrainingLog).
 
@@ -305,8 +308,6 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
     the log of the finite epochs.  Every epoch writes into the same
     buffers, made once here.  Fully deterministic for a fixed seed.
     """
-    if schedule is None:
-        schedule = desk_schedule()
     n = dataset.n_joints
     sizes = [int(s) for s in arch] if arch is not None else [1, *DEFAULT_HIDDEN, n + 1]
     parameter_count(sizes, alpha)  # the sizes, alpha and MAX_PARAMETERS are refused first
@@ -329,7 +330,7 @@ def train(dataset: MotionDataset, arch=None, schedule: TrainingSchedule = None,
         periodic=dataset.periodic,
     )
 
-    x = dataset.normalized_times()[:, None]
+    x = model.inputs(dataset.times)
     y = dataset.targets
     state = adam_init(net.params)  # every weight and bias, updated in place by one Adam step
     buffers = epoch_buffers(net, x)
@@ -388,11 +389,6 @@ def _flag_index_error(pred_flags, true_flags):
     return abs(pred_idx - true_idx)
 
 
-def _first_crossing(flags):
-    hits = np.nonzero(np.asarray(flags) >= 0.5)[0]
-    return int(hits[0]) if len(hits) else None
-
-
 def rollout(model: TrainedModel, rate: float) -> Rollout:
     """Sweep the model over time until its end flag crosses 0.5.
 
@@ -405,8 +401,8 @@ def rollout(model: TrainedModel, rate: float) -> Rollout:
     count = grid_size(MAX_DURATION_FACTOR * (model.duration - model.time_offset), rate)
     times = model.time_offset + np.arange(count) / rate
     pred = model.predict(times)
-    crossed = np.nonzero(pred[:, -1] >= 0.5)[0]
-    end = int(crossed[0]) + 1 if len(crossed) else count
+    crossed = _first_crossing(pred[:, -1])
+    end = count if crossed is None else crossed + 1
     return Rollout(times[:end], pred[:end, :-1], pred[:end, -1])
 
 

@@ -53,7 +53,7 @@ def ok(line):
     print(f"\n{line}: PASS")
 
 
-def random_walk_movement(seed, n_joints, n_keys, duration, name):
+def random_walk_movement(seed, n_joints, n_keys, duration):
     """Keyframes that drift like real postures: bounded step per keyframe."""
     rng = np.random.default_rng(seed)
     interior = np.sort(rng.uniform(0.05, duration - 0.05, size=n_keys - 2))
@@ -65,14 +65,14 @@ def random_walk_movement(seed, n_joints, n_keys, duration, name):
     for _ in times:
         joints.append(pose.copy())
         pose = np.clip(pose + rng.uniform(-0.6, 0.6, size=n_joints), -1.2, 1.2)
-    return KeyframeMovement(times, joints, name=name)
+    return KeyframeMovement(times, joints)
 
 
 def kick_analog():
     rng = np.random.default_rng(100)
     times = np.linspace(0.0, 1.5, 5)
     joints = [rng.uniform(-1, 1, size=5) for _ in times]
-    return KeyframeMovement(times, joints, name="kick-analog")
+    return KeyframeMovement(times, joints)
 
 
 def test_c01_parameter_accounting():
@@ -137,20 +137,20 @@ def test_c03_spline_suite():
 
 
 def test_c04_desk_scale_mae_and_end_detection():
-    motions = [
-        random_walk_movement(11, n_joints=4, n_keys=3, duration=1.0, name="short"),
-        kick_analog(),
-        random_walk_movement(5, n_joints=6, n_keys=10, duration=3.0, name="long"),
-    ]
-    for i, movement in enumerate(motions):
+    motions = {
+        "short": random_walk_movement(11, n_joints=4, n_keys=3, duration=1.0),
+        "kick-analog": kick_analog(),
+        "long": random_walk_movement(5, n_joints=6, n_keys=10, duration=3.0),
+    }
+    for i, (name, movement) in enumerate(motions.items()):
         dataset = sample_movement(movement, 50.0)
         model, _ = train(dataset, schedule=desk_schedule(), seed=i)
         rep = evaluate(model, dataset)
-        assert rep.mae <= 0.018, f"{movement.name}: mae {rep.mae}"
+        assert rep.mae <= 0.018, f"{name}: mae {rep.mae}"
         ro = rollout(model, 50.0)
         true_len = int(np.nonzero(dataset.flags >= 0.5)[0][0]) + 1
-        assert abs(len(ro.times) - true_len) <= 1, f"{movement.name}: rollout length"
-        assert rep.end_time_error <= 1, f"{movement.name}: end-time error"
+        assert abs(len(ro.times) - true_len) <= 1, f"{name}: rollout length"
+        assert rep.end_time_error <= 1, f"{name}: end-time error"
     ok("criterion 4 (desk-scale training reaches MAE <= 0.018 rad, end within 1 sample)")
 
 

@@ -106,7 +106,11 @@ def test_gen_names_an_oversized_grid_by_its_integer_count(workdir, capsys):
                      id="overshoot"),
         pytest.param("movement n=1 gamma=2 rate=1\nt=0 0\nt=1 1e308\n",
                      "joint angle reaches 1e+308, beyond the 1e+06 rad bound", id="angle-1e308"),
-    ],
+    ]
+    + [pytest.param(f"movement n=1 gamma=2 rate={rate}\nt=0 0\nt=1 0.5\n",
+                    "error: invalid movement: speed-rate: "
+                    f"speed rate must be positive and finite, got {float(rate)}\n",
+                    id=f"speed-rate-{rate}") for rate in ("0", "-1", "nan", "inf")],
 )
 def test_unplayable_movement_is_exit_2(workdir, capsys, command, text, message):
     (workdir / "odd.mov").write_text(text)
@@ -116,6 +120,18 @@ def test_unplayable_movement_is_exit_2(workdir, capsys, command, text, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("last_time, rate", [("1e-13", "1"), ("1", "1e13")],
+                         ids=["t=1e-13", "rate=1e13"])
+def test_gen_of_a_movement_shorter_than_one_sample_is_exit_2(workdir, capsys, last_time, rate):
+    # with no tail the grid holds one sample, at t=0; the refusal blames the samples alone
+    (workdir / "blip.mov").write_text(
+        f"movement n=1 gamma=2 rate={rate}\nt=0 0\nt={last_time} 0.5\n")
+    code = run(["gen", "--movement", workdir / "blip.mov", "--tail", 0, "--out", workdir / "x.csv"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: dataset needs at least 2 samples\n"
     assert not (workdir / "x.csv").exists()
 
 
@@ -610,6 +626,11 @@ LOG_HEAD = "time,hip\n0,0\n"
                      id="dataset-1e308"),
         pytest.param("log", LOG_HEAD + "0.02,1e308\n0.04,0.1\n",
                      "a dataset value reaches 1e+308, beyond the 1e+06 rad bound", id="log-1e308"),
+        pytest.param("dataset", DATASET_HEAD, "dataset needs at least 2 samples",
+                     id="dataset-one-row"),
+        # 0.0009 s lies 0.045 samples from t=0 at 50 Hz: on the grid, in the same slot
+        pytest.param("log", LOG_HEAD + "0.0009,0.1\n",
+                     "two samples share the grid slot at t=0.0009", id="log-shared-slot"),
     ],
 )
 def test_bad_table_is_exit_2(workdir, capsys, kind, text, message):
@@ -713,6 +734,10 @@ def test_plant_option_must_be_positive_and_finite(workdir, capsys, option, value
                      id="one-size-23"),
         pytest.param(["--arch", "5"], "a network needs at least one layer, so two sizes: [5]",
                      id="one-size-5"),
+        pytest.param(["--arch", "abc"], "arch must look like 1:75:50:23, got 'abc'", id="arch-abc"),
+        pytest.param(["--schedule", "nosuch"],
+                     "unknown schedule 'nosuch': expected one of ['desk', 'reference'] "
+                     "or a file", id="unknown-schedule"),
     ]
     + [pytest.param(["--schedule", f"{{dir}}/lr{lr}.txt"],
                     f"phase 1: learning rate must be positive and finite, got {float(lr)}",

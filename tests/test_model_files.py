@@ -20,7 +20,8 @@ def bundle(tmp_path_factory):
     """A trained model's bundle files as the program writes them: {file name: text}."""
     rng = np.random.default_rng(9)
     times = 1.5 + np.arange(30) / 50.0
-    ds = ingest_log(times, rng.uniform(-1, 1, (30, 3)), 50.0, tail=2, name="walk")
+    ds = ingest_log(times, rng.uniform(-1, 1, (30, 3)), 50.0, tail=2)
+    ds.name = "walk"  # as load_dataset names a dataset: its file stem
     model, _ = train(ds, arch=[1, 6, 5, 4], schedule=TrainingSchedule([(20, 1e-2)]), alpha=0.3)
     directory = tmp_path_factory.mktemp("bundle")
     save_model(model, directory)

@@ -56,12 +56,13 @@ def test_all_violations_reported():
     assert str(err.value) == (
         "invalid movement: step-count: movement needs at least 2 keyframe steps; "
         "finite-angles: joint angles must be finite; first-step-time: first step time must be 0; "
-        "speed-rate: speed rate must be positive"
+        "speed-rate: speed rate must be positive and finite, got -1.0"
     )
     with pytest.raises(MimicError, match="^invalid movement: joint-shape: ") as err:
         KeyframeMovement([0.2, 0.1], [0.0, 1.0], speed_rate=np.nan)
     for rule in ("joint-shape", "first-step-time", "times-increasing", "speed-rate"):
         assert rule in str(err.value)
+    assert str(err.value).endswith("speed-rate: speed rate must be positive and finite, got nan")
 
 
 @pytest.mark.parametrize("times, joints, rule", [
@@ -114,8 +115,10 @@ def test_duration_scales_inversely_with_rate():
 
 def test_duration_invalid_movement_raises():
     for rate in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(MimicError, match="speed-rate"):
+        with pytest.raises(MimicError) as err:
             simple_movement(rate)
+        assert str(err.value) == (
+            f"invalid movement: speed-rate: speed rate must be positive and finite, got {rate}")
 
 
 def test_reference_pose_endpoints():
@@ -239,7 +242,7 @@ def test_grid_size_rejects_impossible_grids(span, rate):
 
 def test_movement_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    m = KeyframeMovement([0.0, 0.31, 0.9], rng.standard_normal((3, 3)), speed_rate=1.25, name="rt")
+    m = KeyframeMovement([0.0, 0.31, 0.9], rng.standard_normal((3, 3)), speed_rate=1.25)
     text = format_movement(m)
     again = parse_movement(text)
     assert format_movement(again) == text
@@ -250,7 +253,6 @@ def test_movement_file_round_trip(tmp_path):
     path = tmp_path / "m.mov"
     path.write_text(text)
     loaded = load_movement(path)
-    assert loaded.name == "m"
     assert format_movement(loaded) == text
 
 

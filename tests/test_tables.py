@@ -39,8 +39,7 @@ BAD_TOKENS = ("nan", "inf", "-inf", "1e400", "")
 def written(tmp_path_factory):
     """Each CSV kind as the program writes it."""
     tmp = tmp_path_factory.mktemp("tables")
-    movement = KeyframeMovement([0.0, 0.37, 1.013], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]],
-                                name="demo")
+    movement = KeyframeMovement([0.0, 0.37, 1.013], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]])
     ds = sample_movement(movement, 50.0)
     model, log = train(ds, arch=[1, 8, 3], schedule=TrainingSchedule([(20, 1e-2), (10, 5e-3)]))
     save_log(log, tmp / "log.csv")

@@ -36,11 +36,11 @@ from oracles import expression_adam_step, unfused_forward_backward
 def kick_analog(seed=100, n_joints=5, n_keys=5, duration=1.5):
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, duration, n_keys)
-    return KeyframeMovement(times, rng.uniform(-1, 1, size=(n_keys, n_joints)), name="kick-analog")
+    return KeyframeMovement(times, rng.uniform(-1, 1, size=(n_keys, n_joints)))
 
 
 def one_second_movement():
-    return KeyframeMovement([0.0, 0.5, 1.0], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]], name="demo")
+    return KeyframeMovement([0.0, 0.5, 1.0], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]])
 
 
 def zero_model(n_joints, duration=1.0, rate=50.0, scale=1.2):
@@ -61,6 +61,7 @@ def zero_model(n_joints, duration=1.0, rate=50.0, scale=1.2):
 def desk_fit():
     movement = kick_analog()
     dataset = sample_movement(movement, 50.0)
+    dataset.name = "kick-analog"  # as load_dataset names a dataset: its file stem
     model, log = train(dataset, schedule=desk_schedule(), seed=0)
     return movement, dataset, model, log
 
@@ -111,11 +112,20 @@ def test_sample_rejects_bad_rate_and_movement():
 def test_dataset_invariants():
     ds = sample_movement(one_second_movement(), 50.0)
     np.testing.assert_allclose(np.diff(ds.times), 1.0 / 50.0, atol=1e-9)
-    x = ds.normalized_times()
+    x = (ds.times - ds.time_offset) / ds.time_scale
     assert x[0] == 0.0 and x[-1] == 1.0
     assert np.all((x >= 0.0) & (x <= 1.0))
     assert np.all(np.diff(ds.flags) >= 0)
     assert ds.duration == pytest.approx(1.0, abs=1e-12)
+
+
+def test_model_inputs_are_the_normalized_dataset_times(desk_fit):
+    _, dataset, model, _ = desk_fit
+    x = model.inputs(dataset.times)
+    assert x.shape == (len(dataset.times), 1)
+    span = dataset.times[-1] - dataset.times[0]
+    np.testing.assert_array_equal(x[:, 0], (dataset.times - dataset.times[0]) / span)
+    assert x[0, 0] == 0.0 and x[-1, 0] == 1.0
 
 
 def test_dataset_validation_errors():
@@ -261,7 +271,7 @@ def reference_training(dataset, schedule, seed, alpha):
     """(params, mses, maes) of the epoch loop on fresh arrays: unfused pass, expression Adam."""
     n = dataset.n_joints
     net = initialize([1, *DEFAULT_HIDDEN, n + 1], seed=seed, alpha=alpha)
-    x, y = dataset.normalized_times()[:, None], dataset.targets
+    x, y = ((dataset.times - dataset.time_offset) / dataset.time_scale)[:, None], dataset.targets
     m, v, t = np.zeros_like(net.params), np.zeros_like(net.params), 0
     phases, mses, maes = schedule.epoch_phases(), [], []
     for epoch, lr in enumerate(schedule.epoch_lrs()):
@@ -479,6 +489,13 @@ def test_rollout_periodic_model_hits_cap():
     assert np.all(ro.flags < 0.5)
 
 
+def test_rollout_stops_at_a_flag_of_exactly_one_half():
+    model = zero_model(2)
+    model.network.biases[-1][-1] = 0.5  # every flag output is the threshold itself
+    ro = rollout(model, 50.0)
+    assert len(ro.times) == 1 and ro.flags[0] == 0.5 and ro.end_detected
+
+
 def test_rollout_cap_is_relative_to_the_dataset_start():
     # one periodic 30-sample log, recorded from t=0 and from t=100 s; a flag
     # that never rises caps both sweeps at twice the log's span
@@ -522,6 +539,13 @@ def test_rollout_at_double_rate_is_consistent(desk_fit):
 def test_dataset_rate_round_trips(rate, rows, start):
     ds = MotionDataset(start + np.arange(rows) / rate, np.zeros((rows, 2)), rate)
     assert parse_dataset(format_dataset(ds)).sample_rate == rate
+
+
+def test_time_column_just_off_the_grid_reads_back_the_rounded_rate():
+    # no decimal and no float within 64 ulps regenerates the column, so the
+    # estimate 49.99999999916... is taken, rounded to the integer within 1e-6
+    ds = parse_dataset("time,j1,end_flag\n0,0,0\n0.02,0,0\n0.04,0,0\n0.060000000001,0,1\n")
+    assert ds.sample_rate == 50.0
 
 
 def test_ingested_rate_round_trips_from_a_late_start():
@@ -568,6 +592,14 @@ def test_training_log_csv_round_trip(tmp_path, desk_fit):
     np.testing.assert_array_equal(again.mses, log.mses)
     np.testing.assert_array_equal(again.maes, log.maes)
     assert format_log(again) == format_log(log)
+
+
+@pytest.mark.parametrize("row", ["0.5,0,0.001,1,1", "0,1.5,0.001,1,1"], ids=["epoch", "phase"])
+def test_training_log_counters_must_be_integers(tmp_path, row):
+    path = tmp_path / "log.csv"
+    path.write_text(f"epoch,phase,lr,mse,mae\n{row}\n")
+    with pytest.raises(MimicError, match="^training log epoch and phase must be integers$"):
+        load_log(path)
 
 
 def test_model_bundle_round_trip(tmp_path, desk_fit):
