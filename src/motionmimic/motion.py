@@ -135,7 +135,8 @@ STEP = "t=<float> <text>"  # the text holds the n joint angles
 
 def format_movement(m: KeyframeMovement) -> str:
     lines = [format_record(MOVEMENT_HEADER, m.joints.shape[1], len(m.times), m.speed_rate)]
-    lines += [format_record(STEP, t, format_numbers(q)) for t, q in zip(m.times, m.joints)]
+    rows = format_numbers(m.joints).split("\n")
+    lines += [format_record(STEP, t, row) for t, row in zip(m.times, rows)]
     return "\n".join(lines) + "\n"
 
 

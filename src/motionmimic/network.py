@@ -263,8 +263,7 @@ def format_weights(net: MimicNetwork) -> str:
     lines = [format_record(WEIGHTS_HEADER, n_layers, net.input_dim, net.alpha)]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         lines.append(format_record(LAYER_HEADER, *w.shape, _activation(i, n_layers)))
-        lines += [format_numbers(row) for row in w]
-        lines.append(format_numbers(b))
+        lines += [format_numbers(w), format_numbers(b)]
     return "\n".join(lines) + "\n"
 
 

@@ -36,9 +36,13 @@ def text_lines(text: str) -> list:
     return [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
-def format_numbers(values) -> str:
-    """Space-separated numbers, each written as fmt does; LineReader.numbers reads them."""
-    return " ".join(map(fmt, values))
+def format_numbers(matrix) -> str:
+    """A line of space-separated numbers per row of matrix (a vector is one row).
+
+    Each number is written as fmt does; LineReader.numbers reads a line
+    back.  The last line has no newline.
+    """
+    return _write_rows(b"", np.atleast_2d(np.asarray(matrix, dtype=float)), b" ")[:-1]
 
 
 # --- records: one line laid out as a template of words and '<kind>' fields -------
@@ -109,7 +113,7 @@ class LineReader:
         if len(parts) != count:
             self.fail(f"expected {count} {what} values, found {len(parts)}")
         try:
-            return np.array([float(p) for p in parts])
+            return np.array(parts, dtype=float)
         except ValueError:  # number by number, to name the bad one
             return np.array([_parse_value("float", p, what, self.line_no) for p in parts])
 
@@ -146,15 +150,20 @@ def format_table(header, matrix) -> str:
         raise MimicError(f"{len(header)} column names for a table of shape {table.shape}")
     if not header:
         raise MimicError(f"a table of shape {table.shape} has no columns")
+    head = (",".join(header) + "\n").encode("utf-8", "surrogatepass")  # names may be any text
+    return _write_rows(head, table, b",")
+
+
+def _write_rows(head: bytes, table, sep: bytes) -> str:
+    """head, then a line per row of table, its cells split by sep and written as fmt does."""
     # One buffer with room for the longest cells, filled a block of rows at a
     # time: its size is known up front, so it is allocated once, not grown.
-    head = (",".join(header) + "\n").encode("utf-8", "surrogatepass")  # names may be any text
     text = bytearray(len(head) + table.size * _LONGEST)
     text[: len(head)] = head
     end = len(head)
-    rows = max(1, _BLOCK_CELLS // len(header))
+    rows = max(1, _BLOCK_CELLS // table.shape[1])
     for i in range(0, len(table), rows):
-        lines = _format_rows(table[i : i + rows])
+        lines = _format_rows(table[i : i + rows], sep)
         text[end : end + len(lines)] = lines
         end += len(lines)
     del text[end:]
@@ -166,13 +175,20 @@ def format_table(header, matrix) -> str:
 # them out in a NUL-padded slot (sign, '0.'..'0.000' prefix, the digits with their
 # dot, 'e-05' suffix, separator) that deleting the NULs closes up.  FLOAT % x
 # writes the other cells (-0.0, tiny, huge, inf, nan) into their slots.
-_BLOCK_CELLS = 2048  # bounds the block's temporaries to a few hundred KB
+_BLOCK_CELLS = 2048  # bounds a block's temporaries, written or read, to a few hundred KB
 _SLOT = 32  # bytes per cell, the separator last
 _LONGEST = 25  # FLOAT % x writes at most 24 characters, then the separator
 _BODY = 7  # slot column of the body, the digits with their dot
+_PLAIN = (1e-5, np.nextafter(1e15, 0))  # the closed range of |x| numpy writes
 # the 4 ASCII digits of 0..9999 as one uint32 each, in memory order
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
 _DIGITS4 = _DIGITS4.reshape(-1, 4).view(np.uint32).ravel()
+# _LAST[i - 1, g]: the place of the last nonzero digit of g as the i-th group of
+# four after the leading digit (place 0), or 0 for g = 0.  Filled in place, one
+# digit column at a time, so that import leaves no large temporaries resident.
+_LAST = np.zeros((4, 10**4), np.int8)
+for _place, _digit in enumerate(_DIGITS4.view(np.uint8).reshape(-1, 4).T, start=1):
+    np.copyto(_LAST, np.arange(_place, 17, 4, dtype=np.int8)[:, None], where=_digit != 48)
 _POW10 = np.array([float(10**i) for i in range(23)])  # exact doubles
 
 
@@ -217,13 +233,17 @@ def _split(a):
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
-def _scaled(a, k):
-    """(p, e): p + e = a * 10**(16 - k) exactly, p the rounded product (Dekker)."""
-    p = a * _POW10[16 - k]
+def _rounded(a, b):
+    """a * 10**b rounded half to even, as int64, where a * 10**b >= 2**53.
+
+    Dekker's product gives it exactly as p + e, p the rounded double.  p is
+    an even integer >= 2**53, so p + rint(e) is p + e rounded half to even.
+    """
+    p = a * _POW10.take(b)
     a_hi, a_lo = _split(a)
-    b_hi, b_lo = _POW10_HI[16 - k], _POW10_LO[16 - k]
-    err = ((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo
-    return p, a_lo * b_lo - err
+    b_hi, b_lo = _POW10_HI.take(b), _POW10_LO.take(b)
+    e = a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
 
 
 def _decimal(a):
@@ -232,57 +252,62 @@ def _decimal(a):
     For 1e-5 <= a < 1e15; n holds the 17 digits FLOAT writes, k the exponent.
     """
     k = np.floor(np.log10(a)).astype(np.intp)
-    p, e = _scaled(a, k)
-    low = (p < 1e16) | ((p == 1e16) & (e < 0))
-    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
-    fix = np.flatnonzero(low | high)
-    if fix.size:  # log10 rounded across a power of ten
-        k[fix] += np.where(low[fix], -1, 1)
-        p[fix], e[fix] = _scaled(a[fix], k[fix])
-    # p is an even integer >= 2**53, so p + rint(e) is p + e rounded half to even.
-    # It never reaches 1e17: the largest double below each power of ten up to
-    # 1e15 scales to 1e17 - 8 or less.
-    return k, p.astype(np.int64) + np.rint(e).astype(np.int64)
+    n = _rounded(a, 16 - k)
+    # n leaves [1e16, 1e17) exactly when log10 rounded across a power of ten:
+    # with the right k, the doubles either side of each power scale to 1e16 ..
+    # 1e17 - 8; with k one too high, below 1e16 (below 2**53 the rounding is
+    # not exact, but n stays far below 1e16); with k one too low, to 1e17 or more.
+    fix = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    if fix.size:
+        k[fix] += np.where(n[fix] < 10**16, -1, 1)
+        n[fix] = _rounded(a[fix], 16 - k[fix])
+    return k, n
 
 
 def _digit_slots(n):
-    """(cells, _SLOT) bytes with the 17 ASCII digits of n at columns _BODY.._BODY + 16.
+    """(slots, place): the 17 ASCII digits of each n and the place of its last nonzero digit.
 
-    The other columns are not set.
+    slots is (cells, _SLOT) bytes with the digits in slot words 1..5, the
+    leading one written '000d'; the other words are not set.  place is 0
+    when only the leading digit is nonzero.
     """
-    groups = np.empty((len(n), 5), np.int32)  # the leading digit, then four groups of four
+    groups = np.empty((5, len(n)), np.intp)  # the leading digit, then four groups of four
     for i, scale in enumerate((10**16, 10**12, 10**8, 10**4)):
-        groups[:, i] = lead = n // scale
-        n = n - lead * scale
-    groups[:, 4] = n
+        np.floor_divide(n, scale, out=groups[i])
+        n = n - groups[i] * scale
+    groups[4] = n
+    place = _LAST[0].take(groups[1])
+    for i in range(1, 4):
+        np.maximum(place, _LAST[i].take(groups[1 + i]), out=place)
     slots = np.empty((len(n), _SLOT), np.uint8)
-    slots.view(np.uint32)[:, 1:6] = _DIGITS4[groups]  # the leading digit is written '000d'
-    return slots
+    for i, group in enumerate(groups, start=1):
+        slots.view(np.uint32)[:, i] = _DIGITS4.take(group)
+    return slots, place
 
 
-def _format_rows(block) -> bytes:
-    """The CSV lines of a block of rows, each cell byte-identical to FLOAT % x."""
+def _format_rows(block, sep: bytes) -> bytes:
+    """The lines of a block of rows, cells split by sep, each byte-identical to FLOAT % x."""
     x = block.ravel()
-    plain = (np.abs(x) >= 1e-5) & (np.abs(x) < 1e15)
-    k, n = _decimal(np.where(plain, np.abs(x), 1.0))
-    slots = _digit_slots(n)
-    sig = 17 - np.argmax(slots[:, _BODY + 16 : _BODY - 1 : -1] != 48, axis=1)
-    code = np.where(x < 0, 21 * 17, 0) + (k + 5) * 17 + sig - 1
-    code[x == 0] = _ZERO  # -0.0 too; FLOAT % x rewrites it below
+    a = np.abs(x)
+    clamped = np.fmin(np.fmax(a, _PLAIN[0]), _PLAIN[1])  # nan becomes 1e-5
+    k, n = _decimal(clamped)
+    zero = x.view(np.int64) == 0  # 0.0, not -0.0
+    rest = np.flatnonzero((clamped != a) & ~zero)
+    slots, place = _digit_slots(n)
+    code = (x < 0) * (21 * 17) + (k + 5) * 17 + place
+    code[zero] = _ZERO
     # digit j stays put before the dot and moves one column right after it
     flat = slots.ravel()
-    moved = np.take(_RIGHT, code, axis=0).ravel()
+    moved = _RIGHT.take(code, axis=0).ravel()
     moved[1:] &= flat[:-1]
-    flat &= np.take(_LEFT, code, axis=0).ravel()
+    flat &= _LEFT.take(code, axis=0).ravel()
     flat |= moved
-    flat |= np.take(_FRAME, code, axis=0).ravel()
-    rest = np.flatnonzero(~plain & ((x != 0) | np.signbit(x)))
+    flat |= _FRAME.take(code, axis=0).ravel()
     if rest.size:
         text = b"".join(fmt(v).encode().ljust(_SLOT, b"\0") for v in x[rest].tolist())
         slots[rest] = np.frombuffer(text, np.uint8).reshape(-1, _SLOT)
-    slots = slots.reshape(block.shape[0], block.shape[1], _SLOT)
-    slots[:, :, -1] = 44  # ','
-    slots[:, -1, -1] = 10  # '\n'
+    slots[:, -1] = ord(sep)
+    slots[block.shape[1] - 1 :: block.shape[1], -1] = 10  # '\n' after each row's last cell
     return slots.tobytes().translate(None, b"\0")
 
 
@@ -304,14 +329,17 @@ def parse_table(text: str, header: str):
         raise MimicError(f"line {head_no}: expected header '{header}'")
     cols = first.split(",")
     table = np.empty((len(lines) - 1, len(cols)))
-    for i, (no, raw) in enumerate(lines[1:]):
-        parts = raw.split(",")
-        if len(parts) != len(cols):
-            raise MimicError(f"line {no}: expected {len(cols)} fields, found {len(parts)}")
-        try:
-            table[i] = [float(p) for p in parts]
-        except ValueError:  # field by field, to name the bad one
-            table[i] = [_parse_value("float", p, col, no) for p, col in zip(parts, cols)]
+    step = max(1, _BLOCK_CELLS // len(cols))  # lines converted at a time
+    for i in range(0, len(table), step):
+        block = lines[1 + i : 1 + i + step]
+        rows = [raw.split(",") for _, raw in block]
+        try:  # float() on each field; reshape also refuses lines all of another width
+            table[i : i + step] = np.array(rows, dtype=float).reshape(len(block), len(cols))
+        except ValueError:  # line by line, to name the first bad line
+            for j, ((no, _), parts) in enumerate(zip(block, rows)):
+                if len(parts) != len(cols):
+                    raise MimicError(f"line {no}: expected {len(cols)} fields, found {len(parts)}")
+                table[i + j] = [_parse_value("float", p, col, no) for p, col in zip(parts, cols)]
     finite = np.isfinite(table)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]

@@ -9,6 +9,9 @@ spline's segment cubics term by term, the unfused pass and the expression Adam s
 are the array code that the buffered epoch replaced, making fresh arrays, and the plant oracle advances one tick at a
 time through plant.step.  The table oracle is the row-template CSV
 writer that textio.format_table replaced: one '%.17g,...' % row per line.
+The numbers oracle is the per-value writer that textio.format_numbers
+replaced, and the table reader oracle converts one line at a time with
+float(), as textio.parse_table did before it read blocks of lines.
 """
 
 import math
@@ -218,3 +221,18 @@ def format_table_rows(header, matrix):
     lines += [template % tuple(row.tolist()) for row in table]
     lines.append("")  # the final newline, without a second copy of the joined text
     return "\n".join(lines)
+
+
+def format_numbers_each(values):
+    """Space-separated numbers, each written by its own '%.17g' % value."""
+    return " ".join("%.17g" % v for v in values)
+
+
+def parse_table_rows(text):
+    """(names, table) of CSV text, each non-blank line after the first converted by float()."""
+    lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    names = lines[0][1].split(",")
+    table = np.empty((len(lines) - 1, len(names)))
+    for i, (_, line) in enumerate(lines[1:]):
+        table[i] = [float(part) for part in line.split(",")]
+    return names, table

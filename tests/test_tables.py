@@ -28,7 +28,7 @@ from motionmimic.trainer import (
     train,
 )
 
-from oracles import format_table_rows
+from oracles import format_table_rows, parse_table_rows
 
 ROLLOUT_HEADER = "time,<joint names...>,end_flag"
 TRACKING_HEADER = "time,<joint columns...>"
@@ -172,6 +172,35 @@ def test_writer_matches_row_template_on_ties():
     assert_same_bytes(np.array(ties).reshape(-1, 8))
 
 
+def with_trailing_zeros(zeros, exponent, rng, tries=40):
+    """A double whose 17 significant digits, the first worth 10**exponent, end in
+    exactly zeros zeros; None if tries draws find none."""
+    for _ in range(tries):
+        digits = int(rng.integers(10 ** (16 - zeros), 10 ** (17 - zeros)))
+        digits += int(rng.integers(1, 10)) - digits % 10  # the last digit is not a zero
+        x = float(f"{digits}e{exponent + zeros - 16}")
+        mantissa, _, power = ("%.16e" % x).partition("e")
+        written = mantissa.replace(".", "")
+        if int(power) == exponent and len(written) - len(written.rstrip("0")) == zeros:
+            return x
+    return None
+
+
+def test_writer_matches_row_template_for_every_count_of_trailing_zeros():
+    """0..16 trailing zeros end a digit group, or fall anywhere inside one.
+
+    The double nearest a short digit string need not write it back at 17
+    digits, so each count is drawn at every exponent and kept where found.
+    """
+    rng = np.random.default_rng(16)
+    cells = {zeros: [x for exponent in range(-5, 15)
+                     if (x := with_trailing_zeros(zeros, exponent, rng)) is not None]
+             for zeros in range(17)}
+    assert all(len(found) >= 2 for found in cells.values())
+    column = np.concatenate([found for found in cells.values()])
+    assert_same_bytes(np.column_stack([column, -column, column[::-1]]))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_writer_matches_row_template_on_written_tables(kind, written):
     names, table = parse_table(written[kind], "<all columns>")
@@ -200,6 +229,67 @@ def test_writer_peak_memory_stays_near_the_row_template(shape):
             tracemalloc.stop()
 
     assert peak(format_table) <= peak(format_table_rows) + 512 * 1024
+
+
+# --- the reader converts a block of lines at a time ------------------------
+
+
+def three_blocks():
+    """The lines of a 3-column CSV text of more than three blocks, and the lines in a block."""
+    rows = 2048 // 3
+    table = np.random.default_rng(3).standard_normal((3 * rows + 5, 3))
+    return format_table(["c0", "c1", "c2"], table).splitlines(), rows
+
+
+@pytest.mark.parametrize("where", ["first line", "last of a block", "first of the next block",
+                                   "last line"])
+@pytest.mark.parametrize("fault", ["bad field", "short line"])
+def test_reader_names_the_bad_line_in_any_block(where, fault):
+    lines, rows = three_blocks()
+    row = {"first line": 0, "last of a block": rows - 1, "first of the next block": rows,
+           "last line": len(lines) - 2}[where]
+    cells = lines[1 + row].split(",")
+    lines[1 + row] = ",".join(cells[:2] + ["x"] if fault == "bad field" else cells[:2])
+    lines.insert(1 + row // 2, "")  # a blank line still counts in the line numbers
+    message = ("c2 is not a number: 'x'" if fault == "bad field"
+               else "expected 3 fields, found 2")
+    with pytest.raises(MimicError, match=f"^line {row + 3}: {message}$"):
+        parse_table("\n".join(lines) + "\n", "c0,c1,c2")
+
+
+@pytest.mark.parametrize("later", ["same block", "next block"])
+def test_reader_names_a_short_line_before_a_later_bad_number(later):
+    lines, rows = three_blocks()
+    short = rows - 2
+    bad = short + (1 if later == "same block" else rows)
+    cells = lines[1 + bad].split(",")
+    lines[1 + bad] = ",".join([cells[0], "nan_", cells[2]])
+    lines[1 + short] = lines[1 + short].rsplit(",", 1)[0]
+    with pytest.raises(MimicError, match=f"^line {short + 2}: expected 3 fields, found 2$"):
+        parse_table("\n".join(lines) + "\n", "c0,c1,c2")
+    lines[1 + short] += ",0"
+    with pytest.raises(MimicError, match=f"^line {bad + 2}: c1 is not a number: 'nan_'$"):
+        parse_table("\n".join(lines) + "\n", "c0,c1,c2")
+
+
+@pytest.mark.parametrize("shape", [(501, 45), (1500, 24), (5000, 3)])
+def test_reader_peak_memory_stays_near_the_line_reader(shape):
+    """The blocks of lines add at most 512 KB to the line-by-line reader's traced peak."""
+    text = format_table([f"c{i}" for i in range(shape[1])],
+                        np.random.default_rng(2).standard_normal(shape))
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            names, table = read(text)
+            return tracemalloc.get_traced_memory()[1], names, table
+        finally:
+            tracemalloc.stop()
+
+    peak_blocks, *got = peak(lambda text: parse_table(text, "<names>"))
+    peak_lines, *want = peak(parse_table_rows)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    assert peak_blocks <= peak_lines + 512 * 1024
 
 
 def mutate(text, rng):

@@ -1,4 +1,4 @@
-"""The movement and schedule files: round trips and a mutation fuzz."""
+"""The movement and schedule files: round trips, the per-value number format and a mutation fuzz."""
 
 import math
 import random
@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from motionmimic.errors import MimicError
-from motionmimic.motion import MAX_ANGLE, format_movement, parse_movement
+from motionmimic.motion import MAX_ANGLE, KeyframeMovement, format_movement, parse_movement
 from motionmimic.optimizer import format_schedule, parse_schedule
 from motionmimic.plant import PlantConfig, simulate
 from motionmimic.trainer import sample_movement
+
+from oracles import format_numbers_each
 
 MOVEMENT = """movement n=2 gamma=3 rate=1.25
 t=0 0 0.29999999999999999
@@ -42,6 +44,17 @@ def test_movement_format_parse_format_is_byte_identical():
     assert format_movement(m) == MOVEMENT
     assert format_movement(parse_movement("\n  \n" + MOVEMENT)) == MOVEMENT
     assert format_movement(parse_movement(format_movement(m))) == MOVEMENT
+
+
+def test_movement_file_writes_each_angle_as_the_per_value_template():
+    """Each step's angles are one line, every angle as '%.17g' writes it alone."""
+    rng = np.random.default_rng(12)
+    joints = rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-12, 6, (6, 9))
+    joints[0, :6] = [0.0, -0.0, 1e-5, -9.999e-6, 5e-324, MAX_ANGLE]
+    m = KeyframeMovement(np.arange(6) * 0.37, joints, speed_rate=1.25)
+    lines = format_movement(m).splitlines()
+    assert lines[1:] == [f"t={'%.17g' % t} {format_numbers_each(q)}"
+                         for t, q in zip(m.times, joints)]
 
 
 def test_schedule_format_parse_format_is_byte_identical():
