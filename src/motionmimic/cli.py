@@ -7,6 +7,7 @@ network, eval/rollout/simulate/compare inspect the result.  Exit codes:
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -36,7 +37,21 @@ from .trainer import (
     train,
 )
 
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is at that record, not at set-up."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)  # StreamHandler's would fix a stream
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 log = logging.getLogger("motionmimic")
+log.addHandler(_StderrHandler())  # on this logger, not the root: main sets its level per call
 
 
 def _parse_arch(text):
@@ -160,6 +175,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, so importing the module stays cheap
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motionmimic",
@@ -175,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=50.0)
     p.add_argument("--tail", type=int, default=DEFAULT_TAIL)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ingest", help="regularize an external joint log into a dataset CSV")
     p.add_argument("--log", required=True)
@@ -183,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periodic", action="store_true")
     p.add_argument("--tail", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="fit a network to a dataset")
     p.add_argument("--dataset", required=True)
@@ -192,47 +206,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--out", required=True, help="output directory for the model bundle")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a trained model against a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("rollout", help="sweep a model until its end flag crosses 0.5")
     p.add_argument("--model", required=True)
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser("simulate", parents=[plant], help="play a source through the joint plant")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--model")
     src.add_argument("--movement")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", parents=[plant],
                        help="evaluate, roll out, and track a model vs its dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
 def _configure_logging():
-    level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
+    log.setLevel({"debug": logging.DEBUG, "info": logging.INFO}.get(
         os.environ.get("MIMIC_LOG", "").lower(), logging.WARNING
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    ))
 
 
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call: a cached parser must not pin the stage functions
+        return globals()[f"cmd_{args.command}"](args)
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -56,3 +56,22 @@ def test_traced_train_and_rollout_record_the_network_spans():
     for name in ("network.forward_backward", "network.leaky_relu", "optimizer.adam_step",
                  "network.forward"):
         assert per[name][0] >= 1, name
+
+
+def test_tracer_installed_after_a_call_still_sees_every_span(tmp_path, capsys):
+    # main builds its parser once per process; a parser that kept the stage
+    # functions would run the unwrapped cmd_gen after the first call
+    (tmp_path / "demo.mov").write_text("movement n=1 gamma=2 rate=1\nt=0 0\nt=1 0.5\n")
+    argv = ["gen", "--movement", str(tmp_path / "demo.mov"), "--out", str(tmp_path / "d.csv")]
+    assert motionmimic.cli.main(argv) == 0
+    tracing = load_tracing()
+    tracer = tracing.Tracer(MM)
+    tracer.install()
+    try:
+        assert motionmimic.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    per, _ = tracing.fold(tracer.take())
+    for name in ("cli.main", "cli.gen", "motion.load_movement", "trainer.save_dataset"):
+        assert per[name][0] == 1, name
+    assert motionmimic.cli.build_parser() is motionmimic.cli.build_parser()

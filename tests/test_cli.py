@@ -1,14 +1,21 @@
+import contextlib
 import hashlib
+import io
+import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motionmimic.cli
 import motionmimic.motion
 from motionmimic.cli import build_parser, main
 from motionmimic.network import format_weights, initialize
 from motionmimic.plant import PlantConfig
-from motionmimic.trainer import load_dataset, load_model
+from motionmimic.trainer import DEFAULT_TAIL, load_dataset, load_model
 
 MOVEMENT = """movement n=2 gamma=3 rate=1
 t=0 0 0.3
@@ -772,3 +779,90 @@ def test_training_batch_too_wide_is_exit_2(workdir, capsys):
     assert err == ("error: 61 rows x 390023 activations per row = 23791403; "
                    "a training batch holds at most 20000000\n")
     assert not (workdir / "model").exists()
+
+
+# --- many calls in one process ----------------------------------------------
+
+
+def record_args(monkeypatch, command):
+    """Make cmd_<command> record its parsed arguments before it runs."""
+    seen = []
+    real = getattr(motionmimic.cli, f"cmd_{command}")
+    monkeypatch.setattr(motionmimic.cli, f"cmd_{command}", lambda args: seen.append(args) or real(args))
+    return seen
+
+
+def test_gen_options_do_not_carry_to_the_next_call(workdir, monkeypatch):
+    seen = record_args(monkeypatch, "gen")
+    mov, out = workdir / "demo.mov", workdir / "demo.csv"
+    assert run(["gen", "--movement", mov, "--rate", 20, "--tail", 3, "--out", out]) == 0
+    assert run(["gen", "--movement", mov, "--out", out]) == 0
+    assert [(a.rate, a.tail) for a in seen] == [(20.0, 3), (50.0, DEFAULT_TAIL)]
+
+
+def test_simulate_source_group_is_checked_afresh_on_each_call(trained, monkeypatch):
+    seen = record_args(monkeypatch, "simulate")
+    assert run(["simulate", "--movement", trained / "demo.mov", "--out", trained / "a.csv"]) == 0
+    assert run(["simulate", "--model", trained / "model", "--out", trained / "b.csv"]) == 0
+    assert [(a.movement is None, a.model is None) for a in seen] == [(False, True), (True, False)]
+
+
+def test_a_refused_call_leaves_the_next_call_working(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--movement", str(workdir / "demo.mov")])  # no --out
+    assert exc.value.code == 2
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
+
+
+def test_help_is_the_same_on_the_first_call_and_a_later_one(workdir, capsys):
+    def help_text(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    build_parser.cache_clear()
+    first = [help_text(["--help"]), help_text(["simulate", "--help"])]
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
+    capsys.readouterr()
+    assert [help_text(["--help"]), help_text(["simulate", "--help"])] == first
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("order", [("", "info"), ("info", "")], ids=["plain-info", "info-plain"])
+def test_mimic_log_is_read_on_each_call(workdir, monkeypatch, order):
+    root_handlers = list(logging.getLogger().handlers)
+    wrote = f"INFO motionmimic: wrote {workdir / 'demo.csv'}\n"
+    for level in order + order:
+        monkeypatch.setenv("MIMIC_LOG", level)
+        err = io.StringIO()  # a new stderr per call: the log line must follow it
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert run(["gen", "--movement", workdir / "demo.mov",
+                        "--out", workdir / "demo.csv"]) == 0
+        assert err.getvalue() == (wrote if level else "")
+    assert logging.getLogger().handlers == root_handlers
+
+
+def test_cold_entry_point_matches_an_in_process_call(workdir):
+    src = Path(motionmimic.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("MIMIC_LOG", None)
+
+    def cold(*argv, **extra):
+        return subprocess.run([sys.executable, "-m", "motionmimic.cli", *map(str, argv)],
+                              env={**env, **extra}, capture_output=True, text=True, timeout=60)
+
+    mov = workdir / "demo.mov"
+    assert run(["gen", "--movement", mov, "--out", workdir / "warm.csv"]) == 0
+    done = cold("gen", "--movement", mov, "--out", workdir / "cold.csv")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (workdir / "cold.csv").read_bytes() == (workdir / "warm.csv").read_bytes()
+
+    done = cold("gen", "--movement", workdir / "bad.mov", "--out", workdir / "x.csv")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+    assert not (workdir / "x.csv").exists()
+
+    done = cold("gen", "--movement", mov, "--out", workdir / "info.csv", MIMIC_LOG="info")
+    assert (done.returncode, done.stderr) == (0, f"INFO motionmimic: wrote {workdir / 'info.csv'}\n")
