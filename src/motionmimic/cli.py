@@ -8,7 +8,6 @@ network, eval/rollout/simulate/compare inspect the result.  Exit codes:
 
 import argparse
 import functools
-import logging
 import os
 import sys
 from dataclasses import fields
@@ -38,20 +37,10 @@ from .trainer import (
 )
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to sys.stderr as it is at that record, not at set-up."""
-
-    def __init__(self):
-        logging.Handler.__init__(self)  # StreamHandler's would fix a stream
-        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-
-log = logging.getLogger("motionmimic")
-log.addHandler(_StderrHandler())  # on this logger, not the root: main sets its level per call
+def _info(message):
+    """Print message as an INFO line on the current stderr when MIMIC_LOG is info or debug."""
+    if os.environ.get("MIMIC_LOG", "").lower() in ("info", "debug"):
+        print(f"INFO motionmimic: {message}", file=sys.stderr, flush=True)
 
 
 def _parse_arch(text):
@@ -79,7 +68,7 @@ def _plant_config(args):
 def cmd_gen(args) -> int:
     ds = sample_movement(load_movement(args.movement), args.rate, tail=args.tail)
     save_dataset(ds, args.out)
-    log.info("wrote %s", args.out)
+    _info(f"wrote {args.out}")
     print(f"{len(ds.times)} samples at {fmt(args.rate)} Hz -> {args.out}")
     return 0
 
@@ -230,14 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging():
-    log.setLevel({"debug": logging.DEBUG, "info": logging.INFO}.get(
-        os.environ.get("MIMIC_LOG", "").lower(), logging.WARNING
-    ))
-
-
 def main(argv=None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
         # looked up per call: a cached parser must not pin the stage functions

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MimicError
 from .spline import CubicSpline, build_spline
-from .textio import LineReader, format_numbers, format_record, read_text
+from .textio import LineReader, read_text
 
 MAX_ANGLE = 1e6  # radians; a joint value beyond it is unusable, whatever produced it
 
@@ -131,13 +131,6 @@ def reference_pose(m: KeyframeMovement, t: float) -> np.ndarray:
 
 MOVEMENT_HEADER = "movement n=<int> gamma=<int> rate=<float>"
 STEP = "t=<float> <text>"  # the text holds the n joint angles
-
-
-def format_movement(m: KeyframeMovement) -> str:
-    lines = [format_record(MOVEMENT_HEADER, m.joints.shape[1], len(m.times), m.speed_rate)]
-    rows = format_numbers(m.joints).split("\n")
-    lines += [format_record(STEP, t, row) for t, row in zip(m.times, rows)]
-    return "\n".join(lines) + "\n"
 
 
 def parse_movement(text: str) -> KeyframeMovement:

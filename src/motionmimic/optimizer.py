@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MimicError, require_positive
-from .textio import format_record, parse_record, read_text, text_lines
+from .textio import parse_record, read_text, text_lines
 
 
 BETA1 = 0.9  # decay of the first-moment average
@@ -133,12 +133,6 @@ SCHEDULE_PRESETS = {"reference": reference_schedule, "desk": desk_schedule}
 
 PHASE = "phase epochs=<int> lr=<float>"
 RESET = "reset_on_phase=<true|false>"
-
-
-def format_schedule(schedule: TrainingSchedule) -> str:
-    lines = [format_record(PHASE, e, lr) for e, lr in schedule.phases]
-    lines.append(format_record(RESET, schedule.reset_on_phase))
-    return "\n".join(lines) + "\n"
 
 
 def parse_schedule(text: str) -> TrainingSchedule:

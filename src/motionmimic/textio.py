@@ -314,7 +314,7 @@ def _format_rows(block, sep: bytes) -> bytes:
 def parse_table(text: str, header: str):
     """Read CSV text as format_table writes it: (names, (rows, columns) array).
 
-    header is the expected first line.  It may hold one '<...>' item,
+    header is the expected first line.  It holds one '<...>' item,
     which stands for one or more names; those names are returned.
     Blank lines are skipped.  A text without lines, a wrong header, a
     wrong field count or a field that is not a finite number raises
@@ -349,9 +349,7 @@ def parse_table(text: str, header: str):
 
 
 def _header_names(line, header):
-    """The names filling header's '<...>' item in line ([] without one), or None."""
-    if "<" not in header:
-        return [] if line == header else None
+    """The names filling header's '<...>' item in line, or None."""
     prefix, suffix = header[: header.index("<")], header[header.index(">") + 1 :]
     fits = line.startswith(prefix) and line.endswith(suffix)
     if not fits or len(line) < len(prefix) + len(suffix):

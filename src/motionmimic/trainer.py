@@ -485,15 +485,6 @@ def save_log(log: TrainingLog, path):
     write_text(path, format_log(log))
 
 
-def load_log(path) -> TrainingLog:
-    _, table = parse_table(read_text(path), LOG_HEADER)
-    counters = table[:, :2]
-    if np.any(counters != np.trunc(counters)):
-        raise MimicError("training log epoch and phase must be integers")
-    return TrainingLog(counters[:, 0].astype(int), counters[:, 1].astype(int),
-                       table[:, 2], table[:, 3], table[:, 4])
-
-
 # --- model bundle: weights file + metadata sidecar ----------------------------
 
 WEIGHTS_FILE = "weights.txt"

@@ -12,6 +12,9 @@ writer that textio.format_table replaced: one '%.17g,...' % row per line.
 The numbers oracle is the per-value writer that textio.format_numbers
 replaced, and the table reader oracle converts one line at a time with
 float(), as textio.parse_table did before it read blocks of lines.
+The movement and schedule writers write the two files the program only
+reads, one '%.17g' per number, so tests can build fixtures and check that
+a parsed file writes back as the same text.
 """
 
 import math
@@ -236,3 +239,17 @@ def parse_table_rows(text):
     for i, (_, line) in enumerate(lines[1:]):
         table[i] = [float(part) for part in line.split(",")]
     return names, table
+
+
+def format_movement(m):
+    """Movement file text: the header, then one 't=<time> <angles>' line per keyframe."""
+    lines = ["movement n=%d gamma=%d rate=%.17g" % (m.joints.shape[1], len(m.times), m.speed_rate)]
+    lines += ["t=%.17g %s" % (t, format_numbers_each(q)) for t, q in zip(m.times, m.joints)]
+    return "\n".join(lines) + "\n"
+
+
+def format_schedule(schedule):
+    """Schedule file text: one phase line per phase, then the reset_on_phase line."""
+    lines = ["phase epochs=%d lr=%.17g" % phase for phase in schedule.phases]
+    lines.append("reset_on_phase=%s" % ("true" if schedule.reset_on_phase else "false"))
+    return "\n".join(lines) + "\n"

@@ -9,11 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionmimic.motion import (
-    KeyframeMovement,
-    format_movement,
-    parse_movement,
-)
+from motionmimic.motion import KeyframeMovement, parse_movement
 from motionmimic.network import (
     epoch_buffers,
     format_weights,
@@ -43,6 +39,7 @@ from motionmimic.trainer import (
 from oracles import (
     dense_natural_spline,
     finite_difference_gradients,
+    format_movement,
     max_relative_gradient_error,
     scalar_adam,
     spline_derivatives,

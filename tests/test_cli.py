@@ -3,6 +3,7 @@ import hashlib
 import io
 import logging
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -866,3 +867,21 @@ def test_cold_entry_point_matches_an_in_process_call(workdir):
 
     done = cold("gen", "--movement", mov, "--out", workdir / "info.csv", MIMIC_LOG="info")
     assert (done.returncode, done.stderr) == (0, f"INFO motionmimic: wrote {workdir / 'info.csv'}\n")
+
+
+def test_entry_point_run_in_process_matches_main_and_logs_once(workdir, monkeypatch, capsys):
+    """The module run as __main__ in this process, then main: each INFO line still prints once."""
+    mov = workdir / "demo.mov"
+    assert run(["gen", "--movement", mov, "--out", workdir / "warm.csv"]) == 0
+    monkeypatch.setattr(sys, "argv", ["motionmimic", "gen", "--movement", str(mov),
+                                      "--out", str(workdir / "entry.csv")])
+    monkeypatch.delitem(sys.modules, "motionmimic.cli")  # else runpy warns it is imported
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("motionmimic.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert (workdir / "entry.csv").read_bytes() == (workdir / "warm.csv").read_bytes()
+
+    capsys.readouterr()
+    monkeypatch.setenv("MIMIC_LOG", "info")
+    assert run(["gen", "--movement", mov, "--out", workdir / "info.csv"]) == 0
+    assert capsys.readouterr().err == f"INFO motionmimic: wrote {workdir / 'info.csv'}\n"

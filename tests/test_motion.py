@@ -9,7 +9,6 @@ from motionmimic.motion import (
     MAX_ANGLE,
     MAX_GRID_SAMPLES,
     KeyframeMovement,
-    format_movement,
     grid_size,
     load_movement,
     parse_movement,
@@ -19,7 +18,7 @@ from motionmimic.motion import (
     validate_movement,
 )
 
-from oracles import dense_natural_spline, eval_segment_poly
+from oracles import dense_natural_spline, eval_segment_poly, format_movement
 
 
 def simple_movement(rate=1.0):

@@ -10,7 +10,6 @@ from motionmimic.optimizer import (
     adam_init,
     adam_step,
     desk_schedule,
-    format_schedule,
     load_schedule,
     parse_schedule,
     reference_schedule,
@@ -18,7 +17,7 @@ from motionmimic.optimizer import (
 )
 from motionmimic.trainer import sample_movement, train
 
-from oracles import expression_adam_step, scalar_adam
+from oracles import expression_adam_step, format_schedule, scalar_adam
 
 # frozen from the plain-float recurrence in oracles.scalar_adam
 FIRST_STEP_THETA = -0.09999999900000002

@@ -15,11 +15,12 @@ from motionmimic.optimizer import TrainingSchedule
 from motionmimic.plant import PlantConfig, format_comparison, simulate
 from motionmimic.textio import format_table, parse_table
 from motionmimic.trainer import (
+    LOG_HEADER,
+    TrainingLog,
     format_dataset,
     format_log,
     ingest_log,
     load_joint_log,
-    load_log,
     parse_dataset,
     rollout,
     sample_movement,
@@ -76,10 +77,16 @@ def readers(tmp_path):
         times, joints, names = loaded
         return format_table(["time", *names], np.column_stack([times, joints]))
 
+    def log(text):  # no command reads a training log, so its header is checked here
+        names, table = parse_table(text, "<columns...>")
+        if names != LOG_HEADER.split(","):
+            raise MimicError(f"expected header '{LOG_HEADER}'")
+        return TrainingLog(*table.T)
+
     return {
         "dataset": (parse_dataset, format_dataset),
         "joint log": (from_file(load_joint_log), rejoint),
-        "training log": (from_file(load_log), format_log),
+        "training log": (log, format_log),
         "rollout": (table(ROLLOUT_HEADER), retable(["time"], ["end_flag"])),
         "tracking": (table(TRACKING_HEADER), retable(["time"])),
     }
@@ -254,7 +261,7 @@ def test_reader_names_the_bad_line_in_any_block(where, fault):
     message = ("c2 is not a number: 'x'" if fault == "bad field"
                else "expected 3 fields, found 2")
     with pytest.raises(MimicError, match=f"^line {row + 3}: {message}$"):
-        parse_table("\n".join(lines) + "\n", "c0,c1,c2")
+        parse_table("\n".join(lines) + "\n", "<names>")
 
 
 @pytest.mark.parametrize("later", ["same block", "next block"])
@@ -266,10 +273,10 @@ def test_reader_names_a_short_line_before_a_later_bad_number(later):
     lines[1 + bad] = ",".join([cells[0], "nan_", cells[2]])
     lines[1 + short] = lines[1 + short].rsplit(",", 1)[0]
     with pytest.raises(MimicError, match=f"^line {short + 2}: expected 3 fields, found 2$"):
-        parse_table("\n".join(lines) + "\n", "c0,c1,c2")
+        parse_table("\n".join(lines) + "\n", "<names>")
     lines[1 + short] += ",0"
     with pytest.raises(MimicError, match=f"^line {bad + 2}: c1 is not a number: 'nan_'$"):
-        parse_table("\n".join(lines) + "\n", "c0,c1,c2")
+        parse_table("\n".join(lines) + "\n", "<names>")
 
 
 @pytest.mark.parametrize("shape", [(501, 45), (1500, 24), (5000, 3)])

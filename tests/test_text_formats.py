@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from motionmimic.errors import MimicError
-from motionmimic.motion import MAX_ANGLE, KeyframeMovement, format_movement, parse_movement
-from motionmimic.optimizer import format_schedule, parse_schedule
+from motionmimic.motion import MAX_ANGLE, KeyframeMovement, parse_movement
+from motionmimic.optimizer import parse_schedule
 from motionmimic.plant import PlantConfig, simulate
 from motionmimic.trainer import sample_movement
 
-from oracles import format_numbers_each
+from oracles import format_movement, format_numbers_each, format_schedule
 
 MOVEMENT = """movement n=2 gamma=3 rate=1.25
 t=0 0 0.29999999999999999
@@ -52,9 +52,12 @@ def test_movement_file_writes_each_angle_as_the_per_value_template():
     joints = rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-12, 6, (6, 9))
     joints[0, :6] = [0.0, -0.0, 1e-5, -9.999e-6, 5e-324, MAX_ANGLE]
     m = KeyframeMovement(np.arange(6) * 0.37, joints, speed_rate=1.25)
-    lines = format_movement(m).splitlines()
-    assert lines[1:] == [f"t={'%.17g' % t} {format_numbers_each(q)}"
-                         for t, q in zip(m.times, joints)]
+    text = format_movement(m)
+    assert text.splitlines()[1:] == [f"t={'%.17g' % t} {format_numbers_each(q)}"
+                                     for t, q in zip(m.times, joints)]
+    again = parse_movement(text)  # and the reader takes every angle back exactly
+    np.testing.assert_array_equal(again.joints, joints)
+    np.testing.assert_array_equal(again.times, m.times)
 
 
 def test_schedule_format_parse_format_is_byte_identical():

@@ -1,8 +1,14 @@
-"""List the statements of src/motionmimic/*.py that no test executes.
+"""List the statements of src/motionmimic/*.py that no test executes, and
+those that tests execute but no command runs.
 
 Runs pytest on tests/ in this process under a sys.settrace line tracer,
-then prints each statement of the package whose header lines never ran,
-as path:line: source.  A compound statement's header runs from its first
+then prints two lists of package statements, each entry as
+path:line: source.  The first holds every statement whose header lines
+never ran.  The second holds every statement that ran, but never while
+a command frame was on the stack: a frame of motionmimic.cli.main, which
+every command goes through, or of a package module's body.  Module
+bodies count because importing motionmimic.cli, as every command does,
+runs each of them.  A compound statement's header runs from its first
 line (decorators included) to the line before its first inner statement;
 a simple statement's is all of its lines.  Docstrings are not statements.
 Standard library only, besides pytest itself; it takes no options.
@@ -47,46 +53,78 @@ def missed(source: str, ran: set) -> list:
     return [first for first, header in statements(source) if ran.isdisjoint(header)]
 
 
-def trace_lines(paths, run):
-    """(ran, run()'s result): ran maps each of paths to the lines of it that ran."""
+def run_only_by_tests(source: str, ran: set, by_command: set) -> list:
+    """First lines of the statements of source that ran, but never under a command."""
+    never = set(missed(source, ran))
+    return [first for first in missed(source, by_command) if first not in never]
+
+
+def trace_lines(paths, command, run):
+    """(ran, by_command, run()'s result) from one trace of run().
+
+    ran maps each of paths to the lines of it that ran; by_command maps
+    it to those that ran while a frame of a module body of paths, or of
+    the main() of the file command, was on the stack.
+    """
     ran = {str(p): set() for p in paths}
+    by_command = {str(p): set() for p in paths}
+    command = str(command)
     resolved = {}
+    depth = 0  # command frames on the stack
 
     def on_call(frame, event, arg):
-        name = frame.f_code.co_filename
+        nonlocal depth
+        code = frame.f_code
+        name = code.co_filename
         if name not in resolved:
-            resolved[name] = ran.get(os.path.realpath(name))
-        lines = resolved[name]
+            real = os.path.realpath(name)
+            resolved[name] = ran.get(real), by_command.get(real), real == command
+        lines, command_lines, is_command = resolved[name]
         if lines is None:
             return None
+        entry = code.co_name == "<module>" or (is_command and code.co_name == "main")
+        depth += entry
+        commanded = depth > 0  # a frame's callers stay on the stack while it runs
 
         def on_line(frame, event, arg):
+            nonlocal depth
             if event == "line":
                 lines.add(frame.f_lineno)
+                if commanded:
+                    command_lines.add(frame.f_lineno)
+            elif event == "return":  # also when an exception ends the frame
+                depth -= entry
             return on_line
         return on_line
 
+    previous = sys.gettrace()
     sys.settrace(on_call)
     try:
         result = run()
     finally:
-        sys.settrace(None)
-    return ran, result
+        sys.settrace(previous)
+    return ran, by_command, result
 
 
 def main() -> int:
     os.chdir(ROOT)
     paths = sorted(PACKAGE.glob("*.py"))
-    ran, code = trace_lines(paths, lambda: pytest.main(["-q", str(ROOT / "tests")]))
-    report = []
+    ran, by_command, code = trace_lines(paths, PACKAGE / "cli.py",
+                                        lambda: pytest.main(["-q", str(ROOT / "tests")]))
+    reports = {"statements no test executes": [],
+               "statements tests execute but no command runs": []}
     for path in paths:
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
-        report += [f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}"
-                   for first in missed(source, ran[str(path)])]
-    print(f"statements no test executes: {len(report)}")
-    for line in report:
-        print(line)
+        found = (missed(source, ran[str(path)]),
+                 run_only_by_tests(source, ran[str(path)], by_command[str(path)]))
+        for report, firsts in zip(reports.values(), found):
+            report += [f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}"
+                       for first in firsts]
+    for title, report in reports.items():
+        print(f"{title}: {len(report)}")
+        for line in report:
+            print(line)
     return int(code)
 
 
