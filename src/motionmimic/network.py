@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MimicError, require_positive
-from .textio import LineReader, format_numbers, format_record, read_text, write_text
+from .textio import LineReader, format_record, read_text, write_rows
 
 MAX_PARAMETERS = 10_000_000  # about 2000 times the 5123 of the 1-75-50-23 net
 
@@ -258,15 +258,6 @@ WEIGHTS_HEADER = "mimicnet layers=<int> input=<int> alpha=<float>"
 LAYER_HEADER = "layer out=<int> in=<int> act=<leakyrelu|linear>"
 
 
-def format_weights(net: MimicNetwork) -> str:
-    n_layers = len(net.weights)
-    lines = [format_record(WEIGHTS_HEADER, n_layers, net.input_dim, net.alpha)]
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        lines.append(format_record(LAYER_HEADER, *w.shape, _activation(i, n_layers)))
-        lines += [format_numbers(w), format_numbers(b)]
-    return "\n".join(lines) + "\n"
-
-
 def parse_weights(text: str) -> MimicNetwork:
     lines = LineReader(text)
     n_layers, input_dim, alpha = lines.record(WEIGHTS_HEADER)
@@ -285,7 +276,14 @@ def parse_weights(text: str) -> MimicNetwork:
 
 
 def save_weights(net: MimicNetwork, path):
-    write_text(path, format_weights(net))
+    n_layers = len(net.weights)
+    with open(path, "wb") as out:
+        out.write(f"{format_record(WEIGHTS_HEADER, n_layers, net.input_dim, net.alpha)}\n".encode())
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            layer = format_record(LAYER_HEADER, *w.shape, _activation(i, n_layers))
+            out.write(f"{layer}\n".encode())
+            write_rows(out, w, b" ")
+            write_rows(out, b[None], b" ")
 
 
 def load_weights(path) -> MimicNetwork:

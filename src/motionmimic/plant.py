@@ -14,7 +14,7 @@ import numpy as np
 from .errors import MimicError, require_positive
 # reference_pose is not called here; bench/tracing.py looks it up on this module
 from .motion import KeyframeMovement, grid_size, playback_duration, poses, reference_pose
-from .textio import format_table, write_text
+from .textio import write_table
 from .trainer import rollout
 
 # a joint counts as attenuated when it loses more than 5% of amplitude
@@ -99,13 +99,9 @@ def simulate(source, cfg: PlantConfig) -> SimulationResult:
                             bool(np.any(att_amp < ATTENUATION_RATIO * des_amp - 1e-12)))
 
 
-def format_comparison(result: SimulationResult, joint_names) -> str:
+def save_comparison(result: SimulationResult, joint_names, path):
     """CSV with per-joint desired and attained columns, one row per tick."""
     header = ["time"] + [f"{n}_{side}" for n in joint_names for side in ("desired", "attained")]
     table = np.empty((len(result.times), 1 + 2 * result.desired.shape[1]))
     table[:, 0], table[:, 1::2], table[:, 2::2] = result.times, result.desired, result.attained
-    return format_table(header, table)
-
-
-def save_comparison(result: SimulationResult, joint_names, path):
-    write_text(path, format_comparison(result, joint_names))
+    write_table(path, header, table)

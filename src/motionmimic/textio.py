@@ -21,7 +21,7 @@ def read_text(path) -> str:
 
     A byte that is not UTF-8 is kept as a lone surrogate, which the
     parsers refuse as they refuse any other bad character and which
-    write_text writes back as the same byte.
+    write_text and write_table write back as the same byte.
     """
     return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
 
@@ -34,15 +34,6 @@ def write_text(path, text: str):
 def text_lines(text: str) -> list:
     """(line number, line) of every line of text that is not blank."""
     return [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
-
-
-def format_numbers(matrix) -> str:
-    """A line of space-separated numbers per row of matrix (a vector is one row).
-
-    Each number is written as fmt does; LineReader.numbers reads a line
-    back.  The last line has no newline.
-    """
-    return _write_rows(b"", np.atleast_2d(np.asarray(matrix, dtype=float)), b" ")[:-1]
 
 
 # --- records: one line laid out as a template of words and '<kind>' fields -------
@@ -139,35 +130,34 @@ class LineReader:
 # --- CSV tables: every CSV file the toolkit reads or writes ------------------
 
 
-def format_table(header, matrix) -> str:
-    """CSV text: the header names, then one line per row, cells written as fmt does.
+def write_table(path, header, matrix):
+    """Write a CSV file: the header names, then one line per row, cells written as fmt does.
 
     A header whose width differs from the matrix's columns, or a table
-    without columns, raises MimicError.
+    without columns, raises MimicError before the file is opened.  The
+    names are written as write_text writes text, the bytes read_text
+    kept included.
     """
     table = np.asarray(matrix, dtype=float)
     if table.shape[1:] != (len(header),):
         raise MimicError(f"{len(header)} column names for a table of shape {table.shape}")
     if not header:
         raise MimicError(f"a table of shape {table.shape} has no columns")
-    head = (",".join(header) + "\n").encode("utf-8", "surrogatepass")  # names may be any text
-    return _write_rows(head, table, b",")
+    head = (",".join(header) + "\n").encode("utf-8", "surrogateescape")
+    with open(path, "wb") as out:
+        out.write(head)
+        write_rows(out, table, b",")
 
 
-def _write_rows(head: bytes, table, sep: bytes) -> str:
-    """head, then a line per row of table, its cells split by sep and written as fmt does."""
-    # One buffer with room for the longest cells, filled a block of rows at a
-    # time: its size is known up front, so it is allocated once, not grown.
-    text = bytearray(len(head) + table.size * _LONGEST)
-    text[: len(head)] = head
-    end = len(head)
+def write_rows(out, table, sep: bytes):
+    """Write a line per row of the 2-D array table to the binary file out.
+
+    Cells are split by sep and written as fmt does, a block of rows at
+    a time, so no more than one block's text is held at once.
+    """
     rows = max(1, _BLOCK_CELLS // table.shape[1])
     for i in range(0, len(table), rows):
-        lines = _format_rows(table[i : i + rows], sep)
-        text[end : end + len(lines)] = lines
-        end += len(lines)
-    del text[end:]
-    return text.decode("utf-8", "surrogatepass")
+        out.write(_format_rows(table[i : i + rows], sep))
 
 
 # Cells are formatted a block of rows at a time.  numpy writes every cell with
@@ -177,7 +167,6 @@ def _write_rows(head: bytes, table, sep: bytes) -> str:
 # writes the other cells (-0.0, tiny, huge, inf, nan) into their slots.
 _BLOCK_CELLS = 2048  # bounds a block's temporaries, written or read, to a few hundred KB
 _SLOT = 32  # bytes per cell, the separator last
-_LONGEST = 25  # FLOAT % x writes at most 24 characters, then the separator
 _BODY = 7  # slot column of the body, the digits with their dot
 _PLAIN = (1e-5, np.nextafter(1e15, 0))  # the closed range of |x| numpy writes
 # the 4 ASCII digits of 0..9999 as one uint32 each, in memory order
@@ -312,7 +301,7 @@ def _format_rows(block, sep: bytes) -> bytes:
 
 
 def parse_table(text: str, header: str):
-    """Read CSV text as format_table writes it: (names, (rows, columns) array).
+    """Read CSV text as write_table writes it: (names, (rows, columns) array).
 
     header is the expected first line.  It holds one '<...>' item,
     which stands for one or more names; those names are returned.

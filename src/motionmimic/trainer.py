@@ -40,7 +40,7 @@ from .network import (
     save_weights,
 )
 from .optimizer import TrainingSchedule, adam_init, adam_step, reset_state
-from .textio import LineReader, format_record, format_table, parse_table, read_text, write_text
+from .textio import LineReader, format_record, parse_table, read_text, write_table, write_text
 
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
 DEFAULT_HIDDEN = (75, 50)
@@ -409,11 +409,6 @@ def rollout(model: TrainedModel, rate: float) -> Rollout:
 # --- CSV files: dataset, joint log, rollout, training log --------------------
 
 
-def format_dataset(ds: MotionDataset) -> str:
-    return format_table(["time", *ds.joint_names, "end_flag"],
-                        np.column_stack([ds.times, ds.targets]))
-
-
 def parse_dataset(text: str, name: str = "") -> MotionDataset:
     joint_names, table = parse_table(text, "time,<joint names...>,end_flag")
     if len(table) < 2:
@@ -454,7 +449,8 @@ def _float_neighbours(x: float, reach: int):
 
 
 def save_dataset(ds: MotionDataset, path):
-    write_text(path, format_dataset(ds))
+    write_table(path, ["time", *ds.joint_names, "end_flag"],
+                np.column_stack([ds.times, ds.targets]))
 
 
 def load_dataset(path) -> MotionDataset:
@@ -470,19 +466,15 @@ def load_joint_log(path):
 def save_rollout(ro: Rollout, joint_names, path):
     """Rollout CSV: the dataset header, one row per swept sample."""
     table = np.column_stack([ro.times, ro.joints, ro.flags])
-    write_text(path, format_table(["time", *joint_names, "end_flag"], table))
+    write_table(path, ["time", *joint_names, "end_flag"], table)
 
 
 LOG_HEADER = "epoch,phase,lr,mse,mae"
 
 
-def format_log(log: TrainingLog) -> str:
-    return format_table(LOG_HEADER.split(","),
-                        np.column_stack([log.epochs, log.phases, log.lrs, log.mses, log.maes]))
-
-
 def save_log(log: TrainingLog, path):
-    write_text(path, format_log(log))
+    write_table(path, LOG_HEADER.split(","),
+                np.column_stack([log.epochs, log.phases, log.lrs, log.mses, log.maes]))
 
 
 # --- model bundle: weights file + metadata sidecar ----------------------------

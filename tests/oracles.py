@@ -8,16 +8,20 @@ per-neuron Python loops, the derivative oracle differentiates a
 spline's segment cubics term by term, the unfused pass and the expression Adam step
 are the array code that the buffered epoch replaced, making fresh arrays, and the plant oracle advances one tick at a
 time through plant.step.  The table oracle is the row-template CSV
-writer that textio.format_table replaced: one '%.17g,...' % row per line.
-The numbers oracle is the per-value writer that textio.format_numbers
-replaced, and the table reader oracle converts one line at a time with
-float(), as textio.parse_table did before it read blocks of lines.
+writer that textio's block writer replaced: one '%.17g,...' % row per line.
+The numbers oracle is the per-value writer of weights.txt rows that the
+block writer replaced, and the table reader oracle converts one line at a
+time with float(), as textio.parse_table did before it read blocks of lines.
+written and table_text are not oracles: they give tests the text that the
+program's writers stream to a file, read back from a temporary one.
 The movement and schedule writers write the two files the program only
 reads, one '%.17g' per number, so tests can build fixtures and check that
 a parsed file writes back as the same text.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -253,3 +257,18 @@ def format_schedule(schedule):
     lines = ["phase epochs=%d lr=%.17g" % phase for phase in schedule.phases]
     lines.append("reset_on_phase=%s" % ("true" if schedule.reset_on_phase else "false"))
     return "\n".join(lines) + "\n"
+
+
+def written(save, *args):
+    """The text save(*args, path) writes to the file at path, read back as the program reads."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "written"
+        save(*args, path)
+        return path.read_text(encoding="utf-8", errors="surrogateescape")
+
+
+def table_text(header, matrix):
+    """The CSV text textio.write_table writes for header and matrix."""
+    from motionmimic.textio import write_table
+
+    return written(lambda path: write_table(path, header, matrix))

@@ -12,11 +12,11 @@ import pytest
 from motionmimic.motion import KeyframeMovement, parse_movement
 from motionmimic.network import (
     epoch_buffers,
-    format_weights,
     forward_backward,
     initialize,
     layer_views,
     parse_weights,
+    save_weights,
 )
 from motionmimic.optimizer import (
     TrainingSchedule,
@@ -29,10 +29,10 @@ from motionmimic.plant import PlantConfig, simulate, step
 from motionmimic.spline import build_spline
 from motionmimic.trainer import (
     evaluate,
-    format_dataset,
     parse_dataset,
     rollout,
     sample_movement,
+    save_dataset,
     train,
 )
 
@@ -43,6 +43,7 @@ from oracles import (
     max_relative_gradient_error,
     scalar_adam,
     spline_derivatives,
+    written,
 )
 
 
@@ -232,16 +233,16 @@ def test_c09_round_trips():
     rng = np.random.default_rng(9)
 
     net = initialize([1, 7, 4], seed=9, alpha=0.015)
-    text = format_weights(net)
-    assert format_weights(parse_weights(text)) == text
+    text = written(save_weights, net)
+    assert written(save_weights, parse_weights(text)) == text
 
     movement = KeyframeMovement([0.0, 0.37, 1.12], rng.standard_normal((3, 3)), speed_rate=1.5)
     mtext = format_movement(movement)
     assert format_movement(parse_movement(mtext)) == mtext
 
     dataset = sample_movement(movement, 50.0)
-    dtext = format_dataset(dataset)
-    assert format_dataset(parse_dataset(dtext)) == dtext
+    dtext = written(save_dataset, dataset)
+    assert written(save_dataset, parse_dataset(dtext)) == dtext
     ok("criterion 9 (weight, movement, and dataset files round-trip bit-exactly)")
 
 

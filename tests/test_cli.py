@@ -14,7 +14,7 @@ import pytest
 import motionmimic.cli
 import motionmimic.motion
 from motionmimic.cli import build_parser, main
-from motionmimic.network import format_weights, initialize
+from motionmimic.network import initialize, save_weights
 from motionmimic.plant import PlantConfig
 from motionmimic.trainer import DEFAULT_TAIL, load_dataset, load_model
 
@@ -337,6 +337,18 @@ def test_joint_name_that_is_not_utf8_survives_train_and_compare(workdir, capfd):
     assert head == b"time,\xff1_desired,\xff1_attained,j2_desired,j2_attained"
 
 
+def test_ingest_writes_a_header_byte_that_is_not_utf8_back_unchanged(workdir, capfd):
+    rows = b"0,0.1,0.2\n0.02,0.3,0.4\n0.04,0.5,0.6\n"
+    (workdir / "odd.log").write_bytes(b"time,h\xffp,knee\n" + rows)
+    (workdir / "plain.log").write_bytes(b"time,hip,knee\n" + rows)
+    for name in ("odd", "plain"):
+        assert run(["ingest", "--log", workdir / f"{name}.log", "--out",
+                    workdir / f"{name}.csv"]) == 0
+    head, body = (workdir / "odd.csv").read_bytes().split(b"\n", 1)
+    assert head == b"time,h\xffp,knee,end_flag"
+    assert body == (workdir / "plain.csv").read_bytes().split(b"\n", 1)[1]
+
+
 # every kind of input file with a byte that is not UTF-8 where a number belongs:
 # the file's bytes, or (old, new) bytes to swap in the trained bundle's file
 @pytest.mark.parametrize(
@@ -462,7 +474,7 @@ def test_overflowing_model_is_exit_2(trained, capsys, command, options, output):
 
 def test_model_with_two_inputs_is_exit_2(trained, capsys):
     # a consistent weights file whose net takes 2 inputs, for the bundle's 2 joints
-    (trained / "model" / "weights.txt").write_text(format_weights(initialize([2, 4, 3], seed=0)))
+    save_weights(initialize([2, 4, 3], seed=0), trained / "model" / "weights.txt")
     capsys.readouterr()
     for command in ("rollout", "simulate"):
         assert run([command, "--model", trained / "model", "--out", trained / "x.csv"]) == 2
@@ -679,6 +691,54 @@ def test_rollout_keeps_the_dataset_rate(workdir, capsys):
     capsys.readouterr()
     assert run(["rollout", "--model", workdir / "m", "--out", workdir / "r.csv"]) == 0
     assert " at 61.700000000000003 Hz, " in capsys.readouterr().out
+
+
+def test_train_reference_schedule_with_a_one_unit_hidden_layer(workdir, capsys):
+    # the reference preset's 50000 epochs, on a 1-unit hidden layer, whose
+    # layer 0 goes through x @ w.T and + b instead of the [t, 1] product
+    assert run(["gen", "--movement", workdir / "demo.mov", "--rate", 10, "--tail", 0,
+                "--out", workdir / "d.csv"]) == 0
+    assert run(["train", "--dataset", workdir / "d.csv", "--schedule", "reference",
+                "--arch", "1:1:3", "--out", workdir / "m"]) == 0
+    trained = capsys.readouterr().out.splitlines()[-1]
+    assert trained.startswith("trained 50000 epochs on 11 samples: ")
+    assert load_model(workdir / "m").network.sizes == [1, 1, 3]
+    log = np.loadtxt(workdir / "m" / "training_log.csv", delimiter=",", skiprows=1)
+    phases = [(30000, 0.001), (5000, 0.0008), (5000, 0.0006), (5000, 0.0004), (5000, 0.0002)]
+    np.testing.assert_array_equal(log[:, 1], np.repeat(np.arange(5), [e for e, _ in phases]))
+    np.testing.assert_array_equal(log[:, 2], np.repeat([lr for _, lr in phases],
+                                                       [e for e, _ in phases]))
+
+
+@pytest.mark.parametrize(
+    "rows, rate, meta",
+    [
+        # 7 samples from t = 0.37 at 100/3 Hz: no short decimal of the estimated
+        # rate regenerates the column, a float a few ulps from it does
+        pytest.param([f"{0.37 + k / (100 / 3)!r},0" for k in range(7)], "33.333333333333336",
+                     "rate=33.333333333333336\n", id="ulps-from-the-estimate"),
+        # a time column 1e-10 s off its 50 Hz grid: no rate regenerates it,
+        # so the estimate is taken, rounded to the integer within 1e-6
+        pytest.param(["0,0", "0.02,0", "0.04,0", "0.060000000001,0"], None, "rate=50\n",
+                     id="off-the-grid"),
+    ],
+)
+def test_train_and_eval_read_the_dataset_rate_back(workdir, capsys, rows, rate, meta):
+    (workdir / "quick.txt").write_text("phase epochs=5 lr=0.001\n")
+    dataset = workdir / "d.csv"
+    if rate is None:  # a dataset file no command writes
+        flags = ["0"] * (len(rows) - 1) + ["1"]
+        dataset.write_text("time,j1,end_flag\n" + "".join(
+            f"{row},{flag}\n" for row, flag in zip(rows, flags)))
+    else:
+        (workdir / "log.csv").write_text("time,hip\n" + "".join(row + "\n" for row in rows))
+        assert run(["ingest", "--log", workdir / "log.csv", "--rate", rate,
+                    "--out", dataset]) == 0
+    assert run(["train", "--dataset", dataset, "--schedule", workdir / "quick.txt",
+                "--out", workdir / "m"]) == 0
+    assert meta in (workdir / "m" / "model.meta").read_text()
+    assert run(["eval", "--model", workdir / "m", "--dataset", dataset]) == 0
+    assert "end_time_error=" in capsys.readouterr().out
 
 
 def test_unknown_subcommand_exits_2():

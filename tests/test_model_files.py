@@ -8,11 +8,11 @@ import pytest
 
 from motionmimic.cli import main
 from motionmimic.errors import MimicError
-from motionmimic.network import MimicNetwork, format_weights, parse_weights
+from motionmimic.network import MimicNetwork, parse_weights, save_weights
 from motionmimic.optimizer import TrainingSchedule
 from motionmimic.trainer import META_FILE, WEIGHTS_FILE, ingest_log, load_model, save_model, train
 
-from oracles import format_numbers_each
+from oracles import format_numbers_each, written
 
 BAD_TOKENS = ("nan", "inf", "-inf", "1e400", "", "0", "-1", "x")
 
@@ -39,7 +39,7 @@ def load_bundle(directory, texts):
 def test_weights_format_parse_format_is_byte_identical(bundle):
     text = bundle[WEIGHTS_FILE]
     net = parse_weights(text)
-    assert format_weights(net) == text
+    assert written(save_weights, net) == text
     for w, b in zip(net.weights, net.biases):
         assert np.shares_memory(w, net.params)
         assert np.shares_memory(b, net.params)
@@ -51,7 +51,7 @@ def test_weights_file_writes_each_number_as_the_per_value_template():
     params = rng.standard_normal(5123) * 10.0 ** rng.integers(-9, 18, 5123)
     params[:8] = [0.0, -0.0, 1e-5, -9.999e-6, 1e15, -1.5e17, 5e-324, 1.0]
     net = MimicNetwork([1, 75, 50, 23], 0.01, params)
-    lines = format_weights(net).splitlines()
+    lines = written(save_weights, net).splitlines()
     want = [row for w, b in zip(net.weights, net.biases) for row in [None, *w, b]]
     assert len(lines) == 1 + len(want)
     for line, row in zip(lines[1:], want):

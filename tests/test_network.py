@@ -7,7 +7,6 @@ from motionmimic.errors import MimicError
 from motionmimic.network import (
     MimicNetwork,
     epoch_buffers,
-    format_weights,
     forward,
     forward_backward,
     initialize,
@@ -26,6 +25,7 @@ from oracles import (
     loop_forward,
     max_relative_gradient_error,
     unfused_forward_backward,
+    written,
 )
 
 
@@ -381,7 +381,7 @@ def test_network_dimension_chaining_enforced():
     with pytest.raises(MimicError, match=r"^sizes \[2, 3, 2\] need 17 parameters, not \(19,\)$"):
         MimicNetwork([2, 3, 2], 0.01, np.zeros(3 * 2 + 3 + 2 * 4 + 2))
     # a weights file whose layer takes other than the previous layer's outputs
-    lines = format_weights(initialize([2, 3, 2], seed=0)).splitlines()
+    lines = written(save_weights, initialize([2, 3, 2], seed=0)).splitlines()
     assert lines[6] == "layer out=2 in=3 act=linear"
     lines[6] = "layer out=2 in=4 act=linear"
     with pytest.raises(MimicError, match="line 7: in=4 must equal the previous out= or input=, 3"):
@@ -390,9 +390,9 @@ def test_network_dimension_chaining_enforced():
 
 def test_weight_file_round_trip():
     net = initialize([1, 5, 3], seed=13, alpha=0.02)
-    text = format_weights(net)
+    text = written(save_weights, net)
     again = parse_weights(text)
-    assert format_weights(again) == text
+    assert written(save_weights, again) == text
     assert again.sizes == net.sizes == [1, 5, 3]
     assert again.alpha == net.alpha == 0.02
     for wa, ba, wb, bb in zip(net.weights, net.biases, again.weights, again.biases):
@@ -405,11 +405,11 @@ def test_weight_file_save_load(tmp_path):
     path = tmp_path / "w.txt"
     save_weights(net, path)
     loaded = load_weights(path)
-    assert format_weights(loaded) == format_weights(net)
+    assert written(save_weights, loaded) == path.read_text()
 
 
 def test_weight_parse_errors_carry_line_numbers():
-    good = format_weights(initialize([1, 2, 1], seed=0))
+    good = written(save_weights, initialize([1, 2, 1], seed=0))
     lines = good.splitlines()
     with pytest.raises(MimicError, match="line 1"):
         parse_weights("nonsense\n")

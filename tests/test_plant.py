@@ -4,9 +4,9 @@ import pytest
 from motionmimic.errors import MimicError
 from motionmimic.motion import KeyframeMovement
 from motionmimic.network import initialize
-from motionmimic.plant import PlantConfig, format_comparison, simulate, step
+from motionmimic.plant import PlantConfig, save_comparison, simulate, step
 from motionmimic.trainer import TrainedModel
-from oracles import plant_step_loop
+from oracles import plant_step_loop, written
 
 
 def sine_movement(freq, duration=2.0, amplitude=0.5, knots_per_cycle=12):
@@ -180,10 +180,10 @@ def test_simulate_model_source():
     assert len(result.times) >= 1
 
 
-def test_comparison_csv_layout():
+def test_comparison_csv_layout(tmp_path):
     movement = sine_movement(freq=1.0, duration=0.5)
     result = simulate(movement, PlantConfig())
-    text = format_comparison(result, ["hip"])
+    text = written(save_comparison, result, ["hip"])
     lines = text.splitlines()
     assert lines[0] == "time,hip_desired,hip_attained"
     assert len(lines) == len(result.times) + 1
@@ -192,4 +192,5 @@ def test_comparison_csv_layout():
     assert float(first[1]) == result.desired[0, 0]
     assert float(first[2]) == result.attained[0, 0]
     with pytest.raises(MimicError, match=r"^5 column names for a table of shape \([0-9]+, 3\)$"):
-        format_comparison(result, ["a", "b"])
+        save_comparison(result, ["a", "b"], tmp_path / "refused.csv")
+    assert not (tmp_path / "refused.csv").exists()

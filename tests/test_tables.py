@@ -1,5 +1,6 @@
-"""The five CSV kinds share one reader and one writer: round trips, byte identity
-with the row-template writer, bounded memory and a mutation fuzz."""
+"""The five CSV kinds share one reader and one streamed writer: round trips, byte
+identity with the row-template writer, refused writes, bounded memory and a
+mutation fuzz."""
 
 import math
 import random
@@ -12,24 +13,24 @@ import pytest
 from motionmimic.errors import MimicError
 from motionmimic.motion import KeyframeMovement
 from motionmimic.optimizer import TrainingSchedule
-from motionmimic.plant import PlantConfig, format_comparison, simulate
-from motionmimic.textio import format_table, parse_table
+from motionmimic.plant import PlantConfig, SimulationResult, save_comparison, simulate
+from motionmimic.textio import parse_table, write_table
 from motionmimic.trainer import (
     LOG_HEADER,
+    Rollout,
     TrainingLog,
-    format_dataset,
-    format_log,
     ingest_log,
     load_joint_log,
     parse_dataset,
     rollout,
     sample_movement,
+    save_dataset,
     save_log,
     save_rollout,
     train,
 )
 
-from oracles import format_table_rows, parse_table_rows
+from oracles import format_table_rows, parse_table_rows, table_text, written
 
 ROLLOUT_HEADER = "time,<joint names...>,end_flag"
 TRACKING_HEADER = "time,<joint columns...>"
@@ -37,7 +38,7 @@ BAD_TOKENS = ("nan", "inf", "-inf", "1e400", "")
 
 
 @pytest.fixture(scope="module")
-def written(tmp_path_factory):
+def tables(tmp_path_factory):
     """Each CSV kind as the program writes it."""
     tmp = tmp_path_factory.mktemp("tables")
     movement = KeyframeMovement([0.0, 0.37, 1.013], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]])
@@ -49,11 +50,11 @@ def written(tmp_path_factory):
     times = np.delete(np.arange(40) / 50.0, [7, 21])
     joint_log = np.column_stack([times, rng.uniform(-1, 1, (len(times), 3))])
     return {
-        "dataset": format_dataset(ds),
-        "joint log": format_table(["time", "hip", "knee", "ankle"], joint_log),
+        "dataset": written(save_dataset, ds),
+        "joint log": table_text(["time", "hip", "knee", "ankle"], joint_log),
         "training log": (tmp / "log.csv").read_text(),
         "rollout": (tmp / "rollout.csv").read_text(),
-        "tracking": format_comparison(simulate(model, PlantConfig()), ds.joint_names),
+        "tracking": written(save_comparison, simulate(model, PlantConfig()), ds.joint_names),
     }
 
 
@@ -71,11 +72,11 @@ def readers(tmp_path):
         return lambda text: parse_table(text, header)
 
     def retable(head, tail=()):
-        return lambda parsed: format_table([*head, *parsed[0], *tail], parsed[1])
+        return lambda parsed: table_text([*head, *parsed[0], *tail], parsed[1])
 
     def rejoint(loaded):
         times, joints, names = loaded
-        return format_table(["time", *names], np.column_stack([times, joints]))
+        return table_text(["time", *names], np.column_stack([times, joints]))
 
     def log(text):  # no command reads a training log, so its header is checked here
         names, table = parse_table(text, "<columns...>")
@@ -84,9 +85,9 @@ def readers(tmp_path):
         return TrainingLog(*table.T)
 
     return {
-        "dataset": (parse_dataset, format_dataset),
+        "dataset": (parse_dataset, lambda ds: written(save_dataset, ds)),
         "joint log": (from_file(load_joint_log), rejoint),
-        "training log": (log, format_log),
+        "training log": (log, lambda parsed: written(save_log, parsed)),
         "rollout": (table(ROLLOUT_HEADER), retable(["time"], ["end_flag"])),
         "tracking": (table(TRACKING_HEADER), retable(["time"])),
     }
@@ -96,22 +97,73 @@ KINDS = ("dataset", "joint log", "training log", "rollout", "tracking")
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_format_parse_format_is_byte_identical(kind, written, tmp_path):
+def test_format_parse_format_is_byte_identical(kind, tables, tmp_path):
     read, write = readers(tmp_path)[kind]
-    text = written[kind]
+    text = tables[kind]
     assert write(read(text)) == text
 
 
 @pytest.mark.parametrize("header", [["time", "a"], ["time", "a", "b", "c"]],
                          ids=["narrower", "wider"])
-def test_format_table_header_must_match_columns(header):
+def test_write_table_header_must_match_columns(header, tmp_path):
     with pytest.raises(MimicError, match=f"{len(header)} column names for a table of shape"):
-        format_table(header, np.zeros((2, 3)))
+        write_table(tmp_path / "t.csv", header, np.zeros((2, 3)))
+    assert not (tmp_path / "t.csv").exists()
 
 
-def test_format_table_refuses_a_table_without_columns():
+def test_write_table_refuses_a_table_without_columns(tmp_path):
     with pytest.raises(MimicError, match=r"a table of shape \(3, 0\) has no columns"):
-        format_table([], np.empty((3, 0)))
+        write_table(tmp_path / "t.csv", [], np.empty((3, 0)))
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["existing", "missing"])
+@pytest.mark.parametrize("writer", ["write_table", "save_rollout", "save_comparison"])
+def test_refused_write_touches_nothing(writer, target, tmp_path):
+    """A header that does not fit the table is refused before the file is opened."""
+    path = tmp_path / "out.csv"
+    if target == "existing":
+        path.write_bytes(b"kept \xff\n")
+    times, joints = np.arange(4) / 50.0, np.zeros((4, 2))
+    write = {
+        "write_table": lambda: write_table(path, ["time", "a"], np.zeros((4, 3))),
+        "save_rollout": lambda: save_rollout(Rollout(times, joints, np.zeros(4)), ["a"], path),
+        "save_comparison": lambda: save_comparison(
+            SimulationResult(times, joints, joints, 0.0, False), ["a", "b", "c"], path),
+    }[writer]
+    with pytest.raises(MimicError, match="column names for a table of shape"):
+        write()
+    assert list(tmp_path.iterdir()) == ([path] if target == "existing" else [])
+    if target == "existing":
+        assert path.read_bytes() == b"kept \xff\n"
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_comparison_holds_blocks_not_the_file(tmp_path):
+    """A 2999-tick, 22-joint tracking file (2999x45) peaks under 2 MiB; the whole text is 2.9 MB."""
+    rng = np.random.default_rng(4)
+    result = SimulationResult(np.arange(2999) / 300.0, rng.uniform(-1.5, 1.5, (2999, 22)),
+                              rng.uniform(-1.5, 1.5, (2999, 22)), 0.0, False)
+    names = [f"j{i}" for i in range(1, 23)]
+    assert traced_peak(lambda: save_comparison(result, names, tmp_path / "t.csv")) < 2 * 2**20
+
+
+def test_save_log_holds_blocks_not_the_file(tmp_path):
+    """A 5000-epoch training log peaks under 0.8 MiB."""
+    rng = np.random.default_rng(5)
+    epochs = np.arange(1.0, 5001.0)
+    log = TrainingLog(epochs, (epochs - 1) // 1000, np.full(5000, 1e-3), rng.uniform(0, 1, 5000),
+                      rng.uniform(0, 1, 5000))
+    assert traced_peak(lambda: save_log(log, tmp_path / "log.csv")) < 0.8 * 2**20
 
 
 @pytest.mark.parametrize("text", ["", "\n\n\n\n", "  \n\t\n"], ids=["empty", "newlines", "blanks"])
@@ -125,11 +177,11 @@ def test_parse_table_without_lines_names_line_1(text, header):
 
 
 def assert_same_bytes(table):
-    """format_table writes table exactly as the oracle does, under every warning check."""
+    """write_table writes table exactly as the oracle does, under every warning check."""
     table = np.asarray(table, dtype=float)
     header = [f"c{i}" for i in range(table.shape[1])]
     with np.errstate(all="raise"):
-        got = format_table(header, table)
+        got = table_text(header, table)
     want = format_table_rows(header, table)
     if got != want:  # name the first cell that differs, not two megabytes of text
         for no, (g, w) in enumerate(zip(got.split("\n"), want.split("\n"))):
@@ -209,9 +261,9 @@ def test_writer_matches_row_template_for_every_count_of_trailing_zeros():
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_writer_matches_row_template_on_written_tables(kind, written):
-    names, table = parse_table(written[kind], "<all columns>")
-    assert format_table(names, table) == format_table_rows(names, table) == written[kind]
+def test_writer_matches_row_template_on_written_tables(kind, tables):
+    names, table = parse_table(tables[kind], "<all columns>")
+    assert table_text(names, table) == format_table_rows(names, table) == tables[kind]
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 5), (700, 1), (5000, 3), (61, 45)],
@@ -222,20 +274,12 @@ def test_writer_matches_row_template_on_every_shape(shape):
 
 
 @pytest.mark.parametrize("shape", [(501, 45), (511, 24), (1500, 45)])
-def test_writer_peak_memory_stays_near_the_row_template(shape):
+def test_writer_peak_memory_stays_near_the_row_template(shape, tmp_path):
     """The block temporaries add at most 512 KB to the row writer's traced peak."""
     table = np.random.default_rng(1).standard_normal(shape)
     header = [f"c{i}" for i in range(shape[1])]
-
-    def peak(write):
-        tracemalloc.start()
-        try:
-            write(header, table)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(format_table) <= peak(format_table_rows) + 512 * 1024
+    streamed = traced_peak(lambda: write_table(tmp_path / "t.csv", header, table))
+    assert streamed <= traced_peak(lambda: format_table_rows(header, table)) + 512 * 1024
 
 
 # --- the reader converts a block of lines at a time ------------------------
@@ -245,7 +289,7 @@ def three_blocks():
     """The lines of a 3-column CSV text of more than three blocks, and the lines in a block."""
     rows = 2048 // 3
     table = np.random.default_rng(3).standard_normal((3 * rows + 5, 3))
-    return format_table(["c0", "c1", "c2"], table).splitlines(), rows
+    return table_text(["c0", "c1", "c2"], table).splitlines(), rows
 
 
 @pytest.mark.parametrize("where", ["first line", "last of a block", "first of the next block",
@@ -282,8 +326,8 @@ def test_reader_names_a_short_line_before_a_later_bad_number(later):
 @pytest.mark.parametrize("shape", [(501, 45), (1500, 24), (5000, 3)])
 def test_reader_peak_memory_stays_near_the_line_reader(shape):
     """The blocks of lines add at most 512 KB to the line-by-line reader's traced peak."""
-    text = format_table([f"c{i}" for i in range(shape[1])],
-                        np.random.default_rng(2).standard_normal(shape))
+    text = table_text([f"c{i}" for i in range(shape[1])],
+                      np.random.default_rng(2).standard_normal(shape))
 
     def peak(read):
         tracemalloc.start()
@@ -323,12 +367,12 @@ def mutate(text, rng):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", KINDS)
-def test_mutated_tables_load_or_raise_mimic_error(kind, written, tmp_path):
+def test_mutated_tables_load_or_raise_mimic_error(kind, tables, tmp_path):
     read, write = readers(tmp_path)[kind]
     rng = random.Random(f"fuzz {kind}")
     outcomes = {"loaded": 0, "rejected": 0}
     for _ in range(200):
-        text = written[kind]
+        text = tables[kind]
         for _ in range(rng.randint(1, 3)):
             text = mutate(text, rng)
         with np.errstate(all="raise"):

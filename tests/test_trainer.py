@@ -18,8 +18,6 @@ from motionmimic.trainer import (
     TrainedModel,
     TrainingLog,
     evaluate,
-    format_dataset,
-    format_log,
     ingest_log,
     load_dataset,
     load_model,
@@ -32,7 +30,7 @@ from motionmimic.trainer import (
     train,
 )
 
-from oracles import expression_adam_step, unfused_forward_backward
+from oracles import expression_adam_step, unfused_forward_backward, written
 
 
 def kick_analog(seed=100, n_joints=5, n_keys=5, duration=1.5):
@@ -540,7 +538,7 @@ def test_rollout_at_double_rate_is_consistent(desk_fit):
 )
 def test_dataset_rate_round_trips(rate, rows, start):
     ds = MotionDataset(start + np.arange(rows) / rate, np.zeros((rows, 2)), rate)
-    assert parse_dataset(format_dataset(ds)).sample_rate == rate
+    assert parse_dataset(written(save_dataset, ds)).sample_rate == rate
 
 
 def test_time_column_just_off_the_grid_reads_back_the_rounded_rate():
@@ -552,16 +550,16 @@ def test_time_column_just_off_the_grid_reads_back_the_rounded_rate():
 
 def test_ingested_rate_round_trips_from_a_late_start():
     ds = ingest_log(0.37 + np.arange(161) / 61.7, np.zeros((161, 1)), 61.7)
-    again = parse_dataset(format_dataset(ds))
+    again = parse_dataset(written(save_dataset, ds))
     assert again.sample_rate == 61.7
     np.testing.assert_array_equal(0.37 + np.arange(161) / again.sample_rate, again.times)
 
 
 def test_dataset_csv_round_trip(tmp_path):
     ds = sample_movement(one_second_movement(), 50.0)
-    text = format_dataset(ds)
+    text = written(save_dataset, ds)
     again = parse_dataset(text)
-    assert format_dataset(again) == text
+    assert written(save_dataset, again) == text
     np.testing.assert_array_equal(again.times, ds.times)
     np.testing.assert_array_equal(again.targets, ds.targets)
     assert again.sample_rate == ds.sample_rate
@@ -570,13 +568,13 @@ def test_dataset_csv_round_trip(tmp_path):
 
     path = tmp_path / "d.csv"
     save_dataset(ds, path)
-    assert format_dataset(load_dataset(path)) == text
+    assert written(save_dataset, load_dataset(path)) == path.read_text() == text
 
 
 def test_dataset_csv_parse_errors():
     with pytest.raises(MimicError, match="line 1"):
         parse_dataset("bogus\n1,2\n")
-    good = format_dataset(sample_movement(one_second_movement(), 50.0))
+    good = written(save_dataset, sample_movement(one_second_movement(), 50.0))
     broken = good.splitlines()
     broken[3] = broken[3] + ",0.5"
     with pytest.raises(MimicError, match="line 4"):
@@ -596,7 +594,7 @@ def test_training_log_csv_round_trip(tmp_path, desk_fit):
     np.testing.assert_array_equal(again.lrs, log.lrs)
     np.testing.assert_array_equal(again.mses, log.mses)
     np.testing.assert_array_equal(again.maes, log.maes)
-    assert format_log(again) == format_log(log) == text
+    assert written(save_log, again) == text
 
 
 def test_model_bundle_round_trip(tmp_path, desk_fit):

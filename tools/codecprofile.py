@@ -2,21 +2,27 @@
 
 Usage: python3 tools/codecprofile.py [--repeats K]
 
-The codec is textio: format_table writes every CSV file, format_weights
-(through format_numbers) writes weights.txt and parse_table reads every
-CSV file.  Before timing, it checks each against a reference that
-works one number at a time: format_table against one '%.17g,...' % row
-template per line, format_weights against '%.17g' % value for each
-number, and parse_table against float() on each field, bit for bit.
-It then prints the median and quartiles over K calls of each part:
+The codec is textio: write_table streams every CSV file to disk a block
+of rows at a time, save_weights streams weights.txt the same way, and
+parse_table reads every CSV file.  The writers are called as the program
+calls them, each writing a file in a temporary directory.  Before timing,
+it checks each path against a reference that works one number at a time:
+the bytes write_table streams against one '%.17g,...' % row template per
+line, the number rows save_weights streams against '%.17g' % value for
+each number, and parse_table against float() on each field, bit for bit.
+It then prints the median and quartiles over K calls of each part, and
+the part's tracemalloc peak over one more call:
 
-- format_table RxC and parse_table RxC: a seeded table of R rows and C
+- write_table RxC and parse_table RxC: a seeded table of R rows and C
   columns, a time column at 50 Hz then angles, shaped as the benchmark's
   files (511x24 and 501x45 for gensim22, 1500x24 and 3000x45 for
   walk1500);
-- format_table 1x45: one row, the fixed cost of a block of rows; timed
-  between the large parts, it includes what cold caches add;
-- format_weights 1:75:50:23: the reference net's weights.txt.
+- write_table 1x45: one row, the fixed cost of a file and a block of
+  rows; timed between the large parts, it includes what cold caches add;
+- save_weights 1:75:50:23: the reference net's weights.txt.
+
+Each writer call writes a new file, as a command does; deleting the last
+call's file is not timed.
 
 The first line gives the numpy version and the CPU count.
 """
@@ -25,15 +31,17 @@ import argparse
 import os
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from motionmimic.network import format_weights, initialize  # noqa: E402
-from motionmimic.textio import format_table, parse_table  # noqa: E402
+from motionmimic.network import initialize, save_weights  # noqa: E402
+from motionmimic.textio import parse_table, write_table  # noqa: E402
 
 SHAPES = [(511, 24), (501, 45), (1500, 24), (3000, 45)]
 SIZES = [1, 75, 50, 23]
@@ -53,35 +61,54 @@ def row_template(header, table):
     return "".join(line + "\n" for line in lines)
 
 
-def checks_pass(net):
+def checks_pass(net, directory):
     """Whether the codec's three number paths match the one-number-at-a-time references."""
+    path = directory / "check.csv"
     for shape in [*SHAPES, (1, 45)]:
         header, table = bench_table(*shape)
-        text = format_table(header, table)
+        write_table(path, header, table)
+        text = path.read_bytes().decode()
         fields = [[float(part) for part in line.split(",")] for line in text.splitlines()[1:]]
         names, parsed = parse_table(text, "<names>")
         if (text != row_template(header, table) or names != header
                 or not np.array_equal(parsed.view(np.uint64), np.array(fields).view(np.uint64))):
             return False
-    numbers = [line for line in format_weights(net).splitlines()[1:]
+    save_weights(net, directory / "weights.txt")
+    numbers = [line for line in (directory / "weights.txt").read_bytes().decode().splitlines()[1:]
                if not line.startswith("layer ")]
     rows = [row for w, b in zip(net.weights, net.biases) for row in [*w, b]]
     return numbers == [" ".join("%.17g" % v for v in row) for row in rows]
 
 
-def parts(net):
-    """(name, run) pairs, one per timed call."""
+def parts(net, directory):
+    """(name, run, file) triples, one per timed call; file is what run writes, or None."""
     out = []
     for shape in SHAPES:
         header, table = bench_table(*shape)
-        text = format_table(header, table)
         name = "x".join(map(str, shape))
-        out.append((f"format_table {name}", lambda h=header, t=table: format_table(h, t)))
-        out.append((f"parse_table {name}", lambda s=text: parse_table(s, "<names>")))
+        path = directory / f"{name}.csv"
+        write_table(path, header, table)
+        text = path.read_text()
+        out.append((f"write_table {name}", lambda p=path, h=header, t=table: write_table(p, h, t),
+                    path))
+        out.append((f"parse_table {name}", lambda s=text: parse_table(s, "<names>"), None))
     header, table = bench_table(1, 45)
-    out.append(("format_table 1x45", lambda: format_table(header, table)))
-    out.append((f"format_weights {':'.join(map(str, SIZES))}", lambda: format_weights(net)))
+    path = directory / "1x45.csv"
+    out.append(("write_table 1x45", lambda: write_table(path, header, table), path))
+    weights = directory / "weights.txt"
+    out.append((f"save_weights {':'.join(map(str, SIZES))}", lambda: save_weights(net, weights),
+                weights))
     return out
+
+
+def traced_peak(run):
+    """The tracemalloc peak of one run() call, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main(argv=None):
@@ -91,23 +118,28 @@ def main(argv=None):
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     net = initialize(SIZES, seed=0)
-    match = checks_pass(net)
-    timed = parts(net)
-    times = {name: [] for name, _ in timed}
-    for _ in range(args.repeats):  # the parts take turns, so a slow spell hits each alike
-        for name, run in timed:
-            start = time.perf_counter_ns()
-            run()
-            times[name].append((time.perf_counter_ns() - start) / 1e3)
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        match = checks_pass(net, directory)
+        timed = parts(net, directory)
+        times = {name: [] for name, _, _ in timed}
+        for _ in range(args.repeats):  # the parts take turns, so a slow spell hits each alike
+            for name, run, written in timed:
+                if written is not None:  # each call writes a new file, as a command does
+                    written.unlink(missing_ok=True)
+                start = time.perf_counter_ns()
+                run()
+                times[name].append((time.perf_counter_ns() - start) / 1e3)
+        peaks = {name: traced_peak(run) for name, run, _ in timed}
 
     print(f"numpy {np.__version__}, {len(os.sched_getaffinity(0))} CPUs")
-    print(f"{args.repeats} timed calls each; format_table, parse_table and format_weights "
+    print(f"{args.repeats} timed calls each; write_table, parse_table and save_weights "
           f"match the one-number-at-a-time references: {'yes' if match else 'NO'}")
-    print(f"{'part':<28}{'median_us':>12}{'q1_us':>12}{'q3_us':>12}")
+    print(f"{'part':<28}{'median_us':>12}{'q1_us':>12}{'q3_us':>12}{'peak_kb':>12}")
     for name, values in times.items():
         q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                           if len(values) > 1 else values * 3)
-        print(f"{name:<28}{median:>12.1f}{q1:>12.1f}{q3:>12.1f}")
+        print(f"{name:<28}{median:>12.1f}{q1:>12.1f}{q3:>12.1f}{peaks[name] / 1024:>12.1f}")
     return 0 if match else 1
 
 
