@@ -122,6 +122,21 @@ def poses(m: KeyframeMovement, times) -> np.ndarray:
     return out
 
 
+def playback_grid(m: KeyframeMovement, rate: float):
+    """The movement on the grid 0, 1/rate, ...: (times, poses, end).
+
+    times are the grid_size samples that reach the playback duration and
+    poses the postures there, a time past the end clamped to it.  end
+    is the index of the first sample at or after the end (1e-12 s
+    slack): the last grid sample, or else the one after it.  This is the
+    one place a movement's grid and its end are laid out.
+    """
+    duration = playback_duration(m)
+    times = np.arange(grid_size(duration, rate)) / rate
+    end = len(times) - bool(times[-1] >= duration - 1e-12)
+    return times, poses(m, np.minimum(times, duration)), end
+
+
 def reference_pose(m: KeyframeMovement, t: float) -> np.ndarray:
     """Interpolated joint posture at playback time t; see poses."""
     return poses(m, [t])[0]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MimicError, require_positive
 # reference_pose is not called here; bench/tracing.py looks it up on this module
-from .motion import KeyframeMovement, grid_size, playback_duration, poses, reference_pose
+from .motion import KeyframeMovement, playback_grid, reference_pose
 from .textio import write_table
 from .trainer import rollout
 
@@ -62,9 +62,7 @@ def step(positions: np.ndarray, references: np.ndarray, cfg: PlantConfig) -> np.
 def reference_stream(source, tick_rate: float):
     """Tick times and per-tick reference postures for a movement, else a trained model."""
     if isinstance(source, KeyframeMovement):
-        duration = playback_duration(source)
-        times = np.arange(grid_size(duration, tick_rate)) / tick_rate
-        return times, poses(source, np.minimum(times, duration))
+        return playback_grid(source, tick_rate)[:2]
     ro = rollout(source, tick_rate)
     return ro.times, ro.joints
 

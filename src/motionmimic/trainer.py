@@ -22,8 +22,7 @@ from .motion import (
     KeyframeMovement,
     check_angles,
     grid_size,
-    playback_duration,
-    poses,
+    playback_grid,
     reference_pose,
     validate_movement,
 )
@@ -209,24 +208,33 @@ class Rollout:
 def sample_movement(m: KeyframeMovement, rate: float, tail: int = DEFAULT_TAIL) -> MotionDataset:
     """Sample a movement's reference poses on a uniform grid.
 
-    Grid points run from 0 to the playback duration; the end flag is 0
-    strictly before the end and 1 from the end onward.  tail extra
+    The grid and the end are motion.playback_grid's: grid points run
+    from 0 to the playback duration, and the end flag is 0 before the
+    first sample at or after the end and 1 from there on.  tail extra
     samples hold the final keyframe with flag 1 so the transition is
-    represented in the data.  Even with tail=0 the grid reaches the first
-    sample at or after the end, so the last sample is always flagged.
+    represented in the data.  Even with tail=0 the dataset reaches that
+    first sample, holding the final keyframe there when it lies past the
+    grid, so the last sample is always flagged.
     """
     require_positive("rate", rate)
     _check_tail(tail)
-    duration = playback_duration(m)
-    count = grid_size(duration, rate)
-    end = int(np.ceil((duration - 1e-12) * rate))
-    times = np.arange(max(count + tail, end + 1)) / rate
-    n = m.joints.shape[1]
-    targets = np.empty((len(times), n + 1))
-    targets[:count, :n] = poses(m, np.minimum(times[:count], duration))
-    targets[count:, :n] = m.joints[-1]
-    targets[:, n] = times >= duration - 1e-12
-    return MotionDataset(times, targets, rate)
+    _, joints, end = playback_grid(m, rate)
+    return _dataset(0.0, rate, joints, m.joints[-1], max(tail, end + 1 - len(joints)), end)
+
+
+def _dataset(start, rate, joints, hold, extra, end, joint_names=None) -> MotionDataset:
+    """joints on the grid start + i / rate, then extra rows that hold the posture hold.
+
+    The end flag is 1 from row end onward; end None gives a periodic
+    dataset.  sample_movement and ingest_log both build their datasets here.
+    """
+    count, n = joints.shape
+    targets = np.zeros((count + extra, n + 1))
+    targets[:count, :n], targets[count:, :n] = joints, hold
+    if end is not None:
+        targets[end:, n] = 1.0
+    return MotionDataset(start + np.arange(len(targets)) / rate, targets, rate,
+                         joint_names=joint_names)
 
 
 def _check_increasing(times):
@@ -252,8 +260,9 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
     Single missing samples are filled by linear interpolation of their
     neighbors; longer gaps are an error.  Periodic logs (one period of a
     cyclic motion) get a constant-zero end flag and take no tail;
-    otherwise the final sample is flagged and tail copies of it may be
-    appended.
+    otherwise the final logged sample is the end, flagged, and tail rows
+    after it hold its posture.  The rows are built by _dataset, as
+    sample_movement's are.
     """
     t = np.asarray(times, dtype=float)
     vals = np.asarray(joints, dtype=float)
@@ -284,17 +293,11 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
         )
 
     count = int(slots[-1]) + 1
-    grid_times = t[0] + np.arange(count + tail) / rate
-    n = vals.shape[1]
-    rows = np.empty((len(grid_times), n + 1))
-    rows[slots, :n] = vals
+    grid = np.empty((count, vals.shape[1]))
+    grid[slots] = vals
     for i in np.nonzero(gaps == 2)[0]:
-        rows[slots[i] + 1, :n] = 0.5 * (vals[i] + vals[i + 1])
-    rows[count:, :n] = vals[-1]
-    rows[:, n] = 0.0
-    if not periodic:
-        rows[count - 1 :, n] = 1.0
-    return MotionDataset(grid_times, rows, rate, joint_names=joint_names)
+        grid[slots[i] + 1] = 0.5 * (vals[i] + vals[i + 1])
+    return _dataset(t[0], rate, grid, vals[-1], tail, None if periodic else count - 1, joint_names)
 
 
 def train(dataset: MotionDataset, schedule: TrainingSchedule, arch=None,

@@ -14,9 +14,11 @@ import pytest
 import motionmimic.cli
 import motionmimic.motion
 from motionmimic.cli import build_parser, main
+from motionmimic.motion import grid_size, load_movement, playback_duration
 from motionmimic.network import initialize, save_weights
 from motionmimic.plant import PlantConfig
-from motionmimic.trainer import DEFAULT_TAIL, load_dataset, load_model
+from motionmimic.trainer import (DEFAULT_TAIL, load_dataset, load_joint_log, load_model,
+                                 sample_movement)
 
 MOVEMENT = """movement n=2 gamma=3 rate=1
 t=0 0 0.3
@@ -507,6 +509,21 @@ def test_simulate_movement_source(workdir, capsys):
     assert "tracking rms=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tick_rate", [50.0, 37.0])
+@pytest.mark.parametrize("name", ["demo.mov", "guard.mov"])
+def test_simulate_movement_desires_the_sampled_grid(workdir, name, tick_rate):
+    # demo.mov lasts 1 s, a whole number of ticks; guard.mov lasts 2.013 / 1.3 s,
+    # 77.4 ticks at 50 Hz and 57.3 at 37 Hz, so its grid stops short of the end
+    (workdir / "guard.mov").write_text(GUARD_MOVEMENT)
+    out = workdir / "sim.csv"
+    assert run(["simulate", "--movement", workdir / name, "--tick-rate", tick_rate,
+                "--out", out]) == 0
+    table = load_joint_log(out)[1]
+    m = load_movement(workdir / name)
+    count = grid_size(playback_duration(m), tick_rate)
+    assert np.array_equal(table[:, 0::2], sample_movement(m, tick_rate, tail=0).joints[:count])
+
+
 @pytest.mark.parametrize("command", [["simulate", "--movement", "demo.mov"],
                                      ["compare", "--model", "model", "--dataset", "demo.csv"]])
 def test_plant_options_default_to_plant_config(command):
@@ -677,6 +694,21 @@ def test_gen_tail_zero_flags_off_grid_end(workdir):
     assert ds.times[-1] >= 1.013 > ds.times[-2]
     assert ds.flags[-1] == 1.0 and ds.flags[-2] == 0.0
     assert not ds.periodic
+
+
+def test_gen_tail_zero_flags_an_end_a_hair_past_a_grid_point(workdir):
+    # 0.700000000001 s lies 1e-12 s past the 50 Hz sample at 0.7 s: the grid
+    # stops there, so the flag needs one more row, holding the last keyframe
+    (workdir / "hair.mov").write_text("movement n=1 gamma=2 rate=1\nt=0 0\nt=0.700000000001 0.5\n")
+    (workdir / "quick.txt").write_text("phase epochs=5 lr=0.001\n")
+    out = workdir / "hair.csv"
+    assert run(["gen", "--movement", workdir / "hair.mov", "--tail", 0, "--out", out]) == 0
+    ds = load_dataset(out)
+    assert len(ds.times) == 37 and ds.flags[-1] == 1.0 and ds.flags[-2] == 0.0
+    assert ds.joints[-1, 0] == 0.5
+    assert run(["train", "--dataset", out, "--schedule", workdir / "quick.txt",
+                "--out", workdir / "m"]) == 0
+    assert "periodic=false\n" in (workdir / "m" / "model.meta").read_text()
 
 
 def test_rollout_keeps_the_dataset_rate(workdir, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 import motionmimic.trainer
 from motionmimic.errors import DivergenceError, MimicError
-from motionmimic.motion import MAX_ANGLE, KeyframeMovement
+from motionmimic.motion import MAX_ANGLE, KeyframeMovement, grid_size
 from motionmimic.network import initialize, layer_views
 from motionmimic.optimizer import TrainingSchedule, desk_schedule
 from motionmimic.spline import build_spline
@@ -97,6 +97,33 @@ def test_tail_holds_last_keyframe():
     for row in ds.joints[-4:]:
         np.testing.assert_array_equal(row, m.joints[-1])
     np.testing.assert_array_equal(ds.flags[-5:], np.ones(5))
+
+
+def edge_durations(rate, i):
+    """Durations on, beside and just past the grid point i / rate."""
+    d = i / rate
+    return [d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf), d + 1e-12, d - 1e-12,
+            d + 2e-11, d + 5e-11, d + 0.3 / rate, float(f"{i / rate + 1e-12:.12g}")]
+
+
+@pytest.mark.parametrize("rate", [50.0, 37.0, 100 / 3, 1000 / 7, 60.0, 7.0],
+                         ids=["50", "37", "100_over_3", "1000_over_7", "60", "7"])
+def test_every_sampled_dataset_flags_its_end_by_one_rule(rate):
+    # the row count and the flags follow the same end: the first sample at or
+    # after the duration, with 1e-12 s of slack
+    for i in range(1, 101):
+        for duration in edge_durations(rate, i):
+            m = KeyframeMovement([0.0, duration], [[0.0], [1.0]])
+            count = grid_size(duration, rate)
+            for tail in (0, 3):
+                ds = sample_movement(m, rate, tail)
+                case = (rate, duration, tail)
+                end = int(np.argmax(ds.flags))
+                assert ds.flags[-1] == 1.0 and end in (count - 1, count), case
+                assert ds.times[end] >= duration - 1e-12, case
+                assert end == 0 or ds.times[end - 1] < duration - 1e-12, case
+                assert len(ds.times) == max(count + tail, end + 1), case
+                assert np.all(ds.joints[count:] == m.joints[-1]), case  # the exact keyframe
 
 
 def test_sample_rejects_bad_rate_and_movement():
