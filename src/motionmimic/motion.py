@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MimicError
 from .spline import CubicSpline, build_spline
-from .textio import LineReader, read_text
+from .textio import LineReader, read_lines
 
 MAX_ANGLE = 1e6  # radians; a joint value beyond it is unusable, whatever produced it
 
@@ -148,8 +148,8 @@ MOVEMENT_HEADER = "movement n=<int> gamma=<int> rate=<float>"
 STEP = "t=<float> <text>"  # the text holds the n joint angles
 
 
-def parse_movement(text: str) -> KeyframeMovement:
-    lines = LineReader(text)
+def parse_movement(lines) -> KeyframeMovement:
+    lines = LineReader(lines)
     n, gamma, rate = lines.record(MOVEMENT_HEADER)
     times, joints = [], []
     while lines.more():
@@ -162,4 +162,5 @@ def parse_movement(text: str) -> KeyframeMovement:
 
 
 def load_movement(path) -> KeyframeMovement:
-    return parse_movement(read_text(path))
+    with open(path, "rb") as file:
+        return parse_movement(read_lines(file))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MimicError, require_positive
-from .textio import LineReader, format_record, read_text, write_rows
+from .textio import LineReader, format_record, read_lines, write_rows
 
 MAX_PARAMETERS = 10_000_000  # about 2000 times the 5123 of the 1-75-50-23 net
 
@@ -258,8 +258,8 @@ WEIGHTS_HEADER = "mimicnet layers=<int> input=<int> alpha=<float>"
 LAYER_HEADER = "layer out=<int> in=<int> act=<leakyrelu|linear>"
 
 
-def parse_weights(text: str) -> MimicNetwork:
-    lines = LineReader(text)
+def parse_weights(lines) -> MimicNetwork:
+    lines = LineReader(lines)
     n_layers, input_dim, alpha = lines.record(WEIGHTS_HEADER)
     sizes, values = [input_dim], [np.empty(0)]
     for i in range(n_layers):
@@ -287,4 +287,5 @@ def save_weights(net: MimicNetwork, path):
 
 
 def load_weights(path) -> MimicNetwork:
-    return parse_weights(read_text(path))
+    with open(path, "rb") as file:
+        return parse_weights(read_lines(file))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MimicError, require_positive
-from .textio import parse_record, read_text, text_lines
+from .textio import parse_record, read_lines
 
 
 BETA1 = 0.9  # decay of the first-moment average
@@ -135,10 +135,13 @@ PHASE = "phase epochs=<int> lr=<float>"
 RESET = "reset_on_phase=<true|false>"
 
 
-def parse_schedule(text: str) -> TrainingSchedule:
-    """Read the phases, then at most one reset_on_phase line (true when absent)."""
+def parse_schedule(lines) -> TrainingSchedule:
+    """Read the phases, then at most one reset_on_phase line (true when absent).
+
+    lines are the (line number, line) pairs of textio.read_lines.
+    """
     phases, reset = [], None
-    for no, line in text_lines(text):
+    for no, line in lines:
         if reset is not None:
             raise MimicError(f"line {no}: nothing may follow the reset_on_phase line")
         if line.lstrip().startswith("reset_on_phase"):
@@ -151,4 +154,5 @@ def parse_schedule(text: str) -> TrainingSchedule:
 
 
 def load_schedule(path) -> TrainingSchedule:
-    return parse_schedule(read_text(path))
+    with open(path, "rb") as file:
+        return parse_schedule(read_lines(file))

@@ -1,5 +1,7 @@
 """One codec for every text file: key=value records, rows of numbers and CSV tables."""
 
+import codecs
+import itertools
 import re
 from pathlib import Path
 
@@ -16,24 +18,45 @@ def fmt(x: float) -> str:
     return FLOAT % float(x)
 
 
-def read_text(path) -> str:
-    """The text of the file at path, read as UTF-8.
-
-    A byte that is not UTF-8 is kept as a lone surrogate, which the
-    parsers refuse as they refuse any other bad character and which
-    write_text and write_table write back as the same byte.
-    """
-    return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-
-
 def write_text(path, text: str):
-    """Write text to the file at path as UTF-8, the bytes read_text kept included."""
+    """Write text to the file at path as UTF-8, the bytes read_lines kept included."""
     Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
-def text_lines(text: str) -> list:
-    """(line number, line) of every line of text that is not blank."""
-    return [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+_CHUNK_BYTES = 1 << 16  # read at a time, so a reader holds one chunk of the file's text
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks a line
+
+
+def read_lines(file):
+    r"""(line number, line) of every line that is not blank of the binary file, in order.
+
+    The file is read a chunk at a time and decoded as UTF-8.  A byte-order
+    mark at its start is dropped; a byte that is not UTF-8 is kept as a
+    lone surrogate, which the parsers refuse as they refuse any other bad
+    character and which write_text and write_table write back as the same
+    byte.  Lines break where str.splitlines breaks the whole text: at
+    '\n', '\r', '\r\n', '\x0b', '\x0c', '\x1c'-'\x1e', '\x85', '\u2028'
+    and '\u2029'.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")("surrogateescape").decode
+    no, rest, first = 0, "", True
+    while True:
+        chunk = file.read(_CHUNK_BYTES)
+        text = rest + decode(chunk, final=not chunk)
+        if first and text:  # as bytes.decode("utf-8-sig"), which keeps a partial mark
+            text, first = text.removeprefix("\ufeff"), False
+        split = text.splitlines()
+        rest = ""  # the last line, held when it may go on in the next chunk
+        if chunk and text[-1:] not in _BREAKS:
+            rest = split.pop()
+        elif chunk and text.endswith("\r"):  # the next chunk may start with the '\n' of '\r\n'
+            rest = split.pop() + "\r"
+        for line in split:
+            no += 1
+            if line.strip():
+                yield no, line
+        if not chunk:
+            return
 
 
 # --- records: one line laid out as a template of words and '<kind>' fields -------
@@ -84,15 +107,15 @@ def _parse_value(kind: str, token: str, what: str, line_no: int):
 
 
 class LineReader:
-    """The non-blank lines of a text, read in order; every error names its line."""
+    """The (line number, line) pairs of read_lines, taken in order; every error names its line."""
 
-    def __init__(self, text: str):
-        self._lines = text_lines(text)
-        self._next = 0
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self._ahead = next(self._lines, None)  # the next pair, or None after the last
         self.line_no = 0  # of the line read last
 
     def more(self) -> bool:
-        return self._next < len(self._lines)
+        return self._ahead is not None
 
     def record(self, template: str) -> list:
         """The next line's values, read as template lays them out."""
@@ -120,10 +143,9 @@ class LineReader:
 
     def _take(self, what):
         if not self.more():
-            self.line_no = self._lines[-1][0] + 1 if self._lines else 1
+            self.line_no += 1  # the line after the last, or line 1 of a file without lines
             self.fail(f"missing {what}")
-        self.line_no, line = self._lines[self._next]
-        self._next += 1
+        (self.line_no, line), self._ahead = self._ahead, next(self._lines, None)
         return line
 
 
@@ -135,7 +157,7 @@ def write_table(path, header, matrix):
 
     A header whose width differs from the matrix's columns, or a table
     without columns, raises MimicError before the file is opened.  The
-    names are written as write_text writes text, the bytes read_text
+    names are written as write_text writes text, the bytes read_lines
     kept included.
     """
     table = np.asarray(matrix, dtype=float)
@@ -300,41 +322,45 @@ def _format_rows(block, sep: bytes) -> bytes:
     return slots.tobytes().translate(None, b"\0")
 
 
-def parse_table(text: str, header: str):
-    """Read CSV text as write_table writes it: (names, (rows, columns) array).
+def parse_table(lines, header: str):
+    """(names, (rows, columns) array) of a CSV file as write_table writes it, from read_lines.
 
     header is the expected first line.  It holds one '<...>' item,
     which stands for one or more names; those names are returned.
-    Blank lines are skipped.  A text without lines, a wrong header, a
-    wrong field count or a field that is not a finite number raises
-    MimicError naming the line.
+    Lines are converted a block at a time, so no more than one block's
+    text is held at once.  A file without lines, a wrong header, a wrong
+    field count or a field that is not a finite number raises MimicError
+    naming the line; a field that is not a number in any line is named
+    before one that is not finite.
     """
-    lines = text_lines(text)
-    if not lines:
+    lines = iter(lines)
+    head_no, first = next(lines, (1, None))
+    if first is None:
         raise MimicError(f"line 1: expected header '{header}', found no lines")
-    head_no, first = lines[0]
     names = _header_names(first, header)
     if names is None:
         raise MimicError(f"line {head_no}: expected header '{header}'")
     cols = first.split(",")
-    table = np.empty((len(lines) - 1, len(cols)))
     step = max(1, _BLOCK_CELLS // len(cols))  # lines converted at a time
-    for i in range(0, len(table), step):
-        block = lines[1 + i : 1 + i + step]
+    blocks, not_finite = [np.empty((0, len(cols)))], None
+    while block := list(itertools.islice(lines, step)):
         rows = [raw.split(",") for _, raw in block]
         try:  # float() on each field; reshape also refuses lines all of another width
-            table[i : i + step] = np.array(rows, dtype=float).reshape(len(block), len(cols))
+            values = np.array(rows, dtype=float).reshape(len(block), len(cols))
         except ValueError:  # line by line, to name the first bad line
+            values = np.empty((len(block), len(cols)))
             for j, ((no, _), parts) in enumerate(zip(block, rows)):
                 if len(parts) != len(cols):
                     raise MimicError(f"line {no}: expected {len(cols)} fields, found {len(parts)}")
-                table[i + j] = [_parse_value("float", p, col, no) for p, col in zip(parts, cols)]
-    finite = np.isfinite(table)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        no, raw = lines[1 + r]
-        raise MimicError(f"line {no}: {cols[c]} is not finite: '{raw.split(',')[c]}'")
-    return names, table
+                values[j] = [_parse_value("float", p, col, no) for p, col in zip(parts, cols)]
+        finite = np.isfinite(values)
+        if not_finite is None and not finite.all():
+            r, c = np.argwhere(~finite)[0]
+            not_finite = MimicError(f"line {block[r][0]}: {cols[c]} is not finite: '{rows[r][c]}'")
+        blocks.append(values)
+    if not_finite is not None:
+        raise not_finite
+    return names, np.concatenate(blocks)
 
 
 def _header_names(line, header):

@@ -39,7 +39,7 @@ from .network import (
     save_weights,
 )
 from .optimizer import TrainingSchedule, adam_init, adam_step, reset_state
-from .textio import LineReader, format_record, parse_table, read_text, write_table, write_text
+from .textio import LineReader, format_record, parse_table, read_lines, write_table, write_text
 
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
 DEFAULT_HIDDEN = (75, 50)
@@ -412,8 +412,8 @@ def rollout(model: TrainedModel, rate: float) -> Rollout:
 # --- CSV files: dataset, joint log, rollout, training log --------------------
 
 
-def parse_dataset(text: str, name: str = "") -> MotionDataset:
-    joint_names, table = parse_table(text, "time,<joint names...>,end_flag")
+def parse_dataset(lines, name: str = "") -> MotionDataset:
+    joint_names, table = parse_table(lines, "time,<joint names...>,end_flag")
     if len(table) < 2:
         raise MimicError("dataset needs at least 2 samples")
     times, targets = table[:, 0], table[:, 1:]
@@ -457,12 +457,14 @@ def save_dataset(ds: MotionDataset, path):
 
 
 def load_dataset(path) -> MotionDataset:
-    return parse_dataset(read_text(path), name=Path(path).stem)
+    with open(path, "rb") as file:
+        return parse_dataset(read_lines(file), name=Path(path).stem)
 
 
 def load_joint_log(path):
     """Read an external log CSV 'time,<joint names...>': (times, joints, names)."""
-    names, table = parse_table(read_text(path), "time,<joint names...>")
+    with open(path, "rb") as file:
+        names, table = parse_table(read_lines(file), "time,<joint names...>")
     return table[:, 0], table[:, 1:], names
 
 
@@ -500,7 +502,8 @@ def save_model(model: TrainedModel, directory):
 def load_model(directory) -> TrainedModel:
     d = Path(directory)
     network = load_weights(d / WEIGHTS_FILE)
-    lines = LineReader(read_text(d / META_FILE))
-    values = [lines.record(record)[0] for record in META_RECORDS]
-    lines.end()
+    with open(d / META_FILE, "rb") as file:
+        lines = LineReader(read_lines(file))
+        values = [lines.record(record)[0] for record in META_RECORDS]
+        lines.end()
     return TrainedModel(network, *values)

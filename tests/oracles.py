@@ -12,6 +12,9 @@ writer that textio's block writer replaced: one '%.17g,...' % row per line.
 The numbers oracle is the per-value writer of weights.txt rows that the
 block writer replaced, and the table reader oracle converts one line at a
 time with float(), as textio.parse_table did before it read blocks of lines.
+text_lines is the line rule of the whole text, str.splitlines, that
+textio.read_lines keeps as it streams a file a chunk at a time; tests
+hand its pairs to the parsers in place of an open file.
 written and table_text are not oracles: they give tests the text that the
 program's writers stream to a file, read back from a temporary one.
 The movement and schedule writers write the two files the program only
@@ -235,9 +238,14 @@ def format_numbers_each(values):
     return " ".join("%.17g" % v for v in values)
 
 
+def text_lines(text):
+    """(line number, line) of every line of text that is not blank, by str.splitlines."""
+    return [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
 def parse_table_rows(text):
     """(names, table) of CSV text, each non-blank line after the first converted by float()."""
-    lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    lines = text_lines(text)
     names = lines[0][1].split(",")
     table = np.empty((len(lines) - 1, len(names)))
     for i, (_, line) in enumerate(lines[1:]):
@@ -264,7 +272,7 @@ def written(save, *args):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "written"
         save(*args, path)
-        return path.read_text(encoding="utf-8", errors="surrogateescape")
+        return path.read_bytes().decode("utf-8", "surrogateescape")  # no newline translation
 
 
 def table_text(header, matrix):

@@ -43,6 +43,7 @@ from oracles import (
     max_relative_gradient_error,
     scalar_adam,
     spline_derivatives,
+    text_lines,
     written,
 )
 
@@ -234,15 +235,15 @@ def test_c09_round_trips():
 
     net = initialize([1, 7, 4], seed=9, alpha=0.015)
     text = written(save_weights, net)
-    assert written(save_weights, parse_weights(text)) == text
+    assert written(save_weights, parse_weights(text_lines(text))) == text
 
     movement = KeyframeMovement([0.0, 0.37, 1.12], rng.standard_normal((3, 3)), speed_rate=1.5)
     mtext = format_movement(movement)
-    assert format_movement(parse_movement(mtext)) == mtext
+    assert format_movement(parse_movement(text_lines(mtext))) == mtext
 
     dataset = sample_movement(movement, 50.0)
     dtext = written(save_dataset, dataset)
-    assert written(save_dataset, parse_dataset(dtext)) == dtext
+    assert written(save_dataset, parse_dataset(text_lines(dtext))) == dtext
     ok("criterion 9 (weight, movement, and dataset files round-trip bit-exactly)")
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import motionmimic.cli
 import motionmimic.motion
+from motionmimic import textio
 from motionmimic.cli import build_parser, main
 from motionmimic.motion import grid_size, load_movement, playback_duration
 from motionmimic.network import initialize, save_weights
@@ -349,6 +350,41 @@ def test_ingest_writes_a_header_byte_that_is_not_utf8_back_unchanged(workdir, ca
     head, body = (workdir / "odd.csv").read_bytes().split(b"\n", 1)
     assert head == b"time,h\xffp,knee,end_flag"
     assert body == (workdir / "plain.csv").read_bytes().split(b"\n", 1)[1]
+
+
+@pytest.mark.parametrize("command, text", [
+    (["ingest", "--log"], "time,a,b\r\n0,0.1,0.2\r\n0.02,0.3,0.4\r\n0.04,0.5,0.6\r\n"),
+    (["gen", "--movement"], MOVEMENT),
+], ids=["ingest", "gen"])
+def test_a_leading_byte_order_mark_is_dropped(workdir, capsys, command, text):
+    """As spreadsheet exports start; a mark after the first is refused as any bad character."""
+    mark = "\ufeff".encode()
+    for name, prefix in [("plain", b""), ("marked", mark)]:
+        (workdir / f"{name}.in").write_bytes(prefix + text.encode())
+        assert run([*command, workdir / f"{name}.in", "--out", workdir / f"{name}.csv"]) == 0
+    assert (workdir / "marked.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
+    capsys.readouterr()
+    (workdir / "twice.in").write_bytes(mark * 2 + text.encode())
+    assert run([*command, workdir / "twice.in", "--out", workdir / "twice.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: expected ")
+    assert not (workdir / "twice.csv").exists()
+
+
+def test_ingest_of_a_crlf_log_split_between_its_chunks_writes_what_lf_does(workdir):
+    """A '\\r' ends the first chunk the reader reads, and its '\\n' starts the next."""
+    rng = np.random.default_rng(8)
+    rows = [",".join(map(repr, [i / 50.0, *rng.uniform(-1, 1, 22).tolist()])) for i in range(300)]
+    body = "".join(row + "\r\n" for row in rows)
+    head = "time," + ",".join(f"j{i}" for i in range(1, 23)) + "\r\n"
+    ends = [len(head) + 2 + i for i, c in enumerate(body) if c == "\r"]  # after an empty line
+    pad = " " * (textio._CHUNK_BYTES - 1 - max(e for e in ends if e < textio._CHUNK_BYTES))
+    (workdir / "crlf.log").write_bytes((head + pad + "\r\n" + body).encode())
+    assert (workdir / "crlf.log").read_bytes()[textio._CHUNK_BYTES - 1 :][:2] == b"\r\n"
+    (workdir / "lf.log").write_text(head.replace("\r", "") + "".join(row + "\n" for row in rows))
+    for name in ("crlf", "lf"):
+        out = workdir / f"{name}.csv"
+        assert run(["ingest", "--log", workdir / f"{name}.log", "--out", out]) == 0
+    assert (workdir / "crlf.csv").read_bytes() == (workdir / "lf.csv").read_bytes()
 
 
 # every kind of input file with a byte that is not UTF-8 where a number belongs:

@@ -12,7 +12,7 @@ from motionmimic.network import MimicNetwork, parse_weights, save_weights
 from motionmimic.optimizer import TrainingSchedule
 from motionmimic.trainer import META_FILE, WEIGHTS_FILE, ingest_log, load_model, save_model, train
 
-from oracles import format_numbers_each, written
+from oracles import format_numbers_each, text_lines, written
 
 BAD_TOKENS = ("nan", "inf", "-inf", "1e400", "", "0", "-1", "x")
 
@@ -38,7 +38,7 @@ def load_bundle(directory, texts):
 
 def test_weights_format_parse_format_is_byte_identical(bundle):
     text = bundle[WEIGHTS_FILE]
-    net = parse_weights(text)
+    net = parse_weights(text_lines(text))
     assert written(save_weights, net) == text
     for w, b in zip(net.weights, net.biases):
         assert np.shares_memory(w, net.params)

@@ -18,7 +18,7 @@ from motionmimic.motion import (
     validate_movement,
 )
 
-from oracles import dense_natural_spline, eval_segment_poly, format_movement
+from oracles import dense_natural_spline, eval_segment_poly, format_movement, text_lines
 
 
 def simple_movement(rate=1.0):
@@ -243,7 +243,7 @@ def test_movement_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     m = KeyframeMovement([0.0, 0.31, 0.9], rng.standard_normal((3, 3)), speed_rate=1.25)
     text = format_movement(m)
-    again = parse_movement(text)
+    again = parse_movement(text_lines(text))
     assert format_movement(again) == text
     assert again.speed_rate == m.speed_rate
     np.testing.assert_array_equal(again.times, m.times)
@@ -257,10 +257,10 @@ def test_movement_file_round_trip(tmp_path):
 
 def test_movement_parse_errors_carry_line_numbers():
     with pytest.raises(MimicError, match="line 1"):
-        parse_movement("bogus n=1 gamma=2 rate=1\n")
+        parse_movement(text_lines("bogus n=1 gamma=2 rate=1\n"))
     with pytest.raises(MimicError, match="line 3"):
-        parse_movement("movement n=2 gamma=2 rate=1\nt=0 0 0\nt=1 0\n")
+        parse_movement(text_lines("movement n=2 gamma=2 rate=1\nt=0 0 0\nt=1 0\n"))
     with pytest.raises(MimicError, match="line 2"):
-        parse_movement("movement n=1 gamma=2 rate=1\nt=zero 0\nt=1 0\n")
+        parse_movement(text_lines("movement n=1 gamma=2 rate=1\nt=zero 0\nt=1 0\n"))
     with pytest.raises(MimicError, match="gamma=3"):
-        parse_movement("movement n=1 gamma=3 rate=1\nt=0 0\nt=1 0\n")
+        parse_movement(text_lines("movement n=1 gamma=3 rate=1\nt=0 0\nt=1 0\n"))

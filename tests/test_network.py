@@ -24,6 +24,7 @@ from oracles import (
     finite_difference_gradients,
     loop_forward,
     max_relative_gradient_error,
+    text_lines,
     unfused_forward_backward,
     written,
 )
@@ -385,13 +386,13 @@ def test_network_dimension_chaining_enforced():
     assert lines[6] == "layer out=2 in=3 act=linear"
     lines[6] = "layer out=2 in=4 act=linear"
     with pytest.raises(MimicError, match="line 7: in=4 must equal the previous out= or input=, 3"):
-        parse_weights("\n".join(lines) + "\n")
+        parse_weights(text_lines("\n".join(lines) + "\n"))
 
 
 def test_weight_file_round_trip():
     net = initialize([1, 5, 3], seed=13, alpha=0.02)
     text = written(save_weights, net)
-    again = parse_weights(text)
+    again = parse_weights(text_lines(text))
     assert written(save_weights, again) == text
     assert again.sizes == net.sizes == [1, 5, 3]
     assert again.alpha == net.alpha == 0.02
@@ -412,19 +413,20 @@ def test_weight_parse_errors_carry_line_numbers():
     good = written(save_weights, initialize([1, 2, 1], seed=0))
     lines = good.splitlines()
     with pytest.raises(MimicError, match="line 1"):
-        parse_weights("nonsense\n")
+        parse_weights(text_lines("nonsense\n"))
     with pytest.raises(MimicError, match="line 3"):
-        parse_weights("\n".join(lines[:2] + ["1.0 extra"] + lines[3:]) + "\n")
+        parse_weights(text_lines("\n".join(lines[:2] + ["1.0 extra"] + lines[3:]) + "\n"))
     with pytest.raises(MimicError, match="line 2"):
-        parse_weights("\n".join([lines[0], "layer out=2 in=1 act=sigmoid"] + lines[2:]) + "\n")
+        parse_weights(text_lines("\n".join([lines[0], "layer out=2 in=1 act=sigmoid", *lines[2:]])))
     # act= is fixed by position: leaky ReLU on hidden layers, linear on the last
     assert lines[1] == "layer out=2 in=1 act=leakyrelu"
     assert lines[5] == "layer out=1 in=2 act=linear"
     with pytest.raises(MimicError, match="line 2: layer 0 of 2 must be act=leakyrelu"):
-        parse_weights("\n".join([lines[0], "layer out=2 in=1 act=linear"] + lines[2:]) + "\n")
+        parse_weights(text_lines("\n".join([lines[0], "layer out=2 in=1 act=linear", *lines[2:]])))
     with pytest.raises(MimicError, match="line 6: layer 1 of 2 must be act=linear"):
-        parse_weights("\n".join(lines[:5] + ["layer out=1 in=2 act=leakyrelu"] + lines[6:]) + "\n")
+        parse_weights(text_lines("\n".join([*lines[:5], "layer out=1 in=2 act=leakyrelu",
+                                            *lines[6:]])))
     with pytest.raises(MimicError, match="at least one layer"):
-        parse_weights("mimicnet layers=0 input=1 alpha=0.01\n")
+        parse_weights(text_lines("mimicnet layers=0 input=1 alpha=0.01\n"))
     with pytest.raises(MimicError, match="line 9: expected the end of the file"):
-        parse_weights(good + "0.5\n")
+        parse_weights(text_lines(good + "0.5\n"))

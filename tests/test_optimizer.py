@@ -17,7 +17,7 @@ from motionmimic.optimizer import (
 )
 from motionmimic.trainer import sample_movement, train
 
-from oracles import expression_adam_step, format_schedule, scalar_adam
+from oracles import expression_adam_step, format_schedule, scalar_adam, text_lines
 
 # frozen from the plain-float recurrence in oracles.scalar_adam
 FIRST_STEP_THETA = -0.09999999900000002
@@ -189,7 +189,7 @@ def test_schedule_validation():
 def test_schedule_file_round_trip(tmp_path):
     sched = TrainingSchedule([(100, 0.001), (50, 0.0002)], reset_on_phase=False)
     text = format_schedule(sched)
-    again = parse_schedule(text)
+    again = parse_schedule(text_lines(text))
     assert again.phases == sched.phases
     assert again.reset_on_phase is False
     assert format_schedule(again) == text
@@ -201,11 +201,11 @@ def test_schedule_file_round_trip(tmp_path):
 
 def test_schedule_parse_errors():
     with pytest.raises(MimicError, match="line 1"):
-        parse_schedule("phase epochs=ten lr=0.001\n")
+        parse_schedule(text_lines("phase epochs=ten lr=0.001\n"))
     with pytest.raises(MimicError, match="line 2"):
-        parse_schedule("phase epochs=10 lr=0.001\nreset_on_phase=maybe\n")
+        parse_schedule(text_lines("phase epochs=10 lr=0.001\nreset_on_phase=maybe\n"))
     with pytest.raises(MimicError, match="^schedule file contains no phases$"):
-        parse_schedule("reset_on_phase=true\n")
+        parse_schedule(text_lines("reset_on_phase=true\n"))
     # the phases, then at most one reset_on_phase line, which must come last
     for text, line in [
         ("phase epochs=10 lr=0.001\nreset_on_phase=false\nreset_on_phase=true\n", 3),
@@ -213,4 +213,4 @@ def test_schedule_parse_errors():
         ("reset_on_phase=false\nphase epochs=10 lr=0.001\n", 2),
     ]:
         with pytest.raises(MimicError, match=f"line {line}: nothing may follow"):
-            parse_schedule(text)
+            parse_schedule(text_lines(text))

@@ -2,6 +2,7 @@
 identity with the row-template writer, refused writes, bounded memory and a
 mutation fuzz."""
 
+import io
 import math
 import random
 import tracemalloc
@@ -10,16 +11,18 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from motionmimic import textio
 from motionmimic.errors import MimicError
 from motionmimic.motion import KeyframeMovement
 from motionmimic.optimizer import TrainingSchedule
 from motionmimic.plant import PlantConfig, SimulationResult, save_comparison, simulate
-from motionmimic.textio import parse_table, write_table
+from motionmimic.textio import parse_table, read_lines, write_table
 from motionmimic.trainer import (
     LOG_HEADER,
     Rollout,
     TrainingLog,
     ingest_log,
+    load_dataset,
     load_joint_log,
     parse_dataset,
     rollout,
@@ -30,7 +33,7 @@ from motionmimic.trainer import (
     train,
 )
 
-from oracles import format_table_rows, parse_table_rows, table_text, written
+from oracles import format_table_rows, parse_table_rows, table_text, text_lines, written
 
 ROLLOUT_HEADER = "time,<joint names...>,end_flag"
 TRACKING_HEADER = "time,<joint columns...>"
@@ -69,7 +72,7 @@ def readers(tmp_path):
         return read
 
     def table(header):
-        return lambda text: parse_table(text, header)
+        return lambda text: parse_table(text_lines(text), header)
 
     def retable(head, tail=()):
         return lambda parsed: table_text([*head, *parsed[0], *tail], parsed[1])
@@ -79,13 +82,14 @@ def readers(tmp_path):
         return table_text(["time", *names], np.column_stack([times, joints]))
 
     def log(text):  # no command reads a training log, so its header is checked here
-        names, table = parse_table(text, "<columns...>")
+        names, table = parse_table(text_lines(text), "<columns...>")
         if names != LOG_HEADER.split(","):
             raise MimicError(f"expected header '{LOG_HEADER}'")
         return TrainingLog(*table.T)
 
     return {
-        "dataset": (parse_dataset, lambda ds: written(save_dataset, ds)),
+        "dataset": (lambda text: parse_dataset(text_lines(text)),
+                    lambda ds: written(save_dataset, ds)),
         "joint log": (from_file(load_joint_log), rejoint),
         "training log": (log, lambda parsed: written(save_log, parsed)),
         "rollout": (table(ROLLOUT_HEADER), retable(["time"], ["end_flag"])),
@@ -170,7 +174,7 @@ def test_save_log_holds_blocks_not_the_file(tmp_path):
 @pytest.mark.parametrize("header", ["", "time,a", "time,<names...>"])
 def test_parse_table_without_lines_names_line_1(text, header):
     with pytest.raises(MimicError, match="^line 1: expected header"):
-        parse_table(text, header)
+        parse_table(text_lines(text), header)
 
 
 # --- byte identity with the row-template writer ------------------------------
@@ -262,7 +266,7 @@ def test_writer_matches_row_template_for_every_count_of_trailing_zeros():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_writer_matches_row_template_on_written_tables(kind, tables):
-    names, table = parse_table(tables[kind], "<all columns>")
+    names, table = parse_table(text_lines(tables[kind]), "<all columns>")
     assert table_text(names, table) == format_table_rows(names, table) == tables[kind]
 
 
@@ -305,7 +309,7 @@ def test_reader_names_the_bad_line_in_any_block(where, fault):
     message = ("c2 is not a number: 'x'" if fault == "bad field"
                else "expected 3 fields, found 2")
     with pytest.raises(MimicError, match=f"^line {row + 3}: {message}$"):
-        parse_table("\n".join(lines) + "\n", "<names>")
+        parse_table(text_lines("\n".join(lines) + "\n"), "<names>")
 
 
 @pytest.mark.parametrize("later", ["same block", "next block"])
@@ -317,10 +321,10 @@ def test_reader_names_a_short_line_before_a_later_bad_number(later):
     lines[1 + bad] = ",".join([cells[0], "nan_", cells[2]])
     lines[1 + short] = lines[1 + short].rsplit(",", 1)[0]
     with pytest.raises(MimicError, match=f"^line {short + 2}: expected 3 fields, found 2$"):
-        parse_table("\n".join(lines) + "\n", "<names>")
+        parse_table(text_lines("\n".join(lines) + "\n"), "<names>")
     lines[1 + short] += ",0"
     with pytest.raises(MimicError, match=f"^line {bad + 2}: c1 is not a number: 'nan_'$"):
-        parse_table("\n".join(lines) + "\n", "<names>")
+        parse_table(text_lines("\n".join(lines) + "\n"), "<names>")
 
 
 @pytest.mark.parametrize("shape", [(501, 45), (1500, 24), (5000, 3)])
@@ -337,10 +341,117 @@ def test_reader_peak_memory_stays_near_the_line_reader(shape):
         finally:
             tracemalloc.stop()
 
-    peak_blocks, *got = peak(lambda text: parse_table(text, "<names>"))
+    peak_blocks, *got = peak(lambda text: parse_table(text_lines(text), "<names>"))
     peak_lines, *want = peak(parse_table_rows)
     assert got[0] == want[0] and np.array_equal(got[1], want[1])
     assert peak_blocks <= peak_lines + 512 * 1024
+
+
+@pytest.mark.parametrize("load", [load_dataset, load_joint_log])
+def test_reader_holds_blocks_not_the_file(load, tmp_path):
+    """A 3000x45 table file (2.65 MB of text, a 1.03 MiB table) peaks under 2.56 MiB: the
+    blocks and the table they are joined into, and one chunk of the file."""
+    table = np.column_stack([np.arange(3000) / 50.0,
+                             np.random.default_rng(6).uniform(-1.5, 1.5, (3000, 44))])
+    table[:, -1] = np.arange(3000) == 2999  # the end flag, for a dataset
+    path = tmp_path / "t.csv"
+    write_table(path, ["time", *(f"j{i}" for i in range(1, 44)), "end_flag"], table)
+    assert path.stat().st_size > 2 * table.nbytes  # more than the table and its blocks
+    assert traced_peak(lambda: load(path)) <= 2 * table.nbytes + 512 * 1024
+
+
+# --- the line source: lines break where str.splitlines breaks the whole text --
+
+
+def test_breaks_are_those_of_splitlines():
+    breaks = "".join(c for c in map(chr, range(0x110000)) if c.splitlines() == [""])
+    assert sorted(textio._BREAKS) == sorted(breaks)
+
+
+def streamed_lines(data, chunk, monkeypatch):
+    monkeypatch.setattr(textio, "_CHUNK_BYTES", chunk)
+    return list(read_lines(io.BytesIO(data)))
+
+
+# every break, blank lines, a two-byte character in a name and a byte that is not UTF-8
+EDGE_TEXT = "".join([
+    "time,h\xe9p,kn\udcffee\r\n",
+    "0,0.1,0.2\r",
+    "  \r\n",
+    "0.02,0.3,0.4\x0c",
+    "\n\x0b",
+    "0.04,0.5,0.6\x1c",
+    "0.06,0.7,0.8\u2028",
+    "\t\x1d",
+    "0.08,0.9,1\x1e",
+    "0.1,1.1,1.2\x85",
+    "0.12,1.3,1.4\u2029",
+    "0.14,1.5,1.6\r\r\n",
+    "0.16,1.7,1.8",
+])
+FAULTS = {
+    "none": {},
+    "bad field": {6: "0.06,0.7,x"},
+    "short line": {3: "0.02,0.3"},
+    "not finite": {9: "0.08,nan,1"},
+    "byte not UTF-8": {1: "0,0.\udcff1,0.2"},
+    "truncated character": {10: "0.1,1.1,1.\udce2\udc82"},
+    "bad after not finite": {3: "0.02,inf,0.4", 12: "0.14,1.5,1.6,9"},
+}
+
+
+def faulty(fault):
+    """EDGE_TEXT as bytes, with the lines of FAULTS[fault] swapped in."""
+    lines = EDGE_TEXT.splitlines(keepends=True)
+    for i, line in FAULTS[fault].items():
+        lines[i] = line + lines[i][len(lines[i].splitlines()[0]):]
+    return "".join(lines).encode("utf-8", "surrogateescape")
+
+
+def read_outcome(lines):
+    try:
+        names, table = parse_table(lines, "<names>")
+    except MimicError as err:
+        return str(err)
+    return names, table.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_streamed_lines_match_the_whole_text_across_chunk_edges(fault, chunk, monkeypatch):
+    """Each break, character and fault falls across a chunk edge at one of the shifts."""
+    for shift in range(chunk):
+        data = b"\n" * shift + faulty(fault)
+        text = data.decode("utf-8", "surrogateescape")
+        got = streamed_lines(data, chunk, monkeypatch)
+        assert got == text_lines(text)
+        assert read_outcome(got) == read_outcome(text_lines(text))
+        if fault == "none":
+            names, table = parse_table_rows(text)
+            assert read_outcome(got) == (names, table.view(np.uint64).tolist())
+
+
+def test_each_fault_is_refused_on_its_own_line(monkeypatch):
+    messages = {fault: read_outcome(streamed_lines(faulty(fault), 7, monkeypatch))
+                for fault in FAULTS}
+    assert messages == {
+        "none": messages["none"],
+        "bad field": "line 7: kn\udcffee is not a number: 'x'",
+        "short line": "line 4: expected 3 fields, found 2",
+        "not finite": "line 10: h\xe9p is not finite: 'nan'",
+        "byte not UTF-8": "line 2: h\xe9p is not a number: '0.\udcff1'",
+        "truncated character": "line 11: kn\udcffee is not a number: '1.\udce2\udc82'",
+        "bad after not finite": "line 13: expected 3 fields, found 4",
+    }
+    assert messages["none"][0] == ["time", "h\xe9p", "kn\udcffee"]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 65536])
+def test_only_a_leading_byte_order_mark_is_dropped(chunk, monkeypatch):
+    data = "\ufeffa\n\ufeffb\r\n\ufeff\n".encode()
+    assert streamed_lines(data, chunk, monkeypatch) == [(1, "a"), (2, "\ufeffb"), (3, "\ufeff")]
+    assert streamed_lines(b"\xef\xbb", chunk, monkeypatch) == [(1, "\udcef\udcbb")]
+    assert streamed_lines(b"", chunk, monkeypatch) == []
 
 
 def mutate(text, rng):

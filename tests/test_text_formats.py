@@ -12,7 +12,7 @@ from motionmimic.optimizer import parse_schedule
 from motionmimic.plant import PlantConfig, simulate
 from motionmimic.trainer import sample_movement
 
-from oracles import format_movement, format_numbers_each, format_schedule
+from oracles import format_movement, format_numbers_each, format_schedule, text_lines
 
 MOVEMENT = """movement n=2 gamma=3 rate=1.25
 t=0 0 0.29999999999999999
@@ -40,10 +40,10 @@ HUGE_TOKENS = ("1e300", "1e308")
 
 
 def test_movement_format_parse_format_is_byte_identical():
-    m = parse_movement(MOVEMENT)
+    m = parse_movement(text_lines(MOVEMENT))
     assert format_movement(m) == MOVEMENT
-    assert format_movement(parse_movement("\n  \n" + MOVEMENT)) == MOVEMENT
-    assert format_movement(parse_movement(format_movement(m))) == MOVEMENT
+    assert format_movement(parse_movement(text_lines("\n  \n" + MOVEMENT))) == MOVEMENT
+    assert format_movement(parse_movement(text_lines(format_movement(m)))) == MOVEMENT
 
 
 def test_movement_file_writes_each_angle_as_the_per_value_template():
@@ -55,16 +55,16 @@ def test_movement_file_writes_each_angle_as_the_per_value_template():
     text = format_movement(m)
     assert text.splitlines()[1:] == [f"t={'%.17g' % t} {format_numbers_each(q)}"
                                      for t, q in zip(m.times, joints)]
-    again = parse_movement(text)  # and the reader takes every angle back exactly
+    again = parse_movement(text_lines(text))  # and the reader takes every angle back exactly
     np.testing.assert_array_equal(again.joints, joints)
     np.testing.assert_array_equal(again.times, m.times)
 
 
 def test_schedule_format_parse_format_is_byte_identical():
-    schedule = parse_schedule(SCHEDULE)
+    schedule = parse_schedule(text_lines(SCHEDULE))
     assert format_schedule(schedule) == SCHEDULE
-    assert format_schedule(parse_schedule("\n  \n" + SCHEDULE)) == SCHEDULE
-    assert format_schedule(parse_schedule(format_schedule(schedule))) == SCHEDULE
+    assert format_schedule(parse_schedule(text_lines("\n  \n" + SCHEDULE))) == SCHEDULE
+    assert format_schedule(parse_schedule(text_lines(format_schedule(schedule)))) == SCHEDULE
 
 
 def mutate(text, rng, odd=TINY_TOKENS):
@@ -107,7 +107,7 @@ def mutants(text, seed, count, odd=TINY_TOKENS):
 
 def play(text):
     """Parse a movement, sample it and run it through the plant: the finite outputs."""
-    m = parse_movement(text)
+    m = parse_movement(text_lines(text))
     ds = sample_movement(m, 50.0)
     result = simulate(m, PlantConfig())
     return [ds.targets, result.desired, result.attained, [result.overall_rms]]
@@ -136,7 +136,7 @@ def test_mutated_schedules_parse_or_raise_mimic_error():
     outcomes = {"parsed": 0, "rejected": 0}
     for text in mutants(SCHEDULE, "fuzz schedule", 200):
         try:
-            schedule = parse_schedule(text)
+            schedule = parse_schedule(text_lines(text))
         except MimicError:
             outcomes["rejected"] += 1
         else:
@@ -144,5 +144,5 @@ def test_mutated_schedules_parse_or_raise_mimic_error():
             assert schedule.phases and all(e > 0 and math.isfinite(lr) and lr > 0
                                            for e, lr in schedule.phases)
             again = format_schedule(schedule)
-            assert format_schedule(parse_schedule(again)) == again
+            assert format_schedule(parse_schedule(text_lines(again))) == again
     assert outcomes["rejected"] > 0 and outcomes["parsed"] > 0

@@ -30,7 +30,7 @@ from motionmimic.trainer import (
     train,
 )
 
-from oracles import expression_adam_step, unfused_forward_backward, written
+from oracles import expression_adam_step, text_lines, unfused_forward_backward, written
 
 
 def kick_analog(seed=100, n_joints=5, n_keys=5, duration=1.5):
@@ -565,19 +565,20 @@ def test_rollout_at_double_rate_is_consistent(desk_fit):
 )
 def test_dataset_rate_round_trips(rate, rows, start):
     ds = MotionDataset(start + np.arange(rows) / rate, np.zeros((rows, 2)), rate)
-    assert parse_dataset(written(save_dataset, ds)).sample_rate == rate
+    assert parse_dataset(text_lines(written(save_dataset, ds))).sample_rate == rate
 
 
 def test_time_column_just_off_the_grid_reads_back_the_rounded_rate():
     # no decimal and no float within 64 ulps regenerates the column, so the
     # estimate 49.99999999916... is taken, rounded to the integer within 1e-6
-    ds = parse_dataset("time,j1,end_flag\n0,0,0\n0.02,0,0\n0.04,0,0\n0.060000000001,0,1\n")
+    ds = parse_dataset(text_lines(
+        "time,j1,end_flag\n0,0,0\n0.02,0,0\n0.04,0,0\n0.060000000001,0,1\n"))
     assert ds.sample_rate == 50.0
 
 
 def test_ingested_rate_round_trips_from_a_late_start():
     ds = ingest_log(0.37 + np.arange(161) / 61.7, np.zeros((161, 1)), 61.7)
-    again = parse_dataset(written(save_dataset, ds))
+    again = parse_dataset(text_lines(written(save_dataset, ds)))
     assert again.sample_rate == 61.7
     np.testing.assert_array_equal(0.37 + np.arange(161) / again.sample_rate, again.times)
 
@@ -585,7 +586,7 @@ def test_ingested_rate_round_trips_from_a_late_start():
 def test_dataset_csv_round_trip(tmp_path):
     ds = sample_movement(one_second_movement(), 50.0)
     text = written(save_dataset, ds)
-    again = parse_dataset(text)
+    again = parse_dataset(text_lines(text))
     assert written(save_dataset, again) == text
     np.testing.assert_array_equal(again.times, ds.times)
     np.testing.assert_array_equal(again.targets, ds.targets)
@@ -600,12 +601,12 @@ def test_dataset_csv_round_trip(tmp_path):
 
 def test_dataset_csv_parse_errors():
     with pytest.raises(MimicError, match="line 1"):
-        parse_dataset("bogus\n1,2\n")
+        parse_dataset(text_lines("bogus\n1,2\n"))
     good = written(save_dataset, sample_movement(one_second_movement(), 50.0))
     broken = good.splitlines()
     broken[3] = broken[3] + ",0.5"
     with pytest.raises(MimicError, match="line 4"):
-        parse_dataset("\n".join(broken))
+        parse_dataset(text_lines("\n".join(broken)))
 
 
 def test_training_log_csv_round_trip(tmp_path, desk_fit):
@@ -613,7 +614,7 @@ def test_training_log_csv_round_trip(tmp_path, desk_fit):
     path = tmp_path / "log.csv"
     save_log(log, path)
     text = path.read_text()
-    names, table = parse_table(text, "<columns...>")
+    names, table = parse_table(text_lines(text), "<columns...>")
     assert names == LOG_HEADER.split(",")
     again = TrainingLog(*table.T)
     np.testing.assert_array_equal(again.epochs, log.epochs)

@@ -3,23 +3,26 @@
 Usage: python3 tools/codecprofile.py [--repeats K]
 
 The codec is textio: write_table streams every CSV file to disk a block
-of rows at a time, save_weights streams weights.txt the same way, and
-parse_table reads every CSV file.  The writers are called as the program
-calls them, each writing a file in a temporary directory.  Before timing,
-it checks each path against a reference that works one number at a time:
-the bytes write_table streams against one '%.17g,...' % row template per
-line, the number rows save_weights streams against '%.17g' % value for
-each number, and parse_table against float() on each field, bit for bit.
+of rows at a time and save_weights streams weights.txt the same way;
+parse_table reads every CSV file and load_weights reads weights.txt, each
+streaming the open file a chunk of lines at a time through read_lines.
+Every part is called as the program calls it, on a file in a temporary
+directory.  Before timing, it checks each path against a reference that
+works one number at a time: the bytes write_table streams against one
+'%.17g,...' % row template per line, the number rows save_weights streams
+against '%.17g' % value for each number, and what parse_table and
+load_weights read against float() on each field of the file, bit for bit.
 It then prints the median and quartiles over K calls of each part, and
 the part's tracemalloc peak over one more call:
 
 - write_table RxC and parse_table RxC: a seeded table of R rows and C
   columns, a time column at 50 Hz then angles, shaped as the benchmark's
   files (511x24 and 501x45 for gensim22, 1500x24 and 3000x45 for
-  walk1500);
+  walk1500), written to a file and read from it;
 - write_table 1x45: one row, the fixed cost of a file and a block of
   rows; timed between the large parts, it includes what cold caches add;
-- save_weights 1:75:50:23: the reference net's weights.txt.
+- save_weights 1:75:50:23 and load_weights 1:75:50:23: the reference
+  net's weights.txt.
 
 Each writer call writes a new file, as a command does; deleting the last
 call's file is not timed.
@@ -40,8 +43,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from motionmimic.network import initialize, save_weights  # noqa: E402
-from motionmimic.textio import parse_table, write_table  # noqa: E402
+from motionmimic.network import initialize, load_weights, save_weights  # noqa: E402
+from motionmimic.textio import parse_table, read_lines, write_table  # noqa: E402
 
 SHAPES = [(511, 24), (501, 45), (1500, 24), (3000, 45)]
 SIZES = [1, 75, 50, 23]
@@ -61,23 +64,35 @@ def row_template(header, table):
     return "".join(line + "\n" for line in lines)
 
 
+def read_table(path):
+    """(names, table) of the CSV file at path, read as the program reads one."""
+    with open(path, "rb") as file:
+        return parse_table(read_lines(file), "<names>")
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
 def checks_pass(net, directory):
-    """Whether the codec's three number paths match the one-number-at-a-time references."""
+    """Whether the codec's four number paths match the one-number-at-a-time references."""
     path = directory / "check.csv"
     for shape in [*SHAPES, (1, 45)]:
         header, table = bench_table(*shape)
         write_table(path, header, table)
         text = path.read_bytes().decode()
         fields = [[float(part) for part in line.split(",")] for line in text.splitlines()[1:]]
-        names, parsed = parse_table(text, "<names>")
-        if (text != row_template(header, table) or names != header
-                or not np.array_equal(parsed.view(np.uint64), np.array(fields).view(np.uint64))):
+        names, parsed = read_table(path)
+        if text != row_template(header, table) or names != header or not same_bits(parsed, fields):
             return False
     save_weights(net, directory / "weights.txt")
     numbers = [line for line in (directory / "weights.txt").read_bytes().decode().splitlines()[1:]
                if not line.startswith("layer ")]
     rows = [row for w, b in zip(net.weights, net.biases) for row in [*w, b]]
-    return numbers == [" ".join("%.17g" % v for v in row) for row in rows]
+    fields = [float(part) for line in numbers for part in line.split()]
+    loaded = load_weights(directory / "weights.txt")
+    return (numbers == [" ".join("%.17g" % v for v in row) for row in rows]
+            and same_bits(loaded.params, fields))
 
 
 def parts(net, directory):
@@ -87,17 +102,19 @@ def parts(net, directory):
         header, table = bench_table(*shape)
         name = "x".join(map(str, shape))
         path = directory / f"{name}.csv"
-        write_table(path, header, table)
-        text = path.read_text()
+        read = directory / f"read {name}.csv"  # the writer part replaces its own file
+        write_table(read, header, table)
         out.append((f"write_table {name}", lambda p=path, h=header, t=table: write_table(p, h, t),
                     path))
-        out.append((f"parse_table {name}", lambda s=text: parse_table(s, "<names>"), None))
+        out.append((f"parse_table {name}", lambda p=read: read_table(p), None))
     header, table = bench_table(1, 45)
     path = directory / "1x45.csv"
     out.append(("write_table 1x45", lambda: write_table(path, header, table), path))
-    weights = directory / "weights.txt"
+    weights, read = directory / "weights.txt", directory / "read weights.txt"
+    save_weights(net, read)
     out.append((f"save_weights {':'.join(map(str, SIZES))}", lambda: save_weights(net, weights),
                 weights))
+    out.append((f"load_weights {':'.join(map(str, SIZES))}", lambda: load_weights(read), None))
     return out
 
 
@@ -133,8 +150,8 @@ def main(argv=None):
         peaks = {name: traced_peak(run) for name, run, _ in timed}
 
     print(f"numpy {np.__version__}, {len(os.sched_getaffinity(0))} CPUs")
-    print(f"{args.repeats} timed calls each; write_table, parse_table and save_weights "
-          f"match the one-number-at-a-time references: {'yes' if match else 'NO'}")
+    print(f"{args.repeats} timed calls each; write_table, parse_table, save_weights and "
+          f"load_weights match the one-number-at-a-time references: {'yes' if match else 'NO'}")
     print(f"{'part':<28}{'median_us':>12}{'q1_us':>12}{'q3_us':>12}{'peak_kb':>12}")
     for name, values in times.items():
         q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
