@@ -220,6 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # a text file over bytes, not a StringIO capture
+        # a name or path byte that is not UTF-8 is printed as itself, as the files hold it
+        sys.stdout.reconfigure(errors="surrogateescape")
     args = build_parser().parse_args(argv)
     try:
         # looked up per call: a cached parser must not pin the stage functions

@@ -74,7 +74,6 @@ class MotionDataset:
     targets: np.ndarray
     sample_rate: float
     joint_names: list = None
-    name: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -146,8 +145,6 @@ class TrainedModel:
     """Frozen network plus the dataset constants needed to replay it."""
 
     network: MimicNetwork
-    name: str
-    n_joints: int
     duration: float
     sample_rate: float
     time_offset: float
@@ -157,17 +154,20 @@ class TrainedModel:
     def __post_init__(self):
         if not np.isfinite(self.time_offset):
             raise MimicError("normalization constants must be finite")
-        for what, value in (("time scale", self.time_scale), ("duration", self.duration),
-                            ("sample rate", self.sample_rate)):
+        for what, value in (("time scale", self.time_scale), ("sample rate", self.sample_rate)):
             require_positive(what, value)
+        # an end time, not a span: rollout sweeps from time_offset to it, so a
+        # dataset recorded at negative times replays as the same one shifted
+        if not self.time_offset <= self.duration < math.inf:
+            raise MimicError(f"duration must be finite and not before the time offset "
+                             f"{self.time_offset}, got {self.duration}")
         if self.network.input_dim != 1:
             raise MimicError(f"network takes {self.network.input_dim} inputs; "
                              "it needs 1, the normalized time")
-        if self.network.output_dim != self.n_joints + 1:
-            raise MimicError(f"network output size {self.network.output_dim} must equal "
-                             f"joints + end flag = {self.n_joints + 1}")
-        if "".join(self.name.splitlines()) != self.name:  # model.meta holds it on one line
-            raise MimicError(f"model name {self.name!r} must not hold a line break")
+
+    @property
+    def n_joints(self) -> int:
+        return self.network.output_dim - 1  # the last output is the end flag
 
     def inputs(self, times) -> np.ndarray:
         """The net's (rows, 1) input: times normalized over the dataset span.
@@ -314,6 +314,8 @@ def train(dataset: MotionDataset, schedule: TrainingSchedule, arch=None,
     n = dataset.n_joints
     sizes = [int(s) for s in arch] if arch is not None else [1, *DEFAULT_HIDDEN, n + 1]
     parameter_count(sizes, alpha)  # the sizes, alpha and MAX_PARAMETERS are refused first
+    if sizes[-1] != n + 1:
+        raise MimicError(f"network output size {sizes[-1]} must equal joints + end flag = {n + 1}")
     activations = len(dataset.times) * sum(sizes[1:])
     if activations > MAX_BATCH_ACTIVATIONS:
         raise MimicError(
@@ -324,8 +326,6 @@ def train(dataset: MotionDataset, schedule: TrainingSchedule, arch=None,
     # built first, so a net or dataset the model could not replay fails before training
     model = TrainedModel(
         network=net,
-        name=dataset.name,
-        n_joints=n,
         duration=dataset.duration,
         sample_rate=dataset.sample_rate,
         time_offset=dataset.time_offset,
@@ -412,14 +412,13 @@ def rollout(model: TrainedModel, rate: float) -> Rollout:
 # --- CSV files: dataset, joint log, rollout, training log --------------------
 
 
-def parse_dataset(lines, name: str = "") -> MotionDataset:
+def parse_dataset(lines) -> MotionDataset:
     joint_names, table = parse_table(lines, "time,<joint names...>,end_flag")
     if len(table) < 2:
         raise MimicError("dataset needs at least 2 samples")
     times, targets = table[:, 0], table[:, 1:]
     _check_increasing(times)
-    return MotionDataset(times, targets, _recover_rate(times), joint_names=joint_names,
-                         name=name)
+    return MotionDataset(times, targets, _recover_rate(times), joint_names=joint_names)
 
 
 def _recover_rate(times: np.ndarray) -> float:
@@ -458,7 +457,7 @@ def save_dataset(ds: MotionDataset, path):
 
 def load_dataset(path) -> MotionDataset:
     with open(path, "rb") as file:
-        return parse_dataset(read_lines(file), name=Path(path).stem)
+        return parse_dataset(read_lines(file))
 
 
 def load_joint_log(path):
@@ -487,8 +486,8 @@ def save_log(log: TrainingLog, path):
 WEIGHTS_FILE = "weights.txt"
 META_FILE = "model.meta"
 # model.meta holds one line per TrainedModel field after network, in this order
-META_RECORDS = ("name=<text>", "n=<int>", "duration=<float>", "rate=<float>",
-                "time_offset=<float>", "time_scale=<float>", "periodic=<true|false>")
+META_RECORDS = ("duration=<float>", "rate=<float>", "time_offset=<float>", "time_scale=<float>",
+                "periodic=<true|false>")
 
 
 def save_model(model: TrainedModel, directory):

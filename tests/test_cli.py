@@ -208,12 +208,13 @@ MODEL_GUARD_STEPS = [
 # periodic flag, the rollout's end flag and the tracking metrics each came to be
 # stored once; 37 and 50 Hz are rates whose recovery from a dataset never changed.
 # The weights and training logs were computed before the training loop became
-# one loop over the schedule's epochs with one finite check per epoch.
+# one loop over the schedule's epochs with one finite check per epoch.  The
+# model.meta digests are of the same files without their name= and n= lines.
 MODEL_GUARD_DIGESTS = {
     "fin.csv": "e5193bdf30626206e039f5b9435e0163a7cf5a8a2ab39fdb1947bdb665a1f676",
     "per.csv": "59bc891e90ddac5be2ae08f5a15c57852cf349372057abae0831b88daa16f2d9",
-    "m37/model.meta": "e2120a6187b9b93df8c6e98e95053334705a66f29c24a709243c345ef48a5e73",
-    "mper/model.meta": "81ee18a00d8fa02fb53e10ce3cb8630987bbef53064319540bea4e00952c1f78",
+    "m37/model.meta": "8cc3f7434787385a67f3cea024bd770c5f97be0d06b612043338a1aecbde2f8b",
+    "mper/model.meta": "664d6cbb749549940d0a3141937f8b9248f3cecd7e75060f86a6b4b78b84530e",
     "m37/weights.txt": "9b6f672f4bbe9b5eb992c46c0dd3f086ee17a7d463ff5f74e3ca9881f9a29636",
     "m37/training_log.csv": "13bd3df0b07fd41f1219aa710a9e9c3ebf798db0af47266683848bb7f6be46ad",
     "mper/weights.txt": "f4e5fe77c8a6d31d9327cd9f2132bd448fec97c7d8a02e4f5af85c5005814aeb",
@@ -291,38 +292,61 @@ def test_train_arch_mismatch_is_exit_2(trained, capsys):
     assert "output size" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stem", ["a\nb", "a\x1cb"], ids=["newline", "file-separator"])
-def test_train_refuses_a_dataset_name_model_meta_cannot_hold(workdir, capsys, stem):
-    # str.splitlines breaks at both, so model.meta's name= line would read back as two
+@pytest.mark.parametrize("stem", ["a b ", os.fsdecode(b"\xff"), "x\x1cy", "x\x85y"],
+                         ids=["spaces", "not-utf8", "file-separator", "next-line"])
+def test_no_dataset_file_stem_reaches_model_meta(workdir, capsysbinary, stem):
+    # str.splitlines breaks at \x1c and \x85, which a name= line could not hold
     dataset = workdir / f"{stem}.csv"
     assert run(["gen", "--movement", workdir / "demo.mov", "--out", dataset]) == 0
+    assert run(["train", "--dataset", dataset, "--schedule", workdir / "sched.txt",
+                "--out", workdir / "model"]) == 0
+    meta = (workdir / "model" / "model.meta").read_bytes()
+    assert meta.startswith(b"duration=") and b"name=" not in meta
+    assert run(["eval", "--model", workdir / "model", "--dataset", dataset]) == 0
+
+
+def test_bundle_with_the_old_name_and_joint_count_lines_is_exit_2(trained, capsys):
+    meta = trained / "model" / "model.meta"
+    meta.write_text("name=demo\nn=2\n" + meta.read_text())
     capsys.readouterr()
-    code = run(["train", "--dataset", dataset, "--schedule", workdir / "sched.txt",
-                "--out", workdir / "model"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == f"error: model name {stem!r} must not hold a line break\n"
-    assert not (workdir / "model").exists()
+    assert run(["rollout", "--model", trained / "model", "--out", trained / "ro.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: expected 'duration=<float>', got 'name=demo'\n")
+    assert not (trained / "ro.csv").exists()
 
 
-def test_dataset_name_with_spaces_round_trips_through_model_meta(workdir, capsys):
-    dataset = workdir / "a b .csv"
-    assert run(["gen", "--movement", workdir / "demo.mov", "--out", dataset]) == 0
-    assert run(["train", "--dataset", dataset, "--schedule", workdir / "sched.txt",
-                "--out", workdir / "model"]) == 0
-    assert "name=a b \n" in (workdir / "model" / "model.meta").read_text()
-    assert load_model(workdir / "model").name == "a b "
-    assert run(["eval", "--model", workdir / "model", "--dataset", dataset]) == 0
+@pytest.mark.parametrize("command", ["gen", "train", "rollout", "eval"])
+def test_printed_byte_that_is_not_utf8_is_written_as_itself(trained, monkeypatch, command):
+    data = (trained / "demo.csv").read_bytes()
+    (trained / "knee.csv").write_bytes(data.replace(b",j2,", b",kn\xffee,", 1))
+    out = trained / os.fsdecode(b"o\xff.csv")
+    args = {
+        "gen": ["gen", "--movement", trained / "demo.mov", "--out", out],
+        "train": ["train", "--dataset", trained / "demo.csv", "--schedule", trained / "sched.txt",
+                  "--out", out],
+        "rollout": ["rollout", "--model", trained / "model", "--out", out],
+        "eval": ["eval", "--model", trained / "model", "--dataset", trained / "knee.csv"],
+    }[command]
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # strict, as a UTF-8 locale's
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(args) == 0
+    stdout.flush()
+    assert b"\xff" in stdout.buffer.getvalue()
 
 
-def test_dataset_name_that_is_not_utf8_round_trips_through_model_meta(workdir, capfd):
-    dataset = workdir / os.fsdecode(b"\xff.csv")
-    assert run(["gen", "--movement", workdir / "demo.mov", "--out", dataset]) == 0
-    assert run(["train", "--dataset", dataset, "--schedule", workdir / "sched.txt",
-                "--out", workdir / "model"]) == 0
-    assert b"name=\xff\n" in (workdir / "model" / "model.meta").read_bytes()
-    assert load_model(workdir / "model").name == os.fsdecode(b"\xff")
-    assert run(["eval", "--model", workdir / "model", "--dataset", dataset]) == 0
+def test_log_that_ends_before_time_zero_trains_and_replays(workdir, monkeypatch, capsys):
+    t = -5.0 + np.arange(40) / 50.0  # ends at -4.22 s
+    rows = [f"{float(v)!r},{float(np.sin(3 * v))!r}" for v in t]
+    (workdir / "neg.log").write_text("\n".join(["time,hip", *rows]) + "\n")
+    monkeypatch.chdir(workdir)
+    for periodic in ("", " --periodic"):
+        for command in (f"ingest --log neg.log{periodic} --out neg.csv",
+                        "train --dataset neg.csv --schedule sched.txt --out m",
+                        "rollout --model m --out ro.csv",
+                        "simulate --model m --out sim.csv"):
+            assert main(command.split()) == 0, command
+        for out in ("ro.csv", "sim.csv"):
+            assert float((workdir / out).read_text().splitlines()[1].split(",")[0]) == -5.0
 
 
 def test_joint_name_that_is_not_utf8_survives_train_and_compare(workdir, capfd):
@@ -408,9 +432,9 @@ def test_ingest_of_a_crlf_log_split_between_its_chunks_writes_what_lf_does(workd
         pytest.param("model/weights.txt", (b"layers=3 ", b"layers=\xff "),
                      ["eval", "--model", "{dir}/model", "--dataset", "{dir}/demo.csv"],
                      "line 1: layers is not an integer", id="weights"),
-        pytest.param("model/model.meta", (b"\nn=2\n", b"\nn=\xff\n"),
+        pytest.param("model/model.meta", (b"duration=1\n", b"duration=\xff\n"),
                      ["eval", "--model", "{dir}/model", "--dataset", "{dir}/demo.csv"],
-                     "line 2: n is not an integer", id="model-meta"),
+                     "line 1: duration is not a number", id="model-meta"),
     ],
 )
 def test_input_byte_that_is_not_utf8_is_exit_2(trained, capfd, name, content, command, message):
@@ -470,7 +494,8 @@ def test_rollout_rejects_bad_bundle_metadata(trained, capsys, key, value):
     code = run(["rollout", "--model", trained / "model", "--out", trained / "roll.csv"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "must be positive and finite" in err
+    rule = "must be finite and not before" if key == "duration" else "must be positive and finite"
+    assert err.startswith("error: ") and rule in err
     assert not (trained / "roll.csv").exists()
 
 
@@ -863,7 +888,7 @@ def test_plant_option_must_be_positive_and_finite(workdir, capsys, option, value
         # the one input is the normalized time
         pytest.param(["--arch", "2:5:3"], "network takes 2 inputs; it needs 1, the normalized time",
                      id="two-inputs"),
-        # the model owns the output width, the network the layer count
+        # train owns the output width, the network the layer count
         pytest.param(["--arch", "1:8:5"], "network output size 5 must equal joints + end flag = 3",
                      id="output-width"),
         pytest.param(["--arch", "23"], "a network needs at least one layer, so two sizes: [23]",

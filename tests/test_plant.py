@@ -27,7 +27,7 @@ def flag_only_model(n_joints=2):
     net.params[:] = 0.0
     net.biases[-1][-1] = 1.0
     return TrainedModel(
-        network=net, name="f", n_joints=n_joints, duration=1.0,
+        network=net, duration=1.0,
         sample_rate=50.0, time_offset=0.0, time_scale=1.0,
     )
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -43,16 +44,14 @@ def one_second_movement():
     return KeyframeMovement([0.0, 0.5, 1.0], [[0.0, 0.3], [0.8, -0.4], [0.1, 0.2]])
 
 
-def zero_model(n_joints, duration=1.0, rate=50.0, scale=1.2):
+def zero_model(n_joints, duration=1.0, rate=50.0, scale=1.2, offset=0.0):
     net = initialize([1, 4, n_joints + 1], seed=0)
     net.params[:] = 0.0
     return TrainedModel(
         network=net,
-        name="zero",
-        n_joints=n_joints,
         duration=duration,
         sample_rate=rate,
-        time_offset=0.0,
+        time_offset=offset,
         time_scale=scale,
     )
 
@@ -61,7 +60,6 @@ def zero_model(n_joints, duration=1.0, rate=50.0, scale=1.2):
 def desk_fit():
     movement = kick_analog()
     dataset = sample_movement(movement, 50.0)
-    dataset.name = "kick-analog"  # as load_dataset names a dataset: its file stem
     model, log = train(dataset, schedule=desk_schedule(), seed=0)
     return movement, dataset, model, log
 
@@ -463,9 +461,20 @@ def test_every_sample_rate_must_be_positive_and_finite(rate):
 @pytest.mark.parametrize("field", ["duration", "rate", "scale"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
 def test_trained_model_rejects_bad_duration_and_rate(field, value):
-    what = {"duration": "duration", "rate": "sample rate", "scale": "time scale"}[field]
-    with pytest.raises(MimicError, match=f"^{what} must be positive and finite, got {value}$"):
-        zero_model(2, **{field: value})
+    # the duration is an end time: finite and not before the first time, here 0.5
+    message = {
+        "duration": f"duration must be finite and not before the time offset 0.5, got {value}",
+        "rate": f"sample rate must be positive and finite, got {value}",
+        "scale": f"time scale must be positive and finite, got {value}",
+    }[field]
+    with pytest.raises(MimicError, match=f"^{re.escape(message)}$"):
+        zero_model(2, offset=0.5, **{field: value})
+
+
+@pytest.mark.parametrize("offset, duration", [(0.0, 0.0), (-5.0, -4.22), (-5.0, -5.0)])
+def test_trained_model_takes_an_end_at_or_after_its_first_time(offset, duration):
+    model = zero_model(2, offset=offset, duration=duration)
+    assert rollout(model, 50.0).times[0] == offset
 
 
 @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
@@ -629,7 +638,6 @@ def test_model_bundle_round_trip(tmp_path, desk_fit):
     _, _, model, _ = desk_fit
     save_model(model, tmp_path / "bundle")
     again = load_model(tmp_path / "bundle")
-    assert again.name == model.name
     assert again.n_joints == model.n_joints
     assert again.duration == model.duration
     assert again.sample_rate == model.sample_rate
