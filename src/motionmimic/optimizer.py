@@ -101,16 +101,6 @@ class TrainingSchedule:
     def total_epochs(self) -> int:
         return sum(e for e, _ in self.phases)
 
-    def epoch_lrs(self) -> np.ndarray:
-        """Learning rate for every epoch, phases concatenated in order."""
-        return np.concatenate([np.full(e, lr) for e, lr in self.phases])
-
-    def epoch_phases(self) -> np.ndarray:
-        """Phase index (0-based) for every epoch."""
-        return np.concatenate(
-            [np.full(e, i, dtype=int) for i, (e, _) in enumerate(self.phases)]
-        )
-
 
 def reference_schedule() -> TrainingSchedule:
     """The full 50000-epoch recipe: 30000 at 0.001, then 4 x 5000 stepping down by 0.0002."""

@@ -128,16 +128,20 @@ class MotionDataset:
 
 @dataclass
 class TrainingLog:
-    """Per-epoch training records; losses are the pre-update batch values."""
+    """The schedule a run followed and the losses of its first len(mses) epochs.
 
-    epochs: np.ndarray
-    phases: np.ndarray
-    lrs: np.ndarray
+    mses and maes are the pre-update batch values, one per epoch in
+    schedule order: every epoch of a finished run, the finite ones in a
+    DivergenceError's log.  An epoch's number, phase and learning rate
+    follow from the schedule; save_log writes them out.
+    """
+
+    schedule: TrainingSchedule
     mses: np.ndarray
     maes: np.ndarray
 
     def __len__(self):
-        return len(self.epochs)
+        return len(self.mses)
 
 
 @dataclass
@@ -233,8 +237,9 @@ def _dataset(start, rate, joints, hold, extra, end, joint_names=None) -> MotionD
     targets[:count, :n], targets[count:, :n] = joints, hold
     if end is not None:
         targets[end:, n] = 1.0
-    return MotionDataset(start + np.arange(len(targets)) / rate, targets, rate,
-                         joint_names=joint_names)
+    with np.errstate(over="ignore"):  # MotionDataset refuses the times of a grid that overflows
+        times = start + np.arange(len(targets)) / rate
+    return MotionDataset(times, targets, rate, joint_names=joint_names)
 
 
 def _check_increasing(times):
@@ -304,12 +309,14 @@ def train(dataset: MotionDataset, schedule: TrainingSchedule, arch=None,
           seed: int = 0, alpha: float = 0.01):
     """Fit a network to the dataset; returns (TrainedModel, TrainingLog).
 
-    One epoch is one full-batch Adam step.  When the schedule asks for
-    it, the optimizer state is reset at each phase boundary; the weights
-    carry over untouched.  Each epoch checks that its loss, then its
-    gradient, is finite; the first failure raises DivergenceError with
-    the log of the finite epochs.  Every epoch writes into the same
-    buffers, made once here.  Fully deterministic for a fixed seed.
+    One epoch is one full-batch Adam step.  The phases run in order,
+    each for its epochs at its learning rate; when the schedule asks for
+    it, the optimizer state is reset at the start of every phase after
+    the first, and the weights carry over untouched.  Each epoch checks
+    that its loss, then its gradient, is finite; the first failure
+    raises DivergenceError with the log of the finite epochs.  Every
+    epoch writes into the same buffers, made once here.  Fully
+    deterministic for a fixed seed.
     """
     n = dataset.n_joints
     sizes = [int(s) for s in arch] if arch is not None else [1, *DEFAULT_HIDDEN, n + 1]
@@ -338,30 +345,31 @@ def train(dataset: MotionDataset, schedule: TrainingSchedule, arch=None,
     state = adam_init(net.params)  # every weight and bias, updated in place by one Adam step
     buffers = epoch_buffers(net, x)
     abs_error = np.empty((len(x), n))  # contiguous, so its sum runs as a fresh array's does
-    phases, lrs = schedule.epoch_phases(), schedule.epoch_lrs()
-    mses, maes = np.empty(len(lrs)), np.empty(len(lrs))
+    mses, maes = np.empty(schedule.total_epochs), np.empty(schedule.total_epochs)
+    first = 0  # the phase's first epoch
     # overflow and NaN fail the finite check below, so DivergenceError reports them
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch, (phase, lr) in enumerate(zip(phases, lrs)):
-            if schedule.reset_on_phase and epoch and phase != phases[epoch - 1]:
+        for phase, (epochs, lr) in enumerate(schedule.phases):
+            if phase and schedule.reset_on_phase:
                 state = reset_state(state)
-            loss, _, grads = forward_backward(net, x, y, buffers)
-            # a sum is finite only if every entry is; the scan runs when the sum is not,
-            # so a finite vector whose sum overflows still passes
-            if not (math.isfinite(loss) and (math.isfinite(np.add.reduce(grads))
-                                             or np.isfinite(grads).all())):
-                what = (f"non-finite gradient in {nonfinite_tensor(sizes, grads)}"
-                        if math.isfinite(loss)
-                        else f"training loss became non-finite at epoch {epoch}")
-                partial = TrainingLog(np.arange(epoch), phases[:epoch], lrs[:epoch],
-                                      mses[:epoch], maes[:epoch])
-                raise DivergenceError(f"{what}; last finite epoch {epoch - 1}", log=partial)
-            adam_step(state, net.params, grads, lr)
-            mses[epoch] = loss
-            # np.mean without its wrapper: the sum, divided by the count
-            np.abs(buffers.error[:, :n], out=abs_error)
-            maes[epoch] = np.add.reduce(abs_error, axis=None) / abs_error.size
-    return model, TrainingLog(np.arange(len(lrs)), phases, lrs, mses, maes)
+            for epoch in range(first, first + epochs):
+                loss, _, grads = forward_backward(net, x, y, buffers)
+                # a sum is finite only if every entry is; the scan runs when the sum is not,
+                # so a finite vector whose sum overflows still passes
+                if not (math.isfinite(loss) and (math.isfinite(np.add.reduce(grads))
+                                                 or np.isfinite(grads).all())):
+                    what = (f"non-finite gradient in {nonfinite_tensor(sizes, grads)}"
+                            if math.isfinite(loss)
+                            else f"training loss became non-finite at epoch {epoch}")
+                    raise DivergenceError(f"{what}; last finite epoch {epoch - 1}",
+                                          log=TrainingLog(schedule, mses[:epoch], maes[:epoch]))
+                adam_step(state, net.params, grads, lr)
+                mses[epoch] = loss
+                # np.mean without its wrapper: the sum, divided by the count
+                np.abs(buffers.error[:, :n], out=abs_error)
+                maes[epoch] = np.add.reduce(abs_error, axis=None) / abs_error.size
+            first += epochs
+    return model, TrainingLog(schedule, mses, maes)
 
 
 def evaluate(model: TrainedModel, dataset: MotionDataset) -> EvalReport:
@@ -477,8 +485,12 @@ LOG_HEADER = "epoch,phase,lr,mse,mae"
 
 
 def save_log(log: TrainingLog, path):
-    write_table(path, LOG_HEADER.split(","),
-                np.column_stack([log.epochs, log.phases, log.lrs, log.mses, log.maes]))
+    """One row per logged epoch: its number, phase and lr from the schedule, then its losses."""
+    epochs, lrs = zip(*log.schedule.phases)
+    rows = len(log)
+    write_table(path, LOG_HEADER.split(","), np.column_stack([
+        np.arange(rows), np.repeat(np.arange(len(epochs)), epochs)[:rows],
+        np.repeat(lrs, epochs)[:rows], log.mses, log.maes]))
 
 
 # --- model bundle: weights file + metadata sidecar ----------------------------

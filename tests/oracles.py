@@ -19,12 +19,16 @@ written and table_text are not oracles: they give tests the text that the
 program's writers stream to a file, read back from a temporary one.
 The movement and schedule writers write the two files the program only
 reads, one '%.17g' per number, so tests can build fixtures and check that
-a parsed file writes back as the same text.
+a parsed file writes back as the same text.  parse_log is the reader of
+the one file the program only writes, the training log.  schedule_run
+records what train hands the optimizer under a schedule, with the net
+and the update stubbed out, so a 50000-epoch schedule runs in a second.
 """
 
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -280,3 +284,55 @@ def table_text(header, matrix):
     from motionmimic.textio import write_table
 
     return written(lambda path: write_table(path, header, matrix))
+
+
+def parse_log(lines):
+    """The TrainingLog of training_log.csv lines: the schedule rebuilt from the runs of
+    the phase and lr columns (reset_on_phase, which the log does not hold, left true),
+    and the two loss columns.  Rows that no schedule writes raise MimicError."""
+    from motionmimic.errors import MimicError
+    from motionmimic.optimizer import TrainingSchedule
+    from motionmimic.textio import parse_table
+    from motionmimic.trainer import LOG_HEADER, TrainingLog
+
+    names, table = parse_table(lines, "<columns...>")
+    if names != LOG_HEADER.split(","):
+        raise MimicError(f"expected header '{LOG_HEADER}'")
+    epoch, phase, lr, mses, maes = table.T
+    new_run = np.ones(len(table), dtype=bool)
+    new_run[1:] = (phase[1:] != phase[:-1]) | (lr[1:] != lr[:-1])
+    starts = np.flatnonzero(new_run)
+    if not (np.array_equal(epoch, np.arange(len(table)))
+            and np.array_equal(phase[starts], np.arange(len(starts)))):
+        raise MimicError("epochs must count from 0, and each phase from 0 must hold one lr")
+    counts = np.diff(np.append(starts, len(table)))
+    return TrainingLog(TrainingSchedule(list(zip(counts, lr[starts]))), mses, maes)
+
+
+def schedule_run(schedule):
+    """(lrs, resets, table) of train under schedule, with the net's pass and the update stubbed.
+
+    lrs holds the learning rate that each epoch hands adam_step, resets
+    the count of steps taken at each reset_state call, and table the
+    columns of the training log that save_log writes for the run.
+    """
+    import motionmimic.trainer as trainer
+    from motionmimic.textio import parse_table
+
+    lrs, resets, reset = [], [], trainer.reset_state
+
+    def zero_pass(net, x, y, buffers):
+        buffers.grads[:], buffers.error[:] = 0.0, 0.0
+        return 0.0, buffers.acts[-1], buffers.grads
+
+    def record_reset(state):
+        resets.append(len(lrs))
+        return reset(state)
+
+    dataset = trainer.MotionDataset([0.0, 0.02], [[0.0, 0.0], [0.0, 1.0]], 50.0)
+    with mock.patch.object(trainer, "forward_backward", zero_pass), \
+            mock.patch.object(trainer, "adam_step", lambda *step: lrs.append(step[-1])), \
+            mock.patch.object(trainer, "reset_state", record_reset):
+        _, log = trainer.train(dataset, schedule, arch=[1, 2, 2])
+    _, table = parse_table(text_lines(written(trainer.save_log, log)), "<columns...>")
+    return np.array(lrs), resets, table

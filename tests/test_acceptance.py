@@ -42,6 +42,7 @@ from oracles import (
     format_movement,
     max_relative_gradient_error,
     scalar_adam,
+    schedule_run,
     spline_derivatives,
     text_lines,
     written,
@@ -154,7 +155,7 @@ def test_c04_desk_scale_mae_and_end_detection():
 
 
 def test_c05_schedule_fidelity():
-    lrs = reference_schedule().epoch_lrs()
+    lrs, _, table = schedule_run(reference_schedule())
     expected = np.concatenate(
         [
             np.full(30000, 0.001),
@@ -166,6 +167,7 @@ def test_c05_schedule_fidelity():
     )
     assert len(lrs) == 50000
     np.testing.assert_array_equal(lrs, expected)
+    np.testing.assert_array_equal(table[:, 2], expected)  # the training log's lr column
     ok("criterion 5 (per-epoch learning-rate sequence matches the recipe exactly)")
 
 

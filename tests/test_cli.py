@@ -146,6 +146,24 @@ def test_gen_of_a_movement_shorter_than_one_sample_is_exit_2(workdir, capsys, la
     assert not (workdir / "x.csv").exists()
 
 
+@pytest.mark.parametrize("process", ["in-process", "fresh"])
+@pytest.mark.parametrize("tail", [DEFAULT_TAIL, 0])
+def test_gen_at_a_rate_whose_times_overflow_is_one_error_line(workdir, capsys, tail, process):
+    # one sample fits on the grid; the times of the rows after it, i / 1e-320, overflow
+    argv = ["gen", "--movement", workdir / "demo.mov", "--rate", "1e-320", "--tail", tail,
+            "--out", workdir / "x.csv"]
+    if process == "fresh":  # numpy's default warning filter, which prints a warning once
+        src = Path(motionmimic.cli.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-m", "motionmimic.cli", *map(str, argv)],
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                              text=True, timeout=60)
+        code, err = done.returncode, done.stderr
+    else:
+        code, err = run(argv), capsys.readouterr().err
+    assert (code, err) == (2, "error: dataset times and targets must be finite\n")
+    assert not (workdir / "x.csv").exists()
+
+
 # a movement off the sample grid at a speed rate that is not 1
 GUARD_MOVEMENT = """movement n=4 gamma=5 rate=1.3
 t=0 0 0.3 -0.7 1.1
@@ -468,6 +486,45 @@ def test_train_divergence_is_exit_3(trained, capsys):
     log_lines = (trained / "m4" / "training_log.csv").read_text().splitlines()
     assert len(log_lines) == 1 + last + 1 and log_lines[-1].startswith(f"{last},0,")
     assert not (trained / "m4" / "weights.txt").exists()
+
+
+def three_phases(reset, lr2):
+    """walk1500's three-phase schedule file, scaled down from 200/100/100 epochs."""
+    return (f"phase epochs=20 lr=0.001\nphase epochs=10 lr={lr2}\n"
+            f"phase epochs=10 lr=0.00025\nreset_on_phase={reset}\n")
+
+
+# SHA-256 of training_log.csv for three phases over the demo dataset, computed
+# while TrainingLog still stored each epoch's number, phase and lr
+PHASE_LOG_DIGESTS = {
+    "true": "34a22c9ef652a3c26651f38f7780996104e8fd5591f09591633a05813ef5335e",
+    "false": "1a8810bddf12ff75d12d672f40a0028294492b071709a58e897441a02f3e7b7e",
+}
+
+
+@pytest.mark.parametrize("reset", ["true", "false"])
+def test_three_phase_training_log_is_bit_identical(workdir, reset):
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
+    (workdir / "p3.txt").write_text(three_phases(reset, "0.0005"))
+    assert run(["train", "--dataset", workdir / "demo.csv", "--schedule", workdir / "p3.txt",
+                "--out", workdir / "m"]) == 0
+    digest = hashlib.sha256((workdir / "m" / "training_log.csv").read_bytes()).hexdigest()
+    assert digest == PHASE_LOG_DIGESTS[reset]
+
+
+def test_divergence_in_the_second_phase_logs_each_rows_phase_and_lr(workdir, capsys):
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
+    (workdir / "p3.txt").write_text(three_phases("true", "1e51"))
+    assert run(["train", "--dataset", workdir / "demo.csv", "--schedule", workdir / "p3.txt",
+                "--out", workdir / "m"]) == 3
+    last = int(capsys.readouterr().err.rsplit("last finite epoch ", 1)[1])
+    assert 20 <= last < 30
+    rows = [line.split(",") for line in
+            (workdir / "m" / "training_log.csv").read_text().splitlines()[1:]]
+    assert len(rows) == last + 1
+    for epoch, (number, phase, lr, _, _) in enumerate(rows):
+        assert (int(number), int(phase), float(lr)) == ((epoch, 0, 0.001) if epoch < 20
+                                                        else (epoch, 1, 1e51))
 
 
 def test_train_overflow_at_first_epoch_is_exit_3(trained, capsys):

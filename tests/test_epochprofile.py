@@ -1,6 +1,7 @@
 """tools/epochprofile.py: the layer-by-layer timing of one training epoch."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "epochprofile.py"
@@ -17,6 +18,8 @@ def test_small_run_checks_the_parts_and_times_every_one(capsys):
     assert load_tool().main(["--rows", "8", "--repeats", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("numpy ") and "BLAS threads" in lines[0]
+    threads, kernel = load_tool().blas_probe()
+    assert re.search(f", {threads} BLAS threads, {kernel} kernel, [0-9]+ CPUs$", lines[0])
     assert lines[1] == ("net 1:75:50:23, 8 rows, 2 timed epochs; "
                         "parts match forward_backward and the MAE bit for bit: yes")
     assert lines[2].split() == ["part", "median_us", "q1_us", "q3_us"]

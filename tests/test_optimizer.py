@@ -17,7 +17,8 @@ from motionmimic.optimizer import (
 )
 from motionmimic.trainer import sample_movement, train
 
-from oracles import expression_adam_step, format_schedule, scalar_adam, text_lines
+from oracles import (expression_adam_step, format_schedule, scalar_adam, schedule_run,
+                     text_lines)
 
 # frozen from the plain-float recurrence in oracles.scalar_adam
 FIRST_STEP_THETA = -0.09999999900000002
@@ -151,8 +152,7 @@ def test_reference_schedule_phases():
 
 
 def test_epoch_lr_sequence_exact():
-    sched = reference_schedule()
-    lrs = sched.epoch_lrs()
+    lrs, resets, table = schedule_run(reference_schedule())
     expected = np.concatenate(
         [
             np.full(30000, 0.001),
@@ -163,8 +163,10 @@ def test_epoch_lr_sequence_exact():
         ]
     )
     np.testing.assert_array_equal(lrs, expected)
-    phases = sched.epoch_phases()
+    np.testing.assert_array_equal(table[:, 2], expected)
+    phases = table[:, 1]
     assert phases[0] == 0 and phases[29999] == 0 and phases[30000] == 1 and phases[-1] == 4
+    assert resets == [30000, 35000, 40000, 45000]
 
 
 def test_desk_schedule_keeps_proportions():

@@ -17,7 +17,6 @@ from motionmimic.trainer import (
     LOG_HEADER,
     MotionDataset,
     TrainedModel,
-    TrainingLog,
     evaluate,
     ingest_log,
     load_dataset,
@@ -31,7 +30,8 @@ from motionmimic.trainer import (
     train,
 )
 
-from oracles import expression_adam_step, text_lines, unfused_forward_backward, written
+from oracles import (expression_adam_step, parse_log, text_lines, unfused_forward_backward,
+                     written)
 
 
 def kick_analog(seed=100, n_joints=5, n_keys=5, duration=1.5):
@@ -54,6 +54,11 @@ def zero_model(n_joints, duration=1.0, rate=50.0, scale=1.2, offset=0.0):
         time_offset=offset,
         time_scale=scale,
     )
+
+
+def log_columns(log):
+    """The training_log.csv table save_log writes for log: epoch, phase, lr, mse, mae."""
+    return parse_table(text_lines(written(save_log, log)), "<columns...>")[1]
 
 
 @pytest.fixture(scope="module")
@@ -298,16 +303,18 @@ def reference_training(dataset, schedule, seed, alpha):
     net = initialize([1, *DEFAULT_HIDDEN, n + 1], seed=seed, alpha=alpha)
     x, y = ((dataset.times - dataset.time_offset) / dataset.time_scale)[:, None], dataset.targets
     m, v, t = np.zeros_like(net.params), np.zeros_like(net.params), 0
-    phases, mses, maes = schedule.epoch_phases(), [], []
-    for epoch, lr in enumerate(schedule.epoch_lrs()):
-        if epoch and phases[epoch] != phases[epoch - 1]:
+    mses, maes = [], []
+    for phase, (epochs, lr) in enumerate(schedule.phases):
+        if phase and schedule.reset_on_phase:
             m[:], v[:], t = 0.0, 0.0, 0
-        loss, pred, w_grads, b_grads = unfused_forward_backward(net, x, y)
-        flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(w_grads, b_grads)])
-        t += 1
-        expression_adam_step(m, v, t, net.params, flat, lr)
-        mses.append(loss)
-        maes.append(np.mean(np.abs(pred[:, :n] - y[:, :n])))
+        for _ in range(epochs):
+            loss, pred, w_grads, b_grads = unfused_forward_backward(net, x, y)
+            flat = np.concatenate([np.concatenate([w.ravel(), b])
+                                   for w, b in zip(w_grads, b_grads)])
+            t += 1
+            expression_adam_step(m, v, t, net.params, flat, lr)
+            mses.append(loss)
+            maes.append(np.mean(np.abs(pred[:, :n] - y[:, :n])))
     return net.params, np.array(mses), np.array(maes)
 
 
@@ -402,22 +409,27 @@ def test_train_divergence_reports_last_finite_epoch():
     # Adam updates are bounded by the learning rate, so the rate must be
     # absurd enough to push the layer product past float range
     ds = sample_movement(one_second_movement(), 50.0)
+    sched = TrainingSchedule([(500, 1e51)])
     with pytest.raises(DivergenceError) as err:
-        train(ds, schedule=TrainingSchedule([(500, 1e51)]), seed=0)
-    last = len(err.value.log) - 1
+        train(ds, schedule=sched, seed=0)
+    log = err.value.log
+    last = len(log) - 1
     assert last >= 0
     assert str(err.value).endswith(f"; last finite epoch {last}")
-    np.testing.assert_array_equal(err.value.log.epochs, np.arange(last + 1))
-    assert np.all(np.isfinite(err.value.log.mses))
+    assert log.schedule == sched and len(log.maes) == last + 1
+    np.testing.assert_array_equal(log_columns(log)[:, 0], np.arange(last + 1))
+    assert np.all(np.isfinite(log.mses))
 
 
 def test_log_structure(desk_fit):
     _, _, _, log = desk_fit
     sched = desk_schedule()
-    assert len(log) == sched.total_epochs
-    np.testing.assert_array_equal(log.epochs, np.arange(sched.total_epochs))
-    np.testing.assert_array_equal(log.lrs, sched.epoch_lrs())
-    np.testing.assert_array_equal(log.phases, sched.epoch_phases())
+    assert log.schedule == sched
+    assert len(log) == len(log.maes) == sched.total_epochs
+    epochs, phases, lrs = log_columns(log)[:, :3].T
+    np.testing.assert_array_equal(epochs, np.arange(sched.total_epochs))
+    np.testing.assert_array_equal(lrs, np.concatenate([np.full(e, lr) for e, lr in sched.phases]))
+    np.testing.assert_array_equal(phases, np.repeat([0, 1, 2, 3, 4], [3000, 500, 500, 500, 500]))
     assert np.all(np.isfinite(log.mses))
     assert np.all(np.isfinite(log.maes))
 
@@ -623,12 +635,10 @@ def test_training_log_csv_round_trip(tmp_path, desk_fit):
     path = tmp_path / "log.csv"
     save_log(log, path)
     text = path.read_text()
-    names, table = parse_table(text_lines(text), "<columns...>")
+    names, _ = parse_table(text_lines(text), "<columns...>")
     assert names == LOG_HEADER.split(",")
-    again = TrainingLog(*table.T)
-    np.testing.assert_array_equal(again.epochs, log.epochs)
-    np.testing.assert_array_equal(again.phases, log.phases)
-    np.testing.assert_array_equal(again.lrs, log.lrs)
+    again = parse_log(text_lines(text))
+    assert again.schedule.phases == log.schedule.phases
     np.testing.assert_array_equal(again.mses, log.mses)
     np.testing.assert_array_equal(again.maes, log.maes)
     assert written(save_log, again) == text

@@ -24,8 +24,9 @@ one:
 Before timing, it checks that the parts give forward_backward's loss and
 gradients, and np.mean's MAE, bit for bit.  It prints each part's median
 and quartiles over K epochs (after that untimed check), their sum, and
-the numpy version, BLAS library and thread count.  Run it with OPENBLAS_NUM_THREADS set to
-pin the thread count the way the benchmark does.
+the numpy version, BLAS library, thread count and kernel.  Run it with
+OPENBLAS_NUM_THREADS set to pin the thread count the way the benchmark
+does, and with OPENBLAS_CORETYPE set to pick another kernel.
 """
 
 import argparse
@@ -47,19 +48,25 @@ from motionmimic.optimizer import adam_init, adam_step  # noqa: E402
 SIZES = [1, 75, 50, 23]
 
 
-def blas_threads():
-    """Thread count reported by the OpenBLAS library numpy loaded, or None."""
+def blas_probe():
+    """(thread count, kernel name) reported by the OpenBLAS library numpy loaded, or (None, None).
+
+    The kernel is openblas_get_corename's, such as SkylakeX or Haswell;
+    a build with DYNAMIC_ARCH picks it for the CPU, or takes it from
+    OPENBLAS_CORETYPE.
+    """
     with open("/proc/self/maps") as f:
         libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
     for path in libs:
         lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            if hasattr(lib, symbol):
-                fn = getattr(lib, symbol)
-                fn.restype = ctypes.c_int
-                return fn()
-    return None
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            if hasattr(lib, f"{prefix}_get_num_threads{suffix}"):
+                threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                threads.restype = ctypes.c_int
+                corename = getattr(lib, f"{prefix}_get_corename{suffix}")
+                corename.restype = ctypes.c_char_p
+                return threads(), corename().decode()
+    return None, None
 
 
 def epoch_parts(net, x, y, buffers, state, lr):
@@ -150,8 +157,9 @@ def main(argv=None):
     times["epoch (sum of parts)"] = [sum(t) for t in zip(*times.values())]
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads, kernel = blas_probe()
     print(f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
-          f"{blas_threads()} BLAS threads, {len(os.sched_getaffinity(0))} CPUs")
+          f"{threads} BLAS threads, {kernel} kernel, {len(os.sched_getaffinity(0))} CPUs")
     print(f"net {':'.join(map(str, SIZES))}, {args.rows} rows, {args.repeats} timed epochs; "
           f"parts match forward_backward and the MAE bit for bit: {'yes' if match else 'NO'}")
     print(f"{'part':<24}{'median_us':>12}{'q1_us':>12}{'q3_us':>12}")
