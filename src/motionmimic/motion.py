@@ -162,5 +162,4 @@ def parse_movement(lines) -> KeyframeMovement:
 
 
 def load_movement(path) -> KeyframeMovement:
-    with open(path, "rb") as file:
-        return parse_movement(read_lines(file))
+    return parse_movement(read_lines(path))

@@ -287,5 +287,4 @@ def save_weights(net: MimicNetwork, path):
 
 
 def load_weights(path) -> MimicNetwork:
-    with open(path, "rb") as file:
-        return parse_weights(read_lines(file))
+    return parse_weights(read_lines(path))

@@ -144,5 +144,4 @@ def parse_schedule(lines) -> TrainingSchedule:
 
 
 def load_schedule(path) -> TrainingSchedule:
-    with open(path, "rb") as file:
-        return parse_schedule(read_lines(file))
+    return parse_schedule(read_lines(path))

@@ -1,6 +1,5 @@
 """One codec for every text file: key=value records, rows of numbers and CSV tables."""
 
-import codecs
 import itertools
 import re
 from pathlib import Path
@@ -23,40 +22,22 @@ def write_text(path, text: str):
     Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
-_CHUNK_BYTES = 1 << 16  # read at a time, so a reader holds one chunk of the file's text
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks a line
+def read_lines(path):
+    r"""(line number, line) of every line that is not blank of the file at path, in order.
 
-
-def read_lines(file):
-    r"""(line number, line) of every line that is not blank of the binary file, in order.
-
-    The file is read a chunk at a time and decoded as UTF-8.  A byte-order
+    The file is read as UTF-8 text a buffer at a time.  A byte-order
     mark at its start is dropped; a byte that is not UTF-8 is kept as a
     lone surrogate, which the parsers refuse as they refuse any other bad
     character and which write_text and write_table write back as the same
-    byte.  Lines break where str.splitlines breaks the whole text: at
-    '\n', '\r', '\r\n', '\x0b', '\x0c', '\x1c'-'\x1e', '\x85', '\u2028'
-    and '\u2029'.
+    byte.  A line ends at '\n', '\r\n' or '\r', as in open and csv; any
+    other character, '\x0c' or '\u2028' say, is part of its line.
     """
-    decode = codecs.getincrementaldecoder("utf-8")("surrogateescape").decode
-    no, rest, first = 0, "", True
-    while True:
-        chunk = file.read(_CHUNK_BYTES)
-        text = rest + decode(chunk, final=not chunk)
-        if first and text:  # as bytes.decode("utf-8-sig"), which keeps a partial mark
-            text, first = text.removeprefix("\ufeff"), False
-        split = text.splitlines()
-        rest = ""  # the last line, held when it may go on in the next chunk
-        if chunk and text[-1:] not in _BREAKS:
-            rest = split.pop()
-        elif chunk and text.endswith("\r"):  # the next chunk may start with the '\n' of '\r\n'
-            rest = split.pop() + "\r"
-        for line in split:
-            no += 1
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as file:
+        for no, line in enumerate(file, start=1):
+            if no == 1:  # not utf-8-sig, which reads a partial mark as nothing
+                line = line.removeprefix("\ufeff")
             if line.strip():
-                yield no, line
-        if not chunk:
-            return
+                yield no, line.removesuffix("\n")
 
 
 # --- records: one line laid out as a template of words and '<kind>' fields -------

@@ -464,14 +464,12 @@ def save_dataset(ds: MotionDataset, path):
 
 
 def load_dataset(path) -> MotionDataset:
-    with open(path, "rb") as file:
-        return parse_dataset(read_lines(file))
+    return parse_dataset(read_lines(path))
 
 
 def load_joint_log(path):
     """Read an external log CSV 'time,<joint names...>': (times, joints, names)."""
-    with open(path, "rb") as file:
-        names, table = parse_table(read_lines(file), "time,<joint names...>")
+    names, table = parse_table(read_lines(path), "time,<joint names...>")
     return table[:, 0], table[:, 1:], names
 
 
@@ -513,8 +511,7 @@ def save_model(model: TrainedModel, directory):
 def load_model(directory) -> TrainedModel:
     d = Path(directory)
     network = load_weights(d / WEIGHTS_FILE)
-    with open(d / META_FILE, "rb") as file:
-        lines = LineReader(read_lines(file))
-        values = [lines.record(record)[0] for record in META_RECORDS]
-        lines.end()
+    lines = LineReader(read_lines(d / META_FILE))
+    values = [lines.record(record)[0] for record in META_RECORDS]
+    lines.end()
     return TrainedModel(network, *values)

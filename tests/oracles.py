@@ -1,4 +1,4 @@
-"""Independent reference computations the tests check the library against.
+r"""Independent reference computations the tests check the library against.
 
 Everything here deliberately avoids the library's own code paths: the
 spline oracle assembles the full dense linear system instead of the
@@ -12,9 +12,9 @@ writer that textio's block writer replaced: one '%.17g,...' % row per line.
 The numbers oracle is the per-value writer of weights.txt rows that the
 block writer replaced, and the table reader oracle converts one line at a
 time with float(), as textio.parse_table did before it read blocks of lines.
-text_lines is the line rule of the whole text, str.splitlines, that
-textio.read_lines keeps as it streams a file a chunk at a time; tests
-hand its pairs to the parsers in place of an open file.
+text_lines is the line rule of open and csv, a line ending at '\r\n',
+'\r' or '\n', applied to the whole text with a regular expression; tests
+hand its pairs to the parsers in place of a file read by textio.read_lines.
 written and table_text are not oracles: they give tests the text that the
 program's writers stream to a file, read back from a temporary one.
 The movement and schedule writers write the two files the program only
@@ -23,9 +23,14 @@ a parsed file writes back as the same text.  parse_log is the reader of
 the one file the program only writes, the training log.  schedule_run
 records what train hands the optimizer under a schedule, with the net
 and the update stubbed out, so a 50000-epoch schedule runs in a second.
+kernel_digests picks a table's digests of trained files for the OpenBLAS
+kernel numpy runs on, since each kernel rounds the products differently.
 """
 
+import functools
+import importlib.util
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -243,8 +248,9 @@ def format_numbers_each(values):
 
 
 def text_lines(text):
-    """(line number, line) of every line of text that is not blank, by str.splitlines."""
-    return [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    r"""(line number, line) of every line of text that is not blank, split at \r\n, \r and \n."""
+    return [(no, line) for no, line in enumerate(re.split("\r\n|\r|\n", text), start=1)
+            if line.strip()]
 
 
 def parse_table_rows(text):
@@ -336,3 +342,20 @@ def schedule_run(schedule):
         _, log = trainer.train(dataset, schedule, arch=[1, 2, 2])
     _, table = parse_table(text_lines(written(trainer.save_log, log)), "<columns...>")
     return np.array(lrs), resets, table
+
+
+@functools.cache
+def blas_kernel():
+    """The OpenBLAS kernel numpy runs on, as tools/epochprofile.py's blas_probe names it."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "epochprofile.py"
+    spec = importlib.util.spec_from_file_location("epochprofile", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.blas_probe()[1]
+
+
+def kernel_digests(by_kernel):
+    """by_kernel[the kernel numpy runs on]; a kernel without recorded digests fails, named."""
+    kernel = blas_kernel()
+    assert kernel in by_kernel, f"no digests recorded for the OpenBLAS kernel {kernel}"
+    return by_kernel[kernel]

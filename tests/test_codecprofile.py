@@ -37,7 +37,7 @@ def test_small_run_checks_the_codec_and_times_every_part(capsys):
     # a streamed file holds one block of text at a time: the 3000x45 file is
     # 2.9 MB of text, and its table 1.1 MB
     assert 0 < peaks["write_table 3000x45"] < 512
-    # a streamed read holds the table, its blocks and one chunk of the file
+    # a streamed read holds the table, its blocks and one buffer of the file's text
     assert 0 < peaks["parse_table 3000x45"] < 2 * 3000 * 45 * 8 / 1024 + 512
 
 

@@ -11,7 +11,6 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from motionmimic import textio
 from motionmimic.errors import MimicError
 from motionmimic.motion import KeyframeMovement
 from motionmimic.optimizer import TrainingSchedule
@@ -345,7 +344,7 @@ def test_reader_peak_memory_stays_near_the_line_reader(shape):
 @pytest.mark.parametrize("load", [load_dataset, load_joint_log])
 def test_reader_holds_blocks_not_the_file(load, tmp_path):
     """A 3000x45 table file (2.65 MB of text, a 1.03 MiB table) peaks under 2.56 MiB: the
-    blocks and the table they are joined into, and one chunk of the file."""
+    blocks and the table they are joined into, and one buffer of the file's text."""
     table = np.column_stack([np.arange(3000) / 50.0,
                              np.random.default_rng(6).uniform(-1.5, 1.5, (3000, 44))])
     table[:, -1] = np.arange(3000) == 2999  # the end flag, for a dataset
@@ -355,35 +354,47 @@ def test_reader_holds_blocks_not_the_file(load, tmp_path):
     assert traced_peak(lambda: load(path)) <= 2 * table.nbytes + 512 * 1024
 
 
-# --- the line source: lines break where str.splitlines breaks the whole text --
+# --- the line source: a line ends at '\n', '\r\n' or '\r', as in open and csv ----
+
+# the characters str.splitlines also breaks at, which read_lines keeps in their line
+FORMER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+EDGE = io.DEFAULT_BUFFER_SIZE  # bytes the text reader decodes at a time
 
 
-def test_breaks_are_those_of_splitlines():
+def file_lines(data, path):
+    """read_lines of a file written with the bytes data."""
+    path.write_bytes(data)
+    return list(read_lines(path))
+
+
+def test_a_line_ends_only_at_lf_crlf_or_cr(tmp_path):
     breaks = "".join(c for c in map(chr, range(0x110000)) if c.splitlines() == [""])
-    assert sorted(textio._BREAKS) == sorted(breaks)
+    assert sorted(breaks) == sorted("\n\r" + FORMER_BREAKS)
+    text = f"a{FORMER_BREAKS}b\rc\r\n{FORMER_BREAKS}\n\rd\n\r\ne"
+    want = [(1, f"a{FORMER_BREAKS}b"), (2, "c"), (5, "d"), (7, "e")]
+    assert text_lines(text) == want
+    assert file_lines(text.encode(), tmp_path / "t.txt") == want
 
 
-def streamed_lines(data, chunk, monkeypatch):
-    monkeypatch.setattr(textio, "_CHUNK_BYTES", chunk)
-    return list(read_lines(io.BytesIO(data)))
-
-
-# every break, blank lines, a two-byte character in a name and a byte that is not UTF-8
-EDGE_TEXT = "".join([
-    "time,h\xe9p,kn\udcffee\r\n",
-    "0,0.1,0.2\r",
-    "  \r\n",
-    "0.02,0.3,0.4\x0c",
-    "\n\x0b",
-    "0.04,0.5,0.6\x1c",
-    "0.06,0.7,0.8\u2028",
-    "\t\x1d",
-    "0.08,0.9,1\x1e",
-    "0.1,1.1,1.2\x85",
-    "0.12,1.3,1.4\u2029",
-    "0.14,1.5,1.6\r\r\n",
-    "0.16,1.7,1.8",
-])
+# each line end, blank lines, the former breaks inside lines, a two-byte
+# character in a name and a byte that is not UTF-8: (line, its end) pairs
+EDGE_LINES = [
+    ("time,h\xe9p,kn\udcffee", "\r\n"),
+    ("0,0.1,0.2", "\r"),
+    ("  ", "\r\n"),
+    ("0.02,0.3,0.4\x0c", "\n"),
+    ("", "\n"),
+    ("\x0b\x1c", "\r"),
+    ("0.04,0.5,0.6\x85", "\n"),
+    ("0.06,0.7\u2028,0.8", "\r\n"),
+    ("\t\x1d\x1e", "\n"),
+    ("0.08,\u20290.9,1", "\r"),
+    ("0.1,1.1,1.2", "\n"),
+    ("0.12,1.3,1.4", "\r\n"),
+    ("0.14,1.5,1.6", "\r"),
+    ("", "\r\n"),
+    ("0.16,1.7,1.8", ""),
+]
 FAULTS = {
     "none": {},
     "bad field": {6: "0.06,0.7,x"},
@@ -396,11 +407,10 @@ FAULTS = {
 
 
 def faulty(fault):
-    """EDGE_TEXT as bytes, with the lines of FAULTS[fault] swapped in."""
-    lines = EDGE_TEXT.splitlines(keepends=True)
-    for i, line in FAULTS[fault].items():
-        lines[i] = line + lines[i][len(lines[i].splitlines()[0]):]
-    return "".join(lines).encode("utf-8", "surrogateescape")
+    """EDGE_LINES as bytes, with the lines of FAULTS[fault] swapped in."""
+    swaps = FAULTS[fault]
+    text = "".join(swaps.get(i, line) + end for i, (line, end) in enumerate(EDGE_LINES))
+    return text.encode("utf-8", "surrogateescape")
 
 
 def read_outcome(lines):
@@ -412,13 +422,14 @@ def read_outcome(lines):
 
 
 @pytest.mark.parametrize("fault", FAULTS)
-@pytest.mark.parametrize("chunk", [1, 2, 7])
-def test_streamed_lines_match_the_whole_text_across_chunk_edges(fault, chunk, monkeypatch):
-    """Each break, character and fault falls across a chunk edge at one of the shifts."""
-    for shift in range(chunk):
-        data = b"\n" * shift + faulty(fault)
-        text = data.decode("utf-8", "surrogateescape")
-        got = streamed_lines(data, chunk, monkeypatch)
+@pytest.mark.parametrize("stride", [1, 2, 7])
+def test_streamed_lines_match_the_whole_text_across_chunk_edges(fault, stride, tmp_path):
+    """A blank line first puts the reader's chunk edge before every stride-th byte of the text."""
+    data = faulty(fault)
+    for at in range(0, len(data), stride):
+        padded = b" " * (EDGE - at - 1) + b"\n" + data
+        text = padded.decode("utf-8", "surrogateescape")
+        got = file_lines(padded, tmp_path / "t.csv")
         assert got == text_lines(text)
         assert read_outcome(got) == read_outcome(text_lines(text))
         if fault == "none":
@@ -426,8 +437,8 @@ def test_streamed_lines_match_the_whole_text_across_chunk_edges(fault, chunk, mo
             assert read_outcome(got) == (names, table.view(np.uint64).tolist())
 
 
-def test_each_fault_is_refused_on_its_own_line(monkeypatch):
-    messages = {fault: read_outcome(streamed_lines(faulty(fault), 7, monkeypatch))
+def test_each_fault_is_refused_on_its_own_line(tmp_path):
+    messages = {fault: read_outcome(file_lines(faulty(fault), tmp_path / f"{fault}.csv"))
                 for fault in FAULTS}
     assert messages == {
         "none": messages["none"],
@@ -441,12 +452,16 @@ def test_each_fault_is_refused_on_its_own_line(monkeypatch):
     assert messages["none"][0] == ["time", "h\xe9p", "kn\udcffee"]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 65536])
-def test_only_a_leading_byte_order_mark_is_dropped(chunk, monkeypatch):
-    data = "\ufeffa\n\ufeffb\r\n\ufeff\n".encode()
-    assert streamed_lines(data, chunk, monkeypatch) == [(1, "a"), (2, "\ufeffb"), (3, "\ufeff")]
-    assert streamed_lines(b"\xef\xbb", chunk, monkeypatch) == [(1, "\udcef\udcbb")]
-    assert streamed_lines(b"", chunk, monkeypatch) == []
+@pytest.mark.parametrize("blank", [1, 2, 3, 65536])
+def test_only_a_leading_byte_order_mark_is_dropped(blank, tmp_path):
+    """blank lines after the text add no pair; 65536 of them span 16 chunks of the reader."""
+    def lines(data):
+        return file_lines(data + b"\r\n" * blank, tmp_path / "t.txt")
+
+    marked = "\ufeffa\n\ufeffb\r\n\ufeff\n".encode()
+    assert lines(marked) == [(1, "a"), (2, "\ufeffb"), (3, "\ufeff")]
+    assert lines(b"\xef\xbb") == [(1, "\udcef\udcbb")]
+    assert lines(b"") == []
 
 
 def mutate(text, rng):

@@ -30,8 +30,8 @@ from motionmimic.trainer import (
     train,
 )
 
-from oracles import (expression_adam_step, parse_log, text_lines, unfused_forward_backward,
-                     written)
+from oracles import (expression_adam_step, kernel_digests, parse_log, text_lines,
+                     unfused_forward_backward, written)
 
 
 def kick_analog(seed=100, n_joints=5, n_keys=5, duration=1.5):
@@ -261,12 +261,32 @@ def test_train_is_deterministic(desk_fit):
         np.testing.assert_array_equal(ba, bb)
 
 
-# SHA-256 of the files a seeded run saves, computed at the commit before
-# the flat parameter vector (per-tensor Adam loop, unfused layers); the
-# flat vector and the fused Adam update must reproduce them bit for bit.
+# SHA-256 of the files a seeded run saves, per OpenBLAS kernel.  SkylakeX's
+# were computed at the commit before the flat parameter vector (per-tensor
+# Adam loop, unfused layers); the flat vector and the fused Adam update must
+# reproduce them bit for bit.  Each other kernel's were computed in a child
+# process with OPENBLAS_CORETYPE set to it (Prescott runs Katmai).
 GUARD_DIGESTS = {
-    "training_log.csv": "1cefecef3f6da4a3306e504ac0d921b3e46aee3e4a3d0bb861865e588f699bb8",
-    "weights.txt": "99cfe1da792ac805363809409113c2af16e329fa0cf8c0fb563bf6b63083ac47",
+    "SkylakeX": {
+        "training_log.csv": "1cefecef3f6da4a3306e504ac0d921b3e46aee3e4a3d0bb861865e588f699bb8",
+        "weights.txt": "99cfe1da792ac805363809409113c2af16e329fa0cf8c0fb563bf6b63083ac47",
+    },
+    "Haswell": {
+        "training_log.csv": "0a254e5702422cf6ba2e9bde3b6cbe5e6191011e1b680c31f9b14816f327f093",
+        "weights.txt": "58106f95411c73d44e5e1476481dad60a4a0d12aabf0d26b23e65d6118761bed",
+    },
+    "Sandybridge": {
+        "training_log.csv": "72f37c05a05b41c344cc243287260347e442d208feb80673b0160bd666b6286a",
+        "weights.txt": "bbfcad5068ae7e56d4cebd543c522434a4fe2e171f30d622d8a86b74033fdfea",
+    },
+    "Nehalem": {
+        "training_log.csv": "a25bdd32d05db3fc8154776436ccc6ae222560bd75854681f345c9c57ea20da3",
+        "weights.txt": "48a48acc6f02bfe9a8bb57e81ee3a5701f14113e85a2312a32241deee63d74c5",
+    },
+    "Katmai": {
+        "training_log.csv": "0473b7ee47f187d353616f7296ae2d162fc9ccac6bef81863ab9b3fd77280156",
+        "weights.txt": "2e6f8761bc84af7db6861c5e2a496eee2cca47ba2a3a792b9e400ca6efc9f690",
+    },
 }
 
 
@@ -284,7 +304,7 @@ def test_seeded_training_files_are_bit_identical(tmp_path, monkeypatch):
     model, log = train(ds, schedule=sched, seed=0)
     save_model(model, tmp_path)
     save_log(log, tmp_path / "training_log.csv")
-    for name, digest in GUARD_DIGESTS.items():
+    for name, digest in kernel_digests(GUARD_DIGESTS).items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     assert len(updated) == sched.total_epochs

@@ -14,7 +14,13 @@ every untraced run in the file: per workload, seed and end-to-end metric,
 each side's median and quartiles, the pairs the change won and the ties.
 Entries for op_ref_s also give each side's median wall-clock op time
 (record.wall.op_p50_s), since reference-second scaling can move the two
-apart.
+apart.  Each entry is judged twice:
+
+- gain_claimable: at least 10 pairs, the change won at least 9 in 10 of
+  them (a tie counts for neither side), and its median is better than
+  the parent's by more than the parent's interquartile range;
+- within_bound: the change's median is worse than the parent's by no
+  more than the metric's relative bound in BENCHMARK.json.
 """
 
 import argparse
@@ -75,6 +81,12 @@ def summarize(runs, metrics):
                 q1, median, q3 = quartiles(value[side])
                 entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
             entry["change_vs_parent"] = entry["change_median"] / entry["parent_median"] - 1.0
+            gain = entry["parent_median"] - entry["change_median"]
+            entry["gain_claimable"] = (
+                len(pairs) >= 10 and 10 * entry["change_wins"] >= 9 * len(pairs)
+                and (gain if lower else -gain) > entry["parent_q3"] - entry["parent_q1"])
+            entry["within_bound"] = (entry["change_vs_parent"] <= metric["bound"] if lower
+                                     else entry["change_vs_parent"] >= -metric["bound"])
             if name == "op_ref_s":
                 for side in SIDES:
                     entry[f"{side}_op_s_median"] = statistics.median(

@@ -5,7 +5,8 @@ Usage: python3 tools/codecprofile.py [--repeats K]
 The codec is textio: write_table streams every CSV file to disk a block
 of rows at a time and save_weights streams weights.txt the same way;
 parse_table reads every CSV file and load_weights reads weights.txt, each
-streaming the open file a chunk of lines at a time through read_lines.
+taking the file's lines from read_lines, which reads it through Python's
+universal-newline text reader a buffer at a time.
 Every part is called as the program calls it, on a file in a temporary
 directory.  Before timing, it checks each path against a reference that
 works one number at a time: the bytes write_table streams against one
@@ -66,8 +67,7 @@ def row_template(header, table):
 
 def read_table(path):
     """(names, table) of the CSV file at path, read as the program reads one."""
-    with open(path, "rb") as file:
-        return parse_table(read_lines(file), "<names>")
+    return parse_table(read_lines(path), "<names>")
 
 
 def same_bits(a, b):
