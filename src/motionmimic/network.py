@@ -13,6 +13,11 @@ from .errors import MimicError, require_positive
 from .textio import LineReader, format_record, read_lines, write_rows
 
 MAX_PARAMETERS = 10_000_000  # about 2000 times the 5123 of the 1-75-50-23 net
+# The backward pass sums each weight gradient over blocks of this many rows, in row order, so
+# its bits do not depend on how OpenBLAS splits a long sum between threads.  Measured on
+# OpenBLAS 0.3.31 (SkylakeX, 1 thread): of 128- to 768-row blocks, 256 ran a 1500-row pass
+# fastest, at 0.89 of the time of one product per gradient.
+BLOCK_ROWS = 256
 
 
 def parameter_count(sizes, alpha) -> int:
@@ -119,7 +124,9 @@ class EpochBuffers:
     error holds the predictions minus the targets; delta holds its
     square, then error / m, the output layer's backward delta.  grads is
     the gradient vector, laid out like params, and grad_weights and
-    grad_biases are its per-layer views.
+    grad_biases are its per-layer views.  block_grads[i], shaped like
+    grad_weights[i], takes the product of each BLOCK_ROWS-row block after
+    the first before it is added to the weight gradient.
     """
 
     x1: np.ndarray
@@ -130,6 +137,7 @@ class EpochBuffers:
     grads: np.ndarray
     grad_weights: list
     grad_biases: list
+    block_grads: list
 
 
 def _input_matrix(sizes, x):
@@ -163,6 +171,7 @@ def epoch_buffers(net: MimicNetwork, x: np.ndarray) -> EpochBuffers:
         grads=grads,
         grad_weights=grad_weights,
         grad_biases=grad_biases,
+        block_grads=[np.empty_like(g) for g in grad_weights],
     )
 
 
@@ -207,9 +216,12 @@ def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers: E
     x is a float (m, in) batch and y its (m, out) targets.  Gradients are
     the exact analytic derivatives of mse_loss with respect to every
     weight and bias, accumulated over the batch, laid out like params.
-    The pass writes into buffers, made by epoch_buffers for this x; the
-    predictions and gradients it returns are views of them, overwritten
-    by the next pass through the same buffers.
+    Each weight gradient is a sum over BLOCK_ROWS-row blocks in row order,
+    and each delta @ W is taken a block at a time; a batch of at most
+    BLOCK_ROWS rows is one block.  The pass writes into buffers, made by
+    epoch_buffers for this x; the predictions and gradients it returns
+    are views of them, overwritten by the next pass through the same
+    buffers.
     """
     m = x.shape[0]
     for pred in _layers(net, x, buffers):
@@ -222,12 +234,18 @@ def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers: E
     grad_weights, grad_biases = buffers.grad_weights, buffers.grad_biases
     np.divide(error, m, out=delta)  # dJ/d(layer output), propagated backwards
     inputs = [x, *buffers.acts[:-1]]
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, m, BLOCK_ROWS)]
     for li in range(len(net.weights) - 1, -1, -1):
-        np.matmul(delta.T, inputs[li], out=grad_weights[li])
+        a = inputs[li]
+        np.matmul(delta[blocks[0]].T, a[blocks[0]], out=grad_weights[li])
+        for rows in blocks[1:]:
+            grad_weights[li] += np.matmul(delta[rows].T, a[rows], out=buffers.block_grads[li])
         np.add.reduce(delta, axis=0, out=grad_biases[li])
         if li > 0:
             # layer li - 1's activation has served the weight gradient; its delta takes its place
-            delta = np.matmul(delta, net.weights[li], out=inputs[li])
+            for rows in blocks:
+                np.matmul(delta[rows], net.weights[li], out=a[rows])
+            delta = a
             delta *= buffers.slopes[li - 1]
     return loss, pred, buffers.grads
 

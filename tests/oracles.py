@@ -6,8 +6,9 @@ tridiagonal solve, the gradient oracle uses central finite differences,
 the Adam oracle is a plain-float recurrence, the forward oracle is
 per-neuron Python loops, the derivative oracle differentiates a
 spline's segment cubics term by term, the unfused pass and the expression Adam step
-are the array code that the buffered epoch replaced, making fresh arrays, and the plant oracle advances one tick at a
-time through plant.step.  The table oracle is the row-template CSV
+are the array code that the buffered epoch replaced, making fresh arrays (the unfused
+pass sums each weight gradient over the same row blocks), and the plant oracle
+advances one tick at a time through plant.step.  The table oracle is the row-template CSV
 writer that textio's block writer replaced: one '%.17g,...' % row per line.
 The numbers oracle is the per-value writer of weights.txt rows that the
 block writer replaced, and the table reader oracle converts one line at a
@@ -168,11 +169,19 @@ def expression_adam_step(m, v, t, params, grads, lr, beta1=0.9, beta2=0.999, eps
     params -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
 
 
-def unfused_forward_backward(net, x, y):
+def unfused_forward_backward(net, x, y, block_rows=None):
     """The per-tensor pass: np.where activation, slope-mask gradient, fresh arrays.
 
-    Returns (loss, predictions, weight gradients, bias gradients).
+    Returns (loss, predictions, weight gradients, bias gradients).  Like
+    network.forward_backward, each weight gradient is the sum, in row
+    order, of the products of block_rows-row blocks (network.BLOCK_ROWS
+    by default), and delta @ W is taken a block at a time; block_rows =
+    len(x) gives the one-product pass.
     """
+    from motionmimic.network import BLOCK_ROWS
+
+    step = block_rows or BLOCK_ROWS
+    blocks = [slice(start, start + step) for start in range(0, len(x), step)]
     last = len(net.weights) - 1
     pre, acts = [], [x]
     for li, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -186,9 +195,9 @@ def unfused_forward_backward(net, x, y):
     for li in range(last, -1, -1):
         if li < last:
             delta = delta * np.where(pre[li] >= 0, 1.0, net.alpha)
-        w_grads.insert(0, delta.T @ acts[li])
+        w_grads.insert(0, functools.reduce(np.add, [delta[r].T @ acts[li][r] for r in blocks]))
         b_grads.insert(0, delta.sum(axis=0))
-        delta = delta @ net.weights[li]
+        delta = np.concatenate([delta[r] @ net.weights[li] for r in blocks])
     return loss, acts[-1], w_grads, b_grads
 
 

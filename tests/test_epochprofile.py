@@ -34,3 +34,10 @@ def test_small_run_checks_the_parts_and_times_every_one(capsys):
     for line in lines[3:]:
         median, q1, q3 = map(float, line.split()[-3:])
         assert 0 <= q1 <= median <= q3
+
+
+def test_parts_match_forward_backward_over_two_row_blocks(capsys):
+    assert load_tool().main(["--rows", "300", "--repeats", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "net 1:75:50:23, 300 rows, 1 timed epochs; "
+        "parts match forward_backward and the MAE bit for bit: yes")

@@ -125,6 +125,80 @@ def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
         np.testing.assert_array_equal(bits(shared.error), bits(ref_pred - y))
 
 
+def long_batch(sizes, rows):
+    """A seeded net with nonzero biases, and a batch of rows inputs on [-1, 1] with targets."""
+    rng = np.random.default_rng(rows)
+    net = initialize(sizes, seed=rows)
+    for b in net.biases:
+        b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
+    x = np.linspace(-1.0, 1.0, rows)[:, None]
+    return net, x, rng.uniform(-1.0, 1.0, size=(rows, sizes[-1]))
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257, 300, 512, 513, 1500])
+@pytest.mark.parametrize("sizes", [[1, 75, 50, 23], [1, 5, 1, 3]], ids=["1:75:50:23", "1:5:1:3"])
+def test_forward_backward_sums_the_same_row_blocks_as_the_unfused_pass(sizes, rows):
+    """One block, two with a 1-row tail, and more: forward_backward is the blocked oracle's bits."""
+    net, x, y = long_batch(sizes, rows)
+    ref_loss, ref_pred, ref_w, ref_b = unfused_forward_backward(net, x, y)
+    loss, pred, grads = forward_backward(net, x, y, epoch_buffers(net, x))
+    assert loss == ref_loss
+    np.testing.assert_array_equal(bits(pred), bits(ref_pred))
+    got_w, got_b = layer_views(sizes, grads)
+    for got, want in zip(got_w + got_b, ref_w + ref_b):
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def gradient_magnitudes(net, x, y):
+    """(|delta|.T @ |a|, |delta| summed over rows) per layer, |delta| propagated through |W|.
+
+    Each weight-gradient entry sums rows products delta * a, and each
+    delta entry is a chain of dot products from the output error down;
+    these are the same sums taken over the magnitudes of their terms.
+    """
+    acts, slopes, last = [x], [], len(net.weights) - 1
+    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T + b
+        slopes.append(np.where(z >= 0, 1.0, net.alpha) if li < last else 1.0)
+        acts.append(z * slopes[-1])
+    d = np.abs(acts[-1] - y) / len(x)
+    w_sums, b_sums = [], []
+    for li in range(len(net.weights) - 1, -1, -1):
+        w_sums.insert(0, d.T @ np.abs(acts[li]))
+        b_sums.insert(0, d.sum(axis=0))
+        if li > 0:
+            d = (d @ np.abs(net.weights[li])) * slopes[li - 1]
+    return w_sums, b_sums
+
+
+def test_row_blocks_move_the_gradients_of_1500_rows_by_rounding_only():
+    """Blocked and one-product gradients differ by no more than their rounding bound.
+
+    Both passes share the forward pass; they differ in the order of each
+    weight gradient's row sum and of each delta @ W.  An entry of layer
+    i's weight gradient is a sum of rows products; its delta comes from
+    the output error (a subtraction and a division) through, for each
+    layer above, a dot product over that layer's width and a slope
+    product.  So each pass lies within gamma_N = N u / (1 - N u) of the
+    exact value, relative to the same sums over the magnitudes of the
+    terms (gradient_magnitudes), with N the count of roundings below, and
+    the two passes within 2 gamma_N of each other.  2 N eps = 4 N u
+    leaves room for the second-order terms.
+    """
+    sizes, rows = [1, 75, 50, 23], 1500
+    net, x, y = long_batch(sizes, rows)
+    _, _, grads = forward_backward(net, x, y, epoch_buffers(net, x))
+    _, _, one_w, one_b = unfused_forward_backward(net, x, y, block_rows=rows)
+    got_w, got_b = layer_views(sizes, grads)
+    w_sums, b_sums = gradient_magnitudes(net, x, y)
+    for li in range(len(net.weights)):
+        # the row sum and each product, the output error, then each layer above
+        n = rows + 1 + 2 + sum(width + 1 for width in sizes[li + 2:])
+        bound = 2 * n * np.finfo(float).eps
+        assert np.all(np.abs(got_w[li] - one_w[li]) <= bound * w_sums[li])
+        assert np.all(np.abs(got_b[li] - one_b[li]) <= bound * b_sums[li])
+
+
 LAYER0_ROWS = [*range(1, 71), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025,
                2999, 3001]
 LAYER0_INPUTS = np.array([0.0, -0.0, 5e-324, -5e-324, TINY / 3, TINY, np.inf, -np.inf, 1.0])

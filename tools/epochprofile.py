@@ -13,9 +13,10 @@ one:
 - layerI.activation: leaky_relu, which writes the activation and its slope;
 - loss: predictions minus targets, the half mean square, and the output
   delta divided by the batch size;
-- layerI.weight_grad and layerI.bias_grad: the weight-gradient matrix
-  product and the bias sum;
-- layerI.delta_back: delta @ W, the delta of the layer below;
+- layerI.weight_grad and layerI.bias_grad: the weight gradient, a sum of
+  matrix products over network.BLOCK_ROWS-row blocks, and the bias sum;
+- layerI.delta_back: delta @ W, the delta of the layer below, a block of
+  rows at a time;
 - layerI.activation_grad: that delta times the layer's slope;
 - finite_check: the loss and the gradient sum are finite;
 - adam: the whole update;
@@ -42,7 +43,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from motionmimic.network import epoch_buffers, forward_backward, initialize, leaky_relu  # noqa: E402
+from motionmimic.network import (BLOCK_ROWS, epoch_buffers, forward_backward,  # noqa: E402
+                                  initialize, leaky_relu)
 from motionmimic.optimizer import adam_init, adam_step  # noqa: E402
 
 SIZES = [1, 75, 50, 23]
@@ -77,6 +79,7 @@ def epoch_parts(net, x, y, buffers, state, lr):
     w, b, acts, slopes = net.weights, net.biases, buffers.acts, buffers.slopes
     inputs = [x, *acts[:-1]]
     last = len(w) - 1
+    blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, len(x), BLOCK_ROWS)]
     abs_error = np.empty((len(x), SIZES[-1] - 1))
     epoch = {}
     parts = []
@@ -87,6 +90,16 @@ def epoch_parts(net, x, y, buffers, state, lr):
             return
         np.matmul(inputs[i], w[i].T, out=acts[i])
         acts[i] += b[i]
+
+    def weight_grad(i, delta):
+        np.matmul(delta[blocks[0]].T, inputs[i][blocks[0]], out=buffers.grad_weights[i])
+        for rows in blocks[1:]:
+            buffers.grad_weights[i] += np.matmul(delta[rows].T, inputs[i][rows],
+                                                 out=buffers.block_grads[i])
+
+    def delta_back(i, delta):
+        for rows in blocks:
+            np.matmul(delta[rows], w[i], out=inputs[i][rows])
 
     def loss():
         np.subtract(acts[-1], y, out=buffers.error)
@@ -111,13 +124,11 @@ def epoch_parts(net, x, y, buffers, state, lr):
     parts.append(("loss", loss))
     for i in range(last, -1, -1):
         delta = buffers.delta if i == last else acts[i]
-        parts.append((f"layer{i}.weight_grad", lambda i=i, d=delta: np.matmul(
-            d.T, inputs[i], out=buffers.grad_weights[i])))
+        parts.append((f"layer{i}.weight_grad", lambda i=i, d=delta: weight_grad(i, d)))
         parts.append((f"layer{i}.bias_grad", lambda i=i, d=delta: np.add.reduce(
             d, axis=0, out=buffers.grad_biases[i])))
         if i > 0:
-            parts.append((f"layer{i}.delta_back",
-                          lambda i=i, d=delta: np.matmul(d, w[i], out=inputs[i])))
+            parts.append((f"layer{i}.delta_back", lambda i=i, d=delta: delta_back(i, d)))
             parts.append((f"layer{i - 1}.activation_grad",
                           lambda i=i: np.multiply(inputs[i], slopes[i - 1], out=inputs[i])))
     parts.append(("finite_check", finite_check))
