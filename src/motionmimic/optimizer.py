@@ -138,8 +138,6 @@ def parse_schedule(lines) -> TrainingSchedule:
             (reset,) = parse_record(RESET, line, no)
         else:
             phases.append(parse_record(PHASE, line, no))
-    if not phases:
-        raise MimicError("schedule file contains no phases")
     return TrainingSchedule(phases, reset_on_phase=True if reset is None else reset)
 
 

@@ -133,20 +133,22 @@ class LineReader:
 # --- CSV tables: every CSV file the toolkit reads or writes ------------------
 
 
-def write_table(path, header, matrix):
-    """Write a CSV file: the header names, then one line per row, cells written as fmt does.
+def write_table(path, header, matrix, records=()):
+    """Write a CSV file: the header names, the record lines, then one line per row.
 
-    A header whose width differs from the matrix's columns, or a table
-    without columns, raises MimicError before the file is opened.  The
-    names are written as write_text writes text, the bytes read_lines
-    kept included.
+    records are lines as format_record writes them, such as a dataset's
+    '# rate=50'; cells are written as fmt does.  A header whose width
+    differs from the matrix's columns, or a table without columns,
+    raises MimicError before the file is opened.  The names are written
+    as write_text writes text, the bytes read_lines kept included.
     """
     table = np.asarray(matrix, dtype=float)
     if table.shape[1:] != (len(header),):
         raise MimicError(f"{len(header)} column names for a table of shape {table.shape}")
     if not header:
         raise MimicError(f"a table of shape {table.shape} has no columns")
-    head = (",".join(header) + "\n").encode("utf-8", "surrogateescape")
+    head = "".join(line + "\n" for line in [",".join(header), *records])
+    head = head.encode("utf-8", "surrogateescape")
     with open(path, "wb") as out:
         out.write(head)
         write_rows(out, table, b",")
@@ -303,24 +305,31 @@ def _format_rows(block, sep: bytes) -> bytes:
     return slots.tobytes().translate(None, b"\0")
 
 
-def parse_table(lines, header: str):
-    """(names, (rows, columns) array) of a CSV file as write_table writes it, from read_lines.
+def parse_table(lines, header: str, records=()):
+    """(names, *values, (rows, columns) array) of a CSV file as write_table writes it.
 
-    header is the expected first line.  It holds one '<...>' item,
-    which stands for one or more names; those names are returned.
-    Lines are converted a block at a time, so no more than one block's
-    text is held at once.  A file without lines, a wrong header, a wrong
-    field count or a field that is not a finite number raises MimicError
-    naming the line; a field that is not a number in any line is named
-    before one that is not finite.
+    lines are those of read_lines.  header is the expected first line.
+    It holds one '<...>' item, which stands for one or more names; those
+    names are returned.  records are the templates of the lines that
+    follow the header, one each; the values of their fields come next,
+    in order, so without records the result is (names, array).  Lines
+    are converted a block at a time, so no more than one block's text
+    is held at once.  A file without lines, a wrong header, a missing or
+    wrong record line, a wrong field count or a field that is not a
+    finite number raises MimicError naming the line; a field that is not
+    a number in any line is named before one that is not finite.
     """
     lines = iter(lines)
-    head_no, first = next(lines, (1, None))
+    line_no, first = next(lines, (1, None))
     if first is None:
         raise MimicError(f"line 1: expected header '{header}', found no lines")
     names = _header_names(first, header)
     if names is None:
-        raise MimicError(f"line {head_no}: expected header '{header}'")
+        raise MimicError(f"line {line_no}: expected header '{header}'")
+    stated = []  # the records' values
+    for template in records:  # a missing line is read as an empty one, numbered after the last
+        line_no, line = next(lines, (line_no + 1, ""))
+        stated += parse_record(template, line, line_no)
     cols = first.split(",")
     step = max(1, _BLOCK_CELLS // len(cols))  # lines converted at a time
     blocks, not_finite = [np.empty((0, len(cols)))], None
@@ -341,7 +350,7 @@ def parse_table(lines, header: str):
         blocks.append(values)
     if not_finite is not None:
         raise not_finite
-    return names, np.concatenate(blocks)
+    return names, *stated, np.concatenate(blocks)
 
 
 def _header_names(line, header):

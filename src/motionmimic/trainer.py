@@ -7,7 +7,6 @@ the network with one full-batch Adam step per epoch; the flag is learned
 by the same regression and thresholded at 0.5 during rollout.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -44,9 +43,6 @@ from .textio import LineReader, format_record, parse_table, read_lines, write_ta
 DEFAULT_TAIL = 10  # post-end samples that teach the flag transition
 DEFAULT_HIDDEN = (75, 50)
 MAX_DURATION_FACTOR = 2.0  # a sweep whose flag never crosses stops at twice the span to the end
-# how far, in ulps, a dataset's rate may lie from its (rows - 1) / span estimate
-# and still be found; the estimate's error grows with the grid's start time
-RATE_SEARCH_ULPS = 64
 # rows x activations per row (the layer widths after the input) of one training
 # batch: about 90 times walk1500's 1500 x 148
 MAX_BATCH_ACTIVATIONS = 20_000_000
@@ -242,14 +238,6 @@ def _dataset(start, rate, joints, hold, extra, end, joint_names=None) -> MotionD
     return MotionDataset(times, targets, rate, joint_names=joint_names)
 
 
-def _check_increasing(times):
-    """Raise MimicError naming the first record whose time does not exceed the one before."""
-    stalled = np.diff(times) <= 0
-    if stalled.any():
-        i = int(np.argmax(stalled)) + 1
-        raise MimicError(f"times must increase (violation at record {i}, t={times[i]})")
-
-
 def _check_tail(tail):
     if not 0 <= tail <= MAX_GRID_SAMPLES:
         raise MimicError(f"tail must be 0 to {MAX_GRID_SAMPLES} samples, got {tail}")
@@ -279,7 +267,10 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
         raise MimicError(f"a periodic log has no end to hold, so no tail; got tail {tail}")
     if not np.all(np.isfinite(t)):
         raise MimicError("sample times must be finite")
-    _check_increasing(t)
+    stalled = np.diff(t) <= 0
+    if stalled.any():
+        i = int(np.argmax(stalled)) + 1
+        raise MimicError(f"times must increase (violation at record {i}, t={t[i]})")
 
     grid_size(t[-1] - t[0], rate)  # a bounded grid, before its slots are cast to int
     slots = np.rint((t - t[0]) * rate).astype(int)
@@ -420,47 +411,18 @@ def rollout(model: TrainedModel, rate: float) -> Rollout:
 # --- CSV files: dataset, joint log, rollout, training log --------------------
 
 
+RATE_RECORD = "# rate=<float>"  # line 2: '#' lets readers that skip comment lines take the table
+
+
 def parse_dataset(lines) -> MotionDataset:
-    joint_names, table = parse_table(lines, "time,<joint names...>,end_flag")
-    if len(table) < 2:
-        raise MimicError("dataset needs at least 2 samples")
-    times, targets = table[:, 0], table[:, 1:]
-    _check_increasing(times)
-    return MotionDataset(times, targets, _recover_rate(times), joint_names=joint_names)
-
-
-def _recover_rate(times: np.ndarray) -> float:
-    """The rate whose grid times[0] + arange(rows) / rate is the time column bit for bit.
-
-    Tried in turn: the shortest decimals of the estimated rate, then the
-    estimate's float neighbours out to RATE_SEARCH_ULPS, nearest first.
-    Without a match, the estimate, rounded to an integer when within 1e-6
-    of one.
-    """
-    rate = (len(times) - 1) / float(times[-1] - times[0])
-    if not np.isfinite(rate):
-        raise MimicError(f"dataset spans {times[-1] - times[0]} s, too short for a sample rate")
-    steps = np.arange(len(times))
-    decimals = (float(f"{rate:.{digits}g}") for digits in range(1, 18))
-    with np.errstate(all="ignore"):  # a grid that overflows is no match
-        for candidate in itertools.chain(decimals, _float_neighbours(rate, RATE_SEARCH_ULPS)):
-            if np.array_equal(times[0] + steps / candidate, times):
-                return candidate
-    return float(round(rate)) if abs(rate - round(rate)) < 1e-6 else float(rate)
-
-
-def _float_neighbours(x: float, reach: int):
-    """The floats 1, 2, ... reach ulps above and below x, nearest first."""
-    up = down = x
-    for _ in range(reach):
-        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
-        yield float(up)
-        yield float(down)
+    joint_names, rate, table = parse_table(lines, "time,<joint names...>,end_flag", [RATE_RECORD])
+    return MotionDataset(table[:, 0], table[:, 1:], rate, joint_names=joint_names)
 
 
 def save_dataset(ds: MotionDataset, path):
-    write_table(path, ["time", *ds.joint_names, "end_flag"],
-                np.column_stack([ds.times, ds.targets]))
+    table = np.column_stack([ds.times, ds.targets])
+    write_table(path, ["time", *ds.joint_names, "end_flag"], table,
+                [format_record(RATE_RECORD, ds.sample_rate)])
 
 
 def load_dataset(path) -> MotionDataset:

@@ -17,10 +17,11 @@ from motionmimic.cli import build_parser, main
 from motionmimic.motion import grid_size, load_movement, playback_duration
 from motionmimic.network import initialize, save_weights
 from motionmimic.plant import PlantConfig
+from motionmimic.textio import fmt
 from motionmimic.trainer import (DEFAULT_TAIL, load_dataset, load_joint_log, load_model,
                                  sample_movement)
 
-from oracles import blas_kernel, kernel_digests
+from oracles import blas_kernel, expression_adam_step, kernel_digests, unfused_forward_backward
 
 MOVEMENT = """movement n=2 gamma=3 rate=1
 t=0 0 0.3
@@ -57,8 +58,8 @@ def test_gen_writes_dataset(workdir, capsys):
     assert code == 0
     assert "61 samples" in capsys.readouterr().out
     lines = out.read_text().splitlines()
-    assert lines[0] == "time,j1,j2,end_flag"
-    assert len(lines) == 62
+    assert lines[:2] == ["time,j1,j2,end_flag", "# rate=50"]
+    assert len(lines) == 63
 
 
 def test_gen_rejects_invalid_movement(workdir, capsys):
@@ -93,6 +94,16 @@ def test_gen_rejects_nonpositive_rate(workdir, capsys):
     assert "rate must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, source", [("gen", "--movement"), ("ingest", "--log")])
+def test_negative_tail_is_exit_2(workdir, capsys, command, source):
+    (workdir / "log.csv").write_text("time,hip\n0,0\n0.02,0.1\n")
+    inputs = {"gen": workdir / "demo.mov", "ingest": workdir / "log.csv"}
+    code = run([command, source, inputs[command], "--tail", -1, "--out", workdir / "x.csv"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: tail must be 0 to 1000000 samples, got -1\n"
+    assert not (workdir / "x.csv").exists()
+
+
 def test_gen_names_an_oversized_grid_by_its_integer_count(workdir, capsys):
     code = run(["gen", "--movement", workdir / "demo.mov", "--rate", 1e9, "--out", workdir / "x.csv"])
     assert code == 2
@@ -118,6 +129,14 @@ def test_gen_names_an_oversized_grid_by_its_integer_count(workdir, capsys):
                      id="overshoot"),
         pytest.param("movement n=1 gamma=2 rate=1\nt=0 0\nt=1 1e308\n",
                      "joint angle reaches 1e+308, beyond the 1e+06 rad bound", id="angle-1e308"),
+    ]
+    + [
+        pytest.param("movement n=1 gamma=3 rate=1\nt=0 0\nt=1 0.5\n",
+                     "line 3: header declares gamma=3 but found 2 steps", id="gamma-3-of-2"),
+        pytest.param("movement n=1 gamma=2 rate=1\nt=0 0\nt=nan 0.5\n",
+                     "finite-times: step times must be finite", id="nan-time"),
+        pytest.param("movement n=1 gamma=2 rate=1\nt=0 0\nt=1 nan\n",
+                     "finite-angles: joint angles must be finite", id="nan-angle"),
     ]
     + [pytest.param(f"movement n=1 gamma=2 rate={rate}\nt=0 0\nt=1 0.5\n",
                     "error: invalid movement: speed-rate: "
@@ -176,8 +195,9 @@ t=2.013 0.1 0.2 0.0 0.7
 # SHA-256 of the files gen and simulate --movement write for GUARD_MOVEMENT,
 # computed at the commit before whole-grid poses (one scalar spline per joint
 # per sample); one 2-D spline evaluated on the whole grid must reproduce them.
+# The dataset's is of the same file with its '# rate=50' line 2 inserted.
 GUARD_DIGESTS = {
-    "dataset.csv": "ba3980c0502ba338ed069a4254696b259c84b24e4d14ca24cfdd3499576a4d4e",
+    "dataset.csv": "18c8bc7380a07c6865c35cd54a9df580408b8c28b7ee4282ba7cbe7f6ac0fcad",
     "tracking.csv": "0acb134e3c7eeb4cbcb06d27fd0d821457b7454f907e850e870c315a82c19c0e",
 }
 
@@ -225,11 +245,11 @@ MODEL_GUARD_STEPS = [
 ]
 # SHA-256 of the files MODEL_GUARD_STEPS write, computed before the dataset's
 # periodic flag, the rollout's end flag and the tracking metrics each came to be
-# stored once; 37 and 50 Hz are rates whose recovery from a dataset never changed.
-# The model.meta digests are of the same files without their name= and n= lines.
+# stored once.  The model.meta digests are of the same files without their name=
+# and n= lines, the datasets' of the same files with their '# rate=50' line 2.
 MODEL_GUARD_DIGESTS = {
-    "fin.csv": "e5193bdf30626206e039f5b9435e0163a7cf5a8a2ab39fdb1947bdb665a1f676",
-    "per.csv": "59bc891e90ddac5be2ae08f5a15c57852cf349372057abae0831b88daa16f2d9",
+    "fin.csv": "dd4054a0f5ace6f5912ca492332dd5dacf3fbb9aa8e2e654c88923dc727b6140",
+    "per.csv": "030ab99cf1ffd5b56c6bc29c51f0ff28b9aa21b1d00d3456b033d06c71ddf542",
     "m37/model.meta": "8cc3f7434787385a67f3cea024bd770c5f97be0d06b612043338a1aecbde2f8b",
     "mper/model.meta": "664d6cbb749549940d0a3141937f8b9248f3cecd7e75060f86a6b4b78b84530e",
 }
@@ -511,9 +531,9 @@ def test_ingest_of_a_crlf_log_split_between_its_chunks_writes_what_lf_does(workd
 @pytest.mark.parametrize(
     "name, content, command, message",
     [
-        pytest.param("bad.csv", b"time,j1,end_flag\n0,\xff,0\n0.02,0,1\n",
+        pytest.param("bad.csv", b"time,j1,end_flag\n# rate=50\n0,\xff,0\n0.02,0,1\n",
                      ["train", "--dataset", "{dir}/bad.csv", "--out", "{dir}/m2"],
-                     "line 2: j1 is not a number", id="dataset"),
+                     "line 3: j1 is not a number", id="dataset"),
         pytest.param("bad.log", b"time,hip\n0,\xff\n0.02,0\n",
                      ["ingest", "--log", "{dir}/bad.log", "--out", "{dir}/m2"],
                      "line 2: hip is not a number", id="joint-log"),
@@ -551,7 +571,7 @@ def test_input_byte_that_is_not_utf8_is_exit_2(trained, capfd, name, content, co
 
 # one small valid file of each kind the CLI reads, and a command that reads it
 READ_KINDS = {
-    "dataset": ("d.csv", "time,j1,j2,end_flag\n0,0.1,0.2,0\n0.02,0.3,0.4,1\n",
+    "dataset": ("d.csv", "time,j1,j2,end_flag\n# rate=50\n0,0.1,0.2,0\n0.02,0.3,0.4,1\n",
                 ["train", "--dataset", "{dir}/d.csv", "--schedule", "{dir}/s.txt",
                  "--arch", "1:4:3", "--out", "{dir}/m2"]),
     "joint-log": ("l.csv", "time,hip\n0,0.1\n0.02,0.2\n0.04,0.3\n",
@@ -693,7 +713,8 @@ def test_train_overflow_at_first_epoch_is_exit_3(trained, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("duration", "nan"), ("duration", "-1"), ("rate", "nan"), ("rate", "0")],
+    [("duration", "nan"), ("duration", "-1"), ("rate", "nan"), ("rate", "0"),
+     ("time_offset", "nan")],
 )
 def test_rollout_rejects_bad_bundle_metadata(trained, capsys, key, value):
     meta = trained / "model" / "model.meta"
@@ -703,8 +724,11 @@ def test_rollout_rejects_bad_bundle_metadata(trained, capsys, key, value):
     code = run(["rollout", "--model", trained / "model", "--out", trained / "roll.csv"])
     assert code == 2
     err = capsys.readouterr().err
-    rule = "must be finite and not before" if key == "duration" else "must be positive and finite"
+    rule = {"duration": "must be finite and not before",
+            "time_offset": "normalization constants must be finite"}.get(
+        key, "must be positive and finite")
     assert err.startswith("error: ") and rule in err
+    assert len(err.splitlines()) == 1
     assert not (trained / "roll.csv").exists()
 
 
@@ -742,6 +766,29 @@ def test_overflowing_model_is_exit_2(trained, capsys, command, options, output):
     assert captured.err.startswith("error: model output reaches ")
     assert len(captured.err.splitlines()) == 1
     assert output is None or not (trained / output).exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param("layer out=50 in=75 ", "layer out=50 in=74 ",
+                     "in=74 must equal the previous out= or input=, 75", id="in-chain"),
+        pytest.param("act=linear", "act=leakyrelu", "layer 2 of 3 must be act=linear",
+                     id="last-act"),
+    ],
+)
+def test_inconsistent_weights_file_is_exit_2(trained, capsys, old, new, message):
+    weights = trained / "model" / "weights.txt"
+    text = weights.read_text()
+    assert text.count(old) == 1
+    weights.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert run(["rollout", "--model", trained / "model", "--out", trained / "x.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ") and captured.err.endswith(f": {message}\n")
+    assert len(captured.err.splitlines()) == 1
+    assert not (trained / "x.csv").exists()
 
 
 def test_model_with_two_inputs_is_exit_2(trained, capsys):
@@ -903,7 +950,7 @@ def test_ingest_gap_error_is_exit_2(workdir, capsys):
     assert "missing samples" in capsys.readouterr().err
 
 
-DATASET_HEAD = "time,j1,end_flag\n0,0,0\n"
+DATASET_HEAD = "time,j1,end_flag\n# rate=50\n0,0,0\n"
 LOG_HEAD = "time,hip\n0,0\n"
 
 
@@ -911,17 +958,39 @@ LOG_HEAD = "time,hip\n0,0\n"
     "kind, text, message",
     [
         pytest.param("dataset", DATASET_HEAD + "0.02,nan,0\n0.04,0.1,1\n",
-                     "line 3: j1 is not finite", id="dataset-nan"),
+                     "line 4: j1 is not finite", id="dataset-nan"),
         pytest.param("dataset", DATASET_HEAD + "0.02,1e400,0\n0.04,0.1,1\n",
-                     "line 3: j1 is not finite", id="dataset-1e400"),
+                     "line 4: j1 is not finite", id="dataset-1e400"),
         pytest.param("dataset", DATASET_HEAD + "0.02,0,0\nnan,0.1,1\n",
-                     "line 4: time is not finite", id="dataset-nan-time"),
+                     "line 5: time is not finite", id="dataset-nan-time"),
         pytest.param("dataset", DATASET_HEAD + "0,0.5,0\n0,0.1,1\n",
-                     "times must increase", id="dataset-equal-times"),
-        pytest.param("dataset", "time,j1,end_flag\n0.04,0,0\n0.02,0.5,0\n0,0.1,1\n",
-                     "times must increase", id="dataset-decreasing-times"),
+                     "sample times must be uniform at 1/rate", id="dataset-equal-times"),
+        pytest.param("dataset", "time,j1,end_flag\n# rate=50\n0.04,0,0\n0.02,0.5,0\n0,0.1,1\n",
+                     "sample times must be uniform at 1/rate", id="dataset-decreasing-times"),
         pytest.param("dataset", DATASET_HEAD + "1e-310,0.1,1\n",
-                     "too short for a sample rate", id="dataset-tiny-time-span"),
+                     "sample times must be uniform at 1/rate", id="dataset-tiny-time-span"),
+        # the times fit 50 Hz, not the rate the file states
+        pytest.param("dataset", "time,j1,end_flag\n# rate=40\n0,0,0\n0.02,0.1,1\n",
+                     "sample times must be uniform at 1/rate", id="dataset-off-its-rate"),
+        pytest.param("dataset", "time,j1,end_flag\n0,0,0\n0.02,0.1,1\n",
+                     "line 2: expected '# rate=<float>'", id="dataset-without-rate-line"),
+        pytest.param("dataset", "time,j1,end_flag\n", "line 2: expected '# rate=<float>'",
+                     id="dataset-header-alone"),
+        # the header is read first, so its line is named even when the rate line is missing
+        pytest.param("dataset", "time,j1\n0,0\n0.02,0.1\n",
+                     "line 1: expected header 'time,<joint names...>,end_flag'",
+                     id="dataset-wrong-header"),
+        pytest.param("dataset", "time,j1,end_flag\n# rate=fifty\n0,0,0\n0.02,0.1,1\n",
+                     "line 2: rate is not a number: 'fifty'", id="dataset-rate-not-a-number"),
+    ]
+    + [pytest.param("dataset", f"time,j1,end_flag\n# rate={rate}\n0,0,0\n0.02,0.1,1\n",
+                    f"rate must be positive and finite, got {float(rate)}",
+                    id=f"dataset-rate-{rate}") for rate in ("0", "-1", "nan", "inf")]
+    + [
+        pytest.param("dataset", DATASET_HEAD + "0.02,0.1,2\n", "end flag must be 0 or 1",
+                     id="dataset-flag-2"),
+        pytest.param("dataset", DATASET_HEAD + "0.02,0.1,1\n0.04,0.2,0\n",
+                     "end flag must never fall back to 0", id="dataset-flag-falls-back"),
         pytest.param("log", LOG_HEAD + "0.02,inf\n0.04,0.1\n",
                      "line 3: hip is not finite", id="log-inf"),
         pytest.param("log", LOG_HEAD + "0.02,nan\n0.04,0.1\n",
@@ -935,6 +1004,11 @@ LOG_HEAD = "time,hip\n0,0\n"
                      "a dataset value reaches 1e+308, beyond the 1e+06 rad bound", id="log-1e308"),
         pytest.param("dataset", DATASET_HEAD, "dataset needs at least 2 samples",
                      id="dataset-one-row"),
+        pytest.param("log", LOG_HEAD + "0.02,0.1\n0.02,0.2\n",
+                     "times must increase (violation at record 2, t=0.02)", id="log-equal-times"),
+        # 0.01 s lies half a sample from t=0 at 50 Hz
+        pytest.param("log", LOG_HEAD + "0.01,0.1\n", "sample at t=0.01 is off the 50.0 Hz grid",
+                     id="log-off-grid"),
         # 0.0009 s lies 0.045 samples from t=0 at 50 Hz: on the grid, in the same slot
         pytest.param("log", LOG_HEAD + "0.0009,0.1\n",
                      "two samples share the grid slot at t=0.0009", id="log-shared-slot"),
@@ -982,7 +1056,7 @@ def test_gen_tail_zero_flags_an_end_a_hair_past_a_grid_point(workdir):
 
 
 def test_rollout_keeps_the_dataset_rate(workdir, capsys):
-    # 11 rows at 61.7 Hz give the estimate (rows - 1) / span = 61.699999999999996
+    # 11 rows at 61.7 Hz, whose (rows - 1) / span is 61.699999999999996; the rate line keeps 61.7
     (workdir / "short.mov").write_text("movement n=1 gamma=2 rate=1\nt=0 0\nt=0.1 0.3\n")
     (workdir / "quick.txt").write_text("phase epochs=5 lr=0.001\n")
     assert run(["gen", "--movement", workdir / "short.mov", "--rate", 61.7, "--tail", 4,
@@ -1012,25 +1086,37 @@ def test_train_reference_schedule_with_a_one_unit_hidden_layer(workdir, capsys):
                                                        [e for e, _ in phases]))
 
 
+def grid_log(rate, start, rows):
+    """Joint-log rows 'time,0' on the grid start + k / rate."""
+    return [f"{start + k / rate!r},0" for k in range(rows)]
+
+
 @pytest.mark.parametrize(
     "rows, rate, meta",
     [
-        # 7 samples from t = 0.37 at 100/3 Hz: no short decimal of the estimated
-        # rate regenerates the column, a float a few ulps from it does
-        pytest.param([f"{0.37 + k / (100 / 3)!r},0" for k in range(7)], "33.333333333333336",
+        # 7 samples from t = 0.37 at 100/3 Hz: no short decimal of the rate
+        # regenerates the column, which the file's rate line makes moot
+        pytest.param(grid_log(100 / 3, 0.37, 7), "33.333333333333336",
                      "rate=33.333333333333336\n", id="ulps-from-the-estimate"),
-        # a time column 1e-10 s off its 50 Hz grid: no rate regenerates it,
-        # so the estimate is taken, rounded to the integer within 1e-6
+        # a dataset file no command writes: its last time lies 1e-12 s off the
+        # stated 50 Hz grid, inside MotionDataset's tolerance, so 50 Hz is kept
         pytest.param(["0,0", "0.02,0", "0.04,0", "0.060000000001,0"], None, "rate=50\n",
                      id="off-the-grid"),
-    ],
+    ]
+    # grids that a reader which estimated the rate from the time column read back
+    # as another rate: a short grid fits several, a late start lies far from all
+    + [pytest.param(grid_log(rate, start, rows), repr(rate), f"rate={fmt(rate)}\n",
+                    id=f"{name}-{rows}-from-{start}")
+       for name, rate, start, rows in [("100/3", 100 / 3, 0.37, 2), ("100/3", 100 / 3, 1.1, 11),
+                                       ("1000/7", 1000 / 7, 100.0, 8),
+                                       ("1000/3", 1000 / 3, 12.5, 11)]],
 )
 def test_train_and_eval_read_the_dataset_rate_back(workdir, capsys, rows, rate, meta):
     (workdir / "quick.txt").write_text("phase epochs=5 lr=0.001\n")
     dataset = workdir / "d.csv"
     if rate is None:  # a dataset file no command writes
         flags = ["0"] * (len(rows) - 1) + ["1"]
-        dataset.write_text("time,j1,end_flag\n" + "".join(
+        dataset.write_text("time,j1,end_flag\n# rate=50\n" + "".join(
             f"{row},{flag}\n" for row, flag in zip(rows, flags)))
     else:
         (workdir / "log.csv").write_text("time,hip\n" + "".join(row + "\n" for row in rows))
@@ -1105,6 +1191,14 @@ def test_plant_option_must_be_positive_and_finite(workdir, capsys, option, value
         pytest.param(["--arch", "5"], "a network needs at least one layer, so two sizes: [5]",
                      id="one-size-5"),
         pytest.param(["--arch", "abc"], "arch must look like 1:75:50:23, got 'abc'", id="arch-abc"),
+        pytest.param(["--arch", "1:0:3"], "layer sizes must be positive, got [1, 0, 3]",
+                     id="zero-width-layer"),
+        pytest.param(["--schedule", "{dir}/epochs0.txt"],
+                     "phase 0: epochs must be a positive integer, got 0", id="zero-epochs"),
+        pytest.param(["--schedule", "{dir}/late.txt"],
+                     "line 2: nothing may follow the reset_on_phase line", id="phase-after-reset"),
+        pytest.param(["--schedule", "{dir}/empty.txt"], "schedule needs at least one phase",
+                     id="no-phases"),
         pytest.param(["--schedule", "nosuch"],
                      "unknown schedule 'nosuch': expected one of ['desk', 'reference'] "
                      "or a file", id="unknown-schedule"),
@@ -1115,6 +1209,9 @@ def test_plant_option_must_be_positive_and_finite(workdir, capsys, option, value
 )
 def test_unusable_train_config_is_exit_2(workdir, capsys, options, message):
     (workdir / "huge.txt").write_text("phase epochs=100000000000000000000 lr=0.001\n")
+    (workdir / "epochs0.txt").write_text("phase epochs=0 lr=0.001\n")
+    (workdir / "late.txt").write_text("reset_on_phase=true\nphase epochs=10 lr=0.001\n")
+    (workdir / "empty.txt").write_text("reset_on_phase=false\n")
     for lr in NOT_POSITIVE:
         (workdir / f"lr{lr}.txt").write_text(f"phase epochs=10 lr=0.001\nphase epochs=5 lr={lr}\n")
     assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
@@ -1262,6 +1359,27 @@ def test_trained_files_do_not_depend_on_the_blas_thread_count(workdir, request):
         digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
                         for name in ("weights.txt", "training_log.csv")])
     assert digests[0] == digests[1]
+
+
+def test_train_in_process_sums_each_later_row_block_into_the_weight_gradient(workdir, capsys):
+    """train on 311 rows, two network.BLOCK_ROWS blocks, in this process: its weights are
+    those of the unfused loop, which sums the blocks' products in row order."""
+    data, schedule = workdir / "long.csv", workdir / "short.txt"
+    assert run(["gen", "--movement", workdir / "demo.mov", "--rate", 300, "--out", data]) == 0
+    schedule.write_text("phase epochs=3 lr=0.01\n")
+    capsys.readouterr()
+    assert run(["train", "--dataset", data, "--schedule", schedule, "--arch", "1:4:3",
+                "--out", workdir / "m"]) == 0
+    assert capsys.readouterr().out.startswith("trained 3 epochs on 311 samples: ")
+    ds = load_dataset(data)
+    net = initialize([1, 4, 3], seed=0)
+    x = ((ds.times - ds.time_offset) / ds.time_scale)[:, None]
+    m, v = np.zeros_like(net.params), np.zeros_like(net.params)
+    for t in (1, 2, 3):
+        _, _, w_grads, b_grads = unfused_forward_backward(net, x, ds.targets)
+        grads = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(w_grads, b_grads)])
+        expression_adam_step(m, v, t, net.params, grads, 0.01)
+    np.testing.assert_array_equal(load_model(workdir / "m").network.params, net.params)
 
 
 def test_entry_point_run_in_process_matches_main_and_logs_once(workdir, monkeypatch, capsys):

@@ -206,8 +206,10 @@ def test_schedule_parse_errors():
         parse_schedule(text_lines("phase epochs=ten lr=0.001\n"))
     with pytest.raises(MimicError, match="line 2"):
         parse_schedule(text_lines("phase epochs=10 lr=0.001\nreset_on_phase=maybe\n"))
-    with pytest.raises(MimicError, match="^schedule file contains no phases$"):
-        parse_schedule(text_lines("reset_on_phase=true\n"))
+    # TrainingSchedule owns the one-phase rule, for files too
+    for text in ["reset_on_phase=true\n", ""]:
+        with pytest.raises(MimicError, match="^schedule needs at least one phase$"):
+            parse_schedule(text_lines(text))
     # the phases, then at most one reset_on_phase line, which must come last
     for text, line in [
         ("phase epochs=10 lr=0.001\nreset_on_phase=false\nreset_on_phase=true\n", 3),

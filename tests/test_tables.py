@@ -260,8 +260,12 @@ def test_writer_matches_row_template_for_every_count_of_trailing_zeros():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_writer_matches_row_template_on_written_tables(kind, tables):
-    names, table = parse_table(text_lines(tables[kind]), "<all columns>")
-    assert table_text(names, table) == format_table_rows(names, table) == tables[kind]
+    lines = tables[kind].splitlines(keepends=True)
+    if kind == "dataset":  # the rate line follows the header; the rest is the table
+        assert lines.pop(1) == "# rate=50\n"
+    text = "".join(lines)
+    names, table = parse_table(text_lines(text), "<all columns>")
+    assert table_text(names, table) == format_table_rows(names, table) == text
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 5), (700, 1), (5000, 3), (61, 45)],
@@ -349,7 +353,8 @@ def test_reader_holds_blocks_not_the_file(load, tmp_path):
                              np.random.default_rng(6).uniform(-1.5, 1.5, (3000, 44))])
     table[:, -1] = np.arange(3000) == 2999  # the end flag, for a dataset
     path = tmp_path / "t.csv"
-    write_table(path, ["time", *(f"j{i}" for i in range(1, 44)), "end_flag"], table)
+    write_table(path, ["time", *(f"j{i}" for i in range(1, 44)), "end_flag"], table,
+                ["# rate=50"] if load is load_dataset else [])
     assert path.stat().st_size > 2 * table.nbytes  # more than the table and its blocks
     assert traced_peak(lambda: load(path)) <= 2 * table.nbytes + 512 * 1024
 
@@ -505,6 +510,7 @@ def test_mutated_tables_load_or_raise_mimic_error(kind, tables, tmp_path):
                 outcomes["rejected"] += 1
             else:
                 outcomes["loaded"] += 1
-                cells = [c for ln in write(loaded).splitlines()[1:] for c in ln.split(",")]
+                cells = [c for ln in write(loaded).splitlines()[1:] if not ln.startswith("#")
+                         for c in ln.split(",")]
                 assert all(math.isfinite(float(c)) for c in cells)
     assert outcomes["rejected"] > 0 and outcomes["loaded"] > 0
