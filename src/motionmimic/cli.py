@@ -95,9 +95,9 @@ def cmd_train(args) -> int:
             out.mkdir(parents=True, exist_ok=True)
             save_log(err.log, out / "training_log.csv")
         raise
+    rep = evaluate(model, ds)  # before any file is written, so a refused model leaves none
     save_model(model, out)
     save_log(tlog, out / "training_log.csv")
-    rep = evaluate(model, ds)
     print(
         f"trained {len(tlog)} epochs on {len(ds.times)} samples: "
         f"final mse={rep.mse:.6g} mae={rep.mae:.6g} rad -> {out}"

@@ -49,14 +49,15 @@ class KeyframeMovement:
 
 
 def validate_movement(m: KeyframeMovement):
-    """Raise one MimicError naming every movement rule m breaks."""
-    t, q = m.times.ravel(), m.joints
+    """Raise one MimicError naming every movement rule m breaks.
+
+    m.joints holds one row per step time, as parse_movement builds it.
+    """
+    t, q = m.times, m.joints
     bad = []
     if len(t) < 2:
         bad.append(("step-count", "movement needs at least 2 keyframe steps"))
-    if q.shape[:1] != m.times.shape or q.ndim != 2 and q.size:  # no steps: step-count alone
-        bad.append(("joint-shape", "joints must hold one row of angles per step time"))
-    elif q.ndim == 2 and q.shape[1] == 0:
+    if q.ndim == 2 and q.shape[1] == 0:
         bad.append(("no-joints", "keyframes must hold at least one joint angle"))
     if not np.all(np.isfinite(q)):
         bad.append(("finite-angles", "joint angles must be finite"))
@@ -103,18 +104,12 @@ def playback_duration(m: KeyframeMovement) -> float:
 def poses(m: KeyframeMovement, times) -> np.ndarray:
     """Interpolated joint postures, one row per playback time.
 
-    Every time must lie in [0, playback_duration(m)]; open-loop
-    movements have a definite end, so out-of-range queries raise
-    MimicError rather than clamp.  This is the one range check, so
-    the spline is evaluated only inside its knots.  Postures beyond
-    MAX_ANGLE (the spline can overshoot far past close keyframes) raise
-    MimicError.
+    Every time must lie in [0, playback_duration(m)], so the spline is
+    evaluated only inside its knots; playback_grid, the one program
+    caller, clamps its grid into that range.  Postures beyond MAX_ANGLE
+    (the spline can overshoot far past close keyframes) raise MimicError.
     """
-    duration = playback_duration(m)
     ts = np.asarray(times, dtype=float)
-    outside = ~((ts >= 0.0) & (ts <= duration))
-    if np.any(outside):
-        raise MimicError(f"playback time {ts[outside][0]} outside [0, {duration}]")
     # guard the end knot against rounding in t * speed_rate
     with np.errstate(over="ignore", invalid="ignore"):  # check_angles reports it
         out = m.spline.eval(np.minimum(ts * m.speed_rate, m.times[-1]))

@@ -55,8 +55,9 @@ class MimicNetwork:
 
     Each layer maps a to W a + b.  Hidden layers apply leaky ReLU with
     slope alpha; the last layer is linear.  All weights and biases live
-    in params, one float64 vector; weights[i], shaped (out, in), and
-    biases[i] are views of it.
+    in params, one float64 vector of parameter_count(sizes, alpha)
+    values, as initialize and parse_weights build it; weights[i],
+    shaped (out, in), and biases[i] are views of it.
     """
 
     sizes: list
@@ -67,10 +68,8 @@ class MimicNetwork:
 
     def __post_init__(self):
         self.sizes = [int(s) for s in self.sizes]
-        total = parameter_count(self.sizes, self.alpha)
+        parameter_count(self.sizes, self.alpha)
         self.params = np.asarray(self.params, dtype=float)
-        if self.params.shape != (total,):
-            raise MimicError(f"sizes {self.sizes} need {total} parameters, not {self.params.shape}")
         if not np.all(np.isfinite(self.params)):
             raise MimicError("network parameters must be finite")
         self.weights, self.biases = layer_views(self.sizes, self.params)

@@ -137,16 +137,12 @@ def write_table(path, header, matrix, records=()):
     """Write a CSV file: the header names, the record lines, then one line per row.
 
     records are lines as format_record writes them, such as a dataset's
-    '# rate=50'; cells are written as fmt does.  A header whose width
-    differs from the matrix's columns, or a table without columns,
-    raises MimicError before the file is opened.  The names are written
-    as write_text writes text, the bytes read_lines kept included.
+    '# rate=50'; cells are written as fmt does.  header names each
+    column of the 2-D matrix, at least one; every caller builds it from
+    the table it writes.  The names are written as write_text writes
+    text, the bytes read_lines kept included.
     """
     table = np.asarray(matrix, dtype=float)
-    if table.shape[1:] != (len(header),):
-        raise MimicError(f"{len(header)} column names for a table of shape {table.shape}")
-    if not header:
-        raise MimicError(f"a table of shape {table.shape} has no columns")
     head = "".join(line + "\n" for line in [",".join(header), *records])
     head = head.encode("utf-8", "surrogateescape")
     with open(path, "wb") as out:

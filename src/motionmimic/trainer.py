@@ -74,14 +74,18 @@ class MotionDataset:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.targets = np.asarray(self.targets, dtype=float)
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.targets))):
-            raise MimicError("dataset times and targets must be finite")
-        check_angles(self.targets, "a dataset value")
+        if not np.all(np.isfinite(self.times)):
+            raise MimicError("dataset times must be finite")
+        check_angles(self.targets, "a dataset value")  # NaN and inf included
         if len(self.times) < 2:
             raise MimicError("dataset needs at least 2 samples")
         require_positive("rate", self.sample_rate)
+        step = 1.0 / self.sample_rate
+        # a time holds its grid point to within a few float spacings, so a log recorded on a
+        # wall clock fits; times too coarse to tell one sample from the next do not
+        slack = 4 * math.ulp(float(np.abs(self.times).max()))
         deltas = np.diff(self.times)
-        if np.any(np.abs(deltas - 1.0 / self.sample_rate) > 1e-9):
+        if not slack < step / 2 or np.any(np.abs(deltas - step) > max(1e-9, slack)):
             raise MimicError("sample times must be uniform at 1/rate")
         flags = self.targets[:, -1]
         if not np.all((flags == 0.0) | (flags == 1.0)):
@@ -248,7 +252,7 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
     """Regularize an externally captured log onto a uniform grid.
 
     times and joints are the time column and the (samples, joints) rest
-    of one table, as load_joint_log reads it.
+    of one table, as load_joint_log reads it, so every value is finite.
 
     Single missing samples are filled by linear interpolation of their
     neighbors; longer gaps are an error.  Periodic logs (one period of a
@@ -265,8 +269,6 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
     _check_tail(tail)
     if periodic and tail:
         raise MimicError(f"a periodic log has no end to hold, so no tail; got tail {tail}")
-    if not np.all(np.isfinite(t)):
-        raise MimicError("sample times must be finite")
     stalled = np.diff(t) <= 0
     if stalled.any():
         i = int(np.argmax(stalled)) + 1

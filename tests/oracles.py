@@ -239,11 +239,7 @@ def plant_step_loop(desired, cfg):
 
 def format_table_rows(header, matrix):
     """CSV text with every row written by one '%.17g,...' % tuple(row) template."""
-    from motionmimic.errors import MimicError
-
     table = np.asarray(matrix, dtype=float)
-    if table.shape[1:] != (len(header),):
-        raise MimicError(f"{len(header)} column names for a table of shape {table.shape}")
     template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
     lines += [template % tuple(row.tolist()) for row in table]

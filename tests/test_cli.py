@@ -133,6 +133,9 @@ def test_gen_names_an_oversized_grid_by_its_integer_count(workdir, capsys):
     + [
         pytest.param("movement n=1 gamma=3 rate=1\nt=0 0\nt=1 0.5\n",
                      "line 3: header declares gamma=3 but found 2 steps", id="gamma-3-of-2"),
+        pytest.param("movement n=1 gamma=1 rate=1\nt=0 0\n",
+                     "error: invalid movement: step-count: movement needs at least 2 keyframe "
+                     "steps\n", id="one-step"),
         pytest.param("movement n=1 gamma=2 rate=1\nt=0 0\nt=nan 0.5\n",
                      "finite-times: step times must be finite", id="nan-time"),
         pytest.param("movement n=1 gamma=2 rate=1\nt=0 0\nt=1 nan\n",
@@ -180,7 +183,7 @@ def test_gen_at_a_rate_whose_times_overflow_is_one_error_line(workdir, capsys, t
         code, err = done.returncode, done.stderr
     else:
         code, err = run(argv), capsys.readouterr().err
-    assert (code, err) == (2, "error: dataset times and targets must be finite\n")
+    assert (code, err) == (2, "error: dataset times must be finite\n")
     assert not (workdir / "x.csv").exists()
 
 
@@ -462,6 +465,37 @@ def test_log_that_ends_before_time_zero_trains_and_replays(workdir, monkeypatch,
             assert float((workdir / out).read_text().splitlines()[1].split(",")[0]) == -5.0
 
 
+@pytest.mark.parametrize("start", [1e8, 1.7e9])
+def test_log_recorded_on_a_wall_clock_replays_as_the_same_log_from_zero(workdir, start):
+    # floats near 1.7e9 lie 2.4e-7 s apart, so its grid times miss start + k / 50 by
+    # more than 1e-9 s; the results differ from those at 0 by about that much, not bit for bit
+    (workdir / "quick.txt").write_text("phase epochs=100 lr=0.001\n")
+    results = []
+    for t0 in (0.0, start):
+        d = workdir / repr(t0)
+        d.mkdir()
+        (d / "log.csv").write_text("time,hip,knee\n" + "".join(
+            f"{t0 + k / 50!r},{float(np.sin(3 * k / 50))!r},{float(np.cos(2 * k / 50))!r}\n"
+            for k in range(40)))
+        for command in (f"ingest --log {d}/log.csv --tail 5 --out {d}/ds.csv",
+                        f"train --dataset {d}/ds.csv --schedule {workdir}/quick.txt --out {d}/m",
+                        f"eval --model {d}/m --dataset {d}/ds.csv",
+                        f"rollout --model {d}/m --out {d}/ro.csv",
+                        f"simulate --model {d}/m --out {d}/sim.csv",
+                        f"compare --model {d}/m --dataset {d}/ds.csv --out {d}/cmp"):
+            assert main(command.split()) == 0, command
+        metrics = dict(line.split("=") for line in (d / "cmp" / "metrics.txt").read_text().split())
+        results.append(([load_joint_log(d / name)[:2] for name in ("ro.csv", "sim.csv")], metrics))
+    (tables, metrics), (shifted_tables, shifted_metrics) = results
+    for (times, values), (shifted_times, shifted_values) in zip(tables, shifted_tables):
+        np.testing.assert_allclose(shifted_times - start, times, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(shifted_values, values, rtol=0, atol=1e-5)
+    for key in ("end_time_error", "attenuated"):
+        assert shifted_metrics[key] == metrics[key]
+    for key in ("mse", "mae", "tracking_rms"):
+        assert float(shifted_metrics[key]) == pytest.approx(float(metrics[key]), rel=1e-5)
+
+
 def test_joint_name_that_is_not_utf8_survives_train_and_compare(workdir, capfd):
     assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
     data = (workdir / "demo.csv").read_bytes()
@@ -699,6 +733,36 @@ def test_divergence_in_the_second_phase_logs_each_rows_phase_and_lr(workdir, cap
                                                         else (epoch, 1, 1e51))
 
 
+def test_gradient_that_overflows_is_exit_3_naming_its_tensor(workdir, capsys):
+    # the loss of epoch 0 is finite, but its layer-0 weight gradient is not
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
+    (workdir / "two.txt").write_text("phase epochs=2 lr=0.001\n")
+    capsys.readouterr()
+    code = run(["train", "--dataset", workdir / "demo.csv", "--arch", "1:2:3",
+                "--alpha", "6.080224261649427e+156", "--seed", 1,
+                "--schedule", workdir / "two.txt", "--out", workdir / "m"])
+    assert code == 3
+    assert capsys.readouterr().err == ("error: non-finite gradient in layer0.weights; "
+                                       "last finite epoch 0\n")
+    log_lines = (workdir / "m" / "training_log.csv").read_text().splitlines()
+    assert len(log_lines) == 2 and log_lines[1].startswith("0,0,")
+    assert not (workdir / "m" / "weights.txt").exists()
+
+
+def test_train_whose_model_overflows_is_exit_2_and_writes_nothing(workdir, capsys):
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
+    (workdir / "wild.txt").write_text("phase epochs=4 lr=1e10\n")
+    capsys.readouterr()
+    code = run(["train", "--dataset", workdir / "demo.csv", "--arch", "1:4:3",
+                "--schedule", workdir / "wild.txt", "--out", workdir / "m"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: model output reaches ")
+    assert len(captured.err.splitlines()) == 1
+    assert not (workdir / "m").exists()
+
+
 def test_train_overflow_at_first_epoch_is_exit_3(trained, capsys):
     # an absurd leaky-ReLU slope overflows the first forward pass; warnings are errors here
     capsys.readouterr()
@@ -768,26 +832,33 @@ def test_overflowing_model_is_exit_2(trained, capsys, command, options, output):
     assert output is None or not (trained / output).exists()
 
 
+# lines of the 1-75-50-3 net's weights.txt: 1 the header; 2, 79 and 131 the layer
+# headers; 3-77 layer 0's weights, one a line, and 78 its biases
 @pytest.mark.parametrize(
-    "old, new, message",
+    "rows, new, message",
     [
-        pytest.param("layer out=50 in=75 ", "layer out=50 in=74 ",
-                     "in=74 must equal the previous out= or input=, 75", id="in-chain"),
-        pytest.param("act=linear", "act=leakyrelu", "layer 2 of 3 must be act=linear",
-                     id="last-act"),
+        pytest.param(slice(78, 79), ["layer out=50 in=74 act=leakyrelu"],
+                     "line 79: in=74 must equal the previous out= or input=, 75", id="in-chain"),
+        pytest.param(slice(130, 131), ["layer out=3 in=50 act=leakyrelu"],
+                     "line 131: layer 2 of 3 must be act=linear", id="last-act"),
+        pytest.param(slice(1, 2), ["layer out=75 in=1 act=relu"],
+                     "line 2: act must be leakyrelu or linear, got 'relu'", id="act-relu"),
+        pytest.param(slice(2, 3), ["0.5 0.5"], "line 3: expected 1 weight values, found 2",
+                     id="extra-weight"),
+        pytest.param(slice(3, None), [], "line 4: missing weight values", id="cut-after-line-3"),
+        pytest.param(slice(2, 3), ["nan"], "network parameters must be finite", id="nan-weight"),
     ],
 )
-def test_inconsistent_weights_file_is_exit_2(trained, capsys, old, new, message):
+def test_inconsistent_weights_file_is_exit_2(trained, capsys, rows, new, message):
     weights = trained / "model" / "weights.txt"
-    text = weights.read_text()
-    assert text.count(old) == 1
-    weights.write_text(text.replace(old, new))
+    lines = weights.read_text().splitlines()
+    lines[rows] = new
+    weights.write_text("".join(line + "\n" for line in lines))
     capsys.readouterr()
     assert run(["rollout", "--model", trained / "model", "--out", trained / "x.csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: line ") and captured.err.endswith(f": {message}\n")
-    assert len(captured.err.splitlines()) == 1
+    assert captured.err == f"error: {message}\n"
     assert not (trained / "x.csv").exists()
 
 
@@ -969,6 +1040,9 @@ LOG_HEAD = "time,hip\n0,0\n"
                      "sample times must be uniform at 1/rate", id="dataset-decreasing-times"),
         pytest.param("dataset", DATASET_HEAD + "1e-310,0.1,1\n",
                      "sample times must be uniform at 1/rate", id="dataset-tiny-time-span"),
+        # floats 16 s apart cannot hold a 50 Hz grid, whatever the times are
+        pytest.param("dataset", "time,j1,end_flag\n# rate=50\n1e17,0,0\n1e17,0.1,1\n",
+                     "sample times must be uniform at 1/rate", id="dataset-times-too-coarse"),
         # the times fit 50 Hz, not the rate the file states
         pytest.param("dataset", "time,j1,end_flag\n# rate=40\n0,0,0\n0.02,0.1,1\n",
                      "sample times must be uniform at 1/rate", id="dataset-off-its-rate"),
@@ -1012,6 +1086,10 @@ LOG_HEAD = "time,hip\n0,0\n"
         # 0.0009 s lies 0.045 samples from t=0 at 50 Hz: on the grid, in the same slot
         pytest.param("log", LOG_HEAD + "0.0009,0.1\n",
                      "two samples share the grid slot at t=0.0009", id="log-shared-slot"),
+        pytest.param("log", "", "line 1: expected header 'time,<joint names...>', found no lines",
+                     id="log-empty"),
+        pytest.param("log", LOG_HEAD + "0.02\n", "line 3: expected 2 fields, found 1",
+                     id="log-one-field"),
     ],
 )
 def test_bad_table_is_exit_2(workdir, capsys, kind, text, message):

@@ -1,5 +1,4 @@
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -57,9 +56,9 @@ def test_all_violations_reported():
         "finite-angles: joint angles must be finite; first-step-time: first step time must be 0; "
         "speed-rate: speed rate must be positive and finite, got -1.0"
     )
-    with pytest.raises(MimicError, match="^invalid movement: joint-shape: ") as err:
-        KeyframeMovement([0.2, 0.1], [0.0, 1.0], speed_rate=np.nan)
-    for rule in ("joint-shape", "first-step-time", "times-increasing", "speed-rate"):
+    with pytest.raises(MimicError, match="^invalid movement: no-joints: ") as err:
+        KeyframeMovement([0.2, 0.1], np.zeros((2, 0)), speed_rate=np.nan)
+    for rule in ("no-joints", "first-step-time", "times-increasing", "speed-rate"):
         assert rule in str(err.value)
     assert str(err.value).endswith("speed-rate: speed rate must be positive and finite, got nan")
 
@@ -67,9 +66,6 @@ def test_all_violations_reported():
 @pytest.mark.parametrize("times, joints, rule", [
     ([0.0], [[1.0]], "step-count"),
     ([], [], "step-count"),
-    ([0.0, 1.0], [[0.0], [1.0], [2.0]], "joint-shape"),
-    ([0.0, 1.0], [1.0, 2.0], "joint-shape"),
-    ([[0.0, 1.0]], [[0.0], [1.0]], "joint-shape"),
     ([0.0, 1.0], [[np.nan], [1.0]], "finite-angles"),
     ([0.0, np.inf], [[0.0], [1.0]], "finite-times"),
     ([0.0, 1.0, 0.5], [[0.0], [1.0], [2.0]], "times-increasing"),
@@ -151,14 +147,6 @@ def test_reference_pose_hits_every_keyframe():
             np.testing.assert_allclose(reference_pose(m, t / rate), q, atol=1e-10)
 
 
-def test_reference_pose_out_of_range():
-    m = simple_movement()
-    with pytest.raises(MimicError, match=r"^playback time -0\.01 outside \[0, "):
-        reference_pose(m, -0.01)
-    with pytest.raises(MimicError, match=r"^playback time [0-9.]+ outside \[0, "):
-        reference_pose(m, playback_duration(m) + 0.01)
-
-
 def test_reference_pose_invalid_movement():
     with pytest.raises(MimicError, match="step-count"):
         KeyframeMovement([0.0], [[0.0]])
@@ -210,18 +198,6 @@ def test_poses_refuse_angles_beyond_the_bound(times, joints):
 def test_poses_accept_angles_at_the_bound():
     m = KeyframeMovement([0.0, 1.0], [[-MAX_ANGLE], [MAX_ANGLE]])
     np.testing.assert_array_equal(poses(m, [0.0, 1.0]), [[-MAX_ANGLE], [MAX_ANGLE]])
-
-
-def test_poses_reject_any_time_out_of_range():
-    m = simple_movement()
-    duration = playback_duration(m)
-    assert poses(m, [0.0, duration]).shape == (2, 2)
-    for bad in (-0.01, duration + 0.01, np.nan):
-        grid = np.linspace(0.0, duration, 11)
-        grid[7] = bad
-        refusal = rf"^playback time {re.escape(str(bad))} outside \[0, "
-        with pytest.raises(MimicError, match=refusal):
-            poses(m, grid)
 
 
 def test_grid_size_counts_samples_up_to_the_span():

@@ -17,7 +17,6 @@ from motionmimic.optimizer import TrainingSchedule
 from motionmimic.plant import PlantConfig, SimulationResult, save_comparison, simulate
 from motionmimic.textio import parse_table, read_lines, write_table
 from motionmimic.trainer import (
-    Rollout,
     TrainingLog,
     ingest_log,
     load_dataset,
@@ -100,41 +99,6 @@ def test_format_parse_format_is_byte_identical(kind, tables, tmp_path):
     read, write = readers(tmp_path)[kind]
     text = tables[kind]
     assert write(read(text)) == text
-
-
-@pytest.mark.parametrize("header", [["time", "a"], ["time", "a", "b", "c"]],
-                         ids=["narrower", "wider"])
-def test_write_table_header_must_match_columns(header, tmp_path):
-    with pytest.raises(MimicError, match=f"{len(header)} column names for a table of shape"):
-        write_table(tmp_path / "t.csv", header, np.zeros((2, 3)))
-    assert not (tmp_path / "t.csv").exists()
-
-
-def test_write_table_refuses_a_table_without_columns(tmp_path):
-    with pytest.raises(MimicError, match=r"a table of shape \(3, 0\) has no columns"):
-        write_table(tmp_path / "t.csv", [], np.empty((3, 0)))
-    assert not (tmp_path / "t.csv").exists()
-
-
-@pytest.mark.parametrize("target", ["existing", "missing"])
-@pytest.mark.parametrize("writer", ["write_table", "save_rollout", "save_comparison"])
-def test_refused_write_touches_nothing(writer, target, tmp_path):
-    """A header that does not fit the table is refused before the file is opened."""
-    path = tmp_path / "out.csv"
-    if target == "existing":
-        path.write_bytes(b"kept \xff\n")
-    times, joints = np.arange(4) / 50.0, np.zeros((4, 2))
-    write = {
-        "write_table": lambda: write_table(path, ["time", "a"], np.zeros((4, 3))),
-        "save_rollout": lambda: save_rollout(Rollout(times, joints, np.zeros(4)), ["a"], path),
-        "save_comparison": lambda: save_comparison(
-            SimulationResult(times, joints, joints, 0.0, False), ["a", "b", "c"], path),
-    }[writer]
-    with pytest.raises(MimicError, match="column names for a table of shape"):
-        write()
-    assert list(tmp_path.iterdir()) == ([path] if target == "existing" else [])
-    if target == "existing":
-        assert path.read_bytes() == b"kept \xff\n"
 
 
 def traced_peak(call):
