@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import DivergenceError, MimicError
 # validate_movement is not called here; bench/tracing.py looks it up on this module
 from .motion import load_movement, validate_movement
-from .optimizer import SCHEDULE_PRESETS, load_schedule
+from .optimizer import SCHEDULE_PRESETS, TrainingSchedule, load_schedule
 from .plant import PlantConfig, save_comparison, simulate
 from .textio import fmt, format_record, write_text
 from .trainer import (
@@ -53,7 +53,7 @@ def _parse_arch(text):
 
 def _load_schedule_arg(spec):
     if spec in SCHEDULE_PRESETS:
-        return SCHEDULE_PRESETS[spec]()
+        return TrainingSchedule(SCHEDULE_PRESETS[spec])
     if Path(spec).exists():
         return load_schedule(spec)
     raise MimicError(
@@ -88,6 +88,10 @@ def cmd_train(args) -> int:
     arch = _parse_arch(args.arch) if args.arch else None
     schedule = _load_schedule_arg(args.schedule)
     out = Path(args.out)
+    # the bundle directory is made after training: a file in its way is refused before it
+    for part in (out, *out.parents):
+        if part.exists() and not part.is_dir():
+            raise MimicError(f"--out {out}: {part} exists and is not a directory")
     try:
         model, tlog = train(ds, arch=arch, schedule=schedule, seed=args.seed, alpha=args.alpha)
     except DivergenceError as err:

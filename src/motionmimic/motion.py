@@ -104,15 +104,15 @@ def playback_duration(m: KeyframeMovement) -> float:
 def poses(m: KeyframeMovement, times) -> np.ndarray:
     """Interpolated joint postures, one row per playback time.
 
-    Every time must lie in [0, playback_duration(m)], so the spline is
-    evaluated only inside its knots; playback_grid, the one program
-    caller, clamps its grid into that range.  Postures beyond MAX_ANGLE
-    (the spline can overshoot far past close keyframes) raise MimicError.
+    times is a float64 array of playback times, each in [0,
+    playback_duration(m)], so the spline is evaluated only inside its
+    knots; playback_grid, the one program caller, passes its grid
+    clamped into that range.  Postures beyond MAX_ANGLE (the spline can
+    overshoot far past close keyframes) raise MimicError.
     """
-    ts = np.asarray(times, dtype=float)
     # guard the end knot against rounding in t * speed_rate
     with np.errstate(over="ignore", invalid="ignore"):  # check_angles reports it
-        out = m.spline.eval(np.minimum(ts * m.speed_rate, m.times[-1]))
+        out = m.spline.eval(np.minimum(times * m.speed_rate, m.times[-1]))
     check_angles(out, "the movement's joint angle")
     return out
 
@@ -134,7 +134,7 @@ def playback_grid(m: KeyframeMovement, rate: float):
 
 def reference_pose(m: KeyframeMovement, t: float) -> np.ndarray:
     """Interpolated joint posture at playback time t; see poses."""
-    return poses(m, [t])[0]
+    return poses(m, np.array([t], dtype=float))[0]
 
 
 # --- movement file format -------------------------------------------------

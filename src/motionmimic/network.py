@@ -54,10 +54,13 @@ class MimicNetwork:
     """The net of layer sizes [input, hidden..., output]; the reference motion net is 1-75-50-23.
 
     Each layer maps a to W a + b.  Hidden layers apply leaky ReLU with
-    slope alpha; the last layer is linear.  All weights and biases live
-    in params, one float64 vector of parameter_count(sizes, alpha)
-    values, as initialize and parse_weights build it; weights[i],
-    shaped (out, in), and biases[i] are views of it.
+    slope alpha; the last layer is linear.  sizes is a list of ints, as
+    initialize takes them from train (cli._parse_arch or DEFAULT_HIDDEN)
+    and parse_weights reads them from <int> fields.  All weights and
+    biases live in params, one float64 vector of parameter_count(sizes,
+    alpha) values, as initialize (np.zeros) and parse_weights
+    (np.concatenate) build it; weights[i], shaped (out, in), and
+    biases[i] are views of it.
     """
 
     sizes: list
@@ -67,9 +70,7 @@ class MimicNetwork:
     biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.sizes = [int(s) for s in self.sizes]
         parameter_count(self.sizes, self.alpha)
-        self.params = np.asarray(self.params, dtype=float)
         if not np.all(np.isfinite(self.params)):
             raise MimicError("network parameters must be finite")
         self.weights, self.biases = layer_views(self.sizes, self.params)
@@ -174,11 +175,12 @@ def epoch_buffers(net: MimicNetwork, x: np.ndarray) -> EpochBuffers:
     )
 
 
-def _layers(net: MimicNetwork, x, buffers=None):
-    """Yield the activation of each layer in turn for the batch x.
+def forward(net: MimicNetwork, x: np.ndarray, buffers=None) -> np.ndarray:
+    """The net's output for the float (m, in) batch x, evaluated layer by layer.
 
-    With buffers, made for x, layer i is written into buffers.acts[i];
-    without, into fresh arrays, so a caller that drops each one frees it.
+    With buffers, made for x by epoch_buffers, layer i is written into
+    buffers.acts[i]; without, into fresh arrays, each layer's input freed
+    once the next layer is computed.
     """
     x1 = _input_matrix(net.sizes, x) if buffers is None else buffers.x1
     last = len(net.weights) - 1
@@ -193,13 +195,6 @@ def _layers(net: MimicNetwork, x, buffers=None):
         if i < last:
             leaky_relu(z, net.alpha, np.empty_like(z) if buffers is None else buffers.slopes[i])
         a = z
-        yield a
-
-
-def forward(net: MimicNetwork, x: np.ndarray) -> np.ndarray:
-    """Layer-by-layer evaluation of a float (m, in) batch."""
-    for a in _layers(net, x):
-        pass  # each layer's input is freed once the next layer is computed
     return a
 
 
@@ -223,8 +218,7 @@ def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers: E
     buffers.
     """
     m = x.shape[0]
-    for pred in _layers(net, x, buffers):
-        pass
+    pred = forward(net, x, buffers)
     error, delta = buffers.error, buffers.delta
     np.subtract(pred, y, out=error)
     np.multiply(error, error, out=delta)
@@ -252,15 +246,14 @@ def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers: E
 def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:
     """Seeded network: weights uniform in +/-sqrt(6/(in+out)), biases zero.
 
-    layer_sizes is the full chain [input, hidden..., output].  Sizes,
-    alpha and the MAX_PARAMETERS bound are checked before any array is
-    built.
+    layer_sizes is the full chain [input, hidden..., output], a list of
+    ints; the network keeps it as its sizes.  Sizes, alpha and the
+    MAX_PARAMETERS bound are checked before any array is built.
     """
-    sizes = [int(s) for s in layer_sizes]
-    total = parameter_count(sizes, alpha)
+    total = parameter_count(layer_sizes, alpha)
     if seed < 0:
         raise MimicError(f"seed must be non-negative, got {seed}")
-    net = MimicNetwork(sizes, alpha, np.zeros(total))
+    net = MimicNetwork(layer_sizes, alpha, np.zeros(total))
     rng = np.random.default_rng(seed)
     for w in net.weights:
         bound = np.sqrt(6.0 / sum(w.shape))  # fan_in + fan_out

@@ -79,21 +79,22 @@ MAX_EPOCHS = 1_000_000  # 20 times the reference recipe
 
 @dataclass
 class TrainingSchedule:
-    """Ordered (epochs, learning rate) phases, at most MAX_EPOCHS epochs in all."""
+    """Ordered (epochs, learning rate) phases, at most MAX_EPOCHS epochs in all.
 
-    phases: list
+    phases is a tuple of (int, float) pairs, as parse_schedule reads them
+    from <int>/<float> fields and SCHEDULE_PRESETS holds them.
+    """
+
+    phases: tuple
     reset_on_phase: bool = True
 
     def __post_init__(self):
         if not self.phases:
             raise MimicError("schedule needs at least one phase")
-        cleaned = []
         for i, (epochs, lr) in enumerate(self.phases):
-            if int(epochs) != epochs or epochs <= 0:
+            if epochs <= 0:
                 raise MimicError(f"phase {i}: epochs must be a positive integer, got {epochs}")
             require_positive(f"phase {i}: learning rate", lr)
-            cleaned.append((int(epochs), float(lr)))
-        self.phases = cleaned
         if self.total_epochs > MAX_EPOCHS:
             raise MimicError(f"{self.total_epochs} epochs; a schedule holds at most {MAX_EPOCHS}")
 
@@ -102,21 +103,12 @@ class TrainingSchedule:
         return sum(e for e, _ in self.phases)
 
 
-def reference_schedule() -> TrainingSchedule:
-    """The full 50000-epoch recipe: 30000 at 0.001, then 4 x 5000 stepping down by 0.0002."""
-    return TrainingSchedule(
-        [(30000, 0.001), (5000, 0.0008), (5000, 0.0006), (5000, 0.0004), (5000, 0.0002)]
-    )
-
-
-def desk_schedule() -> TrainingSchedule:
-    """Compressed 5000-epoch preset with the same phase proportions and rates."""
-    return TrainingSchedule(
-        [(3000, 0.001), (500, 0.0008), (500, 0.0006), (500, 0.0004), (500, 0.0002)]
-    )
-
-
-SCHEDULE_PRESETS = {"reference": reference_schedule, "desk": desk_schedule}
+SCHEDULE_PRESETS = {
+    # the full 50000-epoch recipe: 30000 at 0.001, then 4 x 5000 stepping down by 0.0002
+    "reference": ((30000, 0.001), (5000, 0.0008), (5000, 0.0006), (5000, 0.0004), (5000, 0.0002)),
+    # compressed 5000-epoch preset with the same phase proportions and rates
+    "desk": ((3000, 0.001), (500, 0.0008), (500, 0.0006), (500, 0.0004), (500, 0.0002)),
+}
 
 
 # --- schedule config format -------------------------------------------------
@@ -137,8 +129,8 @@ def parse_schedule(lines) -> TrainingSchedule:
         if line.lstrip().startswith("reset_on_phase"):
             (reset,) = parse_record(RESET, line, no)
         else:
-            phases.append(parse_record(PHASE, line, no))
-    return TrainingSchedule(phases, reset_on_phase=True if reset is None else reset)
+            phases.append(tuple(parse_record(PHASE, line, no)))
+    return TrainingSchedule(tuple(phases), reset_on_phase=True if reset is None else reset)
 
 
 def load_schedule(path) -> TrainingSchedule:

@@ -28,13 +28,13 @@ class CubicSpline:
     def eval(self, t):
         """Spline values at times t inside the knots: one row of joints per time.
 
-        The caller owns the range (motion.poses checks it); a time past an
+        t is a float64 (times,) array, as motion.poses passes it.  The
+        caller owns the range (playback_grid clamps it); a time past an
         end knot extends that end's cubic.
         """
-        ts = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.knot_times, ts, side="right") - 1,
+        i = np.clip(np.searchsorted(self.knot_times, t, side="right") - 1,
                     0, len(self.knot_times) - 2)
-        d = (ts - self.knot_times[i])[..., None]  # one offset per query, shared by every joint
+        d = (t - self.knot_times[i])[..., None]  # one offset per query, shared by every joint
         a, b, c, e = (self.coeffs[i, k] for k in range(4))
         return a + d * (b + d * (c + d * e))
 
@@ -42,28 +42,27 @@ class CubicSpline:
 def build_spline(times, values) -> CubicSpline:
     """Build the natural cubic spline through (times[i], values[i]).
 
-    times is (knots,) and values (knots, joints): the spline evaluates to
-    one row of joints per query time, each column exactly as a spline
-    through that column alone would.  The caller guarantees at least 2
-    knots, strictly increasing times and finite values (a
+    times is a float64 (knots,) array and values a float64 (knots,
+    joints) array, as KeyframeMovement passes its own: the spline
+    evaluates to one row of joints per query time, each column exactly
+    as a spline through that column alone would.  The caller guarantees
+    at least 2 knots, strictly increasing times and finite values (a
     KeyframeMovement is checked when built).  Raises MimicError when
     the coefficients overflow: knots too close for their values.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    h = np.diff(t)
+    h = np.diff(times)
     hs = h[:, None]  # one knot spacing per row, shared by the columns
     with np.errstate(all="ignore"):  # overflow shows in the finite check below
-        slopes = np.diff(y, axis=0) / hs
+        slopes = np.diff(values, axis=0) / hs
         m = _interior_second_derivatives(h, slopes)
-        a = y[:-1].copy()
+        a = values[:-1].copy()
         b = slopes - hs * (2.0 * m[:-1] + m[1:]) / 6.0
         c = m[:-1] / 2.0
         d = (m[1:] - m[:-1]) / (6.0 * hs)
     coeffs = np.stack([a, b, c, d], axis=1)
     if not np.all(np.isfinite(coeffs)):
         raise MimicError("spline coefficients overflow: knot times too close for their values")
-    return CubicSpline(t.copy(), coeffs)
+    return CubicSpline(times.copy(), coeffs)
 
 
 def _interior_second_derivatives(h, slopes):

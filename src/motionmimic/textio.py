@@ -133,16 +133,17 @@ class LineReader:
 # --- CSV tables: every CSV file the toolkit reads or writes ------------------
 
 
-def write_table(path, header, matrix, records=()):
+def write_table(path, header, table, records=()):
     """Write a CSV file: the header names, the record lines, then one line per row.
 
     records are lines as format_record writes them, such as a dataset's
-    '# rate=50'; cells are written as fmt does.  header names each
-    column of the 2-D matrix, at least one; every caller builds it from
-    the table it writes.  The names are written as write_text writes
-    text, the bytes read_lines kept included.
+    '# rate=50'; cells are written as fmt does.  table is a 2-D float64
+    array, as save_dataset, save_rollout and save_log build it with
+    np.column_stack and save_comparison with np.empty.  header names each
+    of its columns, at least one; every caller builds it from the table
+    it writes.  The names are written as write_text writes text, the
+    bytes read_lines kept included.
     """
-    table = np.asarray(matrix, dtype=float)
     head = "".join(line + "\n" for line in [",".join(header), *records])
     head = head.encode("utf-8", "surrogateescape")
     with open(path, "wb") as out:

@@ -62,8 +62,10 @@ def _first_crossing(flags):
 class MotionDataset:
     """Uniform-rate samples of joint targets plus the end flag.
 
-    targets has one row per sample: n joint angles (radians) followed by
-    the end flag.  A periodic dataset is one with no flagged sample.
+    times, shaped (samples,), and targets, one row per sample of n joint
+    angles (radians) followed by the end flag, are float64 arrays, as
+    parse_dataset slices them from parse_table's table and _dataset
+    builds them.  A periodic dataset is one with no flagged sample.
     """
 
     times: np.ndarray
@@ -72,8 +74,6 @@ class MotionDataset:
     joint_names: list = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=float)
         if not np.all(np.isfinite(self.times)):
             raise MimicError("dataset times must be finite")
         check_angles(self.targets, "a dataset value")  # NaN and inf included
@@ -176,9 +176,11 @@ class TrainedModel:
     def inputs(self, times) -> np.ndarray:
         """The net's (rows, 1) input: times normalized over the dataset span.
 
+        times is a float64 (rows,) array: a dataset's times (train,
+        evaluate) or rollout's time_offset + arange(count) / rate.
         Training and replay both read it here, so they agree bit for bit.
         """
-        return ((np.asarray(times, dtype=float) - self.time_offset) / self.time_scale)[:, None]
+        return ((times - self.time_offset) / self.time_scale)[:, None]
 
     def predict(self, times) -> np.ndarray:
         """Joint + flag outputs at the given playback times."""
@@ -251,8 +253,9 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
                joint_names=None) -> MotionDataset:
     """Regularize an externally captured log onto a uniform grid.
 
-    times and joints are the time column and the (samples, joints) rest
-    of one table, as load_joint_log reads it, so every value is finite.
+    times and joints are the float64 time column and (samples, joints)
+    rest of one table, as load_joint_log reads it from parse_table, so
+    every value is finite.
 
     Single missing samples are filled by linear interpolation of their
     neighbors; longer gaps are an error.  Periodic logs (one period of a
@@ -261,41 +264,39 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
     after it hold its posture.  The rows are built by _dataset, as
     sample_movement's are.
     """
-    t = np.asarray(times, dtype=float)
-    vals = np.asarray(joints, dtype=float)
-    if len(t) < 2:
+    if len(times) < 2:
         raise MimicError("log needs at least 2 samples")
     require_positive("rate", rate)
     _check_tail(tail)
     if periodic and tail:
         raise MimicError(f"a periodic log has no end to hold, so no tail; got tail {tail}")
-    stalled = np.diff(t) <= 0
+    stalled = np.diff(times) <= 0
     if stalled.any():
         i = int(np.argmax(stalled)) + 1
-        raise MimicError(f"times must increase (violation at record {i}, t={t[i]})")
+        raise MimicError(f"times must increase (violation at record {i}, t={times[i]})")
 
-    grid_size(t[-1] - t[0], rate)  # a bounded grid, before its slots are cast to int
-    slots = np.rint((t - t[0]) * rate).astype(int)
-    off_grid = np.abs((t - t[0]) * rate - slots)
+    grid_size(times[-1] - times[0], rate)  # a bounded grid, before its slots are cast to int
+    slots = np.rint((times - times[0]) * rate).astype(int)
+    off_grid = np.abs((times - times[0]) * rate - slots)
     if np.any(off_grid > 0.05):
         i = int(np.argmax(off_grid > 0.05))
-        raise MimicError(f"sample at t={t[i]} is off the {rate} Hz grid")
+        raise MimicError(f"sample at t={times[i]} is off the {rate} Hz grid")
     gaps = np.diff(slots)
     if np.any(gaps == 0):
         i = int(np.argmax(gaps == 0)) + 1
-        raise MimicError(f"two samples share the grid slot at t={t[i]}")
+        raise MimicError(f"two samples share the grid slot at t={times[i]}")
     if np.any(gaps > 2):
         i = int(np.argmax(gaps > 2))
-        raise MimicError(
-            f"{gaps[i] - 1} consecutive missing samples between t={t[i]} and t={t[i + 1]}"
-        )
+        raise MimicError(f"{gaps[i] - 1} consecutive missing samples "
+                         f"between t={times[i]} and t={times[i + 1]}")
 
     count = int(slots[-1]) + 1
-    grid = np.empty((count, vals.shape[1]))
-    grid[slots] = vals
+    grid = np.empty((count, joints.shape[1]))
+    grid[slots] = joints
     for i in np.nonzero(gaps == 2)[0]:
-        grid[slots[i] + 1] = 0.5 * (vals[i] + vals[i + 1])
-    return _dataset(t[0], rate, grid, vals[-1], tail, None if periodic else count - 1, joint_names)
+        grid[slots[i] + 1] = 0.5 * (joints[i] + joints[i + 1])
+    return _dataset(times[0], rate, grid, joints[-1], tail, None if periodic else count - 1,
+                    joint_names)
 
 
 def train(dataset: MotionDataset, schedule: TrainingSchedule, arch=None,
@@ -312,7 +313,7 @@ def train(dataset: MotionDataset, schedule: TrainingSchedule, arch=None,
     deterministic for a fixed seed.
     """
     n = dataset.n_joints
-    sizes = [int(s) for s in arch] if arch is not None else [1, *DEFAULT_HIDDEN, n + 1]
+    sizes = arch if arch is not None else [1, *DEFAULT_HIDDEN, n + 1]
     parameter_count(sizes, alpha)  # the sizes, alpha and MAX_PARAMETERS are refused first
     if sizes[-1] != n + 1:
         raise MimicError(f"network output size {sizes[-1]} must equal joints + end flag = {n + 1}")

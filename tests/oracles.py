@@ -317,7 +317,8 @@ def parse_log(lines):
             and np.array_equal(phase[starts], np.arange(len(starts)))):
         raise MimicError("epochs must count from 0, and each phase from 0 must hold one lr")
     counts = np.diff(np.append(starts, len(table)))
-    return TrainingLog(TrainingSchedule(list(zip(counts, lr[starts]))), mses, maes)
+    return TrainingLog(TrainingSchedule(tuple(zip(counts.tolist(), lr[starts].tolist()))),
+                       mses, maes)
 
 
 def schedule_run(schedule):
@@ -340,7 +341,7 @@ def schedule_run(schedule):
         resets.append(len(lrs))
         return reset(state)
 
-    dataset = trainer.MotionDataset([0.0, 0.02], [[0.0, 0.0], [0.0, 1.0]], 50.0)
+    dataset = trainer.MotionDataset(np.array([0.0, 0.02]), np.array([[0.0, 0.0], [0.0, 1.0]]), 50.0)
     with mock.patch.object(trainer, "forward_backward", zero_pass), \
             mock.patch.object(trainer, "adam_step", lambda *step: lrs.append(step[-1])), \
             mock.patch.object(trainer, "reset_state", record_reset):

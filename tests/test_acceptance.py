@@ -19,11 +19,10 @@ from motionmimic.network import (
     save_weights,
 )
 from motionmimic.optimizer import (
+    SCHEDULE_PRESETS,
     TrainingSchedule,
     adam_init,
     adam_step,
-    desk_schedule,
-    reference_schedule,
 )
 from motionmimic.plant import PlantConfig, simulate, step
 from motionmimic.spline import build_spline
@@ -144,7 +143,7 @@ def test_c04_desk_scale_mae_and_end_detection():
     }
     for i, (name, movement) in enumerate(motions.items()):
         dataset = sample_movement(movement, 50.0)
-        model, _ = train(dataset, schedule=desk_schedule(), seed=i)
+        model, _ = train(dataset, schedule=TrainingSchedule(SCHEDULE_PRESETS["desk"]), seed=i)
         rep = evaluate(model, dataset)
         assert rep.mae <= 0.018, f"{name}: mae {rep.mae}"
         ro = rollout(model, 50.0)
@@ -155,7 +154,7 @@ def test_c04_desk_scale_mae_and_end_detection():
 
 
 def test_c05_schedule_fidelity():
-    lrs, _, table = schedule_run(reference_schedule())
+    lrs, _, table = schedule_run(TrainingSchedule(SCHEDULE_PRESETS["reference"]))
     expected = np.concatenate(
         [
             np.full(30000, 0.001),
@@ -173,7 +172,7 @@ def test_c05_schedule_fidelity():
 
 def test_c06_phase_reset_behavior():
     dataset = sample_movement(kick_analog(), 50.0)
-    sched_on = desk_schedule()
+    sched_on = TrainingSchedule(SCHEDULE_PRESETS["desk"])
     boundaries = np.cumsum([e for e, _ in sched_on.phases])[:-1]
 
     model_on, log_on = train(dataset, schedule=sched_on, seed=0)

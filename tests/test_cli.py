@@ -843,6 +843,8 @@ def test_overflowing_model_is_exit_2(trained, capsys, command, options, output):
                      "line 131: layer 2 of 3 must be act=linear", id="last-act"),
         pytest.param(slice(1, 2), ["layer out=75 in=1 act=relu"],
                      "line 2: act must be leakyrelu or linear, got 'relu'", id="act-relu"),
+        pytest.param(slice(1, 2), ["layer out=7.5 in=1 act=leakyrelu"],
+                     "line 2: out is not an integer: '7.5'", id="fractional-out"),
         pytest.param(slice(2, 3), ["0.5 0.5"], "line 3: expected 1 weight values, found 2",
                      id="extra-weight"),
         pytest.param(slice(3, None), [], "line 4: missing weight values", id="cut-after-line-3"),
@@ -1269,10 +1271,15 @@ def test_plant_option_must_be_positive_and_finite(workdir, capsys, option, value
         pytest.param(["--arch", "5"], "a network needs at least one layer, so two sizes: [5]",
                      id="one-size-5"),
         pytest.param(["--arch", "abc"], "arch must look like 1:75:50:23, got 'abc'", id="arch-abc"),
+        # the sizes are read as ints once, here; no later layer converts them
+        pytest.param(["--arch", "1:7.5:3"], "arch must look like 1:75:50:23, got '1:7.5:3'",
+                     id="fractional-width"),
         pytest.param(["--arch", "1:0:3"], "layer sizes must be positive, got [1, 0, 3]",
                      id="zero-width-layer"),
         pytest.param(["--schedule", "{dir}/epochs0.txt"],
                      "phase 0: epochs must be a positive integer, got 0", id="zero-epochs"),
+        pytest.param(["--schedule", "{dir}/epochs2.5.txt"],
+                     "line 1: epochs is not an integer: '2.5'", id="fractional-epochs"),
         pytest.param(["--schedule", "{dir}/late.txt"],
                      "line 2: nothing may follow the reset_on_phase line", id="phase-after-reset"),
         pytest.param(["--schedule", "{dir}/empty.txt"], "schedule needs at least one phase",
@@ -1288,6 +1295,7 @@ def test_plant_option_must_be_positive_and_finite(workdir, capsys, option, value
 def test_unusable_train_config_is_exit_2(workdir, capsys, options, message):
     (workdir / "huge.txt").write_text("phase epochs=100000000000000000000 lr=0.001\n")
     (workdir / "epochs0.txt").write_text("phase epochs=0 lr=0.001\n")
+    (workdir / "epochs2.5.txt").write_text("phase epochs=2.5 lr=0.001\n")
     (workdir / "late.txt").write_text("reset_on_phase=true\nphase epochs=10 lr=0.001\n")
     (workdir / "empty.txt").write_text("reset_on_phase=false\n")
     for lr in NOT_POSITIVE:
@@ -1300,6 +1308,21 @@ def test_unusable_train_config_is_exit_2(workdir, capsys, options, message):
     assert err.startswith("error: ") and message in err
     assert len(err.splitlines()) == 1
     assert not (workdir / "model").exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/model"])
+def test_train_out_through_a_file_is_refused_before_training(workdir, capsys, monkeypatch, out):
+    assert run(["gen", "--movement", workdir / "demo.mov", "--out", workdir / "demo.csv"]) == 0
+    (workdir / "taken").write_text("not a directory\n")
+    monkeypatch.setattr(motionmimic.cli, "train", lambda *a, **k: pytest.fail("train ran"))
+    before = sorted(workdir.rglob("*"))
+    capsys.readouterr()
+    code = run(["train", "--dataset", workdir / "demo.csv", "--out", workdir / out])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {workdir / out}: {workdir / 'taken'} exists and is not a directory\n")
+    assert sorted(workdir.rglob("*")) == before
+    assert (workdir / "taken").read_text() == "not a directory\n"
 
 
 def test_training_batch_too_wide_is_exit_2(workdir, capsys):

@@ -24,7 +24,7 @@ t=1 0.1 0.2
 LOG = "time,hip,knee\n" + "".join(f"{k / 50!r},{0.01 * k!r},{-0.02 * k!r}\n" for k in range(12))
 SCHEDULE = "phase epochs=3 lr=0.001\nphase epochs=2 lr=0.0005\nreset_on_phase=true\n"
 ARCH = "1:4:3"
-TOKENS = ("nan", "inf", "1e400", "", "=")
+TOKENS = ("nan", "inf", "1e400", "2.5", "", "=")  # 2.5: a finite number no <int> field takes
 CASES = 400  # per kind: the whole fuzz runs in a few seconds
 
 

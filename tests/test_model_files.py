@@ -132,7 +132,7 @@ def test_mutated_bundle_files_load_or_raise_mimic_error(name, bundle, tmp_path):
         with np.errstate(all="raise"):
             try:
                 model = load_bundle(tmp_path, {**bundle, name: text})
-                pred = model.predict([0.0, 0.5])
+                pred = model.predict(np.array([0.0, 0.5]))
             except MimicError:
                 outcomes["rejected"] += 1
             else:

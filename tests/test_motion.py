@@ -197,7 +197,7 @@ def test_poses_refuse_angles_beyond_the_bound(times, joints):
 
 def test_poses_accept_angles_at_the_bound():
     m = KeyframeMovement([0.0, 1.0], [[-MAX_ANGLE], [MAX_ANGLE]])
-    np.testing.assert_array_equal(poses(m, [0.0, 1.0]), [[-MAX_ANGLE], [MAX_ANGLE]])
+    np.testing.assert_array_equal(poses(m, np.array([0.0, 1.0])), [[-MAX_ANGLE], [MAX_ANGLE]])
 
 
 def test_grid_size_counts_samples_up_to_the_span():

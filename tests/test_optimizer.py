@@ -6,13 +6,12 @@ from motionmimic.errors import DivergenceError, MimicError
 from motionmimic.motion import KeyframeMovement
 from motionmimic.network import layer_views
 from motionmimic.optimizer import (
+    SCHEDULE_PRESETS,
     TrainingSchedule,
     adam_init,
     adam_step,
-    desk_schedule,
     load_schedule,
     parse_schedule,
-    reference_schedule,
     reset_state,
 )
 from motionmimic.trainer import sample_movement, train
@@ -138,21 +137,21 @@ def test_reset_state_zeroes_moments_and_counter():
 
 
 def test_reference_schedule_phases():
-    sched = reference_schedule()
-    assert sched.phases == [
+    sched = TrainingSchedule(SCHEDULE_PRESETS["reference"])
+    assert sched.phases == (
         (30000, 0.001),
         (5000, 0.0008),
         (5000, 0.0006),
         (5000, 0.0004),
         (5000, 0.0002),
-    ]
+    )
     assert sched.phases[2] == (5000, 0.0006)
     assert sched.total_epochs == 50000
     assert sched.reset_on_phase
 
 
 def test_epoch_lr_sequence_exact():
-    lrs, resets, table = schedule_run(reference_schedule())
+    lrs, resets, table = schedule_run(TrainingSchedule(SCHEDULE_PRESETS["reference"]))
     expected = np.concatenate(
         [
             np.full(30000, 0.001),
@@ -170,10 +169,10 @@ def test_epoch_lr_sequence_exact():
 
 
 def test_desk_schedule_keeps_proportions():
-    sched = desk_schedule()
+    sched = TrainingSchedule(SCHEDULE_PRESETS["desk"])
     assert sched.total_epochs == 5000
     assert [e for e, _ in sched.phases] == [3000, 500, 500, 500, 500]
-    assert [lr for _, lr in sched.phases] == [lr for _, lr in reference_schedule().phases]
+    assert [lr for _, lr in sched.phases] == [lr for _, lr in SCHEDULE_PRESETS["reference"]]
 
 
 def test_schedule_validation():
@@ -189,7 +188,7 @@ def test_schedule_validation():
 
 
 def test_schedule_file_round_trip(tmp_path):
-    sched = TrainingSchedule([(100, 0.001), (50, 0.0002)], reset_on_phase=False)
+    sched = TrainingSchedule(((100, 0.001), (50, 0.0002)), reset_on_phase=False)
     text = format_schedule(sched)
     again = parse_schedule(text_lines(text))
     assert again.phases == sched.phases

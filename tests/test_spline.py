@@ -20,11 +20,11 @@ FOUR_KNOT_COEFFS = np.array(
 
 def column(times, values):
     """The spline through one joint's values: coefficients (segments, 4, 1)."""
-    return build_spline(times, np.asarray(values, dtype=float)[:, None])
+    return build_spline(np.asarray(times, dtype=float), np.asarray(values, dtype=float)[:, None])
 
 
 def value(s, t):
-    return float(s.eval([t])[0, 0])
+    return float(s.eval(np.array([t]))[0, 0])
 
 
 def derivatives(s, t):

@@ -9,7 +9,7 @@ import motionmimic.trainer
 from motionmimic.errors import DivergenceError, MimicError
 from motionmimic.motion import MAX_ANGLE, KeyframeMovement, grid_size
 from motionmimic.network import initialize, layer_views
-from motionmimic.optimizer import TrainingSchedule, desk_schedule
+from motionmimic.optimizer import SCHEDULE_PRESETS, TrainingSchedule
 from motionmimic.spline import build_spline
 from motionmimic.textio import parse_table
 from motionmimic.trainer import (
@@ -65,7 +65,7 @@ def log_columns(log):
 def desk_fit():
     movement = kick_analog()
     dataset = sample_movement(movement, 50.0)
-    model, log = train(dataset, schedule=desk_schedule(), seed=0)
+    model, log = train(dataset, schedule=TrainingSchedule(SCHEDULE_PRESETS["desk"]), seed=0)
     return movement, dataset, model, log
 
 
@@ -172,7 +172,8 @@ def test_dataset_validation_errors():
     for angle in (1e308, -2 * MAX_ANGLE, np.nextafter(MAX_ANGLE, np.inf)):
         with pytest.raises(MimicError, match="rad bound"):
             MotionDataset(np.array([0.0, 0.02]), np.array([[0.0, 0.0], [angle, 1.0]]), 50.0)
-    at_bound = MotionDataset([0.0, 0.02], [[MAX_ANGLE, 0.0], [-MAX_ANGLE, 1.0]], 50.0)
+    at_bound = MotionDataset(np.array([0.0, 0.02]), np.array([[MAX_ANGLE, 0.0], [-MAX_ANGLE, 1.0]]),
+                             50.0)
     assert np.abs(at_bound.joints).max() == MAX_ANGLE
 
 
@@ -441,7 +442,7 @@ def test_train_divergence_reports_last_finite_epoch():
 
 def test_log_structure(desk_fit):
     _, _, _, log = desk_fit
-    sched = desk_schedule()
+    sched = TrainingSchedule(SCHEDULE_PRESETS["desk"])
     assert log.schedule == sched
     assert len(log) == len(log.maes) == sched.total_epochs
     epochs, phases, lrs = log_columns(log)[:, :3].T
@@ -465,7 +466,7 @@ def test_loss_mostly_nonincreasing_without_reset():
 
 def test_phase_reset_spike_is_transient():
     ds = sample_movement(kick_analog(), 50.0)
-    sched = desk_schedule()
+    sched = TrainingSchedule(SCHEDULE_PRESETS["desk"])
     model, log = train(ds, schedule=sched, seed=0)
     boundaries = np.cumsum([e for e, _ in sched.phases])[:-1]
     final_mse = evaluate(model, ds).mse
