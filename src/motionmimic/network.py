@@ -33,15 +33,19 @@ def parameter_count(sizes, alpha) -> int:
     return total
 
 
-def layer_views(sizes, flat):
-    """Per-layer (weights, biases) views into flat: each layer's weights, row-major, then biases."""
-    weights, biases, start = [], [], 0
+def layer_blocks(sizes, flat):
+    """Per-layer views into flat, each layer's C-ordered (in + 1, out) block [Wᵀ; b] in turn."""
+    blocks, start = [], 0
     for in_dim, out_dim in zip(sizes, sizes[1:]):
-        weights.append(flat[start : start + out_dim * in_dim].reshape(out_dim, in_dim))
-        start += out_dim * in_dim
-        biases.append(flat[start : start + out_dim])
-        start += out_dim
-    return weights, biases
+        blocks.append(flat[start : start + (in_dim + 1) * out_dim].reshape(in_dim + 1, out_dim))
+        start += (in_dim + 1) * out_dim
+    return blocks
+
+
+def layer_views(sizes, flat):
+    """Per-layer (weights, biases) views into flat: W, shaped (out, in), and b of each block."""
+    blocks = layer_blocks(sizes, flat)
+    return [block[:-1].T for block in blocks], [block[-1] for block in blocks]
 
 
 def _activation(i: int, n_layers: int) -> str:
@@ -59,13 +63,16 @@ class MimicNetwork:
     and parse_weights reads them from <int> fields.  All weights and
     biases live in params, one float64 vector of parameter_count(sizes,
     alpha) values, as initialize (np.zeros) and parse_weights
-    (np.concatenate) build it; weights[i], shaped (out, in), and
-    biases[i] are views of it.
+    (np.concatenate) build it.  Layer i holds blocks[i], a C-ordered
+    (in + 1, out) view of params: W transposed, then a row of biases, so
+    [a, 1] @ blocks[i] is the layer's W a + b in one matrix product.
+    weights[i], shaped (out, in), and biases[i] are views of the block.
     """
 
     sizes: list
     alpha: float
     params: np.ndarray = field(repr=False)
+    blocks: list = field(init=False, repr=False)
     weights: list = field(init=False, repr=False)
     biases: list = field(init=False, repr=False)
 
@@ -73,6 +80,7 @@ class MimicNetwork:
         parameter_count(self.sizes, self.alpha)
         if not np.all(np.isfinite(self.params)):
             raise MimicError("network parameters must be finite")
+        self.blocks = layer_blocks(self.sizes, self.params)
         self.weights, self.biases = layer_views(self.sizes, self.params)
 
     @property
@@ -116,17 +124,20 @@ def leaky_relu(z: np.ndarray, alpha: float, slope: np.ndarray) -> np.ndarray:
 class EpochBuffers:
     """The arrays one forward_backward pass over a batch x writes into, made once by epoch_buffers.
 
-    x1 is [x, 1] when layer 0 is one matrix product over it (see
-    _input_matrix), else None.  acts[i], shaped (rows, out) for layer i,
-    holds the layer's pre-activation, then its activation in place, and,
-    once the next layer's weight gradient has read it, the backward delta
-    of layer i.  slopes[i] holds hidden layer i's leaky ReLU slope.
+    x1 is [x, 1], layer 0's input with its column of ones.  acts[i] holds
+    layer i's pre-activation, then its activation in place, and, once the
+    next layer's weight gradient has read it, the backward delta of layer
+    i.  A hidden layer's acts[i] is shaped (rows, out + 1): its last
+    column holds 1.0, so the buffer is [a, 1], the next layer's input.
+    The output layer's is (rows, out).  slopes[i], shaped like acts[i],
+    holds hidden layer i's leaky ReLU slope, 1 in the column of ones.
     error holds the predictions minus the targets; delta holds its
     square, then error / m, the output layer's backward delta.  grads is
-    the gradient vector, laid out like params, and grad_weights and
-    grad_biases are its per-layer views.  block_grads[i], shaped like
-    grad_weights[i], takes the product of each BLOCK_ROWS-row block after
-    the first before it is added to the weight gradient.
+    the gradient vector, laid out like params, and grad_blocks its
+    per-layer [Wᵀ; b] views.  block_grads[i], shaped like grad_blocks[i],
+    takes the product of each BLOCK_ROWS-row block after the first before
+    it is added to the gradient.  weights[i] is a C-ordered copy of layer
+    i's W, for delta @ W; layer 0's is None, since no delta goes below it.
     """
 
     x1: np.ndarray
@@ -135,43 +146,54 @@ class EpochBuffers:
     error: np.ndarray
     delta: np.ndarray
     grads: np.ndarray
-    grad_weights: list
-    grad_biases: list
+    grad_blocks: list
     block_grads: list
+    weights: list
 
 
-def _input_matrix(sizes, x):
-    """[x, 1], shaped (rows, 2), when layer 0 is one matrix product over it, else None.
+def _one_product(rows: int, width: int) -> bool:
+    """Whether a layer of width units runs over rows rows as the one product [a, 1] @ [Wᵀ; b].
 
-    A 1-input layer 0 stores its one weight column right before its
-    biases, so [x, 1] @ params[:2 * width].reshape(2, width) is x w + b,
-    bias included.  With at least 2 rows and 2 units numpy runs a
-    matrix-matrix product, which rounds exactly as x * w followed by + b;
-    a 1-row batch or a 1-unit layer goes to a matrix-vector kernel that
-    rounds differently, so those take x @ w.T, then + b, as every other
-    layer does.  Both give an exact-zero x * w as +0.0, so with a -0.0
-    bias the sum is +0.0 where the broadcast x * w + b gives -0.0.
+    With at least 2 rows and 2 units numpy runs a matrix-matrix product,
+    which takes the bias as the last term of each sum; for a 1-input
+    layer that rounds exactly as a * w followed by + b.  A 1-row batch or
+    a 1-unit layer goes to a matrix-vector kernel that rounds differently,
+    so it takes a @ W.T, then + b.  Both give an exact-zero a * w as
+    +0.0, so with a -0.0 bias the sum is +0.0 where the broadcast a * w +
+    b gives -0.0.
     """
-    if sizes[0] != 1 or x.shape[1] != 1 or len(x) < 2 or sizes[1] < 2:
-        return None
-    return np.column_stack((x[:, 0], np.ones(len(x))))
+    return rows >= 2 and width >= 2
+
+
+def _input_matrix(x):
+    """[x, 1]: layer 0's input x with a column of ones."""
+    return np.column_stack((x, np.ones(len(x))))
+
+
+def _layer_buffer(rows: int, width: int, hidden: bool):
+    """(rows, width) for the output layer.  A hidden layer's has one more column, held at 1.0,
+    so that once the layer has written its activation the buffer is [a, 1]."""
+    out = np.empty((rows, width + hidden))
+    out[:, width:] = 1.0
+    return out
 
 
 def epoch_buffers(net: MimicNetwork, x: np.ndarray) -> EpochBuffers:
     """Buffers for passes of net, or of any net of its sizes, over the batch x."""
-    acts = [np.empty((len(x), out)) for out in net.sizes[1:]]
+    last = len(net.sizes) - 2
+    acts = [_layer_buffer(len(x), out, i < last) for i, out in enumerate(net.sizes[1:])]
     grads = np.empty_like(net.params)
-    grad_weights, grad_biases = layer_views(net.sizes, grads)
+    grad_blocks = layer_blocks(net.sizes, grads)
     return EpochBuffers(
-        x1=_input_matrix(net.sizes, x),
+        x1=_input_matrix(x),
         acts=acts,
         slopes=[np.empty_like(a) for a in acts[:-1]],
         error=np.empty_like(acts[-1]),
         delta=np.empty_like(acts[-1]),
         grads=grads,
-        grad_weights=grad_weights,
-        grad_biases=grad_biases,
-        block_grads=[np.empty_like(g) for g in grad_weights],
+        grad_blocks=grad_blocks,
+        block_grads=[np.empty_like(g) for g in grad_blocks],
+        weights=[None, *(np.empty(w.shape) for w in net.weights[1:])],
     )
 
 
@@ -179,23 +201,24 @@ def forward(net: MimicNetwork, x: np.ndarray, buffers=None) -> np.ndarray:
     """The net's output for the float (m, in) batch x, evaluated layer by layer.
 
     With buffers, made for x by epoch_buffers, layer i is written into
-    buffers.acts[i]; without, into fresh arrays, each layer's input freed
-    once the next layer is computed.
+    buffers.acts[i]; without, into fresh arrays laid out the same way,
+    each layer's input freed once the next layer is computed.  Either
+    way each layer's input is [a, 1], and the two give the same bits.
     """
-    x1 = _input_matrix(net.sizes, x) if buffers is None else buffers.x1
-    last = len(net.weights) - 1
-    a = x
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = np.empty((len(a), len(b))) if buffers is None else buffers.acts[i]
-        if i == 0 and x1 is not None:  # [x, 1] @ [w; b], a view of params: no bias add
-            np.matmul(x1, net.params[: 2 * len(b)].reshape(2, len(b)), out=z)
+    a1 = _input_matrix(x) if buffers is None else buffers.x1
+    last = len(net.blocks) - 1
+    for i, (block, b) in enumerate(zip(net.blocks, net.biases)):
+        out = _layer_buffer(len(x), len(b), i < last) if buffers is None else buffers.acts[i]
+        z = out[:, : len(b)]
+        if _one_product(len(x), len(b)):
+            np.matmul(a1, block, out=z)
         else:
-            np.matmul(a, w.T, out=z)
+            np.matmul(a1[:, :-1], block[:-1], out=z)
             z += b
-        if i < last:
-            leaky_relu(z, net.alpha, np.empty_like(z) if buffers is None else buffers.slopes[i])
-        a = z
-    return a
+        if i < last:  # over the column of ones too, which stays 1.0 with slope 1
+            leaky_relu(out, net.alpha, np.empty_like(out) if buffers is None else buffers.slopes[i])
+        a1 = out
+    return a1
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -210,12 +233,12 @@ def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers: E
     x is a float (m, in) batch and y its (m, out) targets.  Gradients are
     the exact analytic derivatives of mse_loss with respect to every
     weight and bias, accumulated over the batch, laid out like params.
-    Each weight gradient is a sum over BLOCK_ROWS-row blocks in row order,
-    and each delta @ W is taken a block at a time; a batch of at most
-    BLOCK_ROWS rows is one block.  The pass writes into buffers, made by
-    epoch_buffers for this x; the predictions and gradients it returns
-    are views of them, overwritten by the next pass through the same
-    buffers.
+    Each layer's gradient block is [a, 1]ᵀ @ delta, bias row included,
+    summed over BLOCK_ROWS-row blocks in row order, and each delta @ W is
+    taken a block at a time; a batch of at most BLOCK_ROWS rows is one
+    block.  The pass writes into buffers, made by epoch_buffers for this
+    x; the predictions and gradients it returns are views of them,
+    overwritten by the next pass through the same buffers.
     """
     m = x.shape[0]
     pred = forward(net, x, buffers)
@@ -224,22 +247,23 @@ def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers: E
     np.multiply(error, error, out=delta)
     loss = float(0.5 * np.add.reduce(delta, axis=None) / m)  # np.sum, without its wrapper
 
-    grad_weights, grad_biases = buffers.grad_weights, buffers.grad_biases
     np.divide(error, m, out=delta)  # dJ/d(layer output), propagated backwards
-    inputs = [x, *buffers.acts[:-1]]
+    inputs = [buffers.x1, *buffers.acts[:-1]]  # each layer's [a, 1]
     blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, m, BLOCK_ROWS)]
-    for li in range(len(net.weights) - 1, -1, -1):
-        a = inputs[li]
-        np.matmul(delta[blocks[0]].T, a[blocks[0]], out=grad_weights[li])
+    for li in range(len(net.blocks) - 1, -1, -1):
+        a1, grad = inputs[li], buffers.grad_blocks[li]
+        np.matmul(a1[blocks[0]].T, delta[blocks[0]], out=grad)  # [dJ/dWᵀ; dJ/db]
         for rows in blocks[1:]:
-            grad_weights[li] += np.matmul(delta[rows].T, a[rows], out=buffers.block_grads[li])
-        np.add.reduce(delta, axis=0, out=grad_biases[li])
+            grad += np.matmul(a1[rows].T, delta[rows], out=buffers.block_grads[li])
         if li > 0:
-            # layer li - 1's activation has served the weight gradient; its delta takes its place
+            w = buffers.weights[li]
+            np.copyto(w, net.weights[li])  # OpenBLAS runs delta @ W faster on a C-ordered W
+            # layer li - 1's activation has served the gradient; its delta takes its place
+            below = a1[:, :-1]
             for rows in blocks:
-                np.matmul(delta[rows], net.weights[li], out=a[rows])
-            delta = a
-            delta *= buffers.slopes[li - 1]
+                np.matmul(delta[rows], w, out=below[rows])
+            a1 *= buffers.slopes[li - 1]  # the column of ones times slope 1 stays 1.0
+            delta = below
     return loss, pred, buffers.grads
 
 
@@ -278,8 +302,8 @@ def parse_weights(lines) -> MimicNetwork:
             lines.fail(f"in={in_dim} must equal the previous out= or input=, {sizes[-1]}")
         if act != _activation(i, n_layers):
             lines.fail(f"layer {i} of {n_layers} must be act={_activation(i, n_layers)}")
-        values += [lines.numbers(in_dim, "weight") for _ in range(out_dim)]
-        values.append(lines.numbers(out_dim, "bias"))
+        w = np.array([lines.numbers(in_dim, "weight") for _ in range(out_dim)], ndmin=2)
+        values += [w.T.ravel(), lines.numbers(out_dim, "bias")]  # the layer's [Wᵀ; b] block
         sizes.append(out_dim)
     lines.end()
     return MimicNetwork(sizes, alpha, np.concatenate(values))

@@ -169,14 +169,21 @@ def expression_adam_step(m, v, t, params, grads, lr, beta1=0.9, beta2=0.999, eps
     params -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
 
 
+def with_ones(a):
+    """[a, 1] as a fresh array."""
+    return np.column_stack([a, np.ones(len(a))])
+
+
 def unfused_forward_backward(net, x, y, block_rows=None):
     """The per-tensor pass: np.where activation, slope-mask gradient, fresh arrays.
 
     Returns (loss, predictions, weight gradients, bias gradients).  Like
-    network.forward_backward, each weight gradient is the sum, in row
-    order, of the products of block_rows-row blocks (network.BLOCK_ROWS
-    by default), and delta @ W is taken a block at a time; block_rows =
-    len(x) gives the one-product pass.
+    network.forward_backward, a layer of 2 or more inputs and units over
+    2 or more rows is one product [a, 1] @ [Wᵀ; b], and any other layer is
+    a @ W.T, then + b; each layer's gradient [dJ/dWᵀ; dJ/db] is the sum,
+    in row order, of the products [a, 1]ᵀ @ delta of block_rows-row blocks
+    (network.BLOCK_ROWS by default), and delta @ W is taken a block at a
+    time with a C-ordered W; block_rows = len(x) gives the one-product pass.
     """
     from motionmimic.network import BLOCK_ROWS
 
@@ -185,7 +192,11 @@ def unfused_forward_backward(net, x, y, block_rows=None):
     last = len(net.weights) - 1
     pre, acts = [], [x]
     for li, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w.T + b
+        a = acts[-1]
+        if min(w.shape) >= 2 and len(a) >= 2:
+            z = with_ones(a) @ np.vstack([w.T, b])
+        else:
+            z = a @ w.T + b
         pre.append(z)
         acts.append(np.where(z >= 0, z, net.alpha * z) if li < last else z)
     diff = acts[-1] - y
@@ -194,11 +205,27 @@ def unfused_forward_backward(net, x, y, block_rows=None):
     w_grads, b_grads = [], []
     for li in range(last, -1, -1):
         if li < last:
-            delta = delta * np.where(pre[li] >= 0, 1.0, net.alpha)
-        w_grads.insert(0, functools.reduce(np.add, [delta[r].T @ acts[li][r] for r in blocks]))
-        b_grads.insert(0, delta.sum(axis=0))
-        delta = np.concatenate([delta[r] @ net.weights[li] for r in blocks])
+            # laid out as the network keeps a hidden delta, in an array one column wider: for a
+            # 1-unit layer OpenBLAS's matrix-vector kernel sums that strided column in another
+            # order than a contiguous one at some lengths (255 rows, say)
+            delta = with_ones(delta * np.where(pre[li] >= 0, 1.0, net.alpha))[:, :-1]
+        a1 = with_ones(acts[li])
+        grad = functools.reduce(np.add, [a1[r].T @ delta[r] for r in blocks])
+        w_grads.insert(0, grad[:-1].T)
+        b_grads.insert(0, grad[-1])
+        w = np.ascontiguousarray(net.weights[li])
+        delta = np.concatenate([delta[r] @ w for r in blocks])
     return loss, acts[-1], w_grads, b_grads
+
+
+def flat_gradient(sizes, w_grads, b_grads):
+    """The gradient vector, laid out like a network's params, of per-layer gradients."""
+    from motionmimic.network import layer_views, parameter_count
+
+    flat = np.empty(parameter_count(sizes, 1.0))
+    for gw, gb, w, b in zip(*layer_views(sizes, flat), w_grads, b_grads):
+        gw[:], gb[:] = w, b
+    return flat
 
 
 def loop_forward(net, x):

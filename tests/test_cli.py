@@ -21,7 +21,8 @@ from motionmimic.textio import fmt
 from motionmimic.trainer import (DEFAULT_TAIL, load_dataset, load_joint_log, load_model,
                                  sample_movement)
 
-from oracles import blas_kernel, expression_adam_step, kernel_digests, unfused_forward_backward
+from oracles import (blas_kernel, expression_adam_step, flat_gradient, kernel_digests,
+                     unfused_forward_backward)
 
 MOVEMENT = """movement n=2 gamma=3 rate=1
 t=0 0 0.3
@@ -256,45 +257,44 @@ MODEL_GUARD_DIGESTS = {
     "m37/model.meta": "8cc3f7434787385a67f3cea024bd770c5f97be0d06b612043338a1aecbde2f8b",
     "mper/model.meta": "664d6cbb749549940d0a3141937f8b9248f3cecd7e75060f86a6b4b78b84530e",
 }
-# the files that hold trained numbers, per OpenBLAS kernel.  SkylakeX's weights
-# and training logs were computed before the training loop became one loop over
-# the schedule's epochs with one finite check per epoch.  Each other kernel's
-# digests were computed in a child process with OPENBLAS_CORETYPE set to it
-# (Prescott runs Katmai).
+# the files that hold trained numbers, per OpenBLAS kernel, recorded once every
+# layer had become one product over [a, 1] with its bias row in the matrix: each
+# kernel's in a child process with OPENBLAS_CORETYPE set to it (Prescott runs
+# Katmai).  Sandybridge's came out as they were before that change.
 TRAINED_GUARD_DIGESTS = {
     "SkylakeX": {
-        "m37/weights.txt": "9b6f672f4bbe9b5eb992c46c0dd3f086ee17a7d463ff5f74e3ca9881f9a29636",
-        "m37/training_log.csv": "13bd3df0b07fd41f1219aa710a9e9c3ebf798db0af47266683848bb7f6be46ad",
-        "mper/weights.txt": "f4e5fe77c8a6d31d9327cd9f2132bd448fec97c7d8a02e4f5af85c5005814aeb",
-        "mper/training_log.csv": "6cf0beb79496bd0687a218bea996d277daafc02cd27a7e4dc15c664523a8d479",
-        "m3/weights.txt": "24f4fed23eb8f0abd2bc3e2ce82f130146c57fdee74f650eac6c7b5377912359",
-        "m3/training_log.csv": "8fc7a9af833abb1343e175f6dee4565217ce2c9194c9c7babefedba321f69c13",
-        "ro37.csv": "464b3d94a12ab739ee3b56ae2e5a5277f5a7253321b2eec4419e31bf5dbe594c",
-        "roper.csv": "39120637ef26a0d9ff48c88a97e2ac8cc0f1dc6f6c0870c0efa8787cb9030d63",
-        "sim.csv": "d96c60ae12e297fad451c36f3753c613c82dedd2cab4f7ce443f63ed31acbf1c",
-        "cmp/metrics.txt": "8c599f4e733d03ca35cd29b4bf0e5e9f47e6a2ba183295c2fce7dee029c91f72",
-        "cmp/rollout.csv": "464b3d94a12ab739ee3b56ae2e5a5277f5a7253321b2eec4419e31bf5dbe594c",
-        "cmp/tracking.csv": "d96c60ae12e297fad451c36f3753c613c82dedd2cab4f7ce443f63ed31acbf1c",
-        "cmp05/metrics.txt": "f95b194dfa4090f80a67778a78688c080752c820136bda92d3263e173dc36525",
-        "cmp05/rollout.csv": "464b3d94a12ab739ee3b56ae2e5a5277f5a7253321b2eec4419e31bf5dbe594c",
-        "cmp05/tracking.csv": "133db51f5cb638e9b558134ae7e3059000a1ddda5ec4c443f1c8427603f8d50b",
+        "m37/weights.txt": "0e088cb75619f40e5d3d96f87116e551e40201c20ece9f9e96def19716b56bce",
+        "m37/training_log.csv": "74abbd1bf751fd01b945d726308c8fcf9a59269404429a488d9bfe056a95c969",
+        "mper/weights.txt": "a867578d6e13110295bcefb56cef57bb3a13dca52a9db970ce3a24ff5224e185",
+        "mper/training_log.csv": "c3d9a1b3cf0bf615c5985243bade341a46095d8d6416e0555ca0faaa50e2e1b7",
+        "m3/weights.txt": "e00a0a7e6f9ece0b6446786544cf9c201f82eabee7453081353a081776e95c23",
+        "m3/training_log.csv": "646d4e102aa0a1adc6f83845c3e6d7af9724c546617a6205bbc7436a29abb8dc",
+        "ro37.csv": "dc1984bf9c3985a6f2dabc88f41386cdc24873e77be97f0e26fdc29279236f6a",
+        "roper.csv": "855ff013a2b70572b999be6736f22a6d7bcc6e5fe0117902ca5c56566eebe860",
+        "sim.csv": "8d9a5f2205bffdcaa590f70d4cf4479e2c547dd22d38aadde4329c0f3b6817b4",
+        "cmp/metrics.txt": "10276c4db82a45b37663a12d178d56d410e30e69631c1a1e1fad3def4207ddaf",
+        "cmp/rollout.csv": "dc1984bf9c3985a6f2dabc88f41386cdc24873e77be97f0e26fdc29279236f6a",
+        "cmp/tracking.csv": "8d9a5f2205bffdcaa590f70d4cf4479e2c547dd22d38aadde4329c0f3b6817b4",
+        "cmp05/metrics.txt": "f0b9efa3fb7f0ddfb0bf38f47bc794f54d0230507f78f9ff08a2c931020e0f5f",
+        "cmp05/rollout.csv": "dc1984bf9c3985a6f2dabc88f41386cdc24873e77be97f0e26fdc29279236f6a",
+        "cmp05/tracking.csv": "93fecb15acb80009258b031b57ab9276a3a8002c9e887a0143975aaa1083a21d",
     },
     "Haswell": {
-        "m37/weights.txt": "08d0992a718ecf65178ebf58d0a57bb46945707e044a62a9681b091a5042af48",
-        "m37/training_log.csv": "c7d3a4c03cb56f4ba45a43e0f8268bc100563edb80011347f762a378d657a5ac",
-        "mper/weights.txt": "e57b6d9209241b88915fe14ea4195edc335a0840866b6b43f2fbe1f99aef9989",
-        "mper/training_log.csv": "ce8ee9e1f0001768804dbabc028a2cd229f2739fc8d0902332b8cf739ecfd340",
-        "m3/weights.txt": "047f8dea5313c089c7f29d5322a8093324f0d92ca80a224c3418f3dd8ce8f309",
-        "m3/training_log.csv": "83c885f8b0418aad7728db420e0ce96decc0d5428708a27c0e59dc7ba0cffdfd",
-        "ro37.csv": "884a30d22bc04929c60dba5994dc0aa6d02bfb0abd61503d72da2842ea5e4da7",
-        "roper.csv": "c250924f26c54f77d24e298fcfa8b65581e2f8ae66eb796fda445d8c950e316e",
-        "sim.csv": "42c52857be32f9c670a91a371ebd417fba62449ff215520b7eeb3585d253f493",
-        "cmp/metrics.txt": "1d49536339750c6e510d669dcacbccf235250645469aff27208ee22b30db9221",
-        "cmp/rollout.csv": "884a30d22bc04929c60dba5994dc0aa6d02bfb0abd61503d72da2842ea5e4da7",
-        "cmp/tracking.csv": "42c52857be32f9c670a91a371ebd417fba62449ff215520b7eeb3585d253f493",
-        "cmp05/metrics.txt": "a135a67ec9753186b334e6a92ae02327014da9d78253672850902c25d6cc473c",
-        "cmp05/rollout.csv": "884a30d22bc04929c60dba5994dc0aa6d02bfb0abd61503d72da2842ea5e4da7",
-        "cmp05/tracking.csv": "066dbe7d0f74e12956ec8dd93945fec77cd060cd50776c39e8b87eded0a595e0",
+        "m37/weights.txt": "4afc849b5817463c4a26880690f6e265e11712415ab8def746611a755a22e115",
+        "m37/training_log.csv": "e01864fdccdcd945ef6c9ccabfa231474c2e73dda984a50a28df110edc21313e",
+        "mper/weights.txt": "a867578d6e13110295bcefb56cef57bb3a13dca52a9db970ce3a24ff5224e185",
+        "mper/training_log.csv": "c3d9a1b3cf0bf615c5985243bade341a46095d8d6416e0555ca0faaa50e2e1b7",
+        "m3/weights.txt": "f1c5e4110c9ff45d940091aa10e4548545e774cd261de092899c0854601a92c3",
+        "m3/training_log.csv": "cff691a20a8a4f65288926c541276997f906592bc25f39e84a960315b369f335",
+        "ro37.csv": "ffabb884dd7aed6c809fadc5c1237586720c6825c7cf0036f975e2ab31429381",
+        "roper.csv": "855ff013a2b70572b999be6736f22a6d7bcc6e5fe0117902ca5c56566eebe860",
+        "sim.csv": "15a99afb71b8dc168d49539a76be7e8c1c7ae1311ef5b6366f39d5da0e70dded",
+        "cmp/metrics.txt": "26dca99acc2b2e87098e9b4a0c43b3d16f876c1b543909b484ddaaf3e58356b5",
+        "cmp/rollout.csv": "ffabb884dd7aed6c809fadc5c1237586720c6825c7cf0036f975e2ab31429381",
+        "cmp/tracking.csv": "15a99afb71b8dc168d49539a76be7e8c1c7ae1311ef5b6366f39d5da0e70dded",
+        "cmp05/metrics.txt": "aa14d75a065e1bac82e4f49a2be32d912718322b1c60b8ca3c5d9b915ee92725",
+        "cmp05/rollout.csv": "ffabb884dd7aed6c809fadc5c1237586720c6825c7cf0036f975e2ab31429381",
+        "cmp05/tracking.csv": "083f8f93abdc96322223abfe4839a4064b8749571f9096f696aa1de47aa20179",
     },
     "Sandybridge": {
         "m37/weights.txt": "f4bb7fc0f2c0b0abf9ce6b629f7a53be55843f18e1b069264d2b9d615c46d23f",
@@ -314,38 +314,38 @@ TRAINED_GUARD_DIGESTS = {
         "cmp05/tracking.csv": "65a48dccb887416219079efa9408d67ee3d1607443323aa2f71647e4a52f1013",
     },
     "Nehalem": {
-        "m37/weights.txt": "42a80b8069729051dd05f108020ca6eac7d7baf18a3e0f0437809c05da67c629",
-        "m37/training_log.csv": "93a0b5315e20d25a13253a960680dce9546e0bb5005aacc889fb0f05b4b3dd1a",
-        "mper/weights.txt": "cdd25e1512e465a08496761cf92a14386e7a67a559f82fdf877bc06786b23f33",
-        "mper/training_log.csv": "c1d7b20bf58f5bc36e765879940bc9bdd40a8e1608ed5f2c4b0c6a78e347ede2",
-        "m3/weights.txt": "343195be8c3a62fe0e75c9df911dbcf6c2510478c21435ce10625a778b2c316d",
-        "m3/training_log.csv": "9605a597d3e6d84315690af9711e5df3627ac591d00f4ecd406f43b35f12dd31",
-        "ro37.csv": "d82c312d46e531cd7a20781e5e427a9ac487828603d5d07e6aa2cd88db819bfb",
-        "roper.csv": "d83b8c617228d026c4dc9c42f6c7fc03486aef1cd242fa81984cf625d7e3213f",
-        "sim.csv": "9cebedaa3e6f14ad407d64f33d1e74ec5326bf7507d0ac391f5e5ea77f6c7d33",
-        "cmp/metrics.txt": "bbe265b73c40b3a351920611b09a6b9d4a45afcf2a10523acd14ad27f97b71b4",
-        "cmp/rollout.csv": "d82c312d46e531cd7a20781e5e427a9ac487828603d5d07e6aa2cd88db819bfb",
-        "cmp/tracking.csv": "9cebedaa3e6f14ad407d64f33d1e74ec5326bf7507d0ac391f5e5ea77f6c7d33",
-        "cmp05/metrics.txt": "136b4db42349f4ff4660d4dd6d4fb4370359d0498d41e2a53a8b79d555800ef0",
-        "cmp05/rollout.csv": "d82c312d46e531cd7a20781e5e427a9ac487828603d5d07e6aa2cd88db819bfb",
-        "cmp05/tracking.csv": "1eab93a7a9a1c1119ec2feaca47ebc6f72a9acec915293375f99194396e49ce0",
+        "m37/weights.txt": "87caf16eea618c8840f01f313f54c3d31a701dd690c2c2f571680f9d7f5600e6",
+        "m37/training_log.csv": "5d7b5bd03d4b7d33db88c7a1fb768b2fc217afd827fa50bf6557f01ca633e7ee",
+        "mper/weights.txt": "2bb6050c4c35cb11c77ac9791c565cbe014df816167ed0dc7947a2630eb52753",
+        "mper/training_log.csv": "e8ea16b29d9059119b283828a1f47401e7d309691e61ae74e5ace196813fc145",
+        "m3/weights.txt": "7f0216d36090e2539a9d7ced7c635fb4d85e746092f61d1bdaa3bfd584e61fff",
+        "m3/training_log.csv": "a0b81e4aee971da6cc1e3a31802ae784287c8ef61c47d052c1bdb003bf47efba",
+        "ro37.csv": "3b523753d4a21a49b859a032a53203a5ee63de3923de45ab35b0014e8a524ebd",
+        "roper.csv": "9a7624565b79ad3d4544c666868e6fc6c8ec850b4a448db5402319b99f73ddc0",
+        "sim.csv": "ab5963d033e8a2089ee8ce777238b43583ec75055b1f9ee7cb601bb6d7846492",
+        "cmp/metrics.txt": "d078c7ac526b0dc44c872319f2ed6bc133329ea7e02a83469921a758e0d08690",
+        "cmp/rollout.csv": "3b523753d4a21a49b859a032a53203a5ee63de3923de45ab35b0014e8a524ebd",
+        "cmp/tracking.csv": "ab5963d033e8a2089ee8ce777238b43583ec75055b1f9ee7cb601bb6d7846492",
+        "cmp05/metrics.txt": "633bd46e08b0057ab3a398c923eef03dcd9bcdcfd3b662730f2dec28181c88a0",
+        "cmp05/rollout.csv": "3b523753d4a21a49b859a032a53203a5ee63de3923de45ab35b0014e8a524ebd",
+        "cmp05/tracking.csv": "5850ba0a03a30a2fef4a6f7df96d3f065d2ff62e8d9f25f1b53ffcacf9b1e5dc",
     },
     "Katmai": {
-        "m37/weights.txt": "fd1dc98ed3b9f86d24ae22b642040cbe2b9f30bec535384f586a99b13673faf5",
-        "m37/training_log.csv": "505cceb7aff9a3c94b8224254c4d6d819ce38ec0b314cbf5c3896aaf8e6a9528",
-        "mper/weights.txt": "38ccaeea1301226e91b96b402d1548aaa19ac1b65b9fc3f5560d300f7f8536ea",
-        "mper/training_log.csv": "050917135a83ff69dda3aaf06044c9956c0ee586d506629397a66bdab94657fe",
-        "m3/weights.txt": "a2e6728e895dba2455867721863f097eadd871dbda1b57267052e84b61b35c49",
-        "m3/training_log.csv": "4531eb6933349516a5dbb2c15405e6d7d4ebd0c1444f7059a23a0507a7e0ad64",
-        "ro37.csv": "2834753a7109eda3ed1d5e2e2cc1366e99a548d981b4010c4b86c208ba989bac",
-        "roper.csv": "2cc1f5738355fb10bbc5aa7678229e2e9fa763da93de1308e8ba182bcc93814f",
-        "sim.csv": "a405e2bfd566e2b188ab40ccd036e8be293a882e47992a43dea11aeed52720a1",
-        "cmp/metrics.txt": "e2baa3252b0e4206e5781f75eca63d48528a0905221257edaecc7a72b6f96aa7",
-        "cmp/rollout.csv": "2834753a7109eda3ed1d5e2e2cc1366e99a548d981b4010c4b86c208ba989bac",
-        "cmp/tracking.csv": "a405e2bfd566e2b188ab40ccd036e8be293a882e47992a43dea11aeed52720a1",
-        "cmp05/metrics.txt": "7cd3d6b1c0146e59abe799475a4080d6daa8e7626e45f548f8fc7a40db3eca48",
-        "cmp05/rollout.csv": "2834753a7109eda3ed1d5e2e2cc1366e99a548d981b4010c4b86c208ba989bac",
-        "cmp05/tracking.csv": "5f59502b3be133b16e58daece5e4b3407413242fd1c0e8b11da0fc492452418c",
+        "m37/weights.txt": "2daeac329e109b7caa729f6de9422336fcd6edc046e0af603ea8e4b956c9f000",
+        "m37/training_log.csv": "f482cd60e4e44a93c231265eb09093e369751d8c6e9b3084f0119de0c1b27a95",
+        "mper/weights.txt": "8655e3cf280c664665eab2c3303872d5abedece7a6ce0547020acab136a035a4",
+        "mper/training_log.csv": "1571ebc2c5695c37d09dd5b0ef69a8503e08e2cd19e75eb82bebf36bcdb7e59c",
+        "m3/weights.txt": "d9d28467f7407a85c496bd8062b000de084b22f7bcba1ba6a67a3fa0398bc937",
+        "m3/training_log.csv": "e40235e4646c7d9054054fe7eaa9a7e9111d796a4e535fcc7249158bac672945",
+        "ro37.csv": "ef3ea6b212ef704618acedb3feb48ecfc16cb4074e1bbe8f67fb8d5f6c7453cd",
+        "roper.csv": "c03c926763bcffc65a371bacdd252355c03c6af1d3569a8589939ee38007f725",
+        "sim.csv": "7cb57ab15169d31d4ef504bff8e3a3a81754c5922cdcac2a2650333fa17162d5",
+        "cmp/metrics.txt": "28a77067809acaad2db5fb88cbb0a28d1f8a2a121acd9a7b8dfb38905ecb50b1",
+        "cmp/rollout.csv": "ef3ea6b212ef704618acedb3feb48ecfc16cb4074e1bbe8f67fb8d5f6c7453cd",
+        "cmp/tracking.csv": "7cb57ab15169d31d4ef504bff8e3a3a81754c5922cdcac2a2650333fa17162d5",
+        "cmp05/metrics.txt": "9e57ac213ad609cbcf63632b263c59f84ac349e05482302f8b052b3d5ed5ba05",
+        "cmp05/rollout.csv": "ef3ea6b212ef704618acedb3feb48ecfc16cb4074e1bbe8f67fb8d5f6c7453cd",
+        "cmp05/tracking.csv": "63c51e4889a7b1daf9addc0141f3ed9f8812ea0c6f8d1c5dfaa0f580d6ef9833",
     },
 }
 
@@ -681,29 +681,28 @@ def three_phases(reset, lr2):
 
 
 # SHA-256 of training_log.csv for three phases over the demo dataset, per
-# OpenBLAS kernel: SkylakeX's computed while TrainingLog still stored each
-# epoch's number, phase and lr, each other kernel's in a child process with
-# OPENBLAS_CORETYPE set to it (Prescott runs Katmai)
+# OpenBLAS kernel, each recorded in a child process with OPENBLAS_CORETYPE set
+# to it (Prescott runs Katmai)
 PHASE_LOG_DIGESTS = {
     "SkylakeX": {
-        "true": "34a22c9ef652a3c26651f38f7780996104e8fd5591f09591633a05813ef5335e",
-        "false": "1a8810bddf12ff75d12d672f40a0028294492b071709a58e897441a02f3e7b7e",
+        "true": "d7da8144a243e243adf0221d6a34d84fe77a384233341728dfa9034815bcff58",
+        "false": "0f4336831f60938abdd5358a625478086d26b3c23b78988d6c7294329bef9d65",
     },
     "Haswell": {
-        "true": "c9da74325f84e065ed1d4ef0bab0082c6e261ffc9fd9b952b9f32c3bb721cbf4",
-        "false": "231dd9cd901ae8ef9512826f8fe7b66b7b82bf85d673b78d8f446ccf140c83ab",
+        "true": "e5e0bb3a48879ef037e1448d893661b886457719f93428ab6dbb6b6a07f97610",
+        "false": "e82032b14295f11e09cdabe12841dc8ae9d2dd07374b94ca295518cd71a9efe7",
     },
     "Sandybridge": {
         "true": "fbe7abc04651d70cf1af431845886b972e6663f666d6dd513bac1ec1caefe5dd",
         "false": "9ef6c797a33a4e29495476dc440211afc66c3450a602dfa93ab385faffa563a2",
     },
     "Nehalem": {
-        "true": "88d2339af808b2fa323680b2c3d39f67ddbed259ac63d1398a6b3452d9393b09",
-        "false": "9b747069e50bd0d877bb524db17cf5e61864319f900d0adc8e55566e7fa44740",
+        "true": "51545795fec3a9c609db8cdb296f61f943bb6ef67f95527a3ef7e8d41106f562",
+        "false": "a6a09707a6cdb97668269e7bd10073bfa89d66d34d1278b76800feaf03f8c645",
     },
     "Katmai": {
-        "true": "115945ed9b97c86ab3eeaeabd81452a82ca4238cdf40dc4432985abbeb18cc55",
-        "false": "c6603280173779442bbb48296a1006d5cce08eade9e3b9672e5e6fa36ab8081c",
+        "true": "7541b3dafec63a1988a40642bf54cbdbe310225b4aa895941050caff7da5f4d1",
+        "false": "999bab0cf74e10132838a7be99343e012e4f0f36b268c377a8ae349457585b07",
     },
 }
 
@@ -1478,7 +1477,7 @@ def test_train_in_process_sums_each_later_row_block_into_the_weight_gradient(wor
     m, v = np.zeros_like(net.params), np.zeros_like(net.params)
     for t in (1, 2, 3):
         _, _, w_grads, b_grads = unfused_forward_backward(net, x, ds.targets)
-        grads = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(w_grads, b_grads)])
+        grads = flat_gradient(net.sizes, w_grads, b_grads)
         expression_adam_step(m, v, t, net.params, grads, 0.01)
     np.testing.assert_array_equal(load_model(workdir / "m").network.params, net.params)
 

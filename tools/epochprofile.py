@@ -8,13 +8,17 @@ the finite check, optimizer.adam_step and the MAE.  Here it is split
 into parts, run in the same order on the same buffers and timed one by
 one:
 
-- layerI.affine: the layer's matrix product and bias add; for layer 0,
-  one matrix product of [t, 1] and [w; b];
+- layerI.affine: the layer's one matrix product [a, 1] @ [Wᵀ; b], bias
+  included (a 1-row batch takes a @ W.T, then + b);
 - layerI.activation: leaky_relu, which writes the activation and its slope;
 - loss: predictions minus targets, the half mean square, and the output
   delta divided by the batch size;
-- layerI.weight_grad and layerI.bias_grad: the weight gradient, a sum of
-  matrix products over network.BLOCK_ROWS-row blocks, and the bias sum;
+- weight_copy: the C-ordered copies of the W of every layer after layer
+  0, which delta @ W reads (forward_backward takes each just before its
+  delta_back);
+- layerI.weight_grad: the layer's gradient block [a, 1]ᵀ @ delta, bias
+  row included, a sum of matrix products over network.BLOCK_ROWS-row
+  blocks;
 - layerI.delta_back: delta @ W, the delta of the layer below, a block of
   rows at a time;
 - layerI.activation_grad: that delta times the layer's slope;
@@ -43,8 +47,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from motionmimic.network import (BLOCK_ROWS, epoch_buffers, forward_backward,  # noqa: E402
-                                  initialize, leaky_relu)
+from motionmimic.network import (BLOCK_ROWS, _one_product, epoch_buffers,  # noqa: E402
+                                  forward_backward, initialize, leaky_relu)
 from motionmimic.optimizer import adam_init, adam_step  # noqa: E402
 
 SIZES = [1, 75, 50, 23]
@@ -76,30 +80,36 @@ def epoch_parts(net, x, y, buffers, state, lr):
 
     run() of 'loss', 'finite_check' and 'mae' returns its value.
     """
-    w, b, acts, slopes = net.weights, net.biases, buffers.acts, buffers.slopes
-    inputs = [x, *acts[:-1]]
-    last = len(w) - 1
+    acts, slopes = buffers.acts, buffers.slopes
+    inputs = [buffers.x1, *acts[:-1]]  # each layer's [a, 1]
+    last = len(net.blocks) - 1
     blocks = [slice(start, start + BLOCK_ROWS) for start in range(0, len(x), BLOCK_ROWS)]
     abs_error = np.empty((len(x), SIZES[-1] - 1))
     epoch = {}
     parts = []
 
     def affine(i):
-        if i == 0 and buffers.x1 is not None:
-            np.matmul(buffers.x1, net.params[: 2 * len(b[0])].reshape(2, len(b[0])), out=acts[0])
-            return
-        np.matmul(inputs[i], w[i].T, out=acts[i])
-        acts[i] += b[i]
+        z = acts[i][:, : SIZES[i + 1]]
+        if _one_product(len(x), SIZES[i + 1]):
+            np.matmul(inputs[i], net.blocks[i], out=z)
+        else:
+            np.matmul(inputs[i][:, :-1], net.blocks[i][:-1], out=z)
+            z += net.biases[i]
+
+    def weight_copy():
+        for i in range(1, last + 1):
+            np.copyto(buffers.weights[i], net.weights[i])
 
     def weight_grad(i, delta):
-        np.matmul(delta[blocks[0]].T, inputs[i][blocks[0]], out=buffers.grad_weights[i])
+        np.matmul(inputs[i][blocks[0]].T, delta[blocks[0]], out=buffers.grad_blocks[i])
         for rows in blocks[1:]:
-            buffers.grad_weights[i] += np.matmul(delta[rows].T, inputs[i][rows],
-                                                 out=buffers.block_grads[i])
+            buffers.grad_blocks[i] += np.matmul(inputs[i][rows].T, delta[rows],
+                                                out=buffers.block_grads[i])
 
     def delta_back(i, delta):
+        below = inputs[i][:, :-1]
         for rows in blocks:
-            np.matmul(delta[rows], w[i], out=inputs[i][rows])
+            np.matmul(delta[rows], buffers.weights[i], out=below[rows])
 
     def loss():
         np.subtract(acts[-1], y, out=buffers.error)
@@ -122,11 +132,10 @@ def epoch_parts(net, x, y, buffers, state, lr):
             parts.append((f"layer{i}.activation",
                           lambda i=i: leaky_relu(acts[i], net.alpha, slopes[i])))
     parts.append(("loss", loss))
+    parts.append(("weight_copy", weight_copy))
     for i in range(last, -1, -1):
-        delta = buffers.delta if i == last else acts[i]
+        delta = buffers.delta if i == last else acts[i][:, :-1]
         parts.append((f"layer{i}.weight_grad", lambda i=i, d=delta: weight_grad(i, d)))
-        parts.append((f"layer{i}.bias_grad", lambda i=i, d=delta: np.add.reduce(
-            d, axis=0, out=buffers.grad_biases[i])))
         if i > 0:
             parts.append((f"layer{i}.delta_back", lambda i=i, d=delta: delta_back(i, d)))
             parts.append((f"layer{i - 1}.activation_grad",
