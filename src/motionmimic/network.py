@@ -42,12 +42,6 @@ def layer_blocks(sizes, flat):
     return blocks
 
 
-def layer_views(sizes, flat):
-    """Per-layer (weights, biases) views into flat: W, shaped (out, in), and b of each block."""
-    blocks = layer_blocks(sizes, flat)
-    return [block[:-1].T for block in blocks], [block[-1] for block in blocks]
-
-
 def _activation(i: int, n_layers: int) -> str:
     """The activation of layer i, fixed by its position: the last layer is linear."""
     return "linear" if i == n_layers - 1 else "leakyrelu"
@@ -66,37 +60,26 @@ class MimicNetwork:
     (np.concatenate) build it.  Layer i holds blocks[i], a C-ordered
     (in + 1, out) view of params: W transposed, then a row of biases, so
     [a, 1] @ blocks[i] is the layer's W a + b in one matrix product.
-    weights[i], shaped (out, in), and biases[i] are views of the block.
+    Layer i's W, shaped (out, in), is blocks[i][:-1].T and its b is
+    blocks[i][-1].
     """
 
     sizes: list
     alpha: float
     params: np.ndarray = field(repr=False)
     blocks: list = field(init=False, repr=False)
-    weights: list = field(init=False, repr=False)
-    biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
         parameter_count(self.sizes, self.alpha)
         if not np.all(np.isfinite(self.params)):
             raise MimicError("network parameters must be finite")
         self.blocks = layer_blocks(self.sizes, self.params)
-        self.weights, self.biases = layer_views(self.sizes, self.params)
-
-    @property
-    def input_dim(self) -> int:
-        return self.sizes[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.sizes[-1]
 
 
 def nonfinite_tensor(sizes, flat):
     """Name of the first tensor of flat, laid out like params, holding a non-finite value."""
-    weights, biases = layer_views(sizes, flat)
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        for kind, g in (("weights", w), ("biases", b)):
+    for i, block in enumerate(layer_blocks(sizes, flat)):
+        for kind, g in (("weights", block[:-1]), ("biases", block[-1])):
             if not np.isfinite(g).all():
                 return f"layer{i}.{kind}"
 
@@ -137,7 +120,8 @@ class EpochBuffers:
     per-layer [Wᵀ; b] views.  block_grads[i], shaped like grad_blocks[i],
     takes the product of each BLOCK_ROWS-row block after the first before
     it is added to the gradient.  weights[i] is a C-ordered copy of layer
-    i's W, for delta @ W; layer 0's is None, since no delta goes below it.
+    i's W, blocks[i][:-1].T shaped (out, in), for delta @ W; layer 0's is
+    None, since no delta goes below it.
     """
 
     x1: np.ndarray
@@ -193,7 +177,7 @@ def epoch_buffers(net: MimicNetwork, x: np.ndarray) -> EpochBuffers:
         grads=grads,
         grad_blocks=grad_blocks,
         block_grads=[np.empty_like(g) for g in grad_blocks],
-        weights=[None, *(np.empty(w.shape) for w in net.weights[1:])],
+        weights=[None, *(np.empty(block[:-1].T.shape) for block in net.blocks[1:])],
     )
 
 
@@ -207,14 +191,15 @@ def forward(net: MimicNetwork, x: np.ndarray, buffers=None) -> np.ndarray:
     """
     a1 = _input_matrix(x) if buffers is None else buffers.x1
     last = len(net.blocks) - 1
-    for i, (block, b) in enumerate(zip(net.blocks, net.biases)):
-        out = _layer_buffer(len(x), len(b), i < last) if buffers is None else buffers.acts[i]
-        z = out[:, : len(b)]
-        if _one_product(len(x), len(b)):
+    for i, block in enumerate(net.blocks):
+        width = block.shape[1]
+        out = _layer_buffer(len(x), width, i < last) if buffers is None else buffers.acts[i]
+        z = out[:, :width]
+        if _one_product(len(x), width):
             np.matmul(a1, block, out=z)
         else:
             np.matmul(a1[:, :-1], block[:-1], out=z)
-            z += b
+            z += block[-1]
         if i < last:  # over the column of ones too, which stays 1.0 with slope 1
             leaky_relu(out, net.alpha, np.empty_like(out) if buffers is None else buffers.slopes[i])
         a1 = out
@@ -257,7 +242,7 @@ def forward_backward(net: MimicNetwork, x: np.ndarray, y: np.ndarray, buffers: E
             grad += np.matmul(a1[rows].T, delta[rows], out=buffers.block_grads[li])
         if li > 0:
             w = buffers.weights[li]
-            np.copyto(w, net.weights[li])  # OpenBLAS runs delta @ W faster on a C-ordered W
+            np.copyto(w, net.blocks[li][:-1].T)  # OpenBLAS runs delta @ W faster on a C-ordered W
             # layer li - 1's activation has served the gradient; its delta takes its place
             below = a1[:, :-1]
             for rows in blocks:
@@ -272,14 +257,17 @@ def initialize(layer_sizes, seed: int = 0, alpha: float = 0.01) -> MimicNetwork:
 
     layer_sizes is the full chain [input, hidden..., output], a list of
     ints; the network keeps it as its sizes.  Sizes, alpha and the
-    MAX_PARAMETERS bound are checked before any array is built.
+    MAX_PARAMETERS bound are checked before any array is built.  Layer
+    by layer, one draw fills W, the view blocks[i][:-1].T shaped (out,
+    in), row by row: the order a weights file lists the weights in.
     """
     total = parameter_count(layer_sizes, alpha)
     if seed < 0:
         raise MimicError(f"seed must be non-negative, got {seed}")
     net = MimicNetwork(layer_sizes, alpha, np.zeros(total))
     rng = np.random.default_rng(seed)
-    for w in net.weights:
+    for block in net.blocks:
+        w = block[:-1].T
         bound = np.sqrt(6.0 / sum(w.shape))  # fan_in + fan_out
         w[:] = rng.uniform(-bound, bound, size=w.shape)
     return net
@@ -310,14 +298,15 @@ def parse_weights(lines) -> MimicNetwork:
 
 
 def save_weights(net: MimicNetwork, path):
-    n_layers = len(net.weights)
+    n_layers = len(net.blocks)
     with open(path, "wb") as out:
-        out.write(f"{format_record(WEIGHTS_HEADER, n_layers, net.input_dim, net.alpha)}\n".encode())
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        out.write(f"{format_record(WEIGHTS_HEADER, n_layers, net.sizes[0], net.alpha)}\n".encode())
+        for i, block in enumerate(net.blocks):
+            w = block[:-1].T
             layer = format_record(LAYER_HEADER, *w.shape, _activation(i, n_layers))
             out.write(f"{layer}\n".encode())
             write_rows(out, w, b" ")
-            write_rows(out, b[None], b" ")
+            write_rows(out, block[-1:], b" ")
 
 
 def load_weights(path) -> MimicNetwork:

@@ -165,13 +165,13 @@ class TrainedModel:
         if not self.time_offset <= self.duration < math.inf:
             raise MimicError(f"duration must be finite and not before the time offset "
                              f"{self.time_offset}, got {self.duration}")
-        if self.network.input_dim != 1:
-            raise MimicError(f"network takes {self.network.input_dim} inputs; "
+        if self.network.sizes[0] != 1:
+            raise MimicError(f"network takes {self.network.sizes[0]} inputs; "
                              "it needs 1, the normalized time")
 
     @property
     def n_joints(self) -> int:
-        return self.network.output_dim - 1  # the last output is the end flag
+        return self.network.sizes[-1] - 1  # the last output is the end flag
 
     def inputs(self, times) -> np.ndarray:
         """The net's (rows, 1) input: times normalized over the dataset span.
@@ -293,8 +293,8 @@ def ingest_log(times, joints, rate: float, periodic: bool = False, tail: int = 0
     count = int(slots[-1]) + 1
     grid = np.empty((count, joints.shape[1]))
     grid[slots] = joints
-    for i in np.nonzero(gaps == 2)[0]:
-        grid[slots[i] + 1] = 0.5 * (joints[i] + joints[i + 1])
+    i = np.nonzero(gaps == 2)[0]
+    grid[slots[i] + 1] = 0.5 * (joints[i] + joints[i + 1])
     return _dataset(times[0], rate, grid, joints[-1], tail, None if periodic else count - 1,
                     joint_names)
 

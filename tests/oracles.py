@@ -100,6 +100,22 @@ def spline_derivatives(spline, t):
     return b + d * (2.0 * c + 3.0 * e * d), 2.0 * c + 6.0 * e * d
 
 
+def layer_views(sizes, flat):
+    """Per-layer (weights, biases) views into flat, laid out like a network's params.
+
+    Layer i of flat is a C-ordered (in + 1, out) block [Wᵀ; b], the
+    blocks in layer order; its W, shaped (out, in), is the block's first
+    in rows transposed, and its b the last row.
+    """
+    weights, biases, start = [], [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        block = flat[start : start + (n_in + 1) * n_out].reshape(n_in + 1, n_out)
+        weights.append(block[:-1].T)
+        biases.append(block[-1])
+        start += (n_in + 1) * n_out
+    return weights, biases
+
+
 def finite_difference_gradients(net, x, y, epsilon=1e-6):
     """Central-difference gradients of the batch loss for every parameter.
 
@@ -122,8 +138,8 @@ def finite_difference_gradients(net, x, y, epsilon=1e-6):
             grad[idx] = (hi - lo) / (2.0 * epsilon)
         return grad
 
-    return ([central_difference(w) for w in net.weights],
-            [central_difference(b) for b in net.biases])
+    weights, biases = layer_views(net.sizes, net.params)
+    return [central_difference(w) for w in weights], [central_difference(b) for b in biases]
 
 
 def max_relative_gradient_error(analytic_w, analytic_b, fd_w, fd_b, loss=1.0):
@@ -189,9 +205,10 @@ def unfused_forward_backward(net, x, y, block_rows=None):
 
     step = block_rows or BLOCK_ROWS
     blocks = [slice(start, start + step) for start in range(0, len(x), step)]
-    last = len(net.weights) - 1
+    weights, biases = layer_views(net.sizes, net.params)
+    last = len(weights) - 1
     pre, acts = [], [x]
-    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+    for li, (w, b) in enumerate(zip(weights, biases)):
         a = acts[-1]
         if min(w.shape) >= 2 and len(a) >= 2:
             z = with_ones(a) @ np.vstack([w.T, b])
@@ -213,14 +230,14 @@ def unfused_forward_backward(net, x, y, block_rows=None):
         grad = functools.reduce(np.add, [a1[r].T @ delta[r] for r in blocks])
         w_grads.insert(0, grad[:-1].T)
         b_grads.insert(0, grad[-1])
-        w = np.ascontiguousarray(net.weights[li])
+        w = np.ascontiguousarray(weights[li])
         delta = np.concatenate([delta[r] @ w for r in blocks])
     return loss, acts[-1], w_grads, b_grads
 
 
 def flat_gradient(sizes, w_grads, b_grads):
     """The gradient vector, laid out like a network's params, of per-layer gradients."""
-    from motionmimic.network import layer_views, parameter_count
+    from motionmimic.network import parameter_count
 
     flat = np.empty(parameter_count(sizes, 1.0))
     for gw, gb, w, b in zip(*layer_views(sizes, flat), w_grads, b_grads):
@@ -234,13 +251,14 @@ def loop_forward(net, x):
     Hidden layers are leaky ReLU with slope net.alpha; the last layer is linear.
     """
     values = [float(v) for v in x]
+    weights, biases = layer_views(net.sizes, net.params)
     last = len(net.sizes) - 2
     for li, (n_in, n_out) in enumerate(zip(net.sizes, net.sizes[1:])):
         nxt = []
         for o in range(n_out):
-            z = float(net.biases[li][o])
+            z = float(biases[li][o])
             for i in range(n_in):
-                z += float(net.weights[li][o, i]) * values[i]
+                z += float(weights[li][o, i]) * values[i]
             if li < last:
                 z = z if z >= 0 else net.alpha * z
             nxt.append(z)

@@ -14,7 +14,6 @@ from motionmimic.network import (
     epoch_buffers,
     forward_backward,
     initialize,
-    layer_views,
     parse_weights,
     save_weights,
 )
@@ -39,6 +38,7 @@ from oracles import (
     dense_natural_spline,
     finite_difference_gradients,
     format_movement,
+    layer_views,
     max_relative_gradient_error,
     scalar_adam,
     schedule_run,
@@ -76,7 +76,7 @@ def kick_analog():
 
 def test_c01_parameter_accounting():
     net = initialize([1, 75, 50, 23], seed=0)
-    counts = [w.size + b.size for w, b in zip(net.weights, net.biases)]
+    counts = [block.size for block in net.blocks]  # in * out weights and out biases
     assert counts == [150, 3800, 1173]
     assert net.params.size == 5123
     ok("criterion 1 (parameter accounting 150/3800/1173 = 5123)")
@@ -90,8 +90,8 @@ def test_c02_gradient_correctness():
         sizes = [int(rng.integers(1, 11)) for _ in range(n_layers + 1)]
         net = initialize(sizes, seed=int(rng.integers(0, 2**31)))
         batch = int(rng.integers(1, 6))
-        x = rng.standard_normal((batch, net.input_dim))
-        y = rng.standard_normal((batch, net.output_dim))
+        x = rng.standard_normal((batch, net.sizes[0]))
+        y = rng.standard_normal((batch, net.sizes[-1]))
         loss, _, grads = forward_backward(net, x, y, epoch_buffers(net, x))
         fd_w, fd_b = finite_difference_gradients(net, x, y, epsilon=1e-6)
         err = max_relative_gradient_error(*layer_views(net.sizes, grads), fd_w, fd_b, loss=loss)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -10,11 +11,11 @@ from motionmimic.network import (
     forward,
     forward_backward,
     initialize,
-    layer_views,
     leaky_relu,
     load_weights,
     mse_loss,
     nonfinite_tensor,
+    parameter_count,
     parse_weights,
     save_weights,
 )
@@ -22,6 +23,7 @@ from motionmimic.optimizer import adam_init, adam_step
 
 from oracles import (
     finite_difference_gradients,
+    layer_views,
     loop_forward,
     max_relative_gradient_error,
     text_lines,
@@ -110,7 +112,7 @@ def test_forward_backward_matches_unfused_pass_bit_for_bit(sizes, alpha):
     shared = epoch_buffers(initialize(sizes, alpha=alpha), x)
     for seed in (4, 5):
         net = initialize(sizes, seed=seed, alpha=alpha)
-        for b in net.biases:
+        for b in layer_views(sizes, net.params)[1]:
             b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
         y = rng.uniform(-1.0, 1.0, size=(33, sizes[-1]))
         ref_loss, ref_pred, ref_w, ref_b = unfused_forward_backward(net, x, y)
@@ -130,7 +132,7 @@ def long_batch(sizes, rows):
     """A seeded net with nonzero biases, and a batch of rows inputs on [-1, 1] with targets."""
     rng = np.random.default_rng(rows)
     net = initialize(sizes, seed=rows)
-    for b in net.biases:
+    for b in layer_views(sizes, net.params)[1]:
         b[:] = rng.uniform(-0.5, 0.5, size=b.shape)
     x = np.linspace(-1.0, 1.0, rows)[:, None]
     return net, x, rng.uniform(-1.0, 1.0, size=(rows, sizes[-1]))
@@ -181,18 +183,19 @@ def gradient_magnitudes(net, x, y):
     delta entry is a chain of dot products from the output error down;
     these are the same sums taken over the magnitudes of their terms.
     """
-    acts, slopes, last = [x], [], len(net.weights) - 1
-    for li, (w, b) in enumerate(zip(net.weights, net.biases)):
+    weights, biases = layer_views(net.sizes, net.params)
+    acts, slopes, last = [x], [], len(weights) - 1
+    for li, (w, b) in enumerate(zip(weights, biases)):
         z = acts[-1] @ w.T + b
         slopes.append(np.where(z >= 0, 1.0, net.alpha) if li < last else 1.0)
         acts.append(z * slopes[-1])
     d = np.abs(acts[-1] - y) / len(x)
     w_sums, b_sums = [], []
-    for li in range(len(net.weights) - 1, -1, -1):
+    for li in range(last, -1, -1):
         w_sums.insert(0, d.T @ np.abs(acts[li]))
         b_sums.insert(0, d.sum(axis=0))
         if li > 0:
-            d = (d @ np.abs(net.weights[li])) * slopes[li - 1]
+            d = (d @ np.abs(weights[li])) * slopes[li - 1]
     return w_sums, b_sums
 
 
@@ -216,7 +219,7 @@ def test_row_blocks_move_the_gradients_of_1500_rows_by_rounding_only():
     _, _, one_w, one_b = unfused_forward_backward(net, x, y, block_rows=rows)
     got_w, got_b = layer_views(sizes, grads)
     w_sums, b_sums = gradient_magnitudes(net, x, y)
-    for li in range(len(net.weights)):
+    for li in range(len(sizes) - 1):
         # the row sum and each product, the output error, then each layer above
         n = rows + 1 + 2 + sum(width + 1 for width in sizes[li + 2:])
         bound = 2 * n * np.finfo(float).eps
@@ -238,15 +241,15 @@ def broadcast_forward(net, x):
     Any other layer of 2 or more units over 2 or more rows is [a, 1] @
     [Wᵀ; b] on fresh arrays, and the rest a @ w.T + b, as in the network.
     """
-    a = x
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+    a, (weights, biases) = x, layer_views(net.sizes, net.params)
+    for i, (w, b) in enumerate(zip(weights, biases)):
         if w.shape[1] == 1:
             z = np.multiply(a, w[:, 0]) + b
         elif w.shape[0] >= 2 and len(a) >= 2:
             z = with_ones(a) @ np.vstack([w.T, b])
         else:
             z = a @ w.T + b
-        a = np.where(z >= 0, z, net.alpha * z) if i < len(net.weights) - 1 else z
+        a = np.where(z >= 0, z, net.alpha * z) if i < len(weights) - 1 else z
     return a
 
 
@@ -288,32 +291,34 @@ def test_layer0_product_sign_of_zero_with_negative_zero_bias():
     """
     net = single_layer([[-1.0], [2.0]], [-0.0, -0.0])
     t = np.array([[0.0], [0.5]])
-    want = np.multiply(t, net.weights[0][:, 0]) + net.biases[0]
+    (w,), (b,) = layer_views(net.sizes, net.params)
+    want = np.multiply(t, w[:, 0]) + b
     assert np.signbit(want[0, 0]) and want[0, 0] == 0.0
     got = forward(net, t)
     assert not np.signbit(got[0, 0]) and got[0, 0] == 0.0
     np.testing.assert_array_equal(bits(got.ravel()[1:]), bits(want.ravel()[1:]))
     assert not np.signbit(forward(net, t[:1])[0, 0])
     net = initialize([1, 4, 3], seed=0)
-    for b in net.biases:
+    biases = layer_views(net.sizes, net.params)[1]
+    for b in biases:
         assert not np.signbit(b).any()
     state = adam_init(net.params)
     adam_step(state, net.params, np.where(np.arange(net.params.size) % 2, -0.0, 0.0), lr=0.1)
-    for b in net.biases:
+    for b in biases:
         assert not np.signbit(b).any()
 
 
 def test_parameters_and_gradients_are_views_of_one_vector():
     """Layer by layer, params holds one C-ordered (in + 1, out) block [Wᵀ; b], and so do grads."""
     net = initialize([1, 5, 4, 3], seed=0)
-    total = sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+    weights, biases = layer_views(net.sizes, net.params)
+    total = sum(w.size + b.size for w, b in zip(weights, biases))
     assert net.params.shape == (total,)
     x = np.array([[0.3], [0.8]])
     _, _, grads = forward_backward(net, x, np.zeros((2, 3)), epoch_buffers(net, x))
     assert grads.shape == (total,)
     start = 0
-    for block, w, b, gw, gb in zip(net.blocks, net.weights, net.biases,
-                                   *layer_views(net.sizes, grads)):
+    for block, w, b, gw, gb in zip(net.blocks, weights, biases, *layer_views(net.sizes, grads)):
         end = start + block.size
         assert block.shape == (w.shape[1] + 1, w.shape[0]) and block.flags.c_contiguous
         assert np.shares_memory(block, net.params[start:end])
@@ -343,9 +348,29 @@ def test_gradient_set_names_first_nonfinite_tensor():
     assert nonfinite_tensor(net.sizes, grads) == "layer0.biases"
 
 
+def test_nonfinite_tensor_names_the_tensor_of_every_index():
+    """A NaN at each flat index in turn is named as the oracle's (W, b) reading places it."""
+    sizes = [1, 3, 2, 2]
+    grads = np.zeros(parameter_count(sizes, 0.01))
+    names = []
+    for k in range(grads.size):
+        grads[k] = np.nan
+        weights, biases = layer_views(sizes, grads)
+        want = [f"layer{i}.{kind}" for i, (w, b) in enumerate(zip(weights, biases))
+                for kind, g in (("weights", w), ("biases", b)) if np.isnan(g).any()]
+        assert len(want) == 1
+        assert nonfinite_tensor(sizes, grads) == want[0]
+        names.append(want[0])
+        grads[k] = 0.0
+    assert nonfinite_tensor(sizes, grads) is None
+    # each block is its W's in * out values, then its out biases
+    assert names == (["layer0.weights"] * 3 + ["layer0.biases"] * 3 + ["layer1.weights"] * 6
+                     + ["layer1.biases"] * 2 + ["layer2.weights"] * 4 + ["layer2.biases"] * 2)
+
+
 def test_forward_zero_network_gives_zeros():
     net = initialize([1, 75, 50, 23], seed=0)
-    for w, b in zip(net.weights, net.biases):
+    for w, b in zip(*layer_views(net.sizes, net.params)):
         w[:] = 0.0
         b[:] = 0.0
     np.testing.assert_array_equal(forward(net, np.array([[0.7]])), np.zeros((1, 23)))
@@ -426,8 +451,8 @@ def test_gradients_random_small_networks():
     for _ in range(20):
         net = random_small_network(rng)
         batch = int(rng.integers(1, 6))
-        x = rng.standard_normal((batch, net.input_dim))
-        y = rng.standard_normal((batch, net.output_dim))
+        x = rng.standard_normal((batch, net.sizes[0]))
+        y = rng.standard_normal((batch, net.sizes[-1]))
         loss, _, grads = forward_backward(net, x, y, epoch_buffers(net, x))
         fd_w, fd_b = finite_difference_gradients(net, x, y)
         err = max_relative_gradient_error(*layer_views(net.sizes, grads), fd_w, fd_b, loss=loss)
@@ -463,7 +488,7 @@ def test_leaky_grad_at_exact_zero_is_one():
 
 def test_param_count_reference_architecture():
     net = initialize([1, 75, 50, 23], seed=0)
-    counts = [w.size + b.size for w, b in zip(net.weights, net.biases)]
+    counts = [block.size for block in net.blocks]  # in * out weights and out biases
     assert counts == [150, 3800, 1173]
     assert net.params.size == 5123
 
@@ -471,15 +496,17 @@ def test_param_count_reference_architecture():
 def test_initialize_deterministic_and_bounded():
     a = initialize([1, 75, 50, 23], seed=5)
     b = initialize([1, 75, 50, 23], seed=5)
-    for wa, ba, wb, bb in zip(a.weights, a.biases, b.weights, b.biases):
+    (a_w, a_b), (b_w, b_b) = (layer_views(n.sizes, n.params) for n in (a, b))
+    for wa, ba, wb, bb in zip(a_w, a_b, b_w, b_b):
         np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(ba, bb)
         np.testing.assert_array_equal(bb, np.zeros_like(bb))
     bound = np.sqrt(6.0 / (1 + 75))
     assert bound == pytest.approx(0.28097574347450816, abs=1e-15)
-    assert np.max(np.abs(a.weights[0])) <= bound
+    assert np.max(np.abs(a_w[0])) <= bound
     c = initialize([1, 75, 50, 23], seed=6)
-    assert any(not np.array_equal(wa, wc) for wa, wc in zip(a.weights, c.weights))
+    c_w = layer_views(c.sizes, c.params)[0]
+    assert any(not np.array_equal(wa, wc) for wa, wc in zip(a_w, c_w))
 
 
 def test_initialize_rejects_bad_sizes():
@@ -492,7 +519,7 @@ def test_initialize_rejects_bad_sizes():
 
 def test_network_dimension_chaining_enforced():
     # the sizes fix each layer's shape: 2->3 and 3->2 take 9 + 8 values
-    assert MimicNetwork([2, 3, 2], 0.01, np.zeros(17)).weights[1].shape == (2, 3)
+    assert MimicNetwork([2, 3, 2], 0.01, np.zeros(17)).blocks[1][:-1].T.shape == (2, 3)
     # a weights file whose layer takes other than the previous layer's outputs
     lines = written(save_weights, initialize([2, 3, 2], seed=0)).splitlines()
     assert lines[6] == "layer out=2 in=3 act=linear"
@@ -508,9 +535,27 @@ def test_weight_file_round_trip():
     assert written(save_weights, again) == text
     assert again.sizes == net.sizes == [1, 5, 3]
     assert again.alpha == net.alpha == 0.02
-    for wa, ba, wb, bb in zip(net.weights, net.biases, again.weights, again.biases):
+    for wa, ba, wb, bb in zip(*layer_views(net.sizes, net.params),
+                              *layer_views(again.sizes, again.params)):
         np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(ba, bb)
+
+
+# initialize draws with numpy's Generator and save_weights formats with Python, neither through
+# BLAS, so one digest holds on every OpenBLAS kernel and thread count
+INITIAL_WEIGHTS_DIGESTS = {
+    (1, 75, 50, 23, 0): "d04e36cec46cab7860a3c397638a67f0d0da3010f14779fae44cfc92f8c4dcdc",
+    (1, 5, 1, 3, 1): "eba5fbe14509714b4d18312d98b697f256b5f697dafd43c8942bfd6febf5e9c6",
+}
+
+
+@pytest.mark.parametrize("key", INITIAL_WEIGHTS_DIGESTS, ids=lambda k: f"{':'.join(map(str, k[:-1]))}-seed{k[-1]}")
+def test_initial_weights_file_is_pinned_on_every_kernel(key, tmp_path):
+    """The draw order and the file's W-rows-then-biases layout of a seeded initial net."""
+    *sizes, seed = key
+    save_weights(initialize(sizes, seed), tmp_path / "weights.txt")
+    digest = hashlib.sha256((tmp_path / "weights.txt").read_bytes()).hexdigest()
+    assert digest == INITIAL_WEIGHTS_DIGESTS[key]
 
 
 def test_weight_file_save_load(tmp_path):

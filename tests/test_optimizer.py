@@ -4,7 +4,6 @@ import pytest
 import motionmimic.trainer
 from motionmimic.errors import DivergenceError, MimicError
 from motionmimic.motion import KeyframeMovement
-from motionmimic.network import layer_views
 from motionmimic.optimizer import (
     SCHEDULE_PRESETS,
     TrainingSchedule,
@@ -16,8 +15,8 @@ from motionmimic.optimizer import (
 )
 from motionmimic.trainer import sample_movement, train
 
-from oracles import (expression_adam_step, format_schedule, scalar_adam, schedule_run,
-                     text_lines)
+from oracles import (expression_adam_step, format_schedule, layer_views, scalar_adam,
+                     schedule_run, text_lines)
 
 # frozen from the plain-float recurrence in oracles.scalar_adam
 FIRST_STEP_THETA = -0.09999999900000002

@@ -6,7 +6,7 @@ from motionmimic.motion import KeyframeMovement
 from motionmimic.network import initialize
 from motionmimic.plant import PlantConfig, save_comparison, simulate, step
 from motionmimic.trainer import TrainedModel
-from oracles import plant_step_loop, written
+from oracles import layer_views, plant_step_loop, written
 
 
 def sine_movement(freq, duration=2.0, amplitude=0.5, knots_per_cycle=12):
@@ -25,7 +25,7 @@ def flag_only_model(n_joints=2):
     # constant high end flag: rollout stops immediately after one sample
     net = initialize([1, 4, n_joints + 1], seed=0)
     net.params[:] = 0.0
-    net.biases[-1][-1] = 1.0
+    layer_views(net.sizes, net.params)[1][-1][-1] = 1.0
     return TrainedModel(
         network=net, duration=1.0,
         sample_rate=50.0, time_offset=0.0, time_scale=1.0,

@@ -8,7 +8,7 @@ import pytest
 import motionmimic.trainer
 from motionmimic.errors import DivergenceError, MimicError
 from motionmimic.motion import MAX_ANGLE, KeyframeMovement, grid_size
-from motionmimic.network import initialize, layer_views
+from motionmimic.network import initialize
 from motionmimic.optimizer import SCHEDULE_PRESETS, TrainingSchedule
 from motionmimic.spline import build_spline
 from motionmimic.textio import parse_table
@@ -30,8 +30,8 @@ from motionmimic.trainer import (
     train,
 )
 
-from oracles import (expression_adam_step, flat_gradient, kernel_digests, parse_log, text_lines,
-                     unfused_forward_backward, written)
+from oracles import (expression_adam_step, flat_gradient, kernel_digests, layer_views, parse_log,
+                     text_lines, unfused_forward_backward, written)
 
 
 def kick_analog(seed=100, n_joints=5, n_keys=5, duration=1.5):
@@ -203,6 +203,21 @@ def test_ingest_fills_single_gap_within_curvature_bound():
     assert abs(ds.joints[drop, 0] - joints[drop, 0]) < bound
 
 
+def test_ingest_fills_each_single_gap_with_the_mean_of_its_neighbours_bit_for_bit():
+    rate = 50.0
+    times = np.arange(40) / rate
+    joints = np.random.default_rng(5).uniform(-3.0, 3.0, (40, 4))
+    drops = [1, 7, 9, 20, 38]  # the first and last interior slots included
+    kept = np.ones(40, dtype=bool)
+    kept[drops] = False
+    ds = ingest_log(times[kept], joints[kept], rate)
+    assert len(ds.times) == 40
+    for d in drops:
+        want = 0.5 * (joints[d - 1] + joints[d + 1])
+        assert ds.joints[d].tobytes() == want.tobytes()
+    np.testing.assert_array_equal(ds.joints[kept], joints[kept])
+
+
 def test_ingest_rejects_long_gaps_and_disorder():
     times = np.arange(10) / 50.0
     joints = np.zeros((10, 1))
@@ -254,8 +269,8 @@ def test_train_is_deterministic(desk_fit):
     m2, l2 = train(dataset, schedule=sched, seed=3)
     np.testing.assert_array_equal(l1.mses, l2.mses)
     np.testing.assert_array_equal(l1.maes, l2.maes)
-    for wa, ba, wb, bb in zip(m1.network.weights, m1.network.biases,
-                              m2.network.weights, m2.network.biases):
+    for wa, ba, wb, bb in zip(*layer_views(m1.network.sizes, m1.network.params),
+                              *layer_views(m2.network.sizes, m2.network.params)):
         np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(ba, bb)
 
@@ -306,11 +321,9 @@ def test_seeded_training_files_are_bit_identical(tmp_path, monkeypatch):
     assert len(updated) == sched.total_epochs
     theta = updated[0]
     assert theta is model.network.params
-    assert theta.size == sum(w.size + b.size
-                             for w, b in zip(model.network.weights, model.network.biases))
-    for w, b in zip(model.network.weights, model.network.biases):
-        assert np.shares_memory(w, theta)
-        assert np.shares_memory(b, theta)
+    assert theta.size == sum(block.size for block in model.network.blocks)
+    for block in model.network.blocks:
+        assert np.shares_memory(block, theta)
 
 
 def reference_training(dataset, schedule, seed, alpha):
@@ -554,7 +567,7 @@ def test_rollout_periodic_model_hits_cap():
 
 def test_rollout_stops_at_a_flag_of_exactly_one_half():
     model = zero_model(2)
-    model.network.biases[-1][-1] = 0.5  # every flag output is the threshold itself
+    layer_views(model.network.sizes, model.network.params)[1][-1][-1] = 0.5  # every flag output is the threshold itself
     ro = rollout(model, 50.0)
     assert len(ro.times) == 1 and ro.flags[0] == 0.5 and ro.end_detected
 
@@ -668,8 +681,8 @@ def test_model_bundle_round_trip(tmp_path, desk_fit):
     assert again.time_offset == model.time_offset
     assert again.time_scale == model.time_scale
     assert again.periodic == model.periodic
-    for wa, ba, wb, bb in zip(again.network.weights, again.network.biases,
-                              model.network.weights, model.network.biases):
+    for wa, ba, wb, bb in zip(*layer_views(again.network.sizes, again.network.params),
+                              *layer_views(model.network.sizes, model.network.params)):
         np.testing.assert_array_equal(wa, wb)
         np.testing.assert_array_equal(ba, bb)
     probe = np.array([0.0, 0.4, 1.1])

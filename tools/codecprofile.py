@@ -88,10 +88,10 @@ def checks_pass(net, directory):
     save_weights(net, directory / "weights.txt")
     numbers = [line for line in (directory / "weights.txt").read_bytes().decode().splitlines()[1:]
                if not line.startswith("layer ")]
-    rows = [row for w, b in zip(net.weights, net.biases) for row in [*w, b]]
+    rows = [row for block in net.blocks for row in [*block[:-1].T, block[-1]]]
     fields = [float(part) for line in numbers for part in line.split()]
     loaded = load_weights(directory / "weights.txt")
-    loaded_rows = [row for w, b in zip(loaded.weights, loaded.biases) for row in [*w, b]]
+    loaded_rows = [row for block in loaded.blocks for row in [*block[:-1].T, block[-1]]]
     return (numbers == [" ".join("%.17g" % v for v in row) for row in rows]
             and same_bits(np.concatenate(loaded_rows), fields))
 

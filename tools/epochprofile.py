@@ -94,11 +94,11 @@ def epoch_parts(net, x, y, buffers, state, lr):
             np.matmul(inputs[i], net.blocks[i], out=z)
         else:
             np.matmul(inputs[i][:, :-1], net.blocks[i][:-1], out=z)
-            z += net.biases[i]
+            z += net.blocks[i][-1]
 
     def weight_copy():
         for i in range(1, last + 1):
-            np.copyto(buffers.weights[i], net.weights[i])
+            np.copyto(buffers.weights[i], net.blocks[i][:-1].T)
 
     def weight_grad(i, delta):
         np.matmul(inputs[i][blocks[0]].T, delta[blocks[0]], out=buffers.grad_blocks[i])
